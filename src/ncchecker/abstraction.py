@@ -9,9 +9,18 @@ holds the templates whose lines shared that route; a line merges into the
 most similar template at or above the similarity threshold (positions
 that disagree become wildcards) or registers a new template otherwise.
 
-A frozen miner is read-only and safe to share across workers: lines that
-match no known template map to the reserved UNKNOWN event instead of
-creating one, so prediction never mutates a trained model.
+Training scans a leaf's templates one by one.  A frozen miner instead
+looks lines up in a per-leaf inverted index (token position -> literal
+token -> template slots), built lazily on the leaf's first frozen lookup
+and rebuilt from the registry after a reload, so the cost of a lookup
+follows the line's hits rather than the leaf's size.  Both paths pick the
+same template: the most similar one, the earliest on ties.
+
+A frozen miner maps lines that match no known template to the reserved
+UNKNOWN event instead of creating one, so prediction never changes the
+registry.  It may be shared across threads: a leaf index is published by
+one attribute assignment once complete, so two threads racing on a cold
+leaf at worst both build it.
 """
 
 import hashlib
@@ -64,11 +73,20 @@ class AbstractionConfig:
             )
         if self.max_children < 1:
             raise ValidationError(f"max_children must be >= 1, got {self.max_children}")
+        _compiled_rules(self.mask_rules)
 
 
 @lru_cache(maxsize=64)
 def _compiled_rules(mask_rules: tuple[tuple[str, str], ...]):
-    return tuple((re.compile(pattern), repl) for pattern, repl in mask_rules)
+    compiled = []
+    for pattern, repl in mask_rules:
+        try:
+            rule = re.compile(pattern)
+            rule.sub(repl, "")  # rejects a bad group reference in repl
+        except re.error as exc:
+            raise ValidationError(f"mask rule {pattern!r} -> {repl!r}: {exc}") from None
+        compiled.append((rule, repl))
+    return tuple(compiled)
 
 
 def preprocess(line: str, config: AbstractionConfig) -> list[str]:
@@ -145,18 +163,74 @@ def event_sort_key(event_id: str):
 
 
 class _Node:
-    __slots__ = ("children", "template_ids")
+    __slots__ = ("children", "template_ids", "index")
 
     def __init__(self):
         self.children: dict[str, _Node] = {}
         self.template_ids: list[str] = []
+        self.index: _LeafIndex | None = None  # frozen lookups only
+
+
+class _LeafIndex:
+    """Exact inverted index over one frozen leaf's templates.
+
+    ``columns[i]`` maps a literal token at position ``i`` to the slot (an
+    int) or slots (a list) of ``template_ids`` holding it there; wildcard
+    slots are left out and counted per template in ``wildcards``.
+    ``widest`` is the earliest slot with the most wildcards: it stands in
+    for every template a line has no literal hit on.
+    """
+
+    __slots__ = ("columns", "wildcards", "widest")
+
+    def __init__(self, rows: Sequence[tuple[str, ...]]):
+        n = len(rows)
+        columns = []
+        for column in zip(*rows):
+            lookup = dict(zip(column, range(n)))
+            if n - len(lookup) > max(column.count(WILDCARD) - 1, 0):
+                lookup = {}  # a literal repeats: keep every slot
+                for slot, tok in enumerate(column):
+                    lookup.setdefault(tok, []).append(slot)
+            lookup.pop(WILDCARD, None)
+            columns.append(lookup)
+        self.columns = tuple(columns)
+        self.wildcards = [row.count(WILDCARD) for row in rows]
+        self.widest = self.wildcards.index(max(self.wildcards))
+
+    def best_slot(self, tokens: Sequence[str]) -> tuple[int, int]:
+        """Return the scan's choice and its matched positions.
+
+        The scan keeps the first template with the most matched positions
+        (literal hits plus wildcards), so ties go to the earliest slot.
+        """
+        literal_hits: dict[int, int] = {}
+        for lookup, tok in zip(self.columns, tokens):
+            slots = lookup.get(tok)
+            if slots is None:
+                continue
+            if slots.__class__ is int:
+                literal_hits[slots] = literal_hits.get(slots, 0) + 1
+            else:
+                for slot in slots:
+                    literal_hits[slot] = literal_hits.get(slot, 0) + 1
+        wildcards = self.wildcards
+        best_slot = self.widest
+        best = wildcards[best_slot]
+        for slot, hits in literal_hits.items():
+            score = hits + wildcards[slot]
+            if score > best or (score == best and slot < best_slot):
+                best_slot, best = slot, score
+        return best_slot, best
 
 
 class TemplateMiner:
     """Online Drain-style miner; owns the parse tree and template registry.
 
-    Training (mutating) mode requires exclusive access.  After ``freeze()``
-    the state is immutable and may be shared across parallel workers.
+    Training (mutating) mode requires exclusive access and matches by
+    scanning each leaf.  After ``freeze()`` the state is immutable, lookups
+    go through per-leaf indexes built on first use, and the miner may be
+    shared across threads (see the module docstring).
     """
 
     def __init__(self, config: AbstractionConfig | None = None):
@@ -237,6 +311,14 @@ class TemplateMiner:
                 best, best_sim = template, sim
         return best, best_sim
 
+    def _indexed_match(self, leaf: _Node, tokens: Sequence[str]):
+        index = leaf.index
+        if index is None:
+            index = _LeafIndex([self._templates[tid].tokens for tid in leaf.template_ids])
+            leaf.index = index
+        slot, matched = index.best_slot(tokens)
+        return self._templates[leaf.template_ids[slot]], matched / len(tokens)
+
     def parse_line(self, line: str) -> str | None:
         """Return the event id for one raw line, or None for a blank line.
 
@@ -248,7 +330,10 @@ class TemplateMiner:
             return None
         leaf = self._search_leaf(tokens)
         if leaf is not None and leaf.template_ids:
-            template, sim = self._best_match(leaf, tokens)
+            if self._frozen:
+                template, sim = self._indexed_match(leaf, tokens)
+            else:
+                template, sim = self._best_match(leaf, tokens)
             if sim >= self.config.similarity_threshold:
                 if not self._frozen:
                     self._merge(template, tokens)

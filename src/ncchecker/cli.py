@@ -9,7 +9,6 @@ come from an optional JSON config file; flags override it.
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import baselines as bl
@@ -30,7 +29,6 @@ _CONFIG_KEYS = (
     "seed",
     "k_neighbors",
     "rg_trials",
-    "jobs",
 )
 
 _DEFAULTS = {
@@ -41,7 +39,6 @@ _DEFAULTS = {
     "seed": 0,
     "k_neighbors": 5,
     "rg_trials": 100,
-    "jobs": 1,
 }
 
 
@@ -169,7 +166,7 @@ def _prediction_record(log_id, table, prediction, flagged) -> dict:
 
 
 def _cmd_predict(args) -> int:
-    file_config = _load_config_file(args.config)
+    _load_config_file(args.config)  # validated; predict reads no settings
     miner, table = load_model(args.model)
     target = Path(args.path)
     if target.is_dir():
@@ -179,19 +176,10 @@ def _cmd_predict(args) -> int:
     else:
         raise FileNotFoundError(f"log path not found: {target}")
 
-    def run_one(path: Path):
+    results = []
+    for path in files:
         prediction, events = predict_lines(miner, table, read_log_lines(path), path.stem)
-        flagged = flag_lines(prediction, events, miner)
-        return path.stem, prediction, flagged
-
-    jobs = int(_setting(args, file_config, "jobs"))
-    if jobs > 1 and len(files) > 1:
-        # The frozen miner and table are immutable; per-log work is
-        # independent, so threads need no coordination.
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, files))
-    else:
-        results = [run_one(path) for path in files]
+        results.append((path.stem, prediction, flag_lines(prediction, events, miner)))
 
     results.sort(key=lambda item: item[0])
     for log_id, prediction, flagged in results:
@@ -350,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     predict = sub.add_parser("predict", help="predict causes for a log file or directory")
     predict.add_argument("model", help="model file from train")
     predict.add_argument("path", help="log file or directory of *.log files")
-    predict.add_argument("--jobs", type=int, default=None, help="parallel workers")
     predict.add_argument("--json", action="store_true", help="machine-readable records")
     predict.add_argument("--config", default=None, help="optional JSON config file")
     predict.set_defaults(func=_cmd_predict)

@@ -98,4 +98,8 @@ def save_model(path, miner: TemplateMiner, table: ScoreTable) -> None:
 
 def load_model(path) -> tuple[TemplateMiner, ScoreTable]:
     """Load and freeze; the returned pair is immutable and shareable."""
-    return model_from_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"model file {path}: not UTF-8 text ({exc})") from None
+    return model_from_text(text)

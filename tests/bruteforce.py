@@ -1,14 +1,36 @@
-"""Independent naive reference for lookup-table construction.
+"""Independent naive references for lookup-table construction and matching.
 
-Loops over logs, events, and causes with plain list scans: no pooling
-sets, no shared table code.  It reuses only the template miner, replayed
-in the same deterministic order the pipeline uses (passed then failed,
-sorted by log id), so both sides see identical event sequences.
+``brute_force_rows`` loops over logs, events, and causes with plain list
+scans: no pooling sets, no shared table code.  It reuses only the template
+miner, replayed in the same deterministic order the pipeline uses (passed
+then failed, sorted by log id), so both sides see identical event
+sequences.
+
+``scan_parse_line`` is the frozen lookup by a linear scan of the routed
+leaf, the reference for the miner's indexed frozen match.
 """
 
 import math
 
-from ncchecker.abstraction import TemplateMiner
+from ncchecker import abstraction
+from ncchecker.abstraction import UNKNOWN_EVENT_ID, TemplateMiner, preprocess
+
+
+def scan_parse_line(miner, line):
+    """Frozen event id of ``line``: first template with the highest similarity."""
+    tokens = preprocess(line, miner.config)
+    if not tokens:
+        return None
+    leaf = miner._search_leaf(tokens)
+    best, best_sim = None, -1.0
+    for tid in leaf.template_ids if leaf is not None else ():
+        # Looked up on the module so tests can count the calls.
+        sim = abstraction.seq_similarity(tokens, miner.templates[tid])
+        if sim > best_sim:
+            best, best_sim = tid, sim
+    if best is not None and best_sim >= miner.config.similarity_threshold:
+        return best
+    return UNKNOWN_EVENT_ID
 
 
 def brute_force_rows(

@@ -1,7 +1,12 @@
 import random
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bruteforce import scan_parse_line
+from ncchecker import abstraction
 from ncchecker import (
     AbstractionConfig,
     LogTemplate,
@@ -13,6 +18,9 @@ from ncchecker import (
     seq_similarity,
 )
 from ncchecker.abstraction import REGISTRY_HEADER
+from ncchecker.corpus import load_corpus
+from ncchecker.generator import default_spec, generate_synthetic
+from ncchecker.table import build
 
 
 @pytest.fixture
@@ -191,6 +199,121 @@ def test_frozen_matches_trained_lines(config):
     miner.freeze()
     replay = miner.parse_log(["alpha beta gamma"], "replay")
     assert replay.events == (trained.events[0],)
+
+
+# -- frozen indexed match ------------------------------------------------------
+
+# Masked "1" and "0x1f" and the literal "<*>" all become wildcard tokens.
+_EXTRA_TOKENS = ("1", "0x1f", WILDCARD)
+_WORD_POOL = ("a", "b", "c", "d", "e", "f")
+
+
+@st.composite
+def _miner_cases(draw):
+    vocabulary = draw(st.lists(st.sampled_from(_WORD_POOL), min_size=2, max_size=6, unique=True))
+    line = st.lists(st.sampled_from(vocabulary + list(_EXTRA_TOKENS)), min_size=1, max_size=6)
+    config = AbstractionConfig(
+        tree_depth=draw(st.sampled_from([2, 3, 4])),
+        similarity_threshold=draw(st.sampled_from([0.34, 0.4, 0.5, 0.6, 1.0])),
+        max_children=draw(st.sampled_from([1, 2, 100])),
+    )
+    train = draw(st.lists(line.map(" ".join), min_size=1, max_size=40))
+    probes = draw(st.lists(line.map(" ".join), max_size=20))
+    return config, train, probes
+
+
+@settings(deadline=None)
+@given(_miner_cases())
+def test_frozen_index_matches_linear_scan_and_reload(case):
+    config, train, probes = case
+    miner = TemplateMiner(config)
+    for line in train:
+        miner.parse_line(line)
+    miner.freeze()
+    lines = train + probes
+    frozen = [miner.parse_line(line) for line in lines]
+    assert frozen == [scan_parse_line(miner, line) for line in lines]
+
+    reloaded = TemplateMiner.from_registry_text(miner.export_registry(), config).freeze()
+    assert [reloaded.parse_line(line) for line in lines] == frozen
+
+
+def test_frozen_zero_hit_tie_goes_to_earliest_template():
+    config = AbstractionConfig(tree_depth=2, similarity_threshold=0.5, mask_rules=())
+    registry = f"{REGISTRY_HEADER}\ne1\t1\ta b <*> <*>\ne2\t1\te f <*> <*>\ne3\t1\tg h i <*>\n"
+    miner = TemplateMiner.from_registry_text(registry, config).freeze()
+    # No literal hit anywhere: both two-wildcard templates score 2/4.
+    assert miner.parse_line("q r s t") == "e1" == scan_parse_line(miner, "q r s t")
+    assert miner.parse_line("q f s t") == "e2" == scan_parse_line(miner, "q f s t")
+    assert miner.parse_line("g h i t") == "e3" == scan_parse_line(miner, "g h i t")
+
+
+def test_frozen_lookup_work_does_not_grow_with_training_size(tmp_path, monkeypatch):
+    def noisy_corpus(name, cause_counts, passed_count, seed):
+        spec = default_spec(
+            cause_counts=cause_counts,
+            passed_count=passed_count,
+            noise_rate=0.1,
+            lines_range=(50, 100),
+            seed=seed,
+        )
+        generate_synthetic(spec, tmp_path / name)
+        return load_corpus(tmp_path / name)
+
+    test_lines = [
+        line for log in noisy_corpus("test", (10, 10, 5, 5), 0, 2).failed for line in log.lines
+    ]
+    calls = 0
+    similarity = abstraction.seq_similarity
+
+    def counting_similarity(tokens, template):
+        nonlocal calls
+        calls += 1
+        return similarity(tokens, template)
+
+    monkeypatch.setattr(abstraction, "seq_similarity", counting_similarity)
+    indexed, scanned = [], []
+    for scale in (1, 4):
+        causes = tuple(count * scale for count in (20, 15, 10, 5))
+        miner, _ = build(noisy_corpus(f"train{scale}", causes, 10 * scale, 1))
+        calls = 0
+        ids = [miner.parse_line(line) for line in test_lines]
+        indexed.append(calls)
+        calls = 0
+        assert [scan_parse_line(miner, line) for line in test_lines] == ids
+        scanned.append(calls)
+    assert indexed[1] <= indexed[0]
+    # The corpus is in the regime the index is for: a leaf scan grows.
+    assert scanned[1] > 2 * scanned[0]
+
+
+def test_shared_frozen_miner_gives_serial_ids_across_threads():
+    lines = _fuzz_lines(17, 600)
+    miner = TemplateMiner(AbstractionConfig(max_children=2))
+    for line in lines[:300]:
+        miner.parse_line(line)
+    miner.freeze()
+    # The scan builds no index, so the threads below race on cold leaves.
+    expected = [scan_parse_line(miner, line) for line in lines]
+    results = {}
+    start = threading.Barrier(4)
+
+    def worker(n):
+        start.wait(timeout=30)
+        results[n] = [miner.parse_line(line) for line in lines]
+
+    threads = [threading.Thread(target=worker, args=(n,)) for n in range(4)]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(results[n] == expected for n in range(4))
 
 
 # -- invariants -------------------------------------------------------------

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ncchecker
 from ncchecker.cli import main
 from ncchecker.generator import default_spec, generate_synthetic, parse_manifest
 
@@ -105,22 +109,51 @@ def test_predict_benign_only_log_reports_fallback(model_path, tmp_path, capsys):
     assert "flag\t" not in stdout
 
 
-def test_predict_directory_json_sorted_and_parallel_identical(
-    corpus_dir, model_path, capsys
-):
+def test_predict_directory_json_sorted(corpus_dir, model_path, capsys):
     failed_dir = str(corpus_dir / "failed")
     assert main(["predict", str(model_path), failed_dir, "--json"]) == 0
-    serial = capsys.readouterr().out
-    assert main(["predict", str(model_path), failed_dir, "--json", "--jobs", "4"]) == 0
-    parallel = capsys.readouterr().out
-    assert serial == parallel
-    records = [json.loads(line) for line in serial.splitlines()]
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert len(records) == 58
     assert [r["log_id"] for r in records] == sorted(r["log_id"] for r in records)
 
 
+def test_predict_jobs_flag_removed(corpus_dir, model_path):
+    failed_dir = str(corpus_dir / "failed")
+    assert main(["predict", str(model_path), failed_dir, "--jobs", "2"]) == 1
+
+
 def test_predict_missing_path_is_io_error(model_path, tmp_path):
     assert main(["predict", str(model_path), str(tmp_path / "missing.log")]) == 2
+
+
+def _run_cli(*args) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter so an escaped traceback shows on stderr."""
+    src = str(Path(ncchecker.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    command = [sys.executable, "-m", "ncchecker.cli", *map(str, args)]
+    return subprocess.run(command, env=env, capture_output=True, text=True)
+
+
+def test_predict_non_utf8_model_is_validation_error(corpus_dir, model_path, tmp_path):
+    bad = tmp_path / "latin1.ncc"
+    bad.write_bytes(model_path.read_bytes().replace(b"templates\t", b"templates\xff\t", 1))
+    result = _run_cli("predict", bad, corpus_dir / "failed")
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
+
+
+def test_predict_invalid_mask_regex_is_validation_error(corpus_dir, model_path, tmp_path):
+    header, config_line, rest = model_path.read_text().split("\n", 2)
+    key, _, payload = config_line.partition("\t")
+    config = json.loads(payload)
+    config["mask_rules"][0][0] = "(unclosed"
+    bad = tmp_path / "regex.ncc"
+    bad.write_text(f"{header}\n{key}\t{json.dumps(config)}\n{rest}")
+    result = _run_cli("predict", bad, corpus_dir / "failed")
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
 
 
 def test_eval_with_rg_and_mcc(corpus_dir, model_path, capsys):
