@@ -9,12 +9,14 @@ holds the templates whose lines shared that route; a line merges into the
 most similar template at or above the similarity threshold (positions
 that disagree become wildcards) or registers a new template otherwise.
 
-Training scans a leaf's templates one by one.  A frozen miner instead
-looks lines up in a per-leaf inverted index (token position -> literal
-token -> template slots), built lazily on the leaf's first frozen lookup
+Both modes look lines up in a per-leaf inverted index (token position ->
+literal token -> template slots), built lazily on the leaf's first lookup
 and rebuilt from the registry after a reload, so the cost of a lookup
-follows the line's hits rather than the leaf's size.  Both paths pick the
-same template: the most similar one, the earliest on ties.
+follows the line's hits rather than the leaf's size.  Training keeps a
+built index current: a registered template is appended as a new slot, and
+a merge re-indexes only the positions it turned into wildcards.  The
+lookup picks what a scan of the leaf would: the most similar template,
+the earliest on ties.
 
 A frozen miner maps lines that match no known template to the reserved
 UNKNOWN event instead of creating one, so prediction never changes the
@@ -120,8 +122,9 @@ class LogTemplate:
 def seq_similarity(tokens: Sequence[str], template: LogTemplate) -> float:
     """Position-wise match ratio of a token sequence against a template.
 
-    A wildcard slot matches any token.  Lengths must agree; tree routing
-    guarantees that for internal callers, a mismatch is a caller bug.
+    A wildcard slot matches any token.  This is the similarity a leaf
+    index computes for all of a leaf's templates at once.  Lengths must
+    agree; a mismatch is a caller bug.
     """
     if len(tokens) != len(template.tokens):
         raise ValueError(
@@ -168,45 +171,38 @@ class _Node:
     def __init__(self):
         self.children: dict[str, _Node] = {}
         self.template_ids: list[str] = []
-        self.index: _LeafIndex | None = None  # frozen lookups only
+        self.index: _LeafIndex | None = None  # built on the leaf's first lookup
 
 
 class _LeafIndex:
-    """Exact inverted index over one frozen leaf's templates.
+    """Exact inverted index over one leaf's templates.
 
     ``columns[i]`` maps a literal token at position ``i`` to the slot (an
-    int) or slots (a list) of ``template_ids`` holding it there; wildcard
-    slots are left out and counted per template in ``wildcards``.
+    int) or slots (an ascending list) of ``template_ids`` holding it there;
+    wildcard slots are left out and counted per template in ``wildcards``.
     ``widest`` is the earliest slot with the most wildcards: it stands in
-    for every template a line has no literal hit on.
+    for every template a line has no literal hit on.  Training keeps the
+    index current through ``add`` and ``widen``.
     """
 
     __slots__ = ("columns", "wildcards", "widest")
 
     def __init__(self, rows: Sequence[tuple[str, ...]]):
-        n = len(rows)
-        columns = []
-        for column in zip(*rows):
-            lookup = dict(zip(column, range(n)))
-            if n - len(lookup) > max(column.count(WILDCARD) - 1, 0):
-                lookup = {}  # a literal repeats: keep every slot
-                for slot, tok in enumerate(column):
-                    lookup.setdefault(tok, []).append(slot)
-            lookup.pop(WILDCARD, None)
-            columns.append(lookup)
-        self.columns = tuple(columns)
-        self.wildcards = [row.count(WILDCARD) for row in rows]
-        self.widest = self.wildcards.index(max(self.wildcards))
+        self.columns = tuple({} for _ in rows[0])
+        self.wildcards = []
+        self.widest = 0
+        for row in rows:
+            self.add(row)
 
     def best_slot(self, tokens: Sequence[str]) -> tuple[int, int]:
-        """Return the scan's choice and its matched positions.
+        """Return the best slot and its matched positions.
 
-        The scan keeps the first template with the most matched positions
-        (literal hits plus wildcards), so ties go to the earliest slot.
+        Best is what a scan of the leaf would keep: the first template with
+        the most matched positions (literal hits plus wildcards), so ties go
+        to the earliest slot.
         """
         literal_hits: dict[int, int] = {}
-        for lookup, tok in zip(self.columns, tokens):
-            slots = lookup.get(tok)
+        for slots in map(dict.get, self.columns, tokens):
             if slots is None:
                 continue
             if slots.__class__ is int:
@@ -223,14 +219,53 @@ class _LeafIndex:
                 best_slot, best = slot, score
         return best_slot, best
 
+    def add(self, row: tuple[str, ...]) -> None:
+        """Index a template appended to the leaf as the next slot."""
+        slot = len(self.wildcards)
+        for lookup, tok in zip(self.columns, row):
+            if tok == WILDCARD:
+                continue
+            slots = lookup.get(tok)
+            if slots is None:
+                lookup[tok] = slot
+            elif slots.__class__ is int:
+                lookup[tok] = [slots, slot]
+            else:
+                slots.append(slot)
+        count = row.count(WILDCARD)
+        self.wildcards.append(count)
+        if count > self.wildcards[self.widest]:
+            self.widest = slot
+
+    def widen(self, slot: int, old: tuple[str, ...], new: tuple[str, ...]) -> None:
+        """Re-index ``slot`` after a merge turned some literals into wildcards."""
+        widened = 0
+        for lookup, was, now in zip(self.columns, old, new):
+            if was == now:
+                continue
+            widened += 1
+            slots = lookup[was]
+            if slots.__class__ is int:
+                del lookup[was]
+            else:
+                slots.remove(slot)
+                if len(slots) == 1:
+                    lookup[was] = slots[0]
+        count = self.wildcards[slot] + widened
+        self.wildcards[slot] = count
+        widest = self.widest
+        if count > self.wildcards[widest] or (count == self.wildcards[widest] and slot < widest):
+            self.widest = slot
+
 
 class TemplateMiner:
     """Online Drain-style miner; owns the parse tree and template registry.
 
-    Training (mutating) mode requires exclusive access and matches by
-    scanning each leaf.  After ``freeze()`` the state is immutable, lookups
-    go through per-leaf indexes built on first use, and the miner may be
-    shared across threads (see the module docstring).
+    Both modes match through per-leaf indexes built on a leaf's first
+    lookup.  Training (mutating) mode requires exclusive access and keeps
+    the built indexes current as templates are registered and merged.
+    After ``freeze()`` the state is immutable and the miner may be shared
+    across threads (see the module docstring).
     """
 
     def __init__(self, config: AbstractionConfig | None = None):
@@ -262,7 +297,10 @@ class TemplateMiner:
 
     def _route_key(self, token: str) -> str:
         # Digit-bearing tokens share the wildcard child so that unmasked
-        # numeric fields ("Took 10 seconds") do not split leaves.
+        # numeric fields ("Took 10 seconds") do not split leaves.  No
+        # alphabetic character is also a digit, so words route as themselves.
+        if token.isalpha():
+            return token
         if token == WILDCARD or any(ch.isdigit() for ch in token):
             return WILDCARD
         return token
@@ -301,23 +339,13 @@ class TemplateMiner:
 
     # -- parsing ------------------------------------------------------
 
-    def _best_match(self, leaf: _Node, tokens: Sequence[str]):
-        best: LogTemplate | None = None
-        best_sim = -1.0
-        for tid in leaf.template_ids:
-            template = self._templates[tid]
-            sim = seq_similarity(tokens, template)
-            if sim > best_sim:
-                best, best_sim = template, sim
-        return best, best_sim
-
-    def _indexed_match(self, leaf: _Node, tokens: Sequence[str]):
+    def _indexed_match(self, leaf: _Node, tokens: Sequence[str]) -> tuple[int, float]:
         index = leaf.index
         if index is None:
             index = _LeafIndex([self._templates[tid].tokens for tid in leaf.template_ids])
             leaf.index = index
         slot, matched = index.best_slot(tokens)
-        return self._templates[leaf.template_ids[slot]], matched / len(tokens)
+        return slot, matched / len(tokens)
 
     def parse_line(self, line: str) -> str | None:
         """Return the event id for one raw line, or None for a blank line.
@@ -330,23 +358,23 @@ class TemplateMiner:
             return None
         leaf = self._search_leaf(tokens)
         if leaf is not None and leaf.template_ids:
-            if self._frozen:
-                template, sim = self._indexed_match(leaf, tokens)
-            else:
-                template, sim = self._best_match(leaf, tokens)
+            slot, sim = self._indexed_match(leaf, tokens)
             if sim >= self.config.similarity_threshold:
+                event_id = leaf.template_ids[slot]
                 if not self._frozen:
-                    self._merge(template, tokens)
-                return template.event_id
+                    self._merge(leaf, slot, tokens)
+                return event_id
         if self._frozen:
             return UNKNOWN_EVENT_ID
         return self._register(tokens).event_id
 
-    def _merge(self, template: LogTemplate, tokens: Sequence[str]) -> None:
-        merged = tuple(
-            slot if slot == tok else WILDCARD for slot, tok in zip(template.tokens, tokens)
-        )
-        template.tokens = merged
+    def _merge(self, leaf: _Node, slot: int, tokens: Sequence[str]) -> None:
+        template = self._templates[leaf.template_ids[slot]]
+        old = template.tokens
+        merged = tuple(was if was == tok else WILDCARD for was, tok in zip(old, tokens))
+        if merged != old:
+            template.tokens = merged
+            leaf.index.widen(slot, old, merged)
         template.match_count += 1
 
     def _register(self, tokens: Sequence[str]) -> LogTemplate:
@@ -354,7 +382,10 @@ class TemplateMiner:
         self._next_index += 1
         template = LogTemplate(event_id, tuple(tokens), 1)
         self._templates[event_id] = template
-        self._insert_leaf(tokens).template_ids.append(event_id)
+        leaf = self._insert_leaf(tokens)
+        if leaf.index is not None:
+            leaf.index.add(template.tokens)
+        leaf.template_ids.append(event_id)
         return template
 
     def parse_log(self, lines: Iterable[str], source: str = "log") -> EventSequence:

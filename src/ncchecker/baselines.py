@@ -111,6 +111,10 @@ class RetrievalIndex:
     k_neighbors: int
     fallback: int  # majority class, used when similarity gives no signal
 
+    def __post_init__(self):
+        if self.k_neighbors < 1:
+            raise ValidationError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
+
 
 def _idf(doc_term_sets: Sequence[frozenset], n_docs: int) -> dict:
     df = Counter()

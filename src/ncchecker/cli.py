@@ -52,10 +52,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_config_file(path) -> dict:
     if path is None:
         return {}
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config file {path}: invalid JSON ({exc})") from None
+    payload = _read_json(path, "config file")
     if not isinstance(payload, dict):
         raise ValidationError(f"config file {path}: expected a JSON object")
     unknown = sorted(set(payload) - set(_CONFIG_KEYS))
@@ -64,20 +61,38 @@ def _load_config_file(path) -> dict:
     return payload
 
 
-def _setting(args, file_config: dict, key: str):
+def _read_json(path, what: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{what} {path}: invalid JSON ({exc})") from None
+
+
+def _setting(args, file_config: dict, key: str, kind):
+    """A flag if given, else the config file's value, else the default.
+
+    Flags arrive typed by argparse; a config file value is converted to
+    ``kind`` here, so a value of the wrong type is a validation error.
+    """
     value = getattr(args, key, None)
     if value is not None:
         return value
-    if key in file_config:
-        return file_config[key]
-    return _DEFAULTS[key]
+    if key not in file_config:
+        return _DEFAULTS[key]
+    value = file_config[key]
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"config key {key!r}: expected {kind.__name__}, got {value!r}"
+        ) from None
 
 
 def _abstraction_config(args, file_config: dict) -> AbstractionConfig:
     return AbstractionConfig(
-        tree_depth=int(_setting(args, file_config, "tree_depth")),
-        similarity_threshold=float(_setting(args, file_config, "similarity_threshold")),
-        max_children=int(_setting(args, file_config, "max_children")),
+        tree_depth=_setting(args, file_config, "tree_depth", int),
+        similarity_threshold=_setting(args, file_config, "similarity_threshold", float),
+        max_children=_setting(args, file_config, "max_children", int),
     )
 
 
@@ -97,7 +112,7 @@ def _cmd_gen(args) -> int:
         spec_path = Path(args.spec)
         if not spec_path.exists():
             raise FileNotFoundError(f"spec file not found: {spec_path}")
-        spec = spec_from_dict(json.loads(spec_path.read_text(encoding="utf-8")))
+        spec = spec_from_dict(_read_json(spec_path, "spec file"))
     else:
         spec = default_spec(seed=0)
     if args.seed is not None:
@@ -221,9 +236,9 @@ def _cmd_eval(args) -> int:
         predictions.append(prediction.cause)
     reports = {"ncchecker": ev.evaluate(truth, predictions, table.taxonomy)}
 
-    k_neighbors = int(_setting(args, file_config, "k_neighbors"))
-    rg_trials = int(_setting(args, file_config, "rg_trials"))
-    seed = int(_setting(args, file_config, "seed"))
+    k_neighbors = _setting(args, file_config, "k_neighbors", int)
+    rg_trials = _setting(args, file_config, "rg_trials", int)
+    seed = _setting(args, file_config, "seed", int)
 
     train_corpus = None
     if needs_train:
@@ -279,8 +294,8 @@ def _cmd_eval(args) -> int:
 def _cmd_ablate(args) -> int:
     file_config = _load_config_file(args.config)
     config = _abstraction_config(args, file_config)
-    test_fraction = float(_setting(args, file_config, "test_fraction"))
-    seed = int(_setting(args, file_config, "seed"))
+    test_fraction = _setting(args, file_config, "test_fraction", float)
+    seed = _setting(args, file_config, "seed", int)
 
     corpus = load_corpus(args.corpus, args.labels)
     train_corpus, test_corpus = split(corpus, test_fraction, seed)

@@ -174,25 +174,55 @@ def spec_from_dict(data: dict) -> SyntheticSpec:
     for required in ("cause_counts", "passed_count", "seed"):
         if required not in data:
             raise ValidationError(f"spec field {required!r} is required")
-    counts = tuple(int(c) for c in data["cause_counts"])
+    counts = _spec_ints("cause_counts", data["cause_counts"])
     markers = data.get("markers")
     if markers is None:
-        markers = default_markers(len(counts), int(data.get("markers_per_cause", 4)))
+        per_cause = _spec_value("markers_per_cause", data.get("markers_per_cause", 4), int)
+        markers = default_markers(len(counts), per_cause)
+    elif not isinstance(markers, (list, tuple)):
+        raise ValidationError("spec field 'markers' must be a list of lists of strings")
     kwargs = dict(
         cause_counts=counts,
-        passed_count=int(data["passed_count"]),
-        seed=int(data["seed"]),
-        markers=tuple(tuple(g) for g in markers),
+        passed_count=_spec_value("passed_count", data["passed_count"], int),
+        seed=_spec_value("seed", data["seed"], int),
+        markers=tuple(_spec_strings("markers", group) for group in markers),
     )
     if "benign" in data:
-        kwargs["benign"] = tuple(data["benign"])
+        kwargs["benign"] = _spec_strings("benign", data["benign"])
     if "noise_rate" in data:
-        kwargs["noise_rate"] = float(data["noise_rate"])
+        kwargs["noise_rate"] = _spec_value("noise_rate", data["noise_rate"], float)
     if "lines_range" in data:
-        kwargs["lines_range"] = tuple(int(v) for v in data["lines_range"])
+        kwargs["lines_range"] = _spec_ints("lines_range", data["lines_range"])
+        if len(kwargs["lines_range"]) != 2:
+            raise ValidationError("spec field 'lines_range' must hold two integers")
     if "last_cause_contamination" in data:
-        kwargs["last_cause_contamination"] = int(data["last_cause_contamination"])
+        kwargs["last_cause_contamination"] = _spec_value(
+            "last_cause_contamination", data["last_cause_contamination"], int
+        )
     return SyntheticSpec(**kwargs).validate()
+
+
+def _spec_value(field: str, value, kind):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"spec field {field!r}: expected {kind.__name__}, got {value!r}"
+        ) from None
+
+
+def _spec_ints(field: str, values) -> tuple[int, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise ValidationError(f"spec field {field!r} must be a list of integers")
+    return tuple(_spec_value(field, value, int) for value in values)
+
+
+def _spec_strings(field: str, values) -> tuple[str, ...]:
+    if not isinstance(values, (list, tuple)) or not all(isinstance(v, str) for v in values):
+        raise ValidationError(
+            f"spec field {field!r}: expected a list of strings, got {values!r}"
+        )
+    return tuple(values)
 
 
 def _fill(template: str, rng: random.Random) -> str:

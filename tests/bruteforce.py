@@ -1,19 +1,36 @@
 """Independent naive references for lookup-table construction and matching.
 
-``brute_force_rows`` loops over logs, events, and causes with plain list
-scans: no pooling sets, no shared table code.  It reuses only the template
-miner, replayed in the same deterministic order the pipeline uses (passed
-then failed, sorted by log id), so both sides see identical event
-sequences.
+``scan_train_line`` and ``scan_parse_line`` are the training and frozen
+parses by a linear scan of the routed leaf, scored with
+``seq_similarity``: the references for the miner's indexed match.  They
+reuse only the miner's tree routing and template registration, so a miner
+driven by them never builds a leaf index.
 
-``scan_parse_line`` is the frozen lookup by a linear scan of the routed
-leaf, the reference for the miner's indexed frozen match.
+``brute_force_rows`` loops over logs, events, and causes with plain list
+scans: no pooling sets, no shared table code.  It mines templates with
+``scan_train_line`` in the order the pipeline uses (passed then failed,
+sorted by log id).
 """
 
 import math
 
 from ncchecker import abstraction
-from ncchecker.abstraction import UNKNOWN_EVENT_ID, TemplateMiner, preprocess
+from ncchecker.abstraction import UNKNOWN_EVENT_ID, WILDCARD, TemplateMiner, preprocess
+
+
+def _scan_leaf(miner, tokens):
+    """First template of the routed leaf with the highest similarity, or None."""
+    leaf = miner._search_leaf(tokens)
+    best, best_sim = None, -1.0
+    for tid in leaf.template_ids if leaf is not None else ():
+        template = miner.templates[tid]
+        # Looked up on the module so tests can count the calls.
+        sim = abstraction.seq_similarity(tokens, template)
+        if sim > best_sim:
+            best, best_sim = template, sim
+    if best is not None and best_sim >= miner.config.similarity_threshold:
+        return best
+    return None
 
 
 def scan_parse_line(miner, line):
@@ -21,16 +38,29 @@ def scan_parse_line(miner, line):
     tokens = preprocess(line, miner.config)
     if not tokens:
         return None
-    leaf = miner._search_leaf(tokens)
-    best, best_sim = None, -1.0
-    for tid in leaf.template_ids if leaf is not None else ():
-        # Looked up on the module so tests can count the calls.
-        sim = abstraction.seq_similarity(tokens, miner.templates[tid])
-        if sim > best_sim:
-            best, best_sim = tid, sim
-    if best is not None and best_sim >= miner.config.similarity_threshold:
-        return best
-    return UNKNOWN_EVENT_ID
+    best = _scan_leaf(miner, tokens)
+    return UNKNOWN_EVENT_ID if best is None else best.event_id
+
+
+def scan_train_line(miner, line):
+    """Training event id of ``line``: merge into the scan's choice or register."""
+    tokens = preprocess(line, miner.config)
+    if not tokens:
+        return None
+    best = _scan_leaf(miner, tokens)
+    if best is None:
+        return miner._register(tokens).event_id
+    best.tokens = tuple(
+        slot if slot == tok else WILDCARD for slot, tok in zip(best.tokens, tokens)
+    )
+    best.match_count += 1
+    return best.event_id
+
+
+def scan_train_log(miner, lines):
+    """Event ids of a log's non-blank lines, trained with ``scan_train_line``."""
+    events = (scan_train_line(miner, line) for line in lines)
+    return [event_id for event_id in events if event_id is not None]
 
 
 def brute_force_rows(
@@ -43,11 +73,11 @@ def brute_force_rows(
 ):
     miner = TemplateMiner(config)
     passed_events = [
-        list(miner.parse_log(log.lines, log.log_id).events)
+        scan_train_log(miner, log.lines)
         for log in sorted(corpus.passed, key=lambda log: log.log_id)
     ]
     failed = [
-        (list(miner.parse_log(log.lines, log.log_id).events), log.cause)
+        (scan_train_log(miner, log.lines), log.cause)
         for log in sorted(corpus.failed, key=lambda log: log.log_id)
     ]
 

@@ -5,7 +5,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import scan_parse_line
+from bruteforce import scan_parse_line, scan_train_line, scan_train_log
 from ncchecker import abstraction
 from ncchecker import (
     AbstractionConfig,
@@ -201,7 +201,7 @@ def test_frozen_matches_trained_lines(config):
     assert replay.events == (trained.events[0],)
 
 
-# -- frozen indexed match ------------------------------------------------------
+# -- indexed match -------------------------------------------------------------
 
 # Masked "1" and "0x1f" and the literal "<*>" all become wildcard tokens.
 _EXTRA_TOKENS = ("1", "0x1f", WILDCARD)
@@ -227,8 +227,10 @@ def _miner_cases(draw):
 def test_frozen_index_matches_linear_scan_and_reload(case):
     config, train, probes = case
     miner = TemplateMiner(config)
-    for line in train:
-        miner.parse_line(line)
+    scan_miner = TemplateMiner(config)
+    trained = [miner.parse_line(line) for line in train]
+    assert trained == [scan_train_line(scan_miner, line) for line in train]
+    assert miner.export_registry() == scan_miner.export_registry()
     miner.freeze()
     lines = train + probes
     frozen = [miner.parse_line(line) for line in lines]
@@ -246,6 +248,21 @@ def test_frozen_zero_hit_tie_goes_to_earliest_template():
     assert miner.parse_line("q r s t") == "e1" == scan_parse_line(miner, "q r s t")
     assert miner.parse_line("q f s t") == "e2" == scan_parse_line(miner, "q f s t")
     assert miner.parse_line("g h i t") == "e3" == scan_parse_line(miner, "g h i t")
+
+
+def test_training_merge_keeps_leaf_index_current():
+    config = AbstractionConfig(tree_depth=2, similarity_threshold=0.4, mask_rules=())
+    # e2 is registered into e1's indexed leaf and shares its "b".  The
+    # merge then makes e1 "a <*> <*> d e": "b" and "c" leave its columns,
+    # and it ties e2 as widest at two wildcards, the earlier slot winning.
+    prefix = ["a b c d e", "f b h <*> <*>", "a x y d e"]
+    for probe, expected in [("a p q r s", "e1"), ("g b c x y", "e2"), ("k l m n o", "e1")]:
+        miner, scan_miner = TemplateMiner(config), TemplateMiner(config)
+        lines = prefix + [probe]
+        ids = [miner.parse_line(line) for line in lines]
+        assert ids == ["e1", "e2", "e1", expected]
+        assert ids == [scan_train_line(scan_miner, line) for line in lines]
+        assert miner.export_registry() == scan_miner.export_registry()
 
 
 def test_frozen_lookup_work_does_not_grow_with_training_size(tmp_path, monkeypatch):
@@ -272,10 +289,19 @@ def test_frozen_lookup_work_does_not_grow_with_training_size(tmp_path, monkeypat
         return similarity(tokens, template)
 
     monkeypatch.setattr(abstraction, "seq_similarity", counting_similarity)
-    indexed, scanned = [], []
+    indexed, scanned, scan_trained = [], [], []
     for scale in (1, 4):
         causes = tuple(count * scale for count in (20, 15, 10, 5))
-        miner, _ = build(noisy_corpus(f"train{scale}", causes, 10 * scale, 1))
+        corpus = noisy_corpus(f"train{scale}", causes, 10 * scale, 1)
+        calls = 0
+        miner, _ = build(corpus)
+        assert calls == 0
+        scan_miner = TemplateMiner(miner.config)
+        for logs in (corpus.passed, corpus.failed):
+            for log in sorted(logs, key=lambda log: log.log_id):
+                scan_train_log(scan_miner, log.lines)
+        scan_trained.append(calls)
+        assert scan_miner.export_registry() == miner.export_registry()
         calls = 0
         ids = [miner.parse_line(line) for line in test_lines]
         indexed.append(calls)
@@ -284,16 +310,19 @@ def test_frozen_lookup_work_does_not_grow_with_training_size(tmp_path, monkeypat
         scanned.append(calls)
     assert indexed[1] <= indexed[0]
     # The corpus is in the regime the index is for: a leaf scan grows.
+    assert scan_trained[1] > 2 * scan_trained[0]
     assert scanned[1] > 2 * scanned[0]
 
 
 def test_shared_frozen_miner_gives_serial_ids_across_threads():
     lines = _fuzz_lines(17, 600)
-    miner = TemplateMiner(AbstractionConfig(max_children=2))
+    config = AbstractionConfig(max_children=2)
+    trained = TemplateMiner(config)
     for line in lines[:300]:
-        miner.parse_line(line)
-    miner.freeze()
-    # The scan builds no index, so the threads below race on cold leaves.
+        trained.parse_line(line)
+    # A reloaded miner and the scan build no index, so the threads below
+    # race on cold leaves.
+    miner = TemplateMiner.from_registry_text(trained.export_registry(), config).freeze()
     expected = [scan_parse_line(miner, line) for line in lines]
     results = {}
     start = threading.Barrier(4)

@@ -156,6 +156,45 @@ def test_predict_invalid_mask_regex_is_validation_error(corpus_dir, model_path, 
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        ("gen", '{"cause_counts": [4, 3],'),
+        ("gen", json.dumps({"cause_counts": ["x", 1], "passed_count": 2, "seed": 1})),
+        ("gen", json.dumps({"cause_counts": [2, 2], "passed_count": 1, "seed": 1, "markers": 5})),
+        ("train", json.dumps({"tree_depth": "abc"})),
+        ("eval", json.dumps({"seed": "abc"})),
+        ("eval", json.dumps({"k_neighbors": 0})),
+        ("ablate", json.dumps({"seed": "abc"})),
+    ],
+    ids=[
+        "gen-invalid-json",
+        "gen-cause-count-x",
+        "gen-markers-not-list",
+        "train-tree-depth",
+        "eval-seed",
+        "eval-k-neighbors-zero",
+        "ablate-seed",
+    ],
+)
+def test_malformed_spec_or_config_value_is_validation_error(
+    command, content, corpus_dir, model_path, tmp_path
+):
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    args = {
+        "gen": (path, "--out", tmp_path / "out"),
+        "train": (corpus_dir, "--out", tmp_path / "m.ncc", "--config", path),
+        "eval": (model_path, corpus_dir, "--config", path)
+        + ("--baselines", "cam,lff", "--train-dir", corpus_dir),
+        "ablate": (corpus_dir, "--config", path),
+    }[command]
+    result = _run_cli(command, *args)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
+
+
 def test_eval_with_rg_and_mcc(corpus_dir, model_path, capsys):
     assert (
         main(
