@@ -24,9 +24,7 @@ from .baselines import (
     cam_train,
     lff_predict,
     lff_train,
-    majority_class,
-    mcc_predict,
-    rg_predict,
+    rg_predict_from_counts,
     rg_trials,
 )
 from .corpus import (
@@ -51,6 +49,7 @@ from .evaluation import (
     evaluate,
     macro,
     per_class_metrics,
+    predict_corpus,
     render_comparison,
     render_report,
     report_records,
@@ -74,11 +73,9 @@ from .predictor import (
     flag_lines,
     predict,
     predict_lines,
-    score_log,
 )
 from .table import (
     CountTable,
-    EventPool,
     ScoreTable,
     apply_icf,
     build,
@@ -86,9 +83,8 @@ from .table import (
     compute_icf,
     diff_with_pass,
     init_counts,
-    load_table,
+    majority_from_counts,
     reweight,
-    save_table,
     scores_from_counts,
 )
 

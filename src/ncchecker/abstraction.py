@@ -29,7 +29,6 @@ import hashlib
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
@@ -400,21 +399,13 @@ class TemplateMiner:
             numbers.append(lineno)
         return EventSequence(source, tuple(events), tuple(numbers))
 
-    def parse_file(self, path) -> EventSequence:
-        path = Path(path)
-        text = path.read_text(encoding="utf-8", errors="replace")
-        return self.parse_log(text.splitlines(), source=path.stem)
-
-    # -- registry persistence ------------------------------------------
+    # -- registry text: the ncc-templates v1 block of a model -----------
 
     def export_registry(self) -> str:
         lines = [REGISTRY_HEADER]
         for template in self._templates.values():
             lines.append(f"{template.event_id}\t{template.match_count}\t{template.text}")
         return "\n".join(lines) + "\n"
-
-    def save_registry(self, path) -> None:
-        Path(path).write_text(self.export_registry(), encoding="utf-8")
 
     def registry_fingerprint(self) -> str:
         return hashlib.sha256(self.export_registry().encode("utf-8")).hexdigest()
@@ -459,8 +450,3 @@ class TemplateMiner:
                 max_index = max(max_index, int(event_id[1:]))
         miner._next_index = max_index + 1
         return miner
-
-    @classmethod
-    def load_registry(cls, path, config: AbstractionConfig | None = None) -> "TemplateMiner":
-        text = Path(path).read_text(encoding="utf-8")
-        return cls.from_registry_text(text, config)

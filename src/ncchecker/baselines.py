@@ -1,5 +1,5 @@
-"""Reference classifiers: random guess, majority class, and two
-simplified retrieval baselines.
+"""Reference classifiers: random guess and two simplified retrieval
+baselines.  The majority class baseline is ``table.majority_from_counts``.
 
 The retrieval pair follows the mechanisms the cited tools are known for,
 deliberately without their extra machinery: a TF-IDF vectorizer over raw
@@ -18,24 +18,7 @@ from .abstraction import EventSequence
 from .corpus import CauseTaxonomy, LabeledFailedLog
 from .errors import ValidationError
 from .evaluation import MacroReport, evaluate
-
-
-def majority_class(train_labels: Sequence[int]) -> int:
-    if not train_labels:
-        raise ValidationError("majority class needs at least one training label")
-    counts = Counter(train_labels)
-    return max(counts, key=lambda c: (counts[c], -c))
-
-
-def majority_from_counts(n_per_cause: Sequence[int]) -> int:
-    if not any(n_per_cause):
-        raise ValidationError("majority class needs at least one training label")
-    return max(range(len(n_per_cause)), key=lambda j: (n_per_cause[j], -j))
-
-
-def mcc_predict(train_labels: Sequence[int], test_size: int) -> list[int]:
-    """Majority Class Classifier: the most frequent label, lowest id on ties."""
-    return [majority_class(train_labels)] * test_size
+from .table import majority_from_counts
 
 
 def rg_trials(
@@ -63,8 +46,8 @@ class RandomGuessResult:
         return self.trial_predictions[self.median_trial]
 
 
-def rg_predict(
-    train_labels: Sequence[int],
+def rg_predict_from_counts(
+    n_per_cause: Sequence[int],
     test_truth: Sequence[int],
     trials: int,
     seed: int,
@@ -75,19 +58,6 @@ def rg_predict(
     The reported trial is the lower median (index (trials - 1) // 2 of the
     F1-sorted order), so an even trial count still names one real trial.
     """
-    weights = [0] * taxonomy.k
-    for label in train_labels:
-        weights[taxonomy.check_cause(label)] += 1
-    return rg_predict_from_counts(weights, test_truth, trials, seed, taxonomy)
-
-
-def rg_predict_from_counts(
-    n_per_cause: Sequence[int],
-    test_truth: Sequence[int],
-    trials: int,
-    seed: int,
-    taxonomy: CauseTaxonomy,
-) -> RandomGuessResult:
     predictions = rg_trials(n_per_cause, len(test_truth), trials, seed)
     reports = [evaluate(test_truth, p, taxonomy) for p in predictions]
     order = sorted(range(trials), key=lambda i: (reports[i].f1, i))
@@ -114,6 +84,11 @@ class RetrievalIndex:
     def __post_init__(self):
         if self.k_neighbors < 1:
             raise ValidationError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
+
+
+def _majority_label(labels: Sequence[int]) -> int:
+    counts = Counter(labels)
+    return majority_from_counts([counts[j] for j in range(max(counts) + 1)])
 
 
 def _idf(doc_term_sets: Sequence[frozenset], n_docs: int) -> dict:
@@ -180,7 +155,7 @@ def cam_train(failed_logs: Sequence[LabeledFailedLog], k_neighbors: int = 5) -> 
         vectors=tuple(vectors),
         idf=idf,
         k_neighbors=k_neighbors,
-        fallback=majority_class([log.cause for log in failed_logs]),
+        fallback=_majority_label([log.cause for log in failed_logs]),
     )
 
 
@@ -217,7 +192,7 @@ def lff_train(
         vectors=tuple(vectors),
         idf=idf,
         k_neighbors=k_neighbors,
-        fallback=majority_class(list(labels)),
+        fallback=_majority_label(labels),
     )
 
 

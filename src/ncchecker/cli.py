@@ -19,7 +19,7 @@ from .errors import ValidationError
 from .generator import default_spec, generate_synthetic, spec_from_dict
 from .model import load_model, save_model
 from .predictor import flag_lines, predict_lines
-from .table import build
+from .table import build, majority_from_counts
 
 _CONFIG_KEYS = (
     "tree_depth",
@@ -230,11 +230,7 @@ def _cmd_eval(args) -> int:
             f"--train-dir is required for baselines: {', '.join(sorted(needs_train))}"
         )
 
-    predictions = []
-    for log in test_logs:
-        prediction, _ = predict_lines(miner, table, log.lines, log.log_id)
-        predictions.append(prediction.cause)
-    reports = {"ncchecker": ev.evaluate(truth, predictions, table.taxonomy)}
+    reports = {"ncchecker": ev.predict_corpus(miner, table, test_corpus)}
 
     k_neighbors = _setting(args, file_config, "k_neighbors", int)
     rg_trials = _setting(args, file_config, "rg_trials", int)
@@ -250,7 +246,7 @@ def _cmd_eval(args) -> int:
             )
             reports["rg"] = result.median_report
         elif name == "mcc":
-            majority = bl.majority_from_counts(table.n_per_cause)
+            majority = majority_from_counts(table.n_per_cause)
             reports["mcc"] = ev.evaluate(truth, [majority] * len(truth), table.taxonomy)
         elif name == "cam":
             index = bl.cam_train(train_corpus.failed, k_neighbors)
@@ -305,15 +301,9 @@ def _cmd_ablate(args) -> int:
     tables = {}
     reports = {}
     for variant in ev.ABLATION_VARIANTS:
-        miner, table = ev.build_variant(train_corpus, variant, config)
-        tables[variant] = table
-        truth = []
-        predictions = []
-        for log in sorted(test_corpus.failed, key=lambda log: log.log_id):
-            prediction, _ = predict_lines(miner, table, log.lines, log.log_id)
-            truth.append(log.cause)
-            predictions.append(prediction.cause)
-        reports[variant] = ev.evaluate(truth, predictions, corpus.taxonomy)
+        tables[variant], reports[variant] = ev.run_ablation(
+            train_corpus, test_corpus, variant, config
+        )
 
     for line in ev.ablation_identities(tables["full"], tables["drop1"], tables["drop3"]):
         print(f"check: {line}")

@@ -92,6 +92,15 @@ def read_log_lines(path) -> tuple[str, ...]:
 
 def load_labels(path, taxonomy: CauseTaxonomy) -> dict[str, int]:
     path = Path(path)
+    try:
+        return _read_labels(path, taxonomy)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"labels file {path}: not UTF-8 text ({exc})") from None
+    except csv.Error as exc:
+        raise ValidationError(f"labels file {path}: {exc}") from None
+
+
+def _read_labels(path: Path, taxonomy: CauseTaxonomy) -> dict[str, int]:
     labels: dict[str, int] = {}
     problems: list[str] = []
     with path.open(newline="", encoding="utf-8") as handle:

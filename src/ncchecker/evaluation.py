@@ -10,7 +10,7 @@ macro precision and recall.
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .abstraction import AbstractionConfig
+from .abstraction import AbstractionConfig, TemplateMiner
 from .corpus import CauseTaxonomy, Corpus
 from .errors import ValidationError
 from .predictor import predict_lines
@@ -118,6 +118,17 @@ def evaluate(
     )
 
 
+def predict_corpus(miner: TemplateMiner, table: ScoreTable, corpus: Corpus) -> MacroReport:
+    """Predict the corpus's failed logs in log-id order and score them."""
+    truth = []
+    predicted = []
+    for log in sorted(corpus.failed, key=lambda log: log.log_id):
+        prediction, _ = predict_lines(miner, table, log.lines, log.log_id)
+        truth.append(log.cause)
+        predicted.append(prediction.cause)
+    return evaluate(truth, predicted, corpus.taxonomy)
+
+
 # -- ablation variants ---------------------------------------------------
 
 ABLATION_VARIANTS = ("full", "drop1", "drop2", "drop3")
@@ -130,17 +141,14 @@ _VARIANT_SWITCHES = {
 }
 
 
-def variant_switches(variant: str) -> dict:
-    try:
-        return dict(_VARIANT_SWITCHES[variant.lower()])
-    except KeyError:
+def build_variant(train_corpus: Corpus, variant: str, config: AbstractionConfig | None = None):
+    """Build the named variant (case-insensitive) of the pipeline."""
+    switches = _VARIANT_SWITCHES.get(variant.lower())
+    if switches is None:
         raise ValidationError(
             f"unknown ablation variant {variant!r}; choose from {', '.join(ABLATION_VARIANTS)}"
-        ) from None
-
-
-def build_variant(train_corpus: Corpus, variant: str, config: AbstractionConfig | None = None):
-    return build(train_corpus, config, **variant_switches(variant))
+        )
+    return build(train_corpus, config, **switches)
 
 
 def run_ablation(
@@ -148,16 +156,10 @@ def run_ablation(
     test_corpus: Corpus,
     variant: str,
     config: AbstractionConfig | None = None,
-) -> MacroReport:
+) -> tuple[ScoreTable, MacroReport]:
     """Train one pipeline variant and evaluate it on the test corpus."""
-    miner, score_table = build_variant(train_corpus, variant, config)
-    truth = []
-    predicted = []
-    for log in sorted(test_corpus.failed, key=lambda log: log.log_id):
-        prediction, _ = predict_lines(miner, score_table, log.lines, log.log_id)
-        truth.append(log.cause)
-        predicted.append(prediction.cause)
-    return evaluate(truth, predicted, test_corpus.taxonomy)
+    miner, table = build_variant(train_corpus, variant, config)
+    return table, predict_corpus(miner, table, test_corpus)
 
 
 def ablation_identities(

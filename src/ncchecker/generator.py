@@ -122,6 +122,8 @@ class SyntheticSpec:
             )
         if any(not group for group in self.markers):
             raise ValidationError("every cause needs at least one marker template")
+        if not self.benign:
+            raise ValidationError("spec needs at least one benign template")
         seen: dict[str, str] = {t: "benign" for t in self.benign}
         for cause, group in enumerate(self.markers):
             for template in group:

@@ -1,5 +1,9 @@
 """Single-file model artifact: miner config + template registry + table.
 
+``ncc-model v1`` is the one persisted format.  It holds the miner config
+as JSON, then the ``ncc-templates v1`` registry block
+(``TemplateMiner.export_registry``) and the ``ncc-table v1`` block
+(``table.table_to_text``); neither block is written as a file of its own.
 The artifact is self-describing; prediction and evaluation never need the
 original training corpus.  Sections carry explicit line counts so raw
 template text can never be mistaken for a section marker.
@@ -31,14 +35,19 @@ def _config_from_json(text: str) -> AbstractionConfig:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"model field 'config': invalid JSON ({exc})") from None
     try:
-        return AbstractionConfig(
+        config = AbstractionConfig(
             tree_depth=payload["tree_depth"],
             similarity_threshold=payload["similarity_threshold"],
             max_children=payload["max_children"],
             mask_rules=tuple(tuple(rule) for rule in payload["mask_rules"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"model field 'config': {exc}") from None
+    if not isinstance(config.tree_depth, int):
+        raise ValidationError(
+            f"model field 'config': tree_depth {config.tree_depth!r} is not an integer"
+        )
+    return config
 
 
 def model_to_text(miner: TemplateMiner, table: ScoreTable) -> str:

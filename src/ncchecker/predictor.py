@@ -4,15 +4,17 @@ A new failed log is parsed in frozen mode, the rows of its distinct
 in-table events are summed, and the cause with the highest total wins;
 score ties break toward the rarer class (larger icf), then the lower
 cause id.  When no event of the log is in the table the majority training
-class is returned with an explicit fallback flag.
+class is returned with an explicit fallback flag.  The events that
+contributed are ranked once, by their cell in the predicted cause's
+column, and that ranking is the order in which their lines are flagged.
 """
 
 from dataclasses import dataclass
 from typing import Iterable
 
-from .abstraction import EventSequence, TemplateMiner, event_sort_key
+from .abstraction import UNKNOWN_EVENT_ID, EventSequence, TemplateMiner, event_sort_key
 from .errors import ValidationError
-from .table import STAGE_FINAL, ScoreTable
+from .table import ScoreTable, majority_from_counts
 
 
 @dataclass(frozen=True)
@@ -20,8 +22,7 @@ class Contributor:
     """One in-table event of the scored log."""
 
     event_id: str
-    score: float  # maximum cell of the event's row
-    cause_score: float  # the event's cell in the predicted cause's column
+    score: float  # the event's cell in the predicted cause's column
     line_numbers: tuple[int, ...]
 
 
@@ -29,7 +30,7 @@ class Contributor:
 class Prediction:
     cause: int
     scores: tuple[float, ...]
-    contributors: tuple[Contributor, ...]
+    contributors: tuple[Contributor, ...]  # strongest evidence first
     fallback_used: bool
 
 
@@ -41,47 +42,35 @@ class FlaggedLine:
     score: float
 
 
-def _check_final(table: ScoreTable) -> None:
-    if table.stage != STAGE_FINAL:
-        raise ValidationError(f"prediction requires a final table, got stage {table.stage!r}")
-
-
-def score_log(table: ScoreTable, events: EventSequence) -> list[float]:
-    """Sum the rows of the log's distinct in-table events (presence, not
-    multiplicity).  Events absent from the table, including UNKNOWN,
-    contribute nothing."""
-    _check_final(table)
-    scores = [0.0] * table.k
-    for eid in sorted(events.distinct_events(), key=event_sort_key):
-        row = table.rows.get(eid)
-        if row is None:
-            continue
-        for j, value in enumerate(row):
-            scores[j] += value
-    return scores
-
-
 def predict(table: ScoreTable, events: EventSequence) -> Prediction:
-    _check_final(table)
-    scores = score_log(table, events)
+    """Sum the rows of the log's distinct in-table events and pick a cause.
+
+    Presence, not multiplicity: an event adds its row once however many
+    lines it is on.  Events absent from the table, including UNKNOWN,
+    contribute nothing.
+    """
+    rows = table.rows
+    lines_by_event: dict[str, list[int]] = {}
+    for line_number, eid in zip(events.line_numbers, events.events):
+        if eid in rows:
+            lines_by_event.setdefault(eid, []).append(line_number)
+    lines_by_event.pop(UNKNOWN_EVENT_ID, None)  # scores nothing, even if a row names it
+    present = sorted(lines_by_event, key=event_sort_key)
+
+    scores = [0.0] * table.k
+    for eid in present:
+        for j, value in enumerate(rows[eid]):
+            scores[j] += value
     if not any(scores):
         # No shared evidence at all: majority training class, flagged.
-        k = table.k
-        cause = max(range(k), key=lambda j: (table.n_per_cause[j], -j))
-        return Prediction(cause, tuple(scores), (), True)
+        return Prediction(majority_from_counts(table.n_per_cause), tuple(scores), (), True)
 
     cause = max(range(table.k), key=lambda j: (scores[j], table.icf[j], -j))
-
-    contributors = []
-    for eid in sorted(events.distinct_events(), key=event_sort_key):
-        row = table.rows.get(eid)
-        if row is None:
-            continue
-        lines = tuple(
-            ln for ln, ev in zip(events.line_numbers, events.events) if ev == eid
-        )
-        contributors.append(Contributor(eid, max(row), row[cause], lines))
-    contributors.sort(key=lambda c: (-c.score, event_sort_key(c.event_id)))
+    # A stable sort of the id-ordered events: score ties stay in id order.
+    contributors = sorted(
+        (Contributor(eid, rows[eid][cause], tuple(lines_by_event[eid])) for eid in present),
+        key=lambda c: -c.score,
+    )
     return Prediction(cause, tuple(scores), tuple(contributors), False)
 
 
@@ -100,23 +89,20 @@ def flag_lines(
 ) -> list[FlaggedLine]:
     """Line references of contributing events, strongest evidence first.
 
-    Ordered by the event's cell score in the predicted cause's column
-    (descending, ties by event id), with the template text for display.
-    Fallback predictions have no contributors and flag nothing.
+    Follows the contributors' order (their cell in the predicted cause's
+    column, descending, ties by event id), with the template text for
+    display.  Fallback predictions have no contributors and flag nothing.
     """
     if prediction.fallback_used:
         return []
     present = events.distinct_events()
     if any(c.event_id not in present for c in prediction.contributors):
         raise ValidationError("prediction was not produced from this log")
-    ordered = sorted(
-        prediction.contributors, key=lambda c: (-c.cause_score, event_sort_key(c.event_id))
-    )
     flagged = []
-    for contributor in ordered:
+    for contributor in prediction.contributors:
         template = miner.template_text(contributor.event_id)
         flagged.extend(
-            FlaggedLine(ln, contributor.event_id, template, contributor.cause_score)
+            FlaggedLine(ln, contributor.event_id, template, contributor.score)
             for ln in contributor.line_numbers
         )
     return flagged

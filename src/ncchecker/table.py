@@ -1,16 +1,18 @@
 """Event-by-cause lookup table construction.
 
-Four stages: diff the failed event pool against the passed pool, count
-per-cause presence of each surviving event, reweight rows (multi-problem
-rows normalize to sum 1; single-problem counts map through 0 / 1.0 /
-log2(1 + c)), then scale each column by the inverse class frequency
-N / N_j.  The resulting table is the whole trained model besides the
-frozen template registry.
+Four steps, run in this order by ``build``: diff the failed event pool
+against the passed pool, count per-cause presence of each surviving
+event, reweight rows (multi-problem rows normalize to sum 1;
+single-problem counts map through 0 / 1.0 / log2(1 + c)), then scale each
+column by the inverse class frequency N / N_j.  The resulting table is the
+whole trained model besides the frozen template registry.  It is stored
+only as the ``ncc-table v1`` block of an ``ncc-model v1`` file (see
+``model``); ``table_to_text`` and ``table_from_text`` write and read that
+block.
 """
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .abstraction import (
@@ -24,37 +26,26 @@ from .errors import ValidationError
 
 TABLE_HEADER = "ncc-table v1"
 
-STAGE_COUNTED = "counted"
-STAGE_REWEIGHTED = "reweighted"
-STAGE_FINAL = "final"
-
 SINGLE = "single"
 MULTI = "multi"
 
 
-@dataclass(frozen=True)
-class EventPool:
-    """Set of event ids observed in one class of logs."""
-
-    events: frozenset[str]
-    origin: str  # "passed" | "failed"
-
-
 def collect_pools(
     passed_seqs: Iterable[EventSequence], failed_seqs: Iterable[EventSequence]
-) -> tuple[EventPool, EventPool]:
+) -> tuple[frozenset[str], frozenset[str]]:
+    """The event ids seen in the passed logs and in the failed logs."""
     passed: set[str] = set()
     for seq in passed_seqs:
         passed.update(seq.distinct_events())
     failed: set[str] = set()
     for seq in failed_seqs:
         failed.update(seq.distinct_events())
-    return EventPool(frozenset(passed), "passed"), EventPool(frozenset(failed), "failed")
+    return frozenset(passed), frozenset(failed)
 
 
-def diff_with_pass(failed: EventPool, passed: EventPool) -> frozenset[str]:
+def diff_with_pass(failed: frozenset[str], passed: frozenset[str]) -> frozenset[str]:
     """Failed-only vocabulary; events shared with passed logs cannot indicate a fault."""
-    remaining = failed.events - passed.events
+    remaining = failed - passed
     if not remaining:
         raise ValidationError(
             "no discriminative events: every failed-log event also occurs in passed logs"
@@ -122,22 +113,27 @@ def compute_icf(n_total: int, n_per_cause: Sequence[int]) -> tuple[float, ...]:
     return tuple(n_total / n if n else 0.0 for n in n_per_cause)
 
 
+def majority_from_counts(n_per_cause: Sequence[int]) -> int:
+    """The cause with the most training logs, lowest id on ties."""
+    if not any(n_per_cause):
+        raise ValidationError("majority class needs at least one training label")
+    return max(range(len(n_per_cause)), key=lambda j: (n_per_cause[j], -j))
+
+
 def row_kind(count_row: Sequence[int]) -> str:
     return SINGLE if sum(1 for c in count_row if c) == 1 else MULTI
 
 
 @dataclass(frozen=True)
 class ScoreTable:
-    """Event score rows by cause; stage moves forward only."""
+    """Event score rows by cause, with the training class sizes and icf."""
 
     rows: dict[str, tuple[float, ...]]
     kinds: dict[str, str]
-    stage: str
     icf: tuple[float, ...]
     taxonomy: CauseTaxonomy
     n_total: int
     n_per_cause: tuple[int, ...]
-    registry_ref: str = ""
 
     @property
     def k(self) -> int:
@@ -150,7 +146,7 @@ class ScoreTable:
 def scores_from_counts(
     counts: CountTable, taxonomy: CauseTaxonomy, *, skip_reweight: bool = False
 ) -> ScoreTable:
-    """Counted -> Reweighted. With skip_reweight the raw counts pass through."""
+    """Reweight every count row; with skip_reweight the raw counts pass through."""
     if len(counts.n_per_cause) != taxonomy.k:
         raise ValidationError("count table and taxonomy disagree on the number of causes")
     rows: dict[str, tuple[float, ...]] = {}
@@ -164,7 +160,6 @@ def scores_from_counts(
     return ScoreTable(
         rows=rows,
         kinds=kinds,
-        stage=STAGE_REWEIGHTED,
         icf=compute_icf(counts.n_total, counts.n_per_cause),
         taxonomy=taxonomy,
         n_total=counts.n_total,
@@ -173,21 +168,12 @@ def scores_from_counts(
 
 
 def apply_icf(table: ScoreTable) -> ScoreTable:
-    """Reweighted -> Final: multiply every cell by its column's icf."""
-    if table.stage != STAGE_REWEIGHTED:
-        raise ValidationError(f"apply_icf requires stage {STAGE_REWEIGHTED!r}, got {table.stage!r}")
+    """Multiply every cell of a reweighted table by its column's icf."""
     rows = {
         eid: tuple(value * table.icf[j] for j, value in enumerate(row))
         for eid, row in table.rows.items()
     }
-    return replace(table, rows=rows, stage=STAGE_FINAL)
-
-
-def _finalize_unscaled(table: ScoreTable) -> ScoreTable:
-    # Ablation path that drops the icf step: values unchanged, stage advanced.
-    if table.stage != STAGE_REWEIGHTED:
-        raise ValidationError(f"cannot finalize from stage {table.stage!r}")
-    return replace(table, stage=STAGE_FINAL)
+    return replace(table, rows=rows)
 
 
 def build(
@@ -219,7 +205,7 @@ def build(
 
     passed_pool, failed_pool = collect_pools(passed_seqs, (seq for seq, _ in labeled_seqs))
     if skip_diff:
-        vocabulary = failed_pool.events
+        vocabulary = failed_pool
         if not vocabulary:
             raise ValidationError("failed logs produced no events")
     else:
@@ -227,7 +213,7 @@ def build(
 
     counts = init_counts(vocabulary, labeled_seqs, train_corpus.taxonomy.k)
     reweighted = scores_from_counts(counts, train_corpus.taxonomy, skip_reweight=skip_reweight)
-    table = _finalize_unscaled(reweighted) if skip_icf else apply_icf(reweighted)
+    table = reweighted if skip_icf else apply_icf(reweighted)
     return miner, table
 
 
@@ -235,16 +221,18 @@ def build(
 
 
 def table_to_text(table: ScoreTable) -> str:
-    """Serialize a final table; float cells use repr and round-trip exactly."""
-    if table.stage != STAGE_FINAL:
-        raise ValidationError(f"only final tables are saved, got stage {table.stage!r}")
+    """Serialize a table; float cells use repr and round-trip exactly.
+
+    The ``stage`` and ``registry`` lines are fixed: they keep the block's
+    layout of ``ncc-table v1``.
+    """
     lines = [TABLE_HEADER, f"k\t{table.k}"]
     lines.extend(f"cause\t{j}\t{table.taxonomy.names[j]}" for j in range(table.k))
     lines.append(f"n_total\t{table.n_total}")
     lines.append("n_per_cause\t" + "\t".join(str(n) for n in table.n_per_cause))
     lines.append("icf\t" + "\t".join(repr(v) for v in table.icf))
-    lines.append(f"stage\t{table.stage}")
-    lines.append(f"registry\t{table.registry_ref or '-'}")
+    lines.append("stage\tfinal")
+    lines.append("registry\t-")
     lines.append(f"rows\t{len(table.rows)}")
     for eid, row in table.rows.items():
         cells = "\t".join(repr(v) for v in row)
@@ -292,15 +280,19 @@ def table_from_text(text: str) -> ScoreTable:
         icf = tuple(float(v) for v in _expect_field(parts, "icf", at))
         parts, at = next_parts()
         stage = _expect_field(parts, "stage", at)[0]
-        if stage != STAGE_FINAL:
-            raise ValidationError(f"table field 'stage': expected {STAGE_FINAL!r}, got {stage!r}")
+        if stage != "final":
+            raise ValidationError(f"table field 'stage': expected 'final', got {stage!r}")
         parts, at = next_parts()
-        registry_ref = _expect_field(parts, "registry", at)[0]
+        _expect_field(parts, "registry", at)
         parts, at = next_parts()
         n_rows = int(_expect_field(parts, "rows", at)[0])
 
         if len(n_per_cause) != k or len(icf) != k:
             raise ValidationError("table fields 'n_per_cause'/'icf' must have k entries")
+        if any(n < 0 for n in n_per_cause) or not any(n_per_cause):
+            raise ValidationError(
+                "table field 'n_per_cause': counts must be >= 0 and not all zero"
+            )
 
         rows: dict[str, tuple[float, ...]] = {}
         kinds: dict[str, str] = {}
@@ -321,18 +313,8 @@ def table_from_text(text: str) -> ScoreTable:
     return ScoreTable(
         rows=rows,
         kinds=kinds,
-        stage=STAGE_FINAL,
         icf=icf,
         taxonomy=CauseTaxonomy(tuple(names)),
         n_total=n_total,
         n_per_cause=n_per_cause,
-        registry_ref="" if registry_ref == "-" else registry_ref,
     )
-
-
-def save_table(table: ScoreTable, path) -> None:
-    Path(path).write_text(table_to_text(table), encoding="utf-8")
-
-
-def load_table(path) -> ScoreTable:
-    return table_from_text(Path(path).read_text(encoding="utf-8"))

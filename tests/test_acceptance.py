@@ -24,11 +24,11 @@ from ncchecker import (
     evaluate,
     load_corpus,
     macro,
-    mcc_predict,
+    majority_from_counts,
     per_class_metrics,
     confusion,
     predict_lines,
-    rg_predict,
+    rg_predict_from_counts,
     run_ablation,
     split,
 )
@@ -134,9 +134,13 @@ def test_criterion_4_planted_cause_end_to_end(tmp_path):
     report = evaluate(truth, predicted, corpus.taxonomy)
     assert report.f1 == 1.0
 
-    train_labels = [log.cause for log in train.failed]
-    rg_report = rg_predict(train_labels, truth, trials=100, seed=7, taxonomy=corpus.taxonomy)
-    mcc_report = evaluate(truth, mcc_predict(train_labels, len(truth)), corpus.taxonomy)
+    train_counts = train.cause_counts()
+    rg_report = rg_predict_from_counts(
+        train_counts, truth, trials=100, seed=7, taxonomy=corpus.taxonomy
+    )
+    mcc_report = evaluate(
+        truth, [majority_from_counts(train_counts)] * len(truth), corpus.taxonomy
+    )
     assert report.f1 > rg_report.median_report.f1
     assert report.f1 > mcc_report.f1
 
@@ -167,7 +171,7 @@ def test_criterion_5_minority_recall_and_column_scaling(tmp_path):
 
     reports = {}
     for variant in ("full", "drop3"):
-        reports[variant] = run_ablation(train, test, variant)
+        _, reports[variant] = run_ablation(train, test, variant)
     c4 = corpus.taxonomy.k - 1
     full_recall = reports["full"].per_class[c4].recall
     drop3_recall = reports["drop3"].per_class[c4].recall

@@ -12,9 +12,8 @@ from ncchecker import (
     cam_train,
     lff_predict,
     lff_train,
-    majority_class,
-    mcc_predict,
-    rg_predict,
+    majority_from_counts,
+    rg_predict_from_counts,
     rg_trials,
 )
 from ncchecker.baselines import _cosine
@@ -52,8 +51,8 @@ def test_rg_follows_the_training_distribution():
 
 def test_rg_median_report_is_reproducible():
     truth = [0] * 12 + [1] * 6 + [2] * 3 + [3] * 2
-    first = rg_predict([0] * 12 + [1] * 6 + [2] * 3 + [3] * 2, truth, 9, 5, DEFAULT_TAXONOMY)
-    second = rg_predict([0] * 12 + [1] * 6 + [2] * 3 + [3] * 2, truth, 9, 5, DEFAULT_TAXONOMY)
+    first = rg_predict_from_counts([12, 6, 3, 2], truth, 9, 5, DEFAULT_TAXONOMY)
+    second = rg_predict_from_counts([12, 6, 3, 2], truth, 9, 5, DEFAULT_TAXONOMY)
     assert first.median_trial == second.median_trial
     assert first.median_report.f1 == second.median_report.f1
     # The median trial sits in the middle of the per-trial F1 ordering.
@@ -74,16 +73,16 @@ def test_rg_rejects_zero_trials():
 
 
 def test_mcc_constant_majority():
-    assert mcc_predict([0, 0, 0, 1, 2], 4) == [0, 0, 0, 0]
+    assert [majority_from_counts([3, 1, 1, 0])] * 4 == [0, 0, 0, 0]
 
 
 def test_mcc_tie_takes_lower_id():
-    assert majority_class([1, 1, 3, 3]) == 1
+    assert majority_from_counts([0, 2, 0, 2]) == 1
 
 
 def test_mcc_needs_labels():
     with pytest.raises(ValidationError):
-        mcc_predict([], 3)
+        majority_from_counts([0, 0, 0, 0])
 
 
 # -- CAM-style TF-IDF KNN -------------------------------------------------------

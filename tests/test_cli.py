@@ -195,6 +195,68 @@ def test_malformed_spec_or_config_value_is_validation_error(
     assert "Traceback" not in result.stderr
 
 
+def _edited_model(model_path, tmp_path, edit_config=None, old="", new=""):
+    """A copy of the model with its config JSON edited and ``old`` replaced."""
+    header, config_line, rest = model_path.read_text().split("\n", 2)
+    key, _, payload = config_line.partition("\t")
+    config = json.loads(payload)
+    if edit_config is not None:
+        edit_config(config)
+    assert old in rest
+    bad = tmp_path / "edited.ncc"
+    bad.write_text(f"{header}\n{key}\t{json.dumps(config)}\n{rest.replace(old, new, 1)}")
+    return bad
+
+
+def _malformed_input_args(case, corpus_dir, model_path, tmp_path):
+    if case == "model-mask-rule-not-a-pair":
+        model = _edited_model(
+            model_path, tmp_path, lambda c: c["mask_rules"].__setitem__(0, ["a"])
+        )
+        return "predict", model, corpus_dir / "failed"
+    if case == "model-tree-depth-not-an-integer":
+        model = _edited_model(model_path, tmp_path, lambda c: c.__setitem__("tree_depth", 4.0))
+        return "predict", model, corpus_dir / "failed"
+    if case == "model-negative-class-count":
+        model = _edited_model(
+            model_path, tmp_path, old="n_per_cause\t30\t14\t8\t6", new="n_per_cause\t-5\t25\t10\t5"
+        )
+        return "eval", model, corpus_dir, "--baselines", "rg"
+    if case == "spec-no-benign-template":
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            json.dumps({"cause_counts": [2, 2], "passed_count": 1, "seed": 1, "benign": []})
+        )
+        return "gen", spec, "--out", tmp_path / "out"
+    labels = tmp_path / "labels.csv"
+    rows = (corpus_dir / "labels.csv").read_bytes()
+    if case == "labels-not-utf8":
+        labels.write_bytes(rows + b"caf\xe9,0\n")
+    else:  # labels-field-over-csv-limit
+        labels.write_bytes(rows + b"x" * 200_000 + b",0\n")
+    return "train", corpus_dir, "--labels", labels, "--out", tmp_path / "m.ncc"
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "model-mask-rule-not-a-pair",
+        "model-tree-depth-not-an-integer",
+        "model-negative-class-count",
+        "labels-not-utf8",
+        "labels-field-over-csv-limit",
+        "spec-no-benign-template",
+    ],
+)
+def test_malformed_model_labels_or_spec_is_validation_error(
+    case, corpus_dir, model_path, tmp_path
+):
+    result = _run_cli(*_malformed_input_args(case, corpus_dir, model_path, tmp_path))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
+
+
 def test_eval_with_rg_and_mcc(corpus_dir, model_path, capsys):
     assert (
         main(

@@ -12,6 +12,7 @@ from ncchecker import (
     evaluate,
     macro,
     per_class_metrics,
+    predict_corpus,
     render_comparison,
     render_report,
     report_records,
@@ -190,8 +191,16 @@ def planted_split(tmp_path_factory):
 
 def test_full_pipeline_is_perfect_on_planted_corpus(planted_split):
     train, test = planted_split
-    report = run_ablation(train, test, "full")
+    _, report = run_ablation(train, test, "full")
     assert report.f1 == 1.0
+
+
+def test_run_ablation_returns_the_variant_table_and_its_report(planted_split):
+    train, test = planted_split
+    miner, built = build_variant(train, "drop2")
+    table, report = run_ablation(train, test, "drop2")
+    assert table == built
+    assert report == predict_corpus(miner, built, test)
 
 
 def test_drop1_table_is_superset_and_drop3_scales(planted_split):
@@ -225,11 +234,11 @@ def test_unknown_variant_rejected(planted_split):
 
 def test_variant_names_are_case_insensitive(planted_split):
     train, test = planted_split
-    assert run_ablation(train, test, "Full").f1 == run_ablation(train, test, "full").f1
+    assert run_ablation(train, test, "Full")[1].f1 == run_ablation(train, test, "full")[1].f1
 
 
 def test_variants_disagree_in_the_expected_direction(planted_split):
     train, test = planted_split
-    reports = {v: run_ablation(train, test, v) for v in ABLATION_VARIANTS}
+    reports = {v: run_ablation(train, test, v)[1] for v in ABLATION_VARIANTS}
     assert reports["full"].f1 >= reports["drop3"].f1
     assert all(0.0 <= r.f1 <= 1.0 for r in reports.values())

@@ -9,9 +9,8 @@ from ncchecker import (
     flag_lines,
     predict,
     predict_lines,
-    score_log,
 )
-from ncchecker.table import STAGE_FINAL, ScoreTable
+from ncchecker.table import ScoreTable
 
 from conftest import MULTI_LINE, SINGLE1_LINE, SINGLE5_LINE
 
@@ -28,7 +27,6 @@ def _table(rows, icf=(1.0, 1.0, 1.0, 1.0), n_per_cause=(4, 3, 2, 1)):
     return ScoreTable(
         rows={eid: tuple(row) for eid, row in rows.items()},
         kinds=kinds,
-        stage=STAGE_FINAL,
         icf=tuple(icf),
         taxonomy=DEFAULT_TAXONOMY,
         n_total=sum(n_per_cause),
@@ -36,23 +34,23 @@ def _table(rows, icf=(1.0, 1.0, 1.0, 1.0), n_per_cause=(4, 3, 2, 1)):
     )
 
 
-# -- score_log ----------------------------------------------------------------
+# -- scores ---------------------------------------------------------------------
 
 
 def test_score_single_event_row():
     table = _table({"e1": (0.0, 0.0, 0.0, 62.75)})
-    assert score_log(table, _seq(["e1"])) == [0.0, 0.0, 0.0, 62.75]
+    assert predict(table, _seq(["e1"])).scores == (0.0, 0.0, 0.0, 62.75)
 
 
 def test_score_out_of_table_events_contribute_nothing():
     table = _table({"e1": (1.0, 0.0, 0.0, 0.0)})
-    assert score_log(table, _seq(["e9", "<unknown>"])) == [0.0, 0.0, 0.0, 0.0]
+    assert predict(table, _seq(["e9", "<unknown>"])).scores == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_score_presence_not_multiplicity():
     table = _table({"ea": (1.0, 0.0, 0.0, 0.0), "eb": (0.2, 0.4, 0.1, 0.3)})
     events = _seq(["ea", "eb", "eb", "eb"])
-    scores = score_log(table, events)
+    scores = list(predict(table, events).scores)
     assert scores == [1.2, 0.4, 0.1, 0.3]
     # A per-line-summing variant would count eb three times instead.
     per_line = [0.0] * 4
@@ -74,10 +72,10 @@ def test_score_additivity_over_partitions(event_set):
         }
     )
     events = sorted(event_set)
-    whole = score_log(table, _seq(events))
+    whole = predict(table, _seq(events)).scores
     half = len(events) // 2
-    left = score_log(table, _seq(events[:half]))
-    right = score_log(table, _seq(events[half:]))
+    left = predict(table, _seq(events[:half])).scores
+    right = predict(table, _seq(events[half:])).scores
     for w, l, r in zip(whole, left, right):
         assert abs(w - (l + r)) <= 1e-12
 
@@ -122,6 +120,8 @@ def test_predict_score_and_icf_tie_takes_lower_id():
 
 
 def test_contributors_ranked_by_row_max_then_id():
+    # Contributors rank by their cell in the predicted column (C4 here); on
+    # this table that is the same order as by row maximum.
     table = _table(
         {
             "e1": (0.0, 0.0, 0.0, 62.75),
@@ -132,6 +132,21 @@ def test_contributors_ranked_by_row_max_then_id():
     prediction = predict(table, _seq(["e2", "e1", "e3"]))
     assert [c.event_id for c in prediction.contributors] == ["e1", "e2", "e3"]
     assert prediction.contributors[0].score == 62.75
+
+
+def test_contributors_ranked_by_predicted_column_cell():
+    table = _table(
+        {
+            "e1": (0.0, 3.0, 1.0, 0.0),
+            "e2": (0.0, 0.0, 2.0, 0.0),
+            "e3": (0.0, 0.0, 2.5, 0.0),
+        }
+    )
+    prediction = predict(table, _seq(["e1", "e2", "e3", "e1"]))
+    assert prediction.cause == 2
+    assert [c.event_id for c in prediction.contributors] == ["e3", "e2", "e1"]
+    assert [c.score for c in prediction.contributors] == [2.5, 2.0, 1.0]
+    assert prediction.contributors[2].line_numbers == (1, 4)
 
 
 @given(st.floats(min_value=0.001, max_value=1000.0, allow_nan=False))
@@ -162,15 +177,6 @@ def test_predict_lines_requires_frozen_miner(fig_corpus):
     thawed = TemplateMiner()
     with pytest.raises(ValidationError, match="frozen"):
         predict_lines(thawed, table, ["x"], "f")
-
-
-def test_predict_requires_final_table():
-    from ncchecker.table import init_counts, scores_from_counts
-
-    counts = init_counts(frozenset({"e1"}), [(_seq(["e1"]), 0)], 4)
-    reweighted = scores_from_counts(counts, DEFAULT_TAXONOMY)
-    with pytest.raises(ValidationError, match="final"):
-        predict(reweighted, _seq(["e1"]))
 
 
 # -- flag_lines -------------------------------------------------------------------

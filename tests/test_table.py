@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from ncchecker import (
     DEFAULT_TAXONOMY,
     Corpus,
-    EventPool,
     EventSequence,
     LabeledFailedLog,
     ValidationError,
@@ -16,14 +15,12 @@ from ncchecker import (
     compute_icf,
     diff_with_pass,
     init_counts,
-    load_table,
     reweight,
-    save_table,
     scores_from_counts,
 )
 from ncchecker.generator import default_spec, generate_synthetic, parse_manifest
 from ncchecker.corpus import load_corpus
-from ncchecker.table import STAGE_FINAL, STAGE_REWEIGHTED, table_from_text, table_to_text
+from ncchecker.table import table_from_text, table_to_text
 
 from bruteforce import brute_force_rows
 from conftest import MULTI_LINE, SINGLE1_LINE, SINGLE5_LINE
@@ -41,31 +38,30 @@ def test_collect_pools_union():
         [_seq("p1", ["e0", "e1"]), _seq("p2", ["e1", "e4"])],
         [_seq("f1", ["e2", "e0"])],
     )
-    assert passed.events == {"e0", "e1", "e4"}
-    assert failed.events == {"e2", "e0"}
-    assert (passed.origin, failed.origin) == ("passed", "failed")
+    assert passed == {"e0", "e1", "e4"}
+    assert failed == {"e2", "e0"}
 
 
 def test_collect_pools_no_passed_logs():
     passed, _ = collect_pools([], [_seq("f1", ["e1"])])
-    assert passed.events == frozenset()
+    assert passed == frozenset()
 
 
 def test_diff_removes_shared_events():
-    failed = EventPool(frozenset({f"e{i}" for i in range(8)}), "failed")
-    passed = EventPool(frozenset({"e0", "e1", "e4", "e6", "e7"}), "passed")
+    failed = frozenset({f"e{i}" for i in range(8)})
+    passed = frozenset({"e0", "e1", "e4", "e6", "e7"})
     assert diff_with_pass(failed, passed) == {"e2", "e3", "e5"}
 
 
 def test_diff_with_empty_passed_pool_is_identity():
-    failed = EventPool(frozenset({"e1", "e2"}), "failed")
-    assert diff_with_pass(failed, EventPool(frozenset(), "passed")) == {"e1", "e2"}
+    failed = frozenset({"e1", "e2"})
+    assert diff_with_pass(failed, frozenset()) == {"e1", "e2"}
 
 
 def test_diff_aborts_when_nothing_remains():
-    pool = EventPool(frozenset({"e1"}), "failed")
+    pool = frozenset({"e1"})
     with pytest.raises(ValidationError, match="no discriminative events"):
-        diff_with_pass(pool, EventPool(frozenset({"e1"}), "passed"))
+        diff_with_pass(pool, frozenset({"e1"}))
 
 
 # -- init_counts -------------------------------------------------------------
@@ -181,7 +177,6 @@ def test_apply_icf_multiplies_columns():
     )
     reweighted = scores_from_counts(counts, DEFAULT_TAXONOMY)
     final = apply_icf(reweighted)
-    assert final.stage == STAGE_FINAL
     expected = tuple(v * reweighted.icf[j] for j, v in enumerate(reweighted.rows["e1"]))
     assert final.rows["e1"] == expected
 
@@ -202,13 +197,6 @@ def test_apply_icf_keeps_zero_cells_zero():
     counts = init_counts(frozenset({"e1"}), [(_seq("f0", ["e1"]), 1)], 4)
     final = apply_icf(scores_from_counts(counts, DEFAULT_TAXONOMY))
     assert final.rows["e1"][0] == final.rows["e1"][2] == final.rows["e1"][3] == 0.0
-
-
-def test_apply_icf_requires_reweighted_stage():
-    counts = init_counts(frozenset({"e1"}), [(_seq("f0", ["e1"]), 0)], 4)
-    final = apply_icf(scores_from_counts(counts, DEFAULT_TAXONOMY))
-    with pytest.raises(ValidationError, match="stage"):
-        apply_icf(final)
 
 
 def test_reweighted_times_icf_example():
@@ -317,25 +305,15 @@ def test_pipeline_matches_brute_force_on_small_synthetic(tmp_path, seed):
 # -- persistence -----------------------------------------------------------------
 
 
-def test_save_load_round_trip(tmp_path, fig_corpus):
+def test_save_load_round_trip(fig_corpus):
     _, table = build(fig_corpus)
-    path = tmp_path / "table.tsv"
-    save_table(table, path)
-    loaded = load_table(path)
+    loaded = table_from_text(table_to_text(table))
     assert loaded.rows == table.rows
     assert loaded.kinds == table.kinds
     assert loaded.icf == table.icf
     assert loaded.n_total == table.n_total
     assert loaded.n_per_cause == table.n_per_cause
     assert loaded.taxonomy.names == table.taxonomy.names
-
-
-def test_save_requires_final_stage(tmp_path):
-    counts = init_counts(frozenset({"e1"}), [(_seq("f0", ["e1"]), 0)], 4)
-    reweighted = scores_from_counts(counts, DEFAULT_TAXONOMY)
-    assert reweighted.stage == STAGE_REWEIGHTED
-    with pytest.raises(ValidationError, match="final"):
-        save_table(reweighted, tmp_path / "t.tsv")
 
 
 def test_load_version_mismatch():
@@ -346,6 +324,23 @@ def test_load_version_mismatch():
 def test_load_corrupt_field_names_it():
     text = "ncc-table v1\nk\tfour\n"
     with pytest.raises(ValidationError, match="corrupt"):
+        table_from_text(text)
+
+
+def test_load_rejects_a_stage_other_than_final(fig_corpus):
+    _, table = build(fig_corpus)
+    text = table_to_text(table)
+    assert "\nstage\tfinal\nregistry\t-\n" in text
+    with pytest.raises(ValidationError, match="stage"):
+        table_from_text(text.replace("stage\tfinal", "stage\treweighted"))
+
+
+@pytest.mark.parametrize("counts", ["-5\t25\t10\t5", "0\t0\t0\t0"])
+def test_load_rejects_corrupt_class_counts(fig_corpus, counts):
+    _, table = build(fig_corpus)
+    text = table_to_text(table).replace("n_per_cause\t2\t5\t1\t3", f"n_per_cause\t{counts}")
+    assert counts in text
+    with pytest.raises(ValidationError, match="n_per_cause"):
         table_from_text(text)
 
 
