@@ -9,6 +9,13 @@ holds the templates whose lines shared that route; a line merges into the
 most similar template at or above the similarity threshold (positions
 that disagree become wildcards) or registers a new template otherwise.
 
+Each built-in mask rule is compiled from a scan form that starts with a
+literal or a digit, so ``re`` jumps to where a match can begin rather
+than trying every character.  A scan form must match exactly the spans
+of the rule as written, and configs and models store only the written
+form, so models do not change.  Other rules compile as written.  A miner
+resolves its compiled rules and routing depth once, not per line.
+
 Both modes look lines up in a per-leaf inverted index (token position ->
 literal token -> template slots), built lazily on the leaf's first lookup
 and rebuilt from the registry after a reload, so the cost of a lookup
@@ -37,14 +44,40 @@ WILDCARD = "<*>"
 UNKNOWN_EVENT_ID = "<unknown>"
 REGISTRY_HEADER = "ncc-templates v1"
 
-# Ordered pre-tokenization rewrites. Order matters: IPv4 before bare
-# integers (octets must not be masked one by one), paths before integers
-# (the :line suffix belongs to the path).
-DEFAULT_MASK_RULES: tuple[tuple[str, str], ...] = (
-    (r"(?<![\w.])(?:\d{1,3}\.){3}\d{1,3}(?![\w.])", WILDCARD),
-    (r"(?<![\w/])/(?:[\w.+-]+/)*[\w.+-]+(?::\d+)?", WILDCARD),
-    (r"\b0[xX][0-9a-fA-F]+\b", WILDCARD),
-    (r"(?<![\w.])\d+(?![\w.])", WILDCARD),
+# The built-in rules, each as written and in its scan form.  Order
+# matters: IPv4 before bare integers (octets must not be masked one by
+# one), paths before integers (the :line suffix belongs to the path).
+#
+# A written form starts with a lookbehind or ``\b``, so ``re`` tries a
+# full match at every character of the line.  The scan form starts with a
+# literal or ``\d``, so ``re`` skips ahead to where a match can begin: the
+# width-1 lookbehind moves to just after the first character matched, and
+# ``\b`` before the ``0`` becomes ``(?<!\w0)``.  Each scan form must match
+# exactly the spans its written form matches, with the same (no) groups;
+# only the written form is ever stored in a config or a model.
+_BUILTIN_RULES: tuple[tuple[str, str], ...] = (
+    (
+        r"(?<![\w.])(?:\d{1,3}\.){3}\d{1,3}(?![\w.])",
+        r"\d(?<![\w.]\d)\d{0,2}\.(?:\d{1,3}\.){2}\d{1,3}(?![\w.])",
+    ),
+    (
+        r"(?<![\w/])/(?:[\w.+-]+/)*[\w.+-]+(?::\d+)?",
+        r"/(?<![\w/]/)(?:[\w.+-]+/)*[\w.+-]+(?::\d+)?",
+    ),
+    (
+        r"\b0[xX][0-9a-fA-F]+\b",
+        r"0(?<!\w0)[xX][0-9a-fA-F]+\b",
+    ),
+    (
+        r"(?<![\w.])\d+(?![\w.])",
+        r"\d(?<![\w.]\d)\d*(?![\w.])",
+    ),
+)
+_SCAN_FORMS = dict(_BUILTIN_RULES)
+
+# Ordered pre-tokenization rewrites, as written.
+DEFAULT_MASK_RULES: tuple[tuple[str, str], ...] = tuple(
+    (written, WILDCARD) for written, _ in _BUILTIN_RULES
 )
 
 
@@ -79,15 +112,23 @@ class AbstractionConfig:
 
 @lru_cache(maxsize=64)
 def _compiled_rules(mask_rules: tuple[tuple[str, str], ...]):
+    """Compile each rule, a built-in one from its scan form; validate all."""
     compiled = []
     for pattern, repl in mask_rules:
         try:
-            rule = re.compile(pattern)
+            rule = re.compile(_SCAN_FORMS.get(pattern, pattern))
             rule.sub(repl, "")  # rejects a bad group reference in repl
         except re.error as exc:
             raise ValidationError(f"mask rule {pattern!r} -> {repl!r}: {exc}") from None
         compiled.append((rule, repl))
     return tuple(compiled)
+
+
+def _mask_split(line: str, rules) -> list[str]:
+    """``preprocess`` with the rules already compiled."""
+    for pattern, placeholder in rules:
+        line = pattern.sub(placeholder, line)
+    return line.split()
 
 
 def preprocess(line: str, config: AbstractionConfig) -> list[str]:
@@ -97,9 +138,7 @@ def preprocess(line: str, config: AbstractionConfig) -> list[str]:
     masks to the single token ``cmd.pathinfo=<*>``.  Empty or blank lines
     yield an empty sequence.
     """
-    for pattern, placeholder in _compiled_rules(config.mask_rules):
-        line = pattern.sub(placeholder, line)
-    return line.split()
+    return _mask_split(line, _compiled_rules(config.mask_rules))
 
 
 @dataclass
@@ -162,6 +201,20 @@ def event_sort_key(event_id: str):
     if event_id.startswith("e") and event_id[1:].isdigit():
         return (0, int(event_id[1:]), event_id)
     return (1, 0, event_id)
+
+
+def _route_key(token: str) -> str:
+    """The tree child a routing token goes to.
+
+    Digit-bearing tokens share the wildcard child so that unmasked numeric
+    fields ("Took 10 seconds") do not split leaves.  No alphabetic
+    character is also a digit, so words route as themselves.
+    """
+    if token.isalpha():
+        return token
+    if token == WILDCARD or any(map(str.isdigit, token)):
+        return WILDCARD
+    return token
 
 
 class _Node:
@@ -269,6 +322,11 @@ class TemplateMiner:
 
     def __init__(self, config: AbstractionConfig | None = None):
         self.config = config or AbstractionConfig()
+        # Resolved once, as parse_line reads them for every line; a miner's
+        # config does not change after construction.
+        self._rules = _compiled_rules(self.config.mask_rules)
+        self._route_depth = self.config.tree_depth - 2
+        self._threshold = self.config.similarity_threshold
         self._root: dict[int, _Node] = {}
         self._templates: dict[str, LogTemplate] = {}
         self._frozen = False
@@ -294,25 +352,15 @@ class TemplateMiner:
 
     # -- tree routing -------------------------------------------------
 
-    def _route_key(self, token: str) -> str:
-        # Digit-bearing tokens share the wildcard child so that unmasked
-        # numeric fields ("Took 10 seconds") do not split leaves.  No
-        # alphabetic character is also a digit, so words route as themselves.
-        if token.isalpha():
-            return token
-        if token == WILDCARD or any(ch.isdigit() for ch in token):
-            return WILDCARD
-        return token
-
-    def _route_levels(self, tokens: Sequence[str]) -> int:
-        return min(self.config.tree_depth - 2, len(tokens) - 1)
+    # Both walks route a line by its first ``tree_depth - 2`` tokens, never
+    # by its last one.
 
     def _search_leaf(self, tokens: Sequence[str]) -> _Node | None:
         node = self._root.get(len(tokens))
         if node is None:
             return None
-        for i in range(self._route_levels(tokens)):
-            key = self._route_key(tokens[i])
+        for token in tokens[: min(self._route_depth, len(tokens) - 1)]:
+            key = _route_key(token)
             child = node.children.get(key)
             if child is None and key != WILDCARD:
                 child = node.children.get(WILDCARD)
@@ -323,8 +371,8 @@ class TemplateMiner:
 
     def _insert_leaf(self, tokens: Sequence[str]) -> _Node:
         node = self._root.setdefault(len(tokens), _Node())
-        for i in range(self._route_levels(tokens)):
-            key = self._route_key(tokens[i])
+        for token in tokens[: min(self._route_depth, len(tokens) - 1)]:
+            key = _route_key(token)
             child = node.children.get(key)
             if child is None:
                 literal_count = len(node.children) - (WILDCARD in node.children)
@@ -352,13 +400,13 @@ class TemplateMiner:
         Training mode merges or registers templates; frozen mode maps
         unmatched lines to UNKNOWN_EVENT_ID and never mutates state.
         """
-        tokens = preprocess(line, self.config)
+        tokens = _mask_split(line, self._rules)
         if not tokens:
             return None
         leaf = self._search_leaf(tokens)
         if leaf is not None and leaf.template_ids:
             slot, sim = self._indexed_match(leaf, tokens)
-            if sim >= self.config.similarity_threshold:
+            if sim >= self._threshold:
                 event_id = leaf.template_ids[slot]
                 if not self._frozen:
                     self._merge(leaf, slot, tokens)

@@ -289,6 +289,8 @@ def table_from_text(text: str) -> ScoreTable:
 
         if len(n_per_cause) != k or len(icf) != k:
             raise ValidationError("table fields 'n_per_cause'/'icf' must have k entries")
+        if not all(map(math.isfinite, icf)):
+            raise ValidationError("table field 'icf': values must be finite")
         if any(n < 0 for n in n_per_cause) or not any(n_per_cause):
             raise ValidationError(
                 "table field 'n_per_cause': counts must be >= 0 and not all zero"
@@ -305,7 +307,10 @@ def table_from_text(text: str) -> ScoreTable:
                 raise ValidationError(f"table line {at}: row kind must be single or multi")
             if eid in rows:
                 raise ValidationError(f"table line {at}: duplicate row for event {eid!r}")
-            rows[eid] = tuple(float(c) for c in cells)
+            row = tuple(map(float, cells))
+            if not all(map(math.isfinite, row)):
+                raise ValidationError(f"table line {at}: cells must be finite")
+            rows[eid] = row
             kinds[eid] = kind
     except (ValueError, IndexError) as exc:
         raise ValidationError(f"corrupt table file: {exc}") from None

@@ -1,5 +1,9 @@
 """Independent naive references for lookup-table construction and matching.
 
+``written_preprocess`` masks with each rule compiled as written, one
+``re.sub`` per rule in order: the reference for the scan forms the miner
+compiles the built-in rules from.
+
 ``scan_train_line`` and ``scan_parse_line`` are the training and frozen
 parses by a linear scan of the routed leaf, scored with
 ``seq_similarity``: the references for the miner's indexed match.  They
@@ -13,9 +17,17 @@ sorted by log id).
 """
 
 import math
+import re
 
 from ncchecker import abstraction
 from ncchecker.abstraction import UNKNOWN_EVENT_ID, WILDCARD, TemplateMiner, preprocess
+
+
+def written_preprocess(line, config):
+    """Tokens of ``line`` after applying ``config.mask_rules`` as written."""
+    for pattern, placeholder in config.mask_rules:
+        line = re.sub(pattern, placeholder, line)
+    return line.split()
 
 
 def _scan_leaf(miner, tokens):

@@ -1,11 +1,12 @@
 import random
+import re
 import sys
 import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import scan_parse_line, scan_train_line, scan_train_log
+from bruteforce import scan_parse_line, scan_train_line, scan_train_log, written_preprocess
 from ncchecker import abstraction
 from ncchecker import (
     AbstractionConfig,
@@ -17,7 +18,7 @@ from ncchecker import (
     preprocess,
     seq_similarity,
 )
-from ncchecker.abstraction import REGISTRY_HEADER
+from ncchecker.abstraction import DEFAULT_MASK_RULES, REGISTRY_HEADER
 from ncchecker.corpus import load_corpus
 from ncchecker.generator import default_spec, generate_synthetic
 from ncchecker.table import build
@@ -54,10 +55,59 @@ def test_preprocess_empty_line(config):
         ("retry count 7 exceeded", ["retry", "count", WILDCARD, "exceeded"]),
         ("version 1.2.3 unchanged", ["version", "1.2.3", "unchanged"]),
         ("user123 logged in", ["user123", "logged", "in"]),
+        # Where rules meet, the earlier one takes the span.
+        ("10.0.0.1/a/b", [WILDCARD + WILDCARD]),
+        ("0x10.1.2.3", [WILDCARD + ".1.2.3"]),
+        ("/a/b:12x", [WILDCARD + "x"]),
+        ("a/b/c 0x1F:3", ["a/b/c", WILDCARD + ":" + WILDCARD]),
+        # Arabic-Indic digits are \d; five dotted numbers are no IPv4 address.
+        ("\u0663\u0664 ok", [WILDCARD, "ok"]),
+        ("1.2.3.4.5", ["1.2.3.4.5"]),
     ],
 )
 def test_preprocess_rule_boundaries(config, line, expected):
     assert preprocess(line, config) == expected
+
+
+# Digits of several Unicode kinds (the superscript is \w but not \d), word
+# and hex characters, every separator the rules look at, and the placeholder;
+# plus a few runs of them that start a match, so that what comes just
+# before and after a match is often exercised.
+_MASK_PIECES = [
+    *"0123456789", "\u0663", "\u0664", "\u00b2", *"abcfxXZ\u00e9_", *"./:+-", " ", "\t", WILDCARD,
+    "0x", "0X1f", "1.2.3.4", "/a", ":7",
+]
+_mask_lines = st.lists(st.sampled_from(_MASK_PIECES), max_size=40).map("".join)
+_mask_settings = settings(max_examples=400, derandomize=True, database=None, deadline=None)
+
+
+@pytest.mark.parametrize("rule", range(len(DEFAULT_MASK_RULES)))
+@_mask_settings
+@given(line=_mask_lines)
+def test_builtin_rule_scan_form_masks_like_the_written_form(rule, line):
+    written, placeholder = DEFAULT_MASK_RULES[rule]
+    compiled, _ = abstraction._compiled_rules(DEFAULT_MASK_RULES)[rule]
+    assert compiled.pattern != written  # compiled from the scan form
+    assert compiled.sub(placeholder, line) == re.sub(written, placeholder, line)
+
+
+@_mask_settings
+@given(line=_mask_lines)
+def test_preprocess_masks_like_the_written_rules_in_order(line):
+    config = AbstractionConfig()
+    assert preprocess(line, config) == written_preprocess(line, config)
+
+
+def test_only_builtin_patterns_compile_from_scan_forms():
+    # A built-in pattern keeps its scan form under another placeholder; a
+    # pattern of the user's own compiles as written.
+    rules = ((DEFAULT_MASK_RULES[3][0], "N"), (r"\bab\b", "AB"))
+    compiled = abstraction._compiled_rules(rules)
+    assert compiled[0][0].pattern != rules[0][0]
+    assert compiled[1][0].pattern == rules[1][0]
+    assert preprocess("ab 12 ab1 1.5", AbstractionConfig(mask_rules=rules)) == [
+        "AB", "N", "ab1", "1.5"
+    ]
 
 
 def test_mask_rules_apply_in_order(config):

@@ -222,6 +222,9 @@ def _malformed_input_args(case, corpus_dir, model_path, tmp_path):
             model_path, tmp_path, old="n_per_cause\t30\t14\t8\t6", new="n_per_cause\t-5\t25\t10\t5"
         )
         return "eval", model, corpus_dir, "--baselines", "rg"
+    if case == "model-non-finite-cell":
+        model = _edited_model(model_path, tmp_path, old="\t0.0\t", new="\tnan\t")
+        return "predict", model, corpus_dir / "failed"
     if case == "spec-no-benign-template":
         spec = tmp_path / "spec.json"
         spec.write_text(
@@ -243,6 +246,7 @@ def _malformed_input_args(case, corpus_dir, model_path, tmp_path):
         "model-mask-rule-not-a-pair",
         "model-tree-depth-not-an-integer",
         "model-negative-class-count",
+        "model-non-finite-cell",
         "labels-not-utf8",
         "labels-field-over-csv-limit",
         "spec-no-benign-template",

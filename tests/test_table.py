@@ -344,6 +344,20 @@ def test_load_rejects_corrupt_class_counts(fig_corpus, counts):
         table_from_text(text)
 
 
+@pytest.mark.parametrize("field", ["icf", "cell"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_rejects_non_finite_values(fig_corpus, field, value):
+    _, table = build(fig_corpus)
+    lines = table_to_text(table).splitlines()
+    prefix = "icf\t" if field == "icf" else "e"
+    at = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    parts = lines[at].split("\t")
+    parts[1] = value
+    lines[at] = "\t".join(parts)
+    with pytest.raises(ValidationError, match="finite"):
+        table_from_text("\n".join(lines))
+
+
 def test_load_truncated_rows_detected(fig_corpus):
     _, table = build(fig_corpus)
     lines = table_to_text(table).splitlines()
