@@ -30,6 +30,14 @@ UNKNOWN event instead of creating one, so prediction never changes the
 registry.  It may be shared across threads: a leaf index is published by
 one attribute assignment once complete, so two threads racing on a cold
 leaf at worst both build it.
+
+A frozen parse is a pure function of the masked line, and a log repeats
+its masked lines far more often than its raw ones.  So a frozen
+``parse_log`` keeps a memo from the masked line (before the split) to its
+event id and matches each distinct one once.  The memo lives for one log:
+a one-shot ``ncchecker predict`` would never find it warm, a per-call dict
+needs no shared state between threads, and training parses every line
+because each one may change the tree.
 """
 
 import hashlib
@@ -124,11 +132,11 @@ def _compiled_rules(mask_rules: tuple[tuple[str, str], ...]):
     return tuple(compiled)
 
 
-def _mask_split(line: str, rules) -> list[str]:
-    """``preprocess`` with the rules already compiled."""
+def _mask(line: str, rules) -> str:
+    """Apply already compiled mask rules in order; ``preprocess`` before the split."""
     for pattern, placeholder in rules:
         line = pattern.sub(placeholder, line)
-    return line.split()
+    return line
 
 
 def preprocess(line: str, config: AbstractionConfig) -> list[str]:
@@ -138,7 +146,7 @@ def preprocess(line: str, config: AbstractionConfig) -> list[str]:
     masks to the single token ``cmd.pathinfo=<*>``.  Empty or blank lines
     yield an empty sequence.
     """
-    return _mask_split(line, _compiled_rules(config.mask_rules))
+    return _mask(line, _compiled_rules(config.mask_rules)).split()
 
 
 @dataclass
@@ -400,7 +408,10 @@ class TemplateMiner:
         Training mode merges or registers templates; frozen mode maps
         unmatched lines to UNKNOWN_EVENT_ID and never mutates state.
         """
-        tokens = _mask_split(line, self._rules)
+        return self._parse_tokens(_mask(line, self._rules).split())
+
+    def _parse_tokens(self, tokens: Sequence[str]) -> str | None:
+        """``parse_line`` from the masked tokens on."""
         if not tokens:
             return None
         leaf = self._search_leaf(tokens)
@@ -436,16 +447,38 @@ class TemplateMiner:
         return template
 
     def parse_log(self, lines: Iterable[str], source: str = "log") -> EventSequence:
-        """Parse lines in order, skipping blanks; one event per non-blank line."""
+        """Parse lines in order, skipping blanks; one event per non-blank line.
+
+        A frozen miner matches each distinct masked line of the log once: a
+        dict local to this call maps the line after the mask rules, before
+        the split, to its event id (None for a blank line), so a repeat
+        skips the split, the routing and the leaf lookup.  The memo dies
+        with the call; why it is kept no longer is in the module docstring.
+        A training miner parses every line, since each may change the tree.
+        """
+        parse = self._frozen_parser() if self._frozen else self.parse_line
         events: list[str] = []
         numbers: list[int] = []
         for lineno, line in enumerate(lines, start=1):
-            event_id = self.parse_line(line)
+            event_id = parse(line)
             if event_id is None:
                 continue
             events.append(event_id)
             numbers.append(lineno)
         return EventSequence(source, tuple(events), tuple(numbers))
+
+    def _frozen_parser(self):
+        """A frozen ``parse_line`` memoised on the masked line, for one log."""
+        rules, parse_tokens, memo = self._rules, self._parse_tokens, {}
+
+        def parse(line: str) -> str | None:
+            masked = _mask(line, rules)
+            if masked in memo:
+                return memo[masked]
+            event_id = memo[masked] = parse_tokens(masked.split())
+            return event_id
+
+        return parse
 
     # -- registry text: the ncc-templates v1 block of a model -----------
 

@@ -258,15 +258,24 @@ _EXTRA_TOKENS = ("1", "0x1f", WILDCARD)
 _WORD_POOL = ("a", "b", "c", "d", "e", "f")
 
 
+_vocabularies = st.lists(st.sampled_from(_WORD_POOL), min_size=2, max_size=6, unique=True)
+
+
+def _configs(mask_rules=st.just(DEFAULT_MASK_RULES)):
+    return st.builds(
+        AbstractionConfig,
+        tree_depth=st.sampled_from([2, 3, 4]),
+        similarity_threshold=st.sampled_from([0.34, 0.4, 0.5, 0.6, 1.0]),
+        max_children=st.sampled_from([1, 2, 100]),
+        mask_rules=mask_rules,
+    )
+
+
 @st.composite
 def _miner_cases(draw):
-    vocabulary = draw(st.lists(st.sampled_from(_WORD_POOL), min_size=2, max_size=6, unique=True))
+    vocabulary = draw(_vocabularies)
     line = st.lists(st.sampled_from(vocabulary + list(_EXTRA_TOKENS)), min_size=1, max_size=6)
-    config = AbstractionConfig(
-        tree_depth=draw(st.sampled_from([2, 3, 4])),
-        similarity_threshold=draw(st.sampled_from([0.34, 0.4, 0.5, 0.6, 1.0])),
-        max_children=draw(st.sampled_from([1, 2, 100])),
-    )
+    config = draw(_configs())
     train = draw(st.lists(line.map(" ".join), min_size=1, max_size=40))
     probes = draw(st.lists(line.map(" ".join), max_size=20))
     return config, train, probes
@@ -364,22 +373,24 @@ def test_frozen_lookup_work_does_not_grow_with_training_size(tmp_path, monkeypat
     assert scanned[1] > 2 * scanned[0]
 
 
-def test_shared_frozen_miner_gives_serial_ids_across_threads():
-    lines = _fuzz_lines(17, 600)
+def _cold_shared_miner(lines):
     config = AbstractionConfig(max_children=2)
     trained = TemplateMiner(config)
     for line in lines[:300]:
         trained.parse_line(line)
-    # A reloaded miner and the scan build no index, so the threads below
-    # race on cold leaves.
-    miner = TemplateMiner.from_registry_text(trained.export_registry(), config).freeze()
-    expected = [scan_parse_line(miner, line) for line in lines]
+    # A reloaded miner and the scan build no index, so threads racing on
+    # it race on cold leaves.
+    return TemplateMiner.from_registry_text(trained.export_registry(), config).freeze()
+
+
+def _results_of_four_threads(parse):
+    """``parse()`` in 4 threads released at once, switching as often as possible."""
     results = {}
     start = threading.Barrier(4)
 
     def worker(n):
         start.wait(timeout=30)
-        results[n] = [miner.parse_line(line) for line in lines]
+        results[n] = parse()
 
     threads = [threading.Thread(target=worker, args=(n,)) for n in range(4)]
     previous = sys.getswitchinterval()
@@ -392,7 +403,117 @@ def test_shared_frozen_miner_gives_serial_ids_across_threads():
     finally:
         sys.setswitchinterval(previous)
     assert not any(thread.is_alive() for thread in threads)
-    assert all(results[n] == expected for n in range(4))
+    return [results[n] for n in range(4)]
+
+
+def test_shared_frozen_miner_gives_serial_ids_across_threads():
+    lines = _fuzz_lines(17, 600)
+    miner = _cold_shared_miner(lines)
+    expected = [scan_parse_line(miner, line) for line in lines]
+    results = _results_of_four_threads(lambda: [miner.parse_line(line) for line in lines])
+    assert results == [expected] * 4
+
+
+def test_shared_frozen_miner_gives_serial_logs_across_threads():
+    lines = _fuzz_lines(17, 600)
+    miner = _cold_shared_miner(lines)
+    # Each log repeats a third of its lines, so every thread's memo both
+    # misses on cold leaves and hits.
+    logs = [lines[i : i + 60] + lines[i : i + 20] for i in range(0, len(lines), 60)]
+    expected = [tuple(scan_parse_line(miner, line) for line in log) for log in logs]
+    results = _results_of_four_threads(lambda: [miner.parse_log(log).events for log in logs])
+    assert results == [expected] * 4
+
+
+# -- the frozen parse_log memo --------------------------------------------------
+
+# Raw values that the built-in rules mask to the same string as the key.
+_SAME_WHEN_MASKED = {"1": ("1", "22", "305"), "0x1f": ("0x1f", "0XAB")}
+# A rule of the user's own, ahead of the built-in ones: "e" and "f" both
+# mask to "EF".
+_USER_RULE = (r"\b[ef]\b", "EF")
+# Longer than any trained line, so no leaf exists for it.
+_UNKNOWN_LINE = "u v w x y z q"
+
+
+@st.composite
+def _memo_cases(draw):
+    vocabulary = draw(_vocabularies)
+    config = draw(_configs(st.sampled_from([DEFAULT_MASK_RULES, (_USER_RULE, *DEFAULT_MASK_RULES)])))
+    words = st.lists(st.sampled_from(vocabulary + list(_EXTRA_TOKENS)), min_size=1, max_size=6)
+    train = draw(st.lists(words.map(" ".join), min_size=1, max_size=40))
+
+    def render(tokens):
+        # One raw spelling of the tokens: any value of a token's mask class,
+        # and any whitespace around and between them.
+        line = draw(st.sampled_from(["", " ", "\t"]))
+        for i, token in enumerate(tokens):
+            if i:
+                line += draw(st.sampled_from([" ", "  ", "\t"]))
+            line += draw(st.sampled_from(_SAME_WHEN_MASKED.get(token, (token,))))
+        return line + draw(st.sampled_from(["", " "]))
+
+    # Every shape twice, so the same tokens recur under other whitespace or
+    # other raw values, and once reversed, the same tokens in another order;
+    # then blanks, an unknown line and repeats.
+    shapes = draw(st.lists(words, min_size=1, max_size=8))
+    pool = [render(tokens) for tokens in shapes for _ in range(2)]
+    pool += [render(tokens[::-1]) for tokens in shapes]
+    pool += ["", "  \t ", _UNKNOWN_LINE]
+    repeats = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    return config, train, draw(st.permutations(pool + repeats))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_memo_cases())
+def test_frozen_parse_log_memo_equals_per_line_parse(case):
+    config, train, log = case
+    miner = TemplateMiner(config)
+    for line in train:
+        miner.parse_line(line)
+    miner.freeze()
+    reloaded = TemplateMiner.from_registry_text(miner.export_registry(), config).freeze()
+    for frozen in (reloaded, miner):  # the reloaded miner's leaves start cold
+        seq = frozen.parse_log(log, "log")
+        per_line = [(n, frozen.parse_line(line)) for n, line in enumerate(log, start=1)]
+        expected = [(n, event_id) for n, event_id in per_line if event_id is not None]
+        assert list(zip(seq.line_numbers, seq.events)) == expected
+        assert UNKNOWN_EVENT_ID in seq.events
+
+
+def test_training_parse_log_counts_every_repeated_line():
+    miner = TemplateMiner(AbstractionConfig())
+    assert miner.parse_log(["a b c", "a b d", "a b c"]).events == ("e1",) * 3
+    assert miner.templates["e1"].match_count == 3
+
+    lines = _fuzz_lines(9, 150)
+    log = lines + lines[:60]
+    miner, scan_miner = TemplateMiner(AbstractionConfig()), TemplateMiner(AbstractionConfig())
+    assert list(miner.parse_log(log).events) == scan_train_log(scan_miner, log)
+    assert miner.export_registry() == scan_miner.export_registry()
+
+
+def test_frozen_parse_log_memo_lives_for_one_log(monkeypatch):
+    miner = TemplateMiner(AbstractionConfig())
+    miner.parse_line("retry 3 of job alpha")
+    miner.freeze()
+    lookups = 0
+    best_slot = abstraction._LeafIndex.best_slot
+
+    def counting_best_slot(index, tokens):
+        nonlocal lookups
+        lookups += 1
+        return best_slot(index, tokens)
+
+    monkeypatch.setattr(abstraction._LeafIndex, "best_slot", counting_best_slot)
+    log = ["retry 3 of job alpha"] * 50
+    assert miner.parse_log(log).events == ("e1",) * 50
+    assert lookups == 1
+    miner.parse_log(log)
+    assert lookups == 2
+    # The key is the masked line, not the raw one.
+    assert miner.parse_log([f"retry {n} of job alpha" for n in range(50)]).events == ("e1",) * 50
+    assert lookups == 3
 
 
 # -- invariants -------------------------------------------------------------
