@@ -516,6 +516,91 @@ def test_frozen_parse_log_memo_lives_for_one_log(monkeypatch):
     assert lookups == 3
 
 
+# -- whole-log masking --------------------------------------------------------
+
+# Short lines of mask pieces, with the line breaks other than "\n" that a
+# rule could see; a log rarely holds a line of the API's own with a "\n".
+_log_lines = st.lists(st.sampled_from([*_MASK_PIECES, "\r", "\x0c"]), max_size=12).map("".join)
+_rule_sets = st.one_of(
+    st.just(DEFAULT_MASK_RULES),
+    st.lists(st.sampled_from(DEFAULT_MASK_RULES), unique=True, max_size=4).map(tuple),
+    st.just(()),
+    st.just(((DEFAULT_MASK_RULES[3][0], "N"),)),
+    st.just((_USER_RULE, *DEFAULT_MASK_RULES)),
+)
+
+
+@st.composite
+def _mask_logs(draw):
+    log = draw(st.lists(_log_lines, max_size=8))
+    if log and draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(log) - 1))
+        log[at] += "\n" + draw(_log_lines)
+    return log
+
+
+@_mask_settings
+@given(rules=_rule_sets, log=_mask_logs())
+def test_log_masking_equals_per_line_masking(rules, log):
+    config = AbstractionConfig(mask_rules=rules)
+    masked = TemplateMiner(config)._mask_log(tuple(log))
+    compiled = abstraction._compiled_rules(rules)
+    assert masked == [abstraction._mask(line, compiled) for line in log]
+    assert [line.split() for line in masked] == [written_preprocess(line, config) for line in log]
+
+
+def _assert_parse_log_is_per_line(config, log, expected):
+    """``parse_log`` gives ``parse_line``'s events per line, training and frozen."""
+    miner, per_line_miner = TemplateMiner(config), TemplateMiner(config)
+    for _ in ("training", "frozen"):
+        seq = miner.parse_log(log)
+        per_line = [(n, per_line_miner.parse_line(line)) for n, line in enumerate(log, start=1)]
+        assert list(zip(seq.line_numbers, seq.events)) == per_line == expected
+        miner.freeze()
+        per_line_miner = miner
+
+
+def test_rules_that_are_not_line_local_mask_line_by_line():
+    # An anchored rule sees the start of every line, not just of the log.
+    config = AbstractionConfig(mask_rules=((r"^retry", "R"), *DEFAULT_MASK_RULES))
+    log = ["retry 1 of job", "retry 2 of job", "retry 3 of job"]
+    _assert_parse_log_is_per_line(config, log, [(1, "e1"), (2, "e1"), (3, "e1")])
+    miner = TemplateMiner(config)
+    miner.parse_log(log)
+    assert miner.template_text("e1") == "R <*> of job"
+
+    # A line given through the API that holds "\n" stays one line.
+    log = ["x 1", "a 1\nb 2", "y 2"]
+    _assert_parse_log_is_per_line(AbstractionConfig(), log, [(1, "e1"), (2, "e2"), (3, "e3")])
+
+
+class _CountingRule:
+    """A compiled mask rule that counts its ``sub`` calls."""
+
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, 0
+
+    def sub(self, placeholder, text):
+        self.calls += 1
+        return self.pattern.sub(placeholder, text)
+
+
+@pytest.mark.parametrize(
+    "rules, calls",
+    [(DEFAULT_MASK_RULES, [1] * 4), ((_USER_RULE, *DEFAULT_MASK_RULES), [50] * 5)],
+)
+def test_parse_log_masks_in_one_pass_per_rule(rules, calls):
+    miner = TemplateMiner(AbstractionConfig(mask_rules=rules))
+    log = [f"retry {n} of job /srv/a.rb:{n} at 0x{n:x}" for n in range(50)]
+    for _ in ("training", "frozen"):
+        counters = [_CountingRule(pattern) for pattern, _ in miner._rules]
+        miner._rules = tuple((c, p) for c, (_, p) in zip(counters, miner._rules))
+        assert len(miner.parse_log(log)) == 50
+        assert [c.calls for c in counters] == calls
+        miner._rules = tuple((c.pattern, p) for c, (_, p) in zip(counters, miner._rules))
+        miner.freeze()
+
+
 # -- invariants -------------------------------------------------------------
 
 
