@@ -51,7 +51,6 @@ needs no shared state between threads, and training parses every line
 because each one may change the tree.
 """
 
-import hashlib
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -171,9 +170,6 @@ class LogTemplate:
     @property
     def text(self) -> str:
         return " ".join(self.tokens)
-
-    def wildcard_positions(self) -> frozenset[int]:
-        return frozenset(i for i, tok in enumerate(self.tokens) if tok == WILDCARD)
 
 
 def seq_similarity(tokens: Sequence[str], template: LogTemplate) -> float:
@@ -524,9 +520,6 @@ class TemplateMiner:
         for template in self._templates.values():
             lines.append(f"{template.event_id}\t{template.match_count}\t{template.text}")
         return "\n".join(lines) + "\n"
-
-    def registry_fingerprint(self) -> str:
-        return hashlib.sha256(self.export_registry().encode("utf-8")).hexdigest()
 
     @classmethod
     def from_registry_text(

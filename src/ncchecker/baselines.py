@@ -41,10 +41,6 @@ class RandomGuessResult:
     median_trial: int
     median_report: MacroReport
 
-    @property
-    def median_predictions(self) -> tuple[int, ...]:
-        return self.trial_predictions[self.median_trial]
-
 
 def rg_predict_from_counts(
     n_per_cause: Sequence[int],

@@ -14,27 +14,18 @@ from pathlib import Path
 from . import baselines as bl
 from . import evaluation as ev
 from .abstraction import AbstractionConfig
-from .corpus import load_corpus, read_log_lines, split
+from .corpus import load_corpus, log_files, read_log_lines, split
 from .errors import ValidationError
 from .generator import default_spec, generate_synthetic, spec_from_dict
 from .model import load_model, save_model
 from .predictor import flag_lines, predict_lines
-from .table import build, majority_from_counts
+from .table import ABLATION_VARIANTS, build, majority_from_counts
 
-_CONFIG_KEYS = (
-    "tree_depth",
-    "similarity_threshold",
-    "max_children",
-    "test_fraction",
-    "seed",
-    "k_neighbors",
-    "rg_trials",
-)
+# Miner settings a flag or config file may set; unset ones take the
+# AbstractionConfig default.
+_MINER_KEYS = {"tree_depth": int, "similarity_threshold": float, "max_children": int}
 
 _DEFAULTS = {
-    "tree_depth": 4,
-    "similarity_threshold": 0.4,
-    "max_children": 100,
     "test_fraction": 0.1,
     "seed": 0,
     "k_neighbors": 5,
@@ -55,7 +46,7 @@ def _load_config_file(path) -> dict:
     payload = _read_json(path, "config file")
     if not isinstance(payload, dict):
         raise ValidationError(f"config file {path}: expected a JSON object")
-    unknown = sorted(set(payload) - set(_CONFIG_KEYS))
+    unknown = sorted(set(payload) - set(_MINER_KEYS) - set(_DEFAULTS))
     if unknown:
         raise ValidationError(f"config file {path}: unknown keys {', '.join(unknown)}")
     return payload
@@ -69,7 +60,7 @@ def _read_json(path, what: str):
 
 
 def _setting(args, file_config: dict, key: str, kind):
-    """A flag if given, else the config file's value, else the default.
+    """A flag if given, else the config file's value, else the default (or None).
 
     Flags arrive typed by argparse; a config file value is converted to
     ``kind`` here, so a value of the wrong type is a validation error.
@@ -78,7 +69,7 @@ def _setting(args, file_config: dict, key: str, kind):
     if value is not None:
         return value
     if key not in file_config:
-        return _DEFAULTS[key]
+        return _DEFAULTS.get(key)
     value = file_config[key]
     try:
         return kind(value)
@@ -89,11 +80,8 @@ def _setting(args, file_config: dict, key: str, kind):
 
 
 def _abstraction_config(args, file_config: dict) -> AbstractionConfig:
-    return AbstractionConfig(
-        tree_depth=_setting(args, file_config, "tree_depth", int),
-        similarity_threshold=_setting(args, file_config, "similarity_threshold", float),
-        max_children=_setting(args, file_config, "max_children", int),
-    )
+    settings = {key: _setting(args, file_config, key, kind) for key, kind in _MINER_KEYS.items()}
+    return AbstractionConfig(**{k: v for k, v in settings.items() if v is not None})
 
 
 def _add_abstraction_flags(parser):
@@ -185,7 +173,7 @@ def _cmd_predict(args) -> int:
     miner, table = load_model(args.model)
     target = Path(args.path)
     if target.is_dir():
-        files = sorted(target.glob("*.log"))
+        files = log_files(target)
     elif target.exists():
         files = [target]
     else:
@@ -196,7 +184,6 @@ def _cmd_predict(args) -> int:
         prediction, events = predict_lines(miner, table, read_log_lines(path), path.stem)
         results.append((path.stem, prediction, flag_lines(prediction, events, miner)))
 
-    results.sort(key=lambda item: item[0])
     for log_id, prediction, flagged in results:
         if args.json:
             print(json.dumps(_prediction_record(log_id, table, prediction, flagged)))
@@ -215,8 +202,7 @@ def _cmd_eval(args) -> int:
     test_corpus = load_corpus(args.corpus, args.labels, table.taxonomy)
     if not test_corpus.failed:
         raise ValidationError(f"test corpus {args.corpus} has no failed logs to evaluate")
-    test_logs = sorted(test_corpus.failed, key=lambda log: log.log_id)
-    truth = [log.cause for log in test_logs]
+    truth = [log.cause for log in test_corpus.failed]
 
     requested = []
     if args.baselines:
@@ -250,10 +236,10 @@ def _cmd_eval(args) -> int:
             reports["mcc"] = ev.evaluate(truth, [majority] * len(truth), table.taxonomy)
         elif name == "cam":
             index = bl.cam_train(train_corpus.failed, k_neighbors)
-            cam_preds = [bl.cam_predict(index, log.lines) for log in test_logs]
+            cam_preds = [bl.cam_predict(index, log.lines) for log in test_corpus.failed]
             reports["cam"] = ev.evaluate(truth, cam_preds, table.taxonomy)
         elif name == "lff":
-            train_logs = sorted(train_corpus.failed, key=lambda log: log.log_id)
+            train_logs = train_corpus.failed
             sequences = [miner.parse_log(log.lines, log.log_id) for log in train_logs]
             index = bl.lff_train(
                 sequences,
@@ -264,7 +250,7 @@ def _cmd_eval(args) -> int:
             )
             lff_preds = [
                 bl.lff_predict(index, miner.parse_log(log.lines, log.log_id))
-                for log in test_logs
+                for log in test_corpus.failed
             ]
             reports["lff"] = ev.evaluate(truth, lff_preds, table.taxonomy)
 
@@ -300,7 +286,7 @@ def _cmd_ablate(args) -> int:
 
     tables = {}
     reports = {}
-    for variant in ev.ABLATION_VARIANTS:
+    for variant in ABLATION_VARIANTS:
         tables[variant], reports[variant] = ev.run_ablation(
             train_corpus, test_corpus, variant, config
         )
@@ -309,7 +295,7 @@ def _cmd_ablate(args) -> int:
         print(f"check: {line}")
     print()
     print(ev.render_comparison(reports))
-    for variant in ev.ABLATION_VARIANTS:
+    for variant in ABLATION_VARIANTS:
         print()
         print(f"== {variant} ==")
         print(ev.render_report(reports[variant]))

@@ -2,7 +2,8 @@
 
 A corpus directory holds ``passed/*.log`` and ``failed/*.log`` plus a
 ``labels.csv`` mapping each failed log id (the file stem) to a cause id.
-Passed logs carry no labels.
+Passed logs carry no labels.  A ``Corpus`` keeps each group in log-id
+order, which is the order every later stage reads it in.
 """
 
 import csv
@@ -62,13 +63,25 @@ class LabeledFailedLog:
     cause: int
 
 
+def _log_id(log) -> str:
+    return log.log_id
+
+
 @dataclass(frozen=True)
 class Corpus:
+    """Passed and labelled failed logs, each group sorted by log id.
+
+    Training mines templates in this order and evaluation predicts in it,
+    so a model and a report do not depend on how the logs were listed.
+    """
+
     passed: tuple[PassedLog, ...]
     failed: tuple[LabeledFailedLog, ...]
     taxonomy: CauseTaxonomy
 
     def __post_init__(self):
+        object.__setattr__(self, "passed", tuple(sorted(self.passed, key=_log_id)))
+        object.__setattr__(self, "failed", tuple(sorted(self.failed, key=_log_id)))
         for group, kind in ((self.passed, "passed"), (self.failed, "failed")):
             ids = [log.log_id for log in group]
             if len(ids) != len(set(ids)):
@@ -87,7 +100,18 @@ class Corpus:
 def read_log_lines(path) -> tuple[str, ...]:
     """Read a UTF-8 log file; undecodable bytes are replaced, never fatal."""
     text = Path(path).read_text(encoding="utf-8", errors="replace")
-    return tuple(text.splitlines())
+    # read_text has already turned "\r\n" and "\r" into "\n"; splitlines()
+    # would also break at form feeds and other separators that no line
+    # counter (editor, grep -n) treats as line ends.
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return tuple(lines)
+
+
+def log_files(directory) -> list[Path]:
+    """The ``*.log`` files of a directory in log-id (file stem) order."""
+    return sorted(Path(directory).glob("*.log"), key=lambda path: path.stem)
 
 
 def load_labels(path, taxonomy: CauseTaxonomy) -> dict[str, int]:
@@ -145,8 +169,8 @@ def load_corpus(root, labels_path=None, taxonomy: CauseTaxonomy = DEFAULT_TAXONO
     treated as empty.
     """
     root = Path(root)
-    passed_files = sorted((root / "passed").glob("*.log")) if (root / "passed").is_dir() else []
-    failed_files = sorted((root / "failed").glob("*.log")) if (root / "failed").is_dir() else []
+    passed_files = log_files(root / "passed") if (root / "passed").is_dir() else []
+    failed_files = log_files(root / "failed") if (root / "failed").is_dir() else []
 
     labels: dict[str, int] = {}
     if failed_files or labels_path is not None:
@@ -190,19 +214,16 @@ def split(corpus: Corpus, test_fraction: float, seed: int) -> tuple[Corpus, Corp
     train_failed: list[LabeledFailedLog] = []
     test_failed: list[LabeledFailedLog] = []
     for cause in range(corpus.taxonomy.k):
-        group = sorted((f for f in corpus.failed if f.cause == cause), key=lambda f: f.log_id)
+        group = [f for f in corpus.failed if f.cause == cause]
         n = len(group)
         if n < 2:
             train_failed.extend(group)
             continue
         n_test = min(math.ceil(exact_fraction * n), n - 1)
-        shuffled = group[:]
-        rng.shuffle(shuffled)
-        test_failed.extend(shuffled[:n_test])
-        train_failed.extend(shuffled[n_test:])
+        rng.shuffle(group)
+        test_failed.extend(group[:n_test])
+        train_failed.extend(group[n_test:])
 
-    train_failed.sort(key=lambda f: f.log_id)
-    test_failed.sort(key=lambda f: f.log_id)
     train = Corpus(corpus.passed, tuple(train_failed), corpus.taxonomy)
     test = Corpus((), tuple(test_failed), corpus.taxonomy)
     return train, test

@@ -5,6 +5,10 @@ one with no true logs has recall 0), which keeps macro averages defined
 on degenerate classifiers like the majority-class baseline.  Macro F1 is
 the unweighted mean of the per-class F1 values, not the harmonic mean of
 macro precision and recall.
+
+``predict_corpus`` predicts a corpus's failed logs in the corpus's log-id
+order; ``run_ablation`` trains a variant that ``table.build`` names and
+scores it the same way.
 """
 
 from dataclasses import dataclass
@@ -119,10 +123,10 @@ def evaluate(
 
 
 def predict_corpus(miner: TemplateMiner, table: ScoreTable, corpus: Corpus) -> MacroReport:
-    """Predict the corpus's failed logs in log-id order and score them."""
+    """Predict the corpus's failed logs, in its log-id order, and score them."""
     truth = []
     predicted = []
-    for log in sorted(corpus.failed, key=lambda log: log.log_id):
+    for log in corpus.failed:
         prediction, _ = predict_lines(miner, table, log.lines, log.log_id)
         truth.append(log.cause)
         predicted.append(prediction.cause)
@@ -130,25 +134,6 @@ def predict_corpus(miner: TemplateMiner, table: ScoreTable, corpus: Corpus) -> M
 
 
 # -- ablation variants ---------------------------------------------------
-
-ABLATION_VARIANTS = ("full", "drop1", "drop2", "drop3")
-
-_VARIANT_SWITCHES = {
-    "full": {},
-    "drop1": {"skip_diff": True},  # keep events shared with passed logs
-    "drop2": {"skip_reweight": True},  # raw counts go straight to icf scaling
-    "drop3": {"skip_icf": True},  # no class-frequency boost
-}
-
-
-def build_variant(train_corpus: Corpus, variant: str, config: AbstractionConfig | None = None):
-    """Build the named variant (case-insensitive) of the pipeline."""
-    switches = _VARIANT_SWITCHES.get(variant.lower())
-    if switches is None:
-        raise ValidationError(
-            f"unknown ablation variant {variant!r}; choose from {', '.join(ABLATION_VARIANTS)}"
-        )
-    return build(train_corpus, config, **switches)
 
 
 def run_ablation(
@@ -158,7 +143,7 @@ def run_ablation(
     config: AbstractionConfig | None = None,
 ) -> tuple[ScoreTable, MacroReport]:
     """Train one pipeline variant and evaluate it on the test corpus."""
-    miner, table = build_variant(train_corpus, variant, config)
+    miner, table = build(train_corpus, config, variant)
     return table, predict_corpus(miner, table, test_corpus)
 
 

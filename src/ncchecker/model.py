@@ -9,6 +9,7 @@ original training corpus.  Sections carry explicit line counts so raw
 template text can never be mistaken for a section marker.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -20,13 +21,7 @@ MODEL_HEADER = "ncc-model v1"
 
 
 def _config_to_json(config: AbstractionConfig) -> str:
-    payload = {
-        "tree_depth": config.tree_depth,
-        "similarity_threshold": config.similarity_threshold,
-        "max_children": config.max_children,
-        "mask_rules": [list(rule) for rule in config.mask_rules],
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return json.dumps(dataclasses.asdict(config), sort_keys=True, separators=(",", ":"))
 
 
 def _config_from_json(text: str) -> AbstractionConfig:
@@ -36,10 +31,7 @@ def _config_from_json(text: str) -> AbstractionConfig:
         raise ValidationError(f"model field 'config': invalid JSON ({exc})") from None
     try:
         config = AbstractionConfig(
-            tree_depth=payload["tree_depth"],
-            similarity_threshold=payload["similarity_threshold"],
-            max_children=payload["max_children"],
-            mask_rules=tuple(tuple(rule) for rule in payload["mask_rules"]),
+            **{field.name: payload[field.name] for field in dataclasses.fields(AbstractionConfig)}
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"model field 'config': {exc}") from None

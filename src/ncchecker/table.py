@@ -176,35 +176,37 @@ def apply_icf(table: ScoreTable) -> ScoreTable:
     return replace(table, rows=rows)
 
 
+ABLATION_VARIANTS = ("full", "drop1", "drop2", "drop3")
+
+
 def build(
-    train_corpus: Corpus,
-    config: AbstractionConfig | None = None,
-    *,
-    skip_diff: bool = False,
-    skip_reweight: bool = False,
-    skip_icf: bool = False,
+    train_corpus: Corpus, config: AbstractionConfig | None = None, variant: str = "full"
 ) -> tuple[TemplateMiner, ScoreTable]:
     """Run the whole construction pipeline over a training corpus.
 
-    Mines templates over all passed then all failed logs (sorted by log
-    id), freezes the miner, and builds the score table.  The skip flags
-    implement the ablation variants; everything else stays identical.
+    Mines templates over all passed then all failed logs, in the corpus's
+    log-id order, freezes the miner, and builds the score table.
+    ``variant`` names one of ``ABLATION_VARIANTS`` (case-insensitive):
+    ``full`` runs every step, ``drop1`` keeps events shared with passed
+    logs, ``drop2`` passes raw counts to the icf scaling, and ``drop3``
+    leaves out the icf scaling; everything else stays identical.
     """
+    name = variant.lower()
+    if name not in ABLATION_VARIANTS:
+        raise ValidationError(
+            f"unknown ablation variant {variant!r}; choose from {', '.join(ABLATION_VARIANTS)}"
+        )
     if not train_corpus.failed:
         raise ValidationError("training corpus has no failed logs; nothing to learn from")
     miner = TemplateMiner(config)
-    passed_seqs = [
-        miner.parse_log(log.lines, log.log_id)
-        for log in sorted(train_corpus.passed, key=lambda log: log.log_id)
-    ]
+    passed_seqs = [miner.parse_log(log.lines, log.log_id) for log in train_corpus.passed]
     labeled_seqs = [
-        (miner.parse_log(log.lines, log.log_id), log.cause)
-        for log in sorted(train_corpus.failed, key=lambda log: log.log_id)
+        (miner.parse_log(log.lines, log.log_id), log.cause) for log in train_corpus.failed
     ]
     miner.freeze()
 
     passed_pool, failed_pool = collect_pools(passed_seqs, (seq for seq, _ in labeled_seqs))
-    if skip_diff:
+    if name == "drop1":
         vocabulary = failed_pool
         if not vocabulary:
             raise ValidationError("failed logs produced no events")
@@ -212,8 +214,10 @@ def build(
         vocabulary = diff_with_pass(failed_pool, passed_pool)
 
     counts = init_counts(vocabulary, labeled_seqs, train_corpus.taxonomy.k)
-    reweighted = scores_from_counts(counts, train_corpus.taxonomy, skip_reweight=skip_reweight)
-    table = reweighted if skip_icf else apply_icf(reweighted)
+    reweighted = scores_from_counts(
+        counts, train_corpus.taxonomy, skip_reweight=name == "drop2"
+    )
+    table = reweighted if name == "drop3" else apply_icf(reweighted)
     return miner, table
 
 

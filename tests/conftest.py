@@ -1,6 +1,6 @@
 import pytest
 
-from ncchecker import Corpus, DEFAULT_TAXONOMY, LabeledFailedLog, PassedLog
+from ncchecker.corpus import DEFAULT_TAXONOMY, Corpus, LabeledFailedLog, PassedLog
 
 # Shared one-problem lines for the miniature worked-example corpus. Token
 # counts and leading tokens are chosen so the miner keeps them distinct

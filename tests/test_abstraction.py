@@ -7,18 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bruteforce import scan_parse_line, scan_train_line, scan_train_log, written_preprocess
-from ncchecker import abstraction
-from ncchecker import (
-    AbstractionConfig,
+from ncchecker import AbstractionConfig, ValidationError, abstraction
+from ncchecker.abstraction import (
+    DEFAULT_MASK_RULES,
+    REGISTRY_HEADER,
+    UNKNOWN_EVENT_ID,
+    WILDCARD,
     LogTemplate,
     TemplateMiner,
-    UNKNOWN_EVENT_ID,
-    ValidationError,
-    WILDCARD,
     preprocess,
     seq_similarity,
 )
-from ncchecker.abstraction import DEFAULT_MASK_RULES, REGISTRY_HEADER
 from ncchecker.corpus import load_corpus
 from ncchecker.generator import default_spec, generate_synthetic
 from ncchecker.table import build
@@ -237,10 +236,10 @@ def test_frozen_unseen_maps_to_unknown_and_is_pure(config):
     miner = TemplateMiner(config)
     miner.parse_log(["alpha beta gamma", "delta epsilon"], "train")
     miner.freeze()
-    before = miner.registry_fingerprint()
+    before = miner.export_registry()
     seq = miner.parse_log(["never seen anywhere before now"], "new")
     assert seq.events == (UNKNOWN_EVENT_ID,)
-    assert miner.registry_fingerprint() == before
+    assert miner.export_registry() == before
 
 
 def test_frozen_matches_trained_lines(config):
@@ -621,7 +620,7 @@ def test_determinism_identical_inputs_identical_registries(config):
     seq_a = first.parse_log(lines, "log")
     seq_b = second.parse_log(lines, "log")
     assert seq_a == seq_b
-    assert first.registry_fingerprint() == second.registry_fingerprint()
+    assert first.export_registry() == second.export_registry()
 
 
 def test_idempotent_reparse_in_trained_state(config):
@@ -643,7 +642,8 @@ def test_wildcard_positions_only_grow(config):
         event = miner.parse_line(line)
         if event is None:
             continue
-        positions = miner.templates[event].wildcard_positions()
+        tokens = miner.templates[event].tokens
+        positions = frozenset(i for i, tok in enumerate(tokens) if tok == WILDCARD)
         assert positions >= seen.get(event, frozenset())
         seen[event] = positions
 
@@ -674,7 +674,7 @@ def test_registry_round_trip(config):
     miner = TemplateMiner(config)
     miner.parse_log(_fuzz_lines(8, 120), "log")
     restored = TemplateMiner.from_registry_text(miner.export_registry(), config)
-    assert restored.registry_fingerprint() == miner.registry_fingerprint()
+    assert restored.export_registry() == miner.export_registry()
     # A rebuilt miner keeps allocating fresh ids after the highest one.
     # Nine tokens: longer than any fuzz line, so this cannot merge.
     new_event = restored.parse_line("zz yy xx ww vv uu tt ss rr")

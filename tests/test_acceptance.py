@@ -13,30 +13,30 @@ from dataclasses import replace
 
 import pytest
 
-from ncchecker import (
-    ABLATION_VARIANTS,
-    Corpus,
-    TemplateMiner,
-    ablation_identities,
-    build,
-    build_variant,
-    compute_icf,
-    evaluate,
-    load_corpus,
-    macro,
-    majority_from_counts,
-    per_class_metrics,
-    confusion,
-    predict_lines,
-    rg_predict_from_counts,
-    run_ablation,
-    split,
-)
+from ncchecker import build, load_corpus, predict_lines, save_model, split
+from ncchecker.abstraction import WILDCARD, TemplateMiner
+from ncchecker.baselines import rg_predict_from_counts
 from ncchecker.cli import main as cli_main
-from ncchecker.evaluation import ClassMetrics
+from ncchecker.corpus import Corpus
+from ncchecker.evaluation import (
+    ClassMetrics,
+    ablation_identities,
+    confusion,
+    evaluate,
+    macro,
+    per_class_metrics,
+    run_ablation,
+)
 from ncchecker.generator import default_spec, generate_synthetic
-from ncchecker.model import save_model
-from ncchecker.table import collect_pools, diff_with_pass, init_counts, reweight
+from ncchecker.table import (
+    ABLATION_VARIANTS,
+    collect_pools,
+    compute_icf,
+    diff_with_pass,
+    init_counts,
+    majority_from_counts,
+    reweight,
+)
 
 from bruteforce import brute_force_rows
 from conftest import make_fig_corpus
@@ -178,7 +178,7 @@ def test_criterion_5_minority_recall_and_column_scaling(tmp_path):
     assert full_recall == 1.0
     assert full_recall >= drop3_recall
 
-    tables = {v: build_variant(train, v)[1] for v in ("full", "drop1", "drop3")}
+    tables = {v: build(train, variant=v)[1] for v in ("full", "drop1", "drop3")}
     messages = ablation_identities(tables["full"], tables["drop1"], tables["drop3"])
     assert len(messages) == 2
     _passed(
@@ -194,7 +194,7 @@ def test_criterion_6_ablation_structure(tmp_path, capsys):
     corpus = load_corpus(tmp_path)
     train, _ = split(corpus, 0.2, seed=2)
 
-    tables = {v: build_variant(train, v)[1] for v in ABLATION_VARIANTS}
+    tables = {v: build(train, variant=v)[1] for v in ABLATION_VARIANTS}
     # Drop1 keeps events that also occur in passed logs: a strict superset here.
     assert set(tables["drop1"].rows) > set(tables["full"].rows)
     # Drop2 rows bypass the reweighting equations: cells are raw presence
@@ -340,18 +340,19 @@ def test_criterion_9_template_miner_suite():
     wildcard_history: dict[str, frozenset[int]] = {}
     for line in fuzz:
         event = trained.parse_line(line)
-        positions = trained.templates[event].wildcard_positions()
+        tokens = trained.templates[event].tokens
+        positions = frozenset(i for i, tok in enumerate(tokens) if tok == WILDCARD)
         assert positions >= wildcard_history.get(event, frozenset())
         wildcard_history[event] = positions
 
     # Frozen-mode purity over 1,000 fresh fuzzed lines.
     trained.freeze()
-    fingerprint = trained.registry_fingerprint()
+    registry = trained.export_registry()
     fresh = [
         " ".join(rng.choice(words) + str(rng.randint(100, 999)) for _ in range(rng.randint(1, 9)))
         for _ in range(1000)
     ]
     for line in fresh:
         trained.parse_line(line)
-    assert trained.registry_fingerprint() == fingerprint
+    assert trained.export_registry() == registry
     _passed(9, "numeric merge, wildcard monotonicity, and frozen purity hold")

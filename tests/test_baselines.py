@@ -3,20 +3,19 @@ from collections import Counter
 
 import pytest
 
-from ncchecker import (
-    DEFAULT_TAXONOMY,
-    EventSequence,
-    LabeledFailedLog,
-    ValidationError,
+from ncchecker import ValidationError
+from ncchecker.abstraction import EventSequence
+from ncchecker.baselines import (
+    _cosine,
     cam_predict,
     cam_train,
     lff_predict,
     lff_train,
-    majority_from_counts,
     rg_predict_from_counts,
     rg_trials,
 )
-from ncchecker.baselines import _cosine
+from ncchecker.corpus import DEFAULT_TAXONOMY, LabeledFailedLog
+from ncchecker.table import majority_from_counts
 
 
 def _seq(events, source="f"):

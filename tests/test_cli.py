@@ -109,6 +109,21 @@ def test_predict_benign_only_log_reports_fallback(model_path, tmp_path, capsys):
     assert "flag\t" not in stdout
 
 
+def test_predict_line_numbers_count_only_newlines(corpus_dir, model_path, tmp_path, capsys):
+    # Form feed, file separator and U+2028 end no line for grep -n or an
+    # editor, so they must not shift the flagged line numbers.
+    source = sorted((corpus_dir / "failed").glob("*.log"))[-1]
+    edited = tmp_path / source.name
+    edited.write_text("INFO form\x0cfeed\x1crecord\u2028line\n" + source.read_text())
+    flagged = []
+    for path in (source, edited):
+        assert main(["predict", str(model_path), str(path), "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        flagged.append([f["line"] for f in record["flagged_lines"]])
+    assert flagged[0]
+    assert flagged[1] == [n + 1 for n in flagged[0]]
+
+
 def test_predict_directory_json_sorted(corpus_dir, model_path, capsys):
     failed_dir = str(corpus_dir / "failed")
     assert main(["predict", str(model_path), failed_dir, "--json"]) == 0
@@ -214,6 +229,9 @@ def _malformed_input_args(case, corpus_dir, model_path, tmp_path):
             model_path, tmp_path, lambda c: c["mask_rules"].__setitem__(0, ["a"])
         )
         return "predict", model, corpus_dir / "failed"
+    if case == "model-config-missing-max-children":
+        model = _edited_model(model_path, tmp_path, lambda c: c.pop("max_children"))
+        return "predict", model, corpus_dir / "failed"
     if case == "model-tree-depth-not-an-integer":
         model = _edited_model(model_path, tmp_path, lambda c: c.__setitem__("tree_depth", 4.0))
         return "predict", model, corpus_dir / "failed"
@@ -244,6 +262,7 @@ def _malformed_input_args(case, corpus_dir, model_path, tmp_path):
     "case",
     [
         "model-mask-rule-not-a-pair",
+        "model-config-missing-max-children",
         "model-tree-depth-not-an-integer",
         "model-negative-class-count",
         "model-non-finite-cell",

@@ -1,13 +1,12 @@
 import pytest
 
-from ncchecker import (
+from ncchecker import ValidationError, load_corpus, split
+from ncchecker.corpus import (
+    DEFAULT_TAXONOMY,
     CauseTaxonomy,
     Corpus,
-    DEFAULT_TAXONOMY,
     LabeledFailedLog,
-    ValidationError,
-    load_corpus,
-    split,
+    PassedLog,
 )
 
 
@@ -56,6 +55,20 @@ def test_bad_header_rejected(tmp_path):
     (tmp_path / "labels.csv").write_text("id,cause\nf1,0\n")
     with pytest.raises(ValidationError, match="header"):
         load_corpus(tmp_path)
+
+
+def test_load_keeps_logs_in_id_order_not_path_order(tmp_path):
+    # As paths, "a-b.log" sorts before "a.log"; as ids, "a" comes first.
+    _write_corpus(tmp_path, {}, {"a": "x\n", "a-b": "y\n"}, ["a,0", "a-b,1"])
+    assert [log.log_id for log in load_corpus(tmp_path).failed] == ["a", "a-b"]
+
+
+def test_corpus_sorts_each_group_by_log_id():
+    passed = (PassedLog("p2", ("x",)), PassedLog("p1", ("y",)))
+    failed = (LabeledFailedLog("f2", ("x",), 0), LabeledFailedLog("f1", ("y",), 1))
+    corpus = Corpus(passed, failed, DEFAULT_TAXONOMY)
+    assert [log.log_id for log in corpus.passed] == ["p1", "p2"]
+    assert [log.log_id for log in corpus.failed] == ["f1", "f2"]
 
 
 def test_undecodable_bytes_are_replaced(tmp_path):

@@ -1,13 +1,13 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
-from ncchecker import (
-    ABLATION_VARIANTS,
+from ncchecker import ValidationError, build, load_corpus, split
+from ncchecker.corpus import DEFAULT_TAXONOMY
+from ncchecker.evaluation import (
     ClassMetrics,
-    DEFAULT_TAXONOMY,
-    ValidationError,
     ablation_identities,
-    build_variant,
     confusion,
     evaluate,
     macro,
@@ -17,10 +17,9 @@ from ncchecker import (
     render_report,
     report_records,
     run_ablation,
-    split,
 )
 from ncchecker.generator import default_spec, generate_synthetic
-from ncchecker.corpus import load_corpus
+from ncchecker.table import ABLATION_VARIANTS
 
 
 # -- confusion -----------------------------------------------------------------
@@ -197,7 +196,7 @@ def test_full_pipeline_is_perfect_on_planted_corpus(planted_split):
 
 def test_run_ablation_returns_the_variant_table_and_its_report(planted_split):
     train, test = planted_split
-    miner, built = build_variant(train, "drop2")
+    miner, built = build(train, variant="drop2")
     table, report = run_ablation(train, test, "drop2")
     assert table == built
     assert report == predict_corpus(miner, built, test)
@@ -205,7 +204,7 @@ def test_run_ablation_returns_the_variant_table_and_its_report(planted_split):
 
 def test_drop1_table_is_superset_and_drop3_scales(planted_split):
     train, _ = planted_split
-    tables = {v: build_variant(train, v)[1] for v in ABLATION_VARIANTS}
+    tables = {v: build(train, variant=v)[1] for v in ABLATION_VARIANTS}
     messages = ablation_identities(tables["full"], tables["drop1"], tables["drop3"])
     assert len(messages) == 2
     assert set(tables["drop1"].rows) > set(tables["full"].rows)
@@ -213,9 +212,9 @@ def test_drop1_table_is_superset_and_drop3_scales(planted_split):
 
 def test_drop2_rows_are_counts_times_icf(planted_split):
     train, _ = planted_split
-    full = build_variant(train, "full")[1]
-    drop2 = build_variant(train, "drop2")[1]
-    drop3 = build_variant(train, "drop3")[1]
+    full = build(train, variant="full")[1]
+    drop2 = build(train, variant="drop2")[1]
+    drop3 = build(train, variant="drop3")[1]
     assert set(drop2.rows) == set(full.rows)
     for eid, row in drop2.rows.items():
         # Undo the icf scaling: the remaining values must be raw integer
@@ -230,11 +229,15 @@ def test_unknown_variant_rejected(planted_split):
     train, test = planted_split
     with pytest.raises(ValidationError, match="unknown ablation variant"):
         run_ablation(train, test, "drop9")
+    message = "unknown ablation variant 'drop4'; choose from full, drop1, drop2, drop3"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        build(train, variant="drop4")
 
 
 def test_variant_names_are_case_insensitive(planted_split):
     train, test = planted_split
     assert run_ablation(train, test, "Full")[1].f1 == run_ablation(train, test, "full")[1].f1
+    assert build(train, variant="DROP1")[1] == build(train, variant="drop1")[1]
 
 
 def test_variants_disagree_in_the_expected_direction(planted_split):

@@ -1,12 +1,11 @@
 import pytest
 
-from ncchecker import (
+from ncchecker import ValidationError, load_corpus
+from ncchecker.generator import (
     SyntheticSpec,
-    ValidationError,
     corpus_digest,
     default_spec,
     generate_synthetic,
-    load_corpus,
     parse_manifest,
 )
 

@@ -13,7 +13,7 @@ def test_model_round_trip_preserves_everything(tmp_path, fig_corpus):
     loaded_miner, loaded_table = load_model(path)
 
     assert loaded_miner.frozen
-    assert loaded_miner.registry_fingerprint() == miner.registry_fingerprint()
+    assert loaded_miner.export_registry() == miner.export_registry()
     assert loaded_miner.config == miner.config
     assert loaded_table.rows == table.rows
     assert loaded_table.kinds == table.kinds

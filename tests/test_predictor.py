@@ -1,15 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ncchecker import (
-    DEFAULT_TAXONOMY,
-    EventSequence,
-    ValidationError,
-    build,
-    flag_lines,
-    predict,
-    predict_lines,
-)
+from ncchecker import ValidationError, build, flag_lines, predict_lines
+from ncchecker.abstraction import EventSequence
+from ncchecker.corpus import DEFAULT_TAXONOMY
+from ncchecker.predictor import predict
 from ncchecker.table import ScoreTable
 
 from conftest import MULTI_LINE, SINGLE1_LINE, SINGLE5_LINE
@@ -160,18 +155,18 @@ def test_argmax_invariant_under_positive_scaling(factor):
 
 def test_prediction_is_pure(fig_corpus):
     miner, table = build(fig_corpus)
-    fingerprint = miner.registry_fingerprint()
+    registry = miner.export_registry()
     rows_before = dict(table.rows)
     prediction, events = predict_lines(
         miner, table, [MULTI_LINE, "never seen gibberish line"], "new"
     )
-    assert miner.registry_fingerprint() == fingerprint
+    assert miner.export_registry() == registry
     assert table.rows == rows_before
     assert not prediction.fallback_used
 
 
 def test_predict_lines_requires_frozen_miner(fig_corpus):
-    from ncchecker import TemplateMiner
+    from ncchecker.abstraction import TemplateMiner
 
     _, table = build(fig_corpus)
     thawed = TemplateMiner()

@@ -3,24 +3,21 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from ncchecker import (
-    DEFAULT_TAXONOMY,
-    Corpus,
-    EventSequence,
-    LabeledFailedLog,
-    ValidationError,
+from ncchecker import ValidationError, build, load_corpus
+from ncchecker.abstraction import EventSequence
+from ncchecker.corpus import DEFAULT_TAXONOMY, Corpus, LabeledFailedLog
+from ncchecker.generator import default_spec, generate_synthetic, parse_manifest
+from ncchecker.table import (
     apply_icf,
-    build,
     collect_pools,
     compute_icf,
     diff_with_pass,
     init_counts,
     reweight,
     scores_from_counts,
+    table_from_text,
+    table_to_text,
 )
-from ncchecker.generator import default_spec, generate_synthetic, parse_manifest
-from ncchecker.corpus import load_corpus
-from ncchecker.table import table_from_text, table_to_text
 
 from bruteforce import brute_force_rows
 from conftest import MULTI_LINE, SINGLE1_LINE, SINGLE5_LINE
@@ -262,7 +259,7 @@ def test_build_synthetic_markers_become_single_problem_rows(tmp_path):
 def test_build_deterministic(fig_corpus):
     first = build(fig_corpus)
     second = build(fig_corpus)
-    assert first[0].registry_fingerprint() == second[0].registry_fingerprint()
+    assert first[0].export_registry() == second[0].export_registry()
     assert first[1].rows == second[1].rows
 
 
@@ -293,8 +290,14 @@ def test_pipeline_matches_brute_force_on_small_synthetic(tmp_path, seed):
     )
     generate_synthetic(spec, tmp_path / str(seed))
     corpus = load_corpus(tmp_path / str(seed))
-    for switches in ({}, {"skip_diff": True}, {"skip_reweight": True}, {"skip_icf": True}):
-        _, table = build(corpus, **switches)
+    # The oracle keeps its own switches for the steps each variant drops.
+    for variant, switches in (
+        ("full", {}),
+        ("drop1", {"skip_diff": True}),
+        ("drop2", {"skip_reweight": True}),
+        ("drop3", {"skip_icf": True}),
+    ):
+        _, table = build(corpus, variant=variant)
         oracle = brute_force_rows(corpus, **switches)
         assert set(oracle) == set(table.rows)
         for eid, row in oracle.items():
