@@ -46,14 +46,39 @@ A frozen parse is a pure function of the masked line, and a log repeats
 its masked lines far more often than its raw ones.  So a frozen
 ``parse_log`` keeps a memo from the masked line (before the split) to its
 event id and matches each distinct one once.  The memo lives for one log:
-a one-shot ``ncchecker predict`` would never find it warm, a per-call dict
-needs no shared state between threads, and training parses every line
-because each one may change the tree.
+a one-shot ``ncchecker predict`` would never find it warm, and a per-call
+dict needs no shared state between threads.
+
+A training parse may change the tree, yet most training lines repeat a
+masked line already seen, and such a repeat usually only counts one more
+match of the same template.  So a training miner keeps one memo, from its
+construction until ``freeze()`` drops it, mapping a masked line to the
+result of its last full match: the leaf's index, that index's widen count
+after the merge, and the template.  A hit adds one to the template's
+``match_count`` and skips the split, the routing, the lookup and the
+merge.  It is exact when both of these hold:
+
+* The entry was recorded after a match on a stable route.  A route is
+  stable when each step finds its key child, or falls back to ``<*>`` at
+  a node that already has ``max_children`` literal children.  Children
+  are never removed and a capped node never gains a literal child, so no
+  later register can send the line to another leaf.  A fallback at an
+  uncapped node is not stable: a register may create the literal child.
+* The leaf's index has not widened a template since.  After the merge the
+  template matches the line at every position, later slots can at best
+  tie it (ties go to the earliest slot), and every earlier slot scored
+  strictly less.  Only a merge that turns an earlier slot's literals into
+  wildcards can raise its score, and every such merge bumps the count.
+
+A register is not recorded (the line's second occurrence records), and a
+stale or missing entry is parsed in full and recorded again.  So ids,
+counts and templates are those of parsing every line.
 """
 
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Real
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
@@ -105,7 +130,9 @@ class AbstractionConfig:
 
     ``tree_depth`` counts the levels before leaf template groups (the
     token-count level plus ``tree_depth - 2`` token levels).  A line is
-    routed by at most its first ``tree_depth - 2`` tokens.
+    routed by at most its first ``tree_depth - 2`` tokens.  ``tree_depth``
+    and ``max_children`` must be ints and ``similarity_threshold`` a real
+    number; a bool is neither.
     """
 
     tree_depth: int = 4
@@ -117,6 +144,14 @@ class AbstractionConfig:
         object.__setattr__(
             self, "mask_rules", tuple((str(p), str(r)) for p, r in self.mask_rules)
         )
+        for name, kind, what in (
+            ("tree_depth", int, "an integer"),
+            ("max_children", int, "an integer"),
+            ("similarity_threshold", Real, "a real number"),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be {what}, got {value!r}")
         if self.tree_depth < 2:
             raise ValidationError(f"tree_depth must be >= 2, got {self.tree_depth}")
         if not 0.0 < self.similarity_threshold <= 1.0:
@@ -249,15 +284,17 @@ class _LeafIndex:
     wildcard slots are left out and counted per template in ``wildcards``.
     ``widest`` is the earliest slot with the most wildcards: it stands in
     for every template a line has no literal hit on.  Training keeps the
-    index current through ``add`` and ``widen``.
+    index current through ``add`` and ``widen``; ``widens`` counts the
+    ``widen`` calls, so a training memo entry can tell that it is stale.
     """
 
-    __slots__ = ("columns", "wildcards", "widest")
+    __slots__ = ("columns", "wildcards", "widest", "widens")
 
     def __init__(self, rows: Sequence[tuple[str, ...]]):
         self.columns = tuple({} for _ in rows[0])
         self.wildcards = []
         self.widest = 0
+        self.widens = 0
         for row in rows:
             self.add(row)
 
@@ -306,6 +343,7 @@ class _LeafIndex:
 
     def widen(self, slot: int, old: tuple[str, ...], new: tuple[str, ...]) -> None:
         """Re-index ``slot`` after a merge turned some literals into wildcards."""
+        self.widens += 1
         widened = 0
         for lookup, was, now in zip(self.columns, old, new):
             if was == now:
@@ -349,6 +387,8 @@ class TemplateMiner:
         self._templates: dict[str, LogTemplate] = {}
         self._frozen = False
         self._next_index = 1
+        # Training memo: masked line -> (leaf index, its widens, template).
+        self._memo: dict[str, tuple[_LeafIndex, int, LogTemplate]] | None = {}
 
     @property
     def frozen(self) -> bool:
@@ -356,6 +396,7 @@ class TemplateMiner:
 
     def freeze(self) -> "TemplateMiner":
         self._frozen = True
+        self._memo = None
         return self
 
     @property
@@ -373,19 +414,29 @@ class TemplateMiner:
     # Both walks route a line by its first ``tree_depth - 2`` tokens, never
     # by its last one.
 
-    def _search_leaf(self, tokens: Sequence[str]) -> _Node | None:
+    def _search_leaf(self, tokens: Sequence[str]) -> tuple[_Node | None, bool]:
+        """The leaf a line routes to, or None, and whether the route is stable.
+
+        Stable: no later register can send the line elsewhere (module
+        docstring).
+        """
         node = self._root.get(len(tokens))
         if node is None:
-            return None
+            return None, False
+        stable = True
         for token in tokens[: min(self._route_depth, len(tokens) - 1)]:
             key = _route_key(token)
-            child = node.children.get(key)
+            children = node.children
+            child = children.get(key)
             if child is None and key != WILDCARD:
-                child = node.children.get(WILDCARD)
+                child = children.get(WILDCARD)
+                # With the <*> child there, the node is capped when it has
+                # more than max_children children.
+                stable = stable and len(children) > self.config.max_children
             if child is None:
-                return None
+                return None, False
             node = child
-        return node
+        return node, stable
 
     def _insert_leaf(self, tokens: Sequence[str]) -> _Node:
         node = self._root.setdefault(len(tokens), _Node())
@@ -420,23 +471,30 @@ class TemplateMiner:
         """
         return self._parse_tokens(_mask(line, self._rules).split())
 
-    def _parse_tokens(self, tokens: Sequence[str]) -> str | None:
-        """``parse_line`` from the masked tokens on."""
+    def _parse_tokens(self, tokens: Sequence[str], masked: str | None = None) -> str | None:
+        """``parse_line`` from the masked tokens on.
+
+        A training match on a stable route is recorded in the memo under
+        ``masked``, the line the tokens were split from, when it is given.
+        """
         if not tokens:
             return None
-        leaf = self._search_leaf(tokens)
+        leaf, stable = self._search_leaf(tokens)
         if leaf is not None and leaf.template_ids:
             slot, sim = self._indexed_match(leaf, tokens)
             if sim >= self._threshold:
                 event_id = leaf.template_ids[slot]
                 if not self._frozen:
-                    self._merge(leaf, slot, tokens, sim)
+                    template = self._merge(leaf, slot, tokens, sim)
+                    if stable and masked is not None:
+                        index = leaf.index
+                        self._memo[masked] = (index, index.widens, template)
                 return event_id
         if self._frozen:
             return UNKNOWN_EVENT_ID
         return self._register(tokens).event_id
 
-    def _merge(self, leaf: _Node, slot: int, tokens: Sequence[str], sim: float) -> None:
+    def _merge(self, leaf: _Node, slot: int, tokens: Sequence[str], sim: float) -> LogTemplate:
         template = self._templates[leaf.template_ids[slot]]
         # sim is matched / len, exactly 1.0 only when every position matched:
         # then the merge would give the template back unchanged.
@@ -446,6 +504,7 @@ class TemplateMiner:
             template.tokens = merged
             leaf.index.widen(slot, old, merged)
         template.match_count += 1
+        return template
 
     def _register(self, tokens: Sequence[str]) -> LogTemplate:
         event_id = f"e{self._next_index}"
@@ -472,17 +531,16 @@ class TemplateMiner:
         before the split, to its event id (None for a blank line), so a
         repeat skips the split, the routing and the leaf lookup.  The memo
         dies with the call; why it is kept no longer is in the module
-        docstring.  A training miner parses every line, since each may
-        change the tree.
+        docstring.
+
+        A training miner looks each masked line up in its own memo, kept
+        across calls until ``freeze()``.  A hit whose leaf index has not
+        widened a template since it was recorded counts one more match of
+        the recorded template; any other line is parsed in full, and
+        recorded if it matched on a stable route.  The module docstring
+        says why a hit is exact.
         """
-        if self._frozen:
-            parse = self._frozen_parser()
-        else:
-            parse_tokens = self._parse_tokens
-
-            def parse(masked: str) -> str | None:
-                return parse_tokens(masked.split())
-
+        parse = self._frozen_parser() if self._frozen else self._training_parser()
         events: list[str] = []
         numbers: list[int] = []
         for lineno, masked in enumerate(self._mask_log(tuple(lines)), start=1):
@@ -500,6 +558,21 @@ class TemplateMiner:
             if text.count("\n") == len(lines) - 1:  # no line holds a "\n" of its own
                 return _mask(text, self._rules).split("\n")
         return [_mask(line, self._rules) for line in lines]
+
+    def _training_parser(self):
+        """A training ``_parse_tokens`` of a masked line, skipped on an exact memo hit."""
+        parse_tokens, memo = self._parse_tokens, self._memo
+
+        def parse(masked: str) -> str | None:
+            entry = memo.get(masked)
+            if entry is not None:
+                index, widens, template = entry
+                if index.widens == widens:
+                    template.match_count += 1
+                    return template.event_id
+            return parse_tokens(masked.split(), masked)
+
+        return parse
 
     def _frozen_parser(self):
         """A frozen ``_parse_tokens`` of a masked line, memoised for one log."""

@@ -62,8 +62,10 @@ def _read_json(path, what: str):
 def _setting(args, file_config: dict, key: str, kind):
     """A flag if given, else the config file's value, else the default (or None).
 
-    Flags arrive typed by argparse; a config file value is converted to
-    ``kind`` here, so a value of the wrong type is a validation error.
+    Flags arrive typed by argparse.  A config file value must be a JSON
+    number of the key's ``kind``: an integer for ``int``, an integer or a
+    real for ``float``, never a bool (a JSON ``true`` is a Python ``int``).
+    Anything else is a validation error, never truncated or parsed.
     """
     value = getattr(args, key, None)
     if value is not None:
@@ -71,12 +73,13 @@ def _setting(args, file_config: dict, key: str, kind):
     if key not in file_config:
         return _DEFAULTS.get(key)
     value = file_config[key]
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(
-            f"config key {key!r}: expected {kind.__name__}, got {value!r}"
-        ) from None
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, accepted) and not isinstance(value, bool):
+        try:
+            return kind(value)
+        except OverflowError:  # an integer too large for a float
+            pass
+    raise ValidationError(f"config key {key!r}: expected {kind.__name__}, got {value!r}")
 
 
 def _abstraction_config(args, file_config: dict) -> AbstractionConfig:

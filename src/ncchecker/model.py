@@ -30,16 +30,11 @@ def _config_from_json(text: str) -> AbstractionConfig:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"model field 'config': invalid JSON ({exc})") from None
     try:
-        config = AbstractionConfig(
+        return AbstractionConfig(
             **{field.name: payload[field.name] for field in dataclasses.fields(AbstractionConfig)}
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
         raise ValidationError(f"model field 'config': {exc}") from None
-    if not isinstance(config.tree_depth, int):
-        raise ValidationError(
-            f"model field 'config': tree_depth {config.tree_depth!r} is not an integer"
-        )
-    return config
 
 
 def model_to_text(miner: TemplateMiner, table: ScoreTable) -> str:

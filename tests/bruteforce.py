@@ -32,7 +32,7 @@ def written_preprocess(line, config):
 
 def _scan_leaf(miner, tokens):
     """First template of the routed leaf with the highest similarity, or None."""
-    leaf = miner._search_leaf(tokens)
+    leaf, _ = miner._search_leaf(tokens)
     best, best_sim = None, -1.0
     for tid in leaf.template_ids if leaf is not None else ():
         template = miner.templates[tid]

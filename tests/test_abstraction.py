@@ -515,6 +515,131 @@ def test_frozen_parse_log_memo_lives_for_one_log(monkeypatch):
     assert lookups == 3
 
 
+# -- the training memo --------------------------------------------------------
+
+# Digit-bearing tokens: "1" masks to <*>, "x1" and "x2" stay literal but
+# route through the <*> child, so routes fall back and fill overflow lanes.
+_TRAIN_EXTRA_TOKENS = ("1", "x1", "x2")
+
+
+@st.composite
+def _training_runs(draw):
+    vocabulary = draw(st.lists(st.sampled_from(_WORD_POOL[:4]), min_size=2, max_size=4, unique=True))
+    config = draw(
+        st.builds(
+            AbstractionConfig,
+            tree_depth=st.sampled_from([2, 3, 4, 5]),
+            similarity_threshold=st.sampled_from([0.34, 0.4, 0.5, 0.6, 1.0]),
+            max_children=st.sampled_from([1, 2, 3, 100]),
+        )
+    )
+    words = st.lists(st.sampled_from(vocabulary + list(_TRAIN_EXTRA_TOKENS)), min_size=2, max_size=4)
+    # Logs drawn from a few distinct lines repeat them often, so entries
+    # are recorded, hit, and made stale by later merges and registers.
+    pool = draw(st.lists(words.map(" ".join), min_size=2, max_size=12, unique=True)) + [""]
+    # Each log is trained by parse_log, or line by line by parse_line.
+    logs = st.tuples(st.booleans(), st.lists(st.sampled_from(pool), max_size=40))
+    return config, draw(st.lists(logs, min_size=1, max_size=8))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(_training_runs())
+def test_training_memo_equals_linear_scan_across_logs(case):
+    config, logs = case
+    miner, scan_miner = TemplateMiner(config), TemplateMiner(config)
+    for whole_log, lines in logs:
+        if whole_log:
+            events = list(miner.parse_log(lines).events)
+        else:
+            events = [e for e in map(miner.parse_line, lines) if e is not None]
+        assert events == scan_train_log(scan_miner, lines)
+        assert miner.export_registry() == scan_miner.export_registry()
+
+
+def test_training_memo_entry_is_stale_after_an_earlier_slot_widens():
+    # "c d" is recorded as e2.  Two merges widen e1 to "<*> <*>", which now
+    # ties e2 on "c d" at full score and wins as the earlier slot.
+    config = AbstractionConfig(tree_depth=2, similarity_threshold=0.5, mask_rules=())
+    lines = ["a b", "c d", "c d", "a d", "c b", "c d"]
+    miner, scan_miner = TemplateMiner(config), TemplateMiner(config)
+    events = miner.parse_log(lines).events
+    assert events == ("e1", "e2", "e2", "e1", "e1", "e1")
+    assert list(events) == scan_train_log(scan_miner, lines)
+    assert miner.export_registry() == scan_miner.export_registry()
+
+
+@pytest.mark.parametrize("max_children", [1, 100])
+def test_training_memo_skips_a_fallback_at_an_uncapped_node(max_children):
+    # "k a b" falls back to the <*> child and matches e1, but the node has
+    # fewer than max_children literal children, so it may still gain "k":
+    # registering "k x y" creates it, and the next "k a b" routes there and
+    # registers e3.
+    config = AbstractionConfig(tree_depth=3, similarity_threshold=0.5, max_children=max_children)
+    lines = ["1 a b", "k a b", "k x y", "k a b"]
+    miner, scan_miner = TemplateMiner(config), TemplateMiner(config)
+    events = miner.parse_log(lines).events
+    assert events == ("e1", "e1", "e2", "e3")
+    assert list(events) == scan_train_log(scan_miner, lines)
+    assert miner.export_registry() == scan_miner.export_registry()
+
+
+def _count_best_slot(monkeypatch):
+    calls = [0]
+    best_slot = abstraction._LeafIndex.best_slot
+
+    def counting_best_slot(index, tokens):
+        calls[0] += 1
+        return best_slot(index, tokens)
+
+    monkeypatch.setattr(abstraction._LeafIndex, "best_slot", counting_best_slot)
+    return calls
+
+
+def test_training_memo_hits_in_an_overflow_lane(monkeypatch):
+    # "x" takes the root's one literal child, so "y" and "z" fall back to
+    # the <*> lane of a capped node: a stable route.
+    config = AbstractionConfig(tree_depth=3, max_children=1, mask_rules=())
+    lines = ["x a b", "y a b"] + ["z a b"] * 5
+    calls = _count_best_slot(monkeypatch)
+    miner, scan_miner = TemplateMiner(config), TemplateMiner(config)
+    events = miner.parse_log(lines).events
+    assert events == ("e1",) + ("e2",) * 6
+    assert calls[0] == 1  # the first "z a b"; the rest hit the memo
+    assert list(events) == scan_train_log(scan_miner, lines)
+    assert miner.export_registry() == scan_miner.export_registry()
+    assert miner.templates["e2"].match_count == 6
+
+
+def test_training_memo_lives_across_logs_and_keys_the_masked_line(monkeypatch):
+    miner = TemplateMiner(AbstractionConfig())
+    miner.parse_log(["retry 3 of job alpha"] * 2)  # registers, then records
+    calls = _count_best_slot(monkeypatch)
+    log = [f"retry {n} of job alpha" for n in range(50)]
+    assert miner.parse_log(log).events == ("e1",) * 50
+    assert miner.parse_log(log).events == ("e1",) * 50
+    assert calls[0] == 0
+    assert miner.templates["e1"].match_count == 102
+
+
+def test_training_memo_stays_exact_when_parse_line_widens_between_logs():
+    config = AbstractionConfig(tree_depth=2, similarity_threshold=0.5, mask_rules=())
+    miner = TemplateMiner(config)
+    assert miner.parse_log(["a b", "c d", "c d"]).events == ("e1", "e2", "e2")
+    assert miner.parse_line("a d") == "e1"
+    assert miner.parse_line("c b") == "e1"  # e1 is now "<*> <*>"
+    assert miner.parse_log(["c d"]).events == ("e1",)
+
+
+def test_freeze_drops_training_memo():
+    miner = TemplateMiner(AbstractionConfig(mask_rules=()))
+    miner.parse_log(["a b c", "a b c"])
+    assert "a b c" in miner._memo
+    miner.freeze()
+    assert miner._memo is None
+    assert miner.parse_log(["a b c", "a b c"]).events == ("e1", "e1")
+    assert miner.templates["e1"].match_count == 2
+
+
 # -- whole-log masking --------------------------------------------------------
 
 # Short lines of mask pieces, with the line breaks other than "\n" that a
@@ -695,3 +820,19 @@ def test_config_invariants():
         AbstractionConfig(similarity_threshold=1.5)
     with pytest.raises(ValidationError):
         AbstractionConfig(max_children=0)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("tree_depth", 4.0),
+        ("tree_depth", True),
+        ("max_children", 2.5),
+        ("max_children", True),
+        ("similarity_threshold", True),
+        ("similarity_threshold", "0.4"),
+    ],
+)
+def test_config_rejects_wrong_types(key, value):
+    with pytest.raises(ValidationError, match=f"{key} must be an? (integer|real number), got"):
+        AbstractionConfig(**{key: value})

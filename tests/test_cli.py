@@ -387,6 +387,36 @@ def test_config_file_supplies_defaults(corpus_dir, tmp_path):
     assert '"similarity_threshold":0.4' in out_b.read_text().splitlines()[1]
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("train", "tree_depth", 3.9),
+        ("train", "max_children", True),
+        ("train", "tree_depth", "4"),
+        ("train", "similarity_threshold", True),
+        ("train", "similarity_threshold", "0.5"),
+        ("ablate", "seed", 2.7),
+        ("ablate", "test_fraction", False),
+    ],
+)
+def test_config_file_value_of_wrong_type_rejected(command, key, value, corpus_dir, tmp_path, capsys):
+    # A float or a bool for an int key is rejected, not truncated.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    out = ["--out", str(tmp_path / "m.ncc")] if command == "train" else []
+    assert main([command, str(corpus_dir), *out, "--config", str(config)]) == 1
+    assert f"config key {key!r}: expected" in capsys.readouterr().err
+    assert not (tmp_path / "m.ncc").exists()
+
+
+def test_config_file_integer_for_float_key_accepted(corpus_dir, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"similarity_threshold": 1}))
+    out = tmp_path / "m.ncc"
+    assert main(["train", str(corpus_dir), "--out", str(out), "--config", str(config)]) == 0
+    assert '"similarity_threshold":1.0' in out.read_text().splitlines()[1]
+
+
 def test_config_file_unknown_key_rejected(corpus_dir, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"similarity": 0.5}))

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from ncchecker import ValidationError, build, load_model, predict_lines, save_model
@@ -56,6 +58,27 @@ def test_model_bad_config_named(fig_corpus):
     broken = text.replace("config\t{", "config\t{not json ", 1)
     with pytest.raises(ValidationError, match="config"):
         model_from_text(broken)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("tree_depth", 4.0),
+        ("tree_depth", True),
+        ("max_children", 2.5),
+        ("max_children", True),
+        ("similarity_threshold", True),
+        ("similarity_threshold", "0.4"),
+    ],
+)
+def test_model_config_value_of_wrong_type_rejected(fig_corpus, key, value):
+    header, config_line, rest = model_to_text(*build(fig_corpus)).split("\n", 2)
+    field, _, payload = config_line.partition("\t")
+    config = json.loads(payload)
+    config[key] = value
+    edited = f"{header}\n{field}\t{json.dumps(config)}\n{rest}"
+    with pytest.raises(ValidationError, match=f"model field 'config': {key} must be"):
+        model_from_text(edited)
 
 
 def test_loaded_model_still_diffs_benign_lines(tmp_path, fig_corpus):
