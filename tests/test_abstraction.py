@@ -492,27 +492,32 @@ def test_training_parse_log_counts_every_repeated_line():
     assert miner.export_registry() == scan_miner.export_registry()
 
 
+def _count_best_slot(monkeypatch):
+    """A one-item list counting calls of ``_LeafIndex.best_slot`` from now on."""
+    calls = [0]
+    best_slot = abstraction._LeafIndex.best_slot
+
+    def counting_best_slot(index, tokens):
+        calls[0] += 1
+        return best_slot(index, tokens)
+
+    monkeypatch.setattr(abstraction._LeafIndex, "best_slot", counting_best_slot)
+    return calls
+
+
 def test_frozen_parse_log_memo_lives_for_one_log(monkeypatch):
     miner = TemplateMiner(AbstractionConfig())
     miner.parse_line("retry 3 of job alpha")
     miner.freeze()
-    lookups = 0
-    best_slot = abstraction._LeafIndex.best_slot
-
-    def counting_best_slot(index, tokens):
-        nonlocal lookups
-        lookups += 1
-        return best_slot(index, tokens)
-
-    monkeypatch.setattr(abstraction._LeafIndex, "best_slot", counting_best_slot)
+    lookups = _count_best_slot(monkeypatch)
     log = ["retry 3 of job alpha"] * 50
     assert miner.parse_log(log).events == ("e1",) * 50
-    assert lookups == 1
+    assert lookups[0] == 1
     miner.parse_log(log)
-    assert lookups == 2
+    assert lookups[0] == 2
     # The key is the masked line, not the raw one.
     assert miner.parse_log([f"retry {n} of job alpha" for n in range(50)]).events == ("e1",) * 50
-    assert lookups == 3
+    assert lookups[0] == 3
 
 
 # -- the training memo --------------------------------------------------------
@@ -581,18 +586,6 @@ def test_training_memo_skips_a_fallback_at_an_uncapped_node(max_children):
     assert events == ("e1", "e1", "e2", "e3")
     assert list(events) == scan_train_log(scan_miner, lines)
     assert miner.export_registry() == scan_miner.export_registry()
-
-
-def _count_best_slot(monkeypatch):
-    calls = [0]
-    best_slot = abstraction._LeafIndex.best_slot
-
-    def counting_best_slot(index, tokens):
-        calls[0] += 1
-        return best_slot(index, tokens)
-
-    monkeypatch.setattr(abstraction._LeafIndex, "best_slot", counting_best_slot)
-    return calls
 
 
 def test_training_memo_hits_in_an_overflow_lane(monkeypatch):
@@ -820,19 +813,3 @@ def test_config_invariants():
         AbstractionConfig(similarity_threshold=1.5)
     with pytest.raises(ValidationError):
         AbstractionConfig(max_children=0)
-
-
-@pytest.mark.parametrize(
-    "key, value",
-    [
-        ("tree_depth", 4.0),
-        ("tree_depth", True),
-        ("max_children", 2.5),
-        ("max_children", True),
-        ("similarity_threshold", True),
-        ("similarity_threshold", "0.4"),
-    ],
-)
-def test_config_rejects_wrong_types(key, value):
-    with pytest.raises(ValidationError, match=f"{key} must be an? (integer|real number), got"):
-        AbstractionConfig(**{key: value})
