@@ -16,6 +16,26 @@ of the rule as written, and configs and models store only the written
 form, so models do not change.  Other rules compile as written.  A miner
 resolves its compiled rules and routing depth once, not per line.
 
+A scan form that starts with ``\d`` still enters the matcher at every
+digit, and log lines are full of digits that are no IPv4 address.  So
+the IPv4 rule is not run by ``sub`` but from its dots: every address
+has a ``.`` right after its 1-3-digit first octet that is followed by
+``\d{1,3}\.\d{1,3}\.\d``, and a pattern that starts with that literal
+``.`` lets ``re`` skip from dot to dot.  At each such dot the scan form
+is tried with ``match`` at the at most 3 offsets before it that are not
+inside the last match, and matches are spliced left to right as ``sub``
+would.  It never runs a ``search`` from a dot: on a line of dotted
+numbers that are no address, each search would scan the rest of the
+text, which is quadratic.
+
+Each built-in rule also has an ASCII twin, compiled with ``re.ASCII``,
+which ``re`` runs faster.  Text that is ASCII, an O(1) check, masks
+through the twins.  This is exact because ``\d``, ``\w`` and ``\b`` mean
+the same in both modes on ASCII text.  A user rule keeps its one
+Unicode compile: under ``re.ASCII`` it could match differently even on
+ASCII text (``(?i)\u017f``, the long s, matches ``s`` only in Unicode
+mode).
+
 ``parse_log`` masks a whole log before matching any of it.  When every
 rule is a built-in one under ``<*>``, it joins the lines with ``"\n"``,
 runs each rule once over that text and splits it back, which spares the
@@ -45,9 +65,10 @@ leaf at worst both build it.
 A frozen parse is a pure function of the masked line, and a log repeats
 its masked lines far more often than its raw ones.  So a frozen
 ``parse_log`` keeps a memo from the masked line (before the split) to its
-event id and matches each distinct one once.  The memo lives for one log:
-a one-shot ``ncchecker predict`` would never find it warm, and a per-call
-dict needs no shared state between threads.
+event id and matches each distinct one once.  The memo lives for one log,
+although ``ncchecker predict`` parses every log of a directory with one
+miner: kept for one call, its memory is bounded by one log's distinct
+lines, and a dict local to the call shares no state between threads.
 
 A training parse may change the tree, yet most training lines repeat a
 masked line already seen, and such a repeat usually only counts one more
@@ -87,9 +108,10 @@ WILDCARD = "<*>"
 UNKNOWN_EVENT_ID = "<unknown>"
 REGISTRY_HEADER = "ncc-templates v1"
 
-# The built-in rules, each as written and in its scan form.  Order
-# matters: IPv4 before bare integers (octets must not be masked one by
-# one), paths before integers (the :line suffix belongs to the path).
+# The built-in rules, each as written, in its scan form, and with the
+# pattern of the dots it is anchored on, if any.  Order matters: IPv4
+# before bare integers (octets must not be masked one by one), paths
+# before integers (the :line suffix belongs to the path).
 #
 # A written form starts with a lookbehind or ``\b``, so ``re`` tries a
 # full match at every character of the line.  The scan form starts with a
@@ -97,30 +119,35 @@ REGISTRY_HEADER = "ncc-templates v1"
 # width-1 lookbehind moves to just after the first character matched, and
 # ``\b`` before the ``0`` becomes ``(?<!\w0)``.  Each scan form must match
 # exactly the spans its written form matches, with the same (no) groups;
-# only the written form is ever stored in a config or a model.
-_BUILTIN_RULES: tuple[tuple[str, str], ...] = (
+# only the written form is ever stored in a config or a model.  The IPv4
+# anchor is the dot after the first octet (see ``_DotAnchored``).
+_BUILTIN_RULES: tuple[tuple[str, str, str | None], ...] = (
     (
         r"(?<![\w.])(?:\d{1,3}\.){3}\d{1,3}(?![\w.])",
         r"\d(?<![\w.]\d)\d{0,2}\.(?:\d{1,3}\.){2}\d{1,3}(?![\w.])",
+        r"\.(?=\d{1,3}\.\d{1,3}\.\d)",
     ),
     (
         r"(?<![\w/])/(?:[\w.+-]+/)*[\w.+-]+(?::\d+)?",
         r"/(?<![\w/]/)(?:[\w.+-]+/)*[\w.+-]+(?::\d+)?",
+        None,
     ),
     (
         r"\b0[xX][0-9a-fA-F]+\b",
         r"0(?<!\w0)[xX][0-9a-fA-F]+\b",
+        None,
     ),
     (
         r"(?<![\w.])\d+(?![\w.])",
         r"\d(?<![\w.]\d)\d*(?![\w.])",
+        None,
     ),
 )
-_SCAN_FORMS = dict(_BUILTIN_RULES)
+_SCAN_FORMS = {written: (scan, anchor) for written, scan, anchor in _BUILTIN_RULES}
 
 # Ordered pre-tokenization rewrites, as written.
 DEFAULT_MASK_RULES: tuple[tuple[str, str], ...] = tuple(
-    (written, WILDCARD) for written, _ in _BUILTIN_RULES
+    (written, WILDCARD) for written, _, _ in _BUILTIN_RULES
 )
 
 
@@ -141,9 +168,11 @@ class AbstractionConfig:
     mask_rules: tuple[tuple[str, str], ...] = DEFAULT_MASK_RULES
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "mask_rules", tuple((str(p), str(r)) for p, r in self.mask_rules)
-        )
+        rules = tuple((pattern, repl) for pattern, repl in self.mask_rules)
+        for rule in rules:
+            if not all(isinstance(part, str) for part in rule):
+                raise ValidationError(f"mask rule {rule!r}: pattern and placeholder must be text")
+        object.__setattr__(self, "mask_rules", rules)
         for name, kind, what in (
             ("tree_depth", int, "an integer"),
             ("max_children", int, "an integer"),
@@ -163,25 +192,81 @@ class AbstractionConfig:
         _compiled_rules(self.mask_rules)
 
 
+class _DotAnchored:
+    """The IPv4 scan form, tried only just before the dots it is anchored on.
+
+    Every match has an anchor dot right after its 1-3-digit first octet,
+    so it starts at one of the 3 offsets before that dot.  ``sub`` tries
+    ``match`` at those offsets, from the left and never inside the last
+    match, and splices the matches as ``re.sub`` would.  A ``search`` from
+    each dot would scan the rest of the text each time instead.
+    """
+
+    __slots__ = ("pattern", "_scan", "_anchors")
+
+    def __init__(self, scan: re.Pattern, anchors: re.Pattern):
+        self.pattern = scan.pattern
+        self._scan = scan
+        self._anchors = anchors
+
+    def sub(self, repl: str, text: str) -> str:
+        match, literal = self._scan.match, "\\" not in repl
+        pieces: list[str] = []
+        end = 0
+        for anchor in self._anchors.finditer(text):
+            dot = anchor.start()
+            for start in range(max(dot - 3, end), dot):
+                found = match(text, start)
+                if found is not None:
+                    pieces += (text[end:start], repl if literal else found.expand(repl))
+                    end = found.end()
+                    break
+        if not pieces:
+            return text
+        pieces.append(text[end:])
+        return "".join(pieces)
+
+
+def _builtin_rule(written: str, flags: int):
+    """A built-in rule compiled from its scan form, anchored on its dots if it has any."""
+    scan, anchor = _SCAN_FORMS[written]
+    rule = re.compile(scan, flags)
+    return rule if anchor is None else _DotAnchored(rule, re.compile(anchor, flags))
+
+
 @lru_cache(maxsize=64)
 def _compiled_rules(mask_rules: tuple[tuple[str, str], ...]):
-    """Compile each rule, a built-in one from its scan form; validate all."""
+    """Compile and validate each rule as ``(rule, ascii_rule, placeholder)``.
+
+    A built-in rule compiles from its scan form, with an ASCII twin; a
+    user rule compiles as written and is its own twin (module docstring).
+    """
     compiled = []
     for pattern, repl in mask_rules:
+        builtin = pattern in _SCAN_FORMS
         try:
-            rule = re.compile(_SCAN_FORMS.get(pattern, pattern))
-            rule.sub(repl, "")  # rejects a bad group reference in repl
+            rule = re.compile(_SCAN_FORMS[pattern][0] if builtin else pattern)
+            # Rejects a bad group reference in repl, which an anchored rule
+            # would only expand at its first match.
+            rule.sub(repl, "")
         except re.error as exc:
             raise ValidationError(f"mask rule {pattern!r} -> {repl!r}: {exc}") from None
-        compiled.append((rule, repl))
+        if builtin:
+            compiled.append((_builtin_rule(pattern, 0), _builtin_rule(pattern, re.ASCII), repl))
+        else:
+            compiled.append((rule, rule, repl))
     return tuple(compiled)
 
 
-def _mask(line: str, rules) -> str:
-    """Apply already compiled mask rules in order; ``preprocess`` before the split."""
-    for pattern, placeholder in rules:
-        line = pattern.sub(placeholder, line)
-    return line
+def _mask(text: str, rules) -> str:
+    """Apply already compiled mask rules in order, the ASCII twins to ASCII text.
+
+    Whether the text is ASCII is asked again before each rule, since a
+    placeholder need not be ASCII.
+    """
+    for rule, ascii_rule, placeholder in rules:
+        text = (ascii_rule if text.isascii() else rule).sub(placeholder, text)
+    return text
 
 
 def preprocess(line: str, config: AbstractionConfig) -> list[str]:

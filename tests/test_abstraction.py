@@ -62,6 +62,12 @@ def test_preprocess_empty_line(config):
         # Arabic-Indic digits are \d; five dotted numbers are no IPv4 address.
         ("\u0663\u0664 ok", [WILDCARD, "ok"]),
         ("1.2.3.4.5", ["1.2.3.4.5"]),
+        # The IPv4 rule runs from the dot after a first octet of 1-3 digits.
+        ("1.2.3.4", [WILDCARD]),
+        ("1234.5.6.7", ["1234.5.6.7"]),
+        ("v9.8.7.6", ["v9.8.7.6"]),
+        ("at 9.8.7.6 and 10.0.0.1,1.2.3.4", ["at", WILDCARD, "and", WILDCARD + "," + WILDCARD]),
+        ("\u0663.1.2.3 \u00e9", [WILDCARD, "\u00e9"]),
     ],
 )
 def test_preprocess_rule_boundaries(config, line, expected):
@@ -74,8 +80,9 @@ def test_preprocess_rule_boundaries(config, line, expected):
 # before and after a match is often exercised.
 _MASK_PIECES = [
     *"0123456789", "\u0663", "\u0664", "\u00b2", *"abcfxXZ\u00e9_", *"./:+-", " ", "\t", WILDCARD,
-    "0x", "0X1f", "1.2.3.4", "/a", ":7",
+    "0x", "0X1f", "1.2.3.4", "/a", ":7", "1.2.3.4.5", "1234.5.6.7", "v9.8.7.6",
 ]
+_ASCII_MASK_PIECES = [piece for piece in _MASK_PIECES if piece.isascii()]
 _mask_lines = st.lists(st.sampled_from(_MASK_PIECES), max_size=40).map("".join)
 _mask_settings = settings(max_examples=400, derandomize=True, database=None, deadline=None)
 
@@ -85,9 +92,47 @@ _mask_settings = settings(max_examples=400, derandomize=True, database=None, dea
 @given(line=_mask_lines)
 def test_builtin_rule_scan_form_masks_like_the_written_form(rule, line):
     written, placeholder = DEFAULT_MASK_RULES[rule]
-    compiled, _ = abstraction._compiled_rules(DEFAULT_MASK_RULES)[rule]
+    compiled, ascii_compiled, _ = abstraction._compiled_rules(DEFAULT_MASK_RULES)[rule]
     assert compiled.pattern != written  # compiled from the scan form
     assert compiled.sub(placeholder, line) == re.sub(written, placeholder, line)
+    # The ASCII twin only ever sees ASCII text.
+    ascii_line = "".join(char for char in line if char.isascii())
+    assert ascii_compiled.sub(placeholder, ascii_line) == re.sub(written, placeholder, ascii_line)
+
+
+@pytest.mark.parametrize("rule", range(len(DEFAULT_MASK_RULES)))
+def test_builtin_rule_rejects_a_bad_group_reference(rule):
+    # Checked on the scan form itself: the anchored IPv4 rule would only
+    # expand its placeholder at its first match.
+    with pytest.raises(ValidationError, match="invalid group reference"):
+        AbstractionConfig(mask_rules=((DEFAULT_MASK_RULES[rule][0], r"\1"),))
+
+
+def test_ipv4_rule_expands_a_placeholder_with_group_references():
+    written = DEFAULT_MASK_RULES[0][0]
+    config = AbstractionConfig(mask_rules=((written, r"[\g<0>]"),))
+    for line in ("peer 10.0.0.1 and 1.2.3.4:80 not 1.2.3.4.5", "1.2.3.4", "a.1.2.3.4 \u0663.1.2.3"):
+        assert preprocess(line, config) == re.sub(written, r"[\g<0>]", line).split()
+        assert TemplateMiner(config)._mask_log((line,)) == [re.sub(written, r"[\g<0>]", line)]
+
+
+def test_builtin_rules_mask_ascii_text_through_ascii_twins():
+    # A user pattern keeps its one Unicode compile: "(?i)\u017f" matches "s"
+    # only in Unicode mode, so it must not get an ASCII twin.
+    rules = ((r"(?i)\u017f", "S"), *DEFAULT_MASK_RULES)
+    (user, user_twin, _), *builtins = abstraction._compiled_rules(rules)
+    assert user_twin is user and not user.flags & re.ASCII
+    for rule, twin, _ in builtins:
+        assert twin is not rule and twin.pattern == rule.pattern
+    assert preprocess("s 12 ss", AbstractionConfig(mask_rules=rules)) == ["S", WILDCARD, "SS"]
+    # Non-ASCII digits still mask, through the Unicode compiles.
+    assert preprocess("\u0663.1.2.3 \u0664", AbstractionConfig()) == [WILDCARD, WILDCARD]
+    # A placeholder can make ASCII text non-ASCII for the rules after it:
+    # "\u00e9" is \w only in Unicode mode, so "\u00e91" keeps its digit.
+    config = AbstractionConfig(mask_rules=(("x", "\u00e9"), *DEFAULT_MASK_RULES))
+    for line in ("x1 x 2", "x1.2.3.4 x 5.6.7.8"):
+        assert preprocess(line, config) == written_preprocess(line, config)
+    assert preprocess("x1 x 2", config) == ["\u00e91", "\u00e9", WILDCARD]
 
 
 @_mask_settings
@@ -98,12 +143,14 @@ def test_preprocess_masks_like_the_written_rules_in_order(line):
 
 
 def test_only_builtin_patterns_compile_from_scan_forms():
-    # A built-in pattern keeps its scan form under another placeholder; a
-    # pattern of the user's own compiles as written.
+    # A built-in pattern keeps its scan form and its ASCII twin under another
+    # placeholder; a pattern of the user's own compiles as written.
     rules = ((DEFAULT_MASK_RULES[3][0], "N"), (r"\bab\b", "AB"))
     compiled = abstraction._compiled_rules(rules)
     assert compiled[0][0].pattern != rules[0][0]
+    assert compiled[0][1].flags & re.ASCII
     assert compiled[1][0].pattern == rules[1][0]
+    assert compiled[1][1] is compiled[1][0]
     assert preprocess("ab 12 ab1 1.5", AbstractionConfig(mask_rules=rules)) == [
         "AB", "N", "ab1", "1.5"
     ]
@@ -707,15 +754,62 @@ class _CountingRule:
     [(DEFAULT_MASK_RULES, [1] * 4), ((_USER_RULE, *DEFAULT_MASK_RULES), [50] * 5)],
 )
 def test_parse_log_masks_in_one_pass_per_rule(rules, calls):
-    miner = TemplateMiner(AbstractionConfig(mask_rules=rules))
-    log = [f"retry {n} of job /srv/a.rb:{n} at 0x{n:x}" for n in range(50)]
-    for _ in ("training", "frozen"):
-        counters = [_CountingRule(pattern) for pattern, _ in miner._rules]
-        miner._rules = tuple((c, p) for c, (_, p) in zip(counters, miner._rules))
-        assert len(miner.parse_log(log)) == 50
-        assert [c.calls for c in counters] == calls
-        miner._rules = tuple((c.pattern, p) for c, (_, p) in zip(counters, miner._rules))
-        miner.freeze()
+    # An ASCII log masks through the ASCII twins, any other log through the
+    # Unicode compiles; the counters wrap the ones the log must use.
+    ascii_log = [f"retry {n} of job /srv/a.rb:{n} at 0x{n:x} on 10.0.0.{n}" for n in range(50)]
+    for log, twin in ((ascii_log, 1), ([line + " \u00e9t\u00e9" for line in ascii_log], 0)):
+        miner = TemplateMiner(AbstractionConfig(mask_rules=rules))
+        for _ in ("training", "frozen"):
+            compiled = miner._rules
+            counters = [_CountingRule(rule[twin]) for rule in compiled]
+            miner._rules = tuple(
+                (c, rule[1], rule[2]) if twin == 0 else (rule[0], c, rule[2])
+                for c, rule in zip(counters, compiled)
+            )
+            assert len(miner.parse_log(log)) == 50
+            assert [c.calls for c in counters] == calls
+            miner._rules = compiled
+            miner.freeze()
+
+
+class _CountingScan:
+    """Stands in for a compiled scan form, counting its ``match`` calls; it has no ``search``."""
+
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, 0
+
+    def match(self, text, pos):
+        self.calls += 1
+        return self.pattern.match(text, pos)
+
+
+def test_ipv4_rule_matches_a_bounded_number_of_times_per_line(monkeypatch):
+    # Dotted numbers that are no address: each of the two anchor dots of a
+    # line gets at most 3 ``match`` calls, and nothing scans on from a dot.
+    ascii_log = tuple(f"build 1.2.3.4.{n % 10} done" for n in range(4000))
+    for log, twin in ((ascii_log, 1), (tuple(line + " \u00e9" for line in ascii_log), 0)):
+        rule = TemplateMiner()._rules[0][twin]
+        counter = _CountingScan(rule._scan)
+        monkeypatch.setattr(rule, "_scan", counter)
+        assert TemplateMiner()._mask_log(log) == list(log)
+        assert 0 < counter.calls <= 6 * len(log)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("kind", ["ascii", "non-ascii"])
+@_mask_settings
+@given(data=st.data())
+def test_log_masking_equals_the_written_rules(kind, data):
+    pieces = _ASCII_MASK_PIECES if kind == "ascii" else _MASK_PIECES
+    lines = st.lists(st.sampled_from(pieces), max_size=12).map("".join)
+    log = data.draw(st.lists(lines, min_size=1, max_size=8))
+    if kind == "non-ascii":
+        at = data.draw(st.integers(0, len(log) - 1))
+        log[at] += data.draw(st.sampled_from(["\u0663", "\u00b2", "\u00e9"]))
+    assert "".join(log).isascii() == (kind == "ascii")
+    config = AbstractionConfig()
+    masked = TemplateMiner(config)._mask_log(tuple(log))
+    assert [line.split() for line in masked] == [written_preprocess(line, config) for line in log]
 
 
 # -- invariants -------------------------------------------------------------
@@ -802,6 +896,14 @@ def test_registry_round_trip(config):
 def test_registry_version_mismatch(config):
     with pytest.raises(ValidationError, match="header"):
         TemplateMiner.from_registry_text("ncc-templates v999\n", config)
+
+
+@pytest.mark.parametrize(
+    "rule", [[1, 2], [None, WILDCARD], [r"\d+", None], [rb"\d+", b"N"], ["a", ["b"]]]
+)
+def test_mask_rule_parts_must_be_text(rule):
+    with pytest.raises(ValidationError, match="must be text"):
+        AbstractionConfig(mask_rules=[rule])
 
 
 def test_config_invariants():

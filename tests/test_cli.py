@@ -229,6 +229,11 @@ def _malformed_input_args(case, corpus_dir, model_path, tmp_path):
             model_path, tmp_path, lambda c: c["mask_rules"].__setitem__(0, ["a"])
         )
         return "predict", model, corpus_dir / "failed"
+    if case == "model-config-mask-rule-not-text":
+        model = _edited_model(
+            model_path, tmp_path, lambda c: c["mask_rules"].__setitem__(0, [1, 2])
+        )
+        return "predict", model, corpus_dir / "failed"
     if case == "model-config-missing-max-children":
         model = _edited_model(model_path, tmp_path, lambda c: c.pop("max_children"))
         return "predict", model, corpus_dir / "failed"
@@ -262,6 +267,7 @@ def _malformed_input_args(case, corpus_dir, model_path, tmp_path):
     "case",
     [
         "model-mask-rule-not-a-pair",
+        "model-config-mask-rule-not-text",
         "model-config-missing-max-children",
         "model-tree-depth-not-an-integer",
         "model-negative-class-count",
