@@ -178,14 +178,14 @@ def _cmd_predict(args) -> int:
     if target.is_dir():
         files = log_files(target)
     elif target.exists():
-        files = [target]
+        files = [(target.stem, target)]
     else:
         raise FileNotFoundError(f"log path not found: {target}")
 
     results = []
-    for path in files:
-        prediction, events = predict_lines(miner, table, read_log_lines(path), path.stem)
-        results.append((path.stem, prediction, flag_lines(prediction, events, miner)))
+    for log_id, path in files:
+        prediction, events = predict_lines(miner, table, read_log_lines(path), log_id)
+        results.append((log_id, prediction, flag_lines(prediction, events, miner)))
 
     for log_id, prediction, flagged in results:
         if args.json:

@@ -4,10 +4,18 @@ A corpus directory holds ``passed/*.log`` and ``failed/*.log`` plus a
 ``labels.csv`` mapping each failed log id (the file stem) to a cause id.
 Passed logs carry no labels.  A ``Corpus`` keeps each group in log-id
 order, which is the order every later stage reads it in.
+
+A log file is read as bytes and decoded as UTF-8, with undecodable bytes
+replaced; ``"\r\n"`` and a lone ``"\r"`` are read as ``"\n"``, and only
+``"\n"`` ends a line.  A directory is listed with ``os.scandir``: its
+``*.log`` entries (hidden names, directories and symlinks included, names
+matched case-sensitively) as ``(log_id, path)`` pairs, the id being the
+name without its last ``.log`` (the name itself for ``.log``).
 """
 
 import csv
 import math
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -98,20 +106,40 @@ class Corpus:
 
 
 def read_log_lines(path) -> tuple[str, ...]:
-    """Read a UTF-8 log file; undecodable bytes are replaced, never fatal."""
-    text = Path(path).read_text(encoding="utf-8", errors="replace")
-    # read_text has already turned "\r\n" and "\r" into "\n"; splitlines()
-    # would also break at form feeds and other separators that no line
-    # counter (editor, grep -n) treats as line ends.
+    """Read a log file as bytes and split it into lines.
+
+    The bytes are decoded as UTF-8 with undecodable bytes replaced, never
+    fatal.  ``"\r\n"`` and a lone ``"\r"`` are read as ``"\n"``, the line
+    end; a final ``"\n"`` ends the last line rather than starting another.
+    """
+    # Unbuffered: the whole file is read in one readall(), which a
+    # buffered reader would only wrap.
+    with open(path, "rb", buffering=0) as handle:
+        text = handle.read().decode("utf-8", "replace")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    # splitlines() would also break at form feeds and other separators that
+    # no line counter (editor, grep -n) treats as line ends.
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
     return tuple(lines)
 
 
-def log_files(directory) -> list[Path]:
-    """The ``*.log`` files of a directory in log-id (file stem) order."""
-    return sorted(Path(directory).glob("*.log"), key=lambda path: path.stem)
+def log_files(directory) -> list[tuple[str, str]]:
+    """The ``*.log`` entries of a directory as ``(log_id, path)`` pairs.
+
+    Lists what ``Path(directory).glob("*.log")`` lists, each id being that
+    path's ``stem``, in log-id order; two names with one id (``.log`` and
+    ``.log.log``) keep the order of their names.
+    """
+    with os.scandir(directory) as entries:
+        named = sorted(
+            (entry.name[:-4] or entry.name, entry.name, entry.path)
+            for entry in entries
+            if entry.name.endswith(".log")
+        )
+    return [(log_id, path) for log_id, _, path in named]
 
 
 def load_labels(path, taxonomy: CauseTaxonomy) -> dict[str, int]:
@@ -178,7 +206,7 @@ def load_corpus(root, labels_path=None, taxonomy: CauseTaxonomy = DEFAULT_TAXONO
         if labels_file.exists() or failed_files:
             labels = load_labels(labels_file, taxonomy)
 
-    failed_ids = [f.stem for f in failed_files]
+    failed_ids = [log_id for log_id, _ in failed_files]
     missing = sorted(set(failed_ids) - set(labels))
     orphaned = sorted(set(labels) - set(failed_ids))
     problems = []
@@ -189,9 +217,10 @@ def load_corpus(root, labels_path=None, taxonomy: CauseTaxonomy = DEFAULT_TAXONO
     if problems:
         raise ValidationError("; ".join(problems))
 
-    passed = tuple(PassedLog(f.stem, read_log_lines(f)) for f in passed_files)
+    passed = tuple(PassedLog(log_id, read_log_lines(path)) for log_id, path in passed_files)
     failed = tuple(
-        LabeledFailedLog(f.stem, read_log_lines(f), labels[f.stem]) for f in failed_files
+        LabeledFailedLog(log_id, read_log_lines(path), labels[log_id])
+        for log_id, path in failed_files
     )
     return Corpus(passed, failed, taxonomy)
 

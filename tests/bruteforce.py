@@ -10,6 +10,10 @@ parses by a linear scan of the routed leaf, scored with
 reuse only the miner's tree routing and template registration, so a miner
 driven by them never builds a leaf index.
 
+``text_layer_log_lines`` reads a log through Python's text layer, whose
+decoder and newline translation are the reference for the byte-level
+``corpus.read_log_lines``.
+
 ``brute_force_rows`` loops over logs, events, and causes with plain list
 scans: no pooling sets, no shared table code.  It mines templates with
 ``scan_train_line`` in the order the pipeline uses (passed then failed,
@@ -18,6 +22,7 @@ sorted by log id).
 
 import math
 import re
+from pathlib import Path
 
 from ncchecker import abstraction
 from ncchecker.abstraction import UNKNOWN_EVENT_ID, WILDCARD, TemplateMiner, preprocess
@@ -28,6 +33,14 @@ def written_preprocess(line, config):
     for pattern, placeholder in config.mask_rules:
         line = re.sub(pattern, placeholder, line)
     return line.split()
+
+
+def text_layer_log_lines(path):
+    """Lines of a log read with ``read_text``: UTF-8, replaced, universal newlines."""
+    lines = Path(path).read_text(encoding="utf-8", errors="replace").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return tuple(lines)
 
 
 def _scan_leaf(miner, tokens):

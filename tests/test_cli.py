@@ -149,6 +149,27 @@ def _run_cli(*args) -> subprocess.CompletedProcess:
     return subprocess.run(command, env=env, capture_output=True, text=True)
 
 
+def test_train_on_a_directory_named_like_a_log_is_io_error(tmp_path):
+    for group in ("passed", "failed"):
+        (tmp_path / group).mkdir()
+    (tmp_path / "failed" / "f1.log").write_text("boom\n")
+    (tmp_path / "labels.csv").write_text("log_id,cause_id\nf1,0\n")
+    (tmp_path / "passed" / "x.log").mkdir()
+    result = _run_cli("train", tmp_path, "--out", tmp_path / "m.ncc")
+    assert result.returncode == 2
+    assert result.stderr.startswith("i/o error:")
+    assert "Traceback" not in result.stderr
+
+
+def test_predict_on_a_directory_named_like_a_log_is_io_error(model_path, tmp_path):
+    (tmp_path / "a.log").write_text("boom\n")
+    (tmp_path / "x.log").mkdir()
+    result = _run_cli("predict", model_path, tmp_path)
+    assert result.returncode == 2
+    assert result.stderr.startswith("i/o error:")
+    assert "Traceback" not in result.stderr
+
+
 def test_predict_non_utf8_model_is_validation_error(corpus_dir, model_path, tmp_path):
     bad = tmp_path / "latin1.ncc"
     bad.write_bytes(model_path.read_bytes().replace(b"templates\t", b"templates\xff\t", 1))

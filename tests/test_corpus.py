@@ -1,4 +1,9 @@
+from pathlib import Path
+
 import pytest
+from bruteforce import text_layer_log_lines
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ncchecker import ValidationError, load_corpus, split
 from ncchecker.corpus import (
@@ -7,6 +12,8 @@ from ncchecker.corpus import (
     Corpus,
     LabeledFailedLog,
     PassedLog,
+    log_files,
+    read_log_lines,
 )
 
 
@@ -76,6 +83,69 @@ def test_undecodable_bytes_are_replaced(tmp_path):
     (tmp_path / "failed" / "f1.log").write_bytes(b"ok \xff\xfe broken\n")
     corpus = load_corpus(tmp_path)
     assert "broken" in corpus.failed[0].lines[0]
+
+
+# Byte runs a log can hold: line ends and separators that are not line
+# ends (form feed, file separator, U+2028, NEL), a BOM, valid, invalid and
+# truncated UTF-8, and plain text.
+_LOG_BYTE_PIECES = (
+    b"\n", b"\r", b"\r\n", b"\r\r\n", b"\x0c", b"\x1c", "\u2028".encode(), b"\xc2\x85",
+    b"\xef\xbb\xbf", b"\xc3\xa9", b"\xff", b"\xe2\x82", b"\xf0\x9f", b"\x00", b"ok 12",
+)  # fmt: skip
+
+# The text layer decodes through an 8 KiB buffer; a padding of 8190 or
+# 8191 bytes puts a leading "\r\r\n" or "\r\n" across its boundary.
+_log_bytes = st.builds(
+    lambda padding, pieces: b"a" * padding + b"".join(pieces),
+    st.sampled_from((0, 0, 8190, 8191)),
+    st.lists(st.sampled_from(_LOG_BYTE_PIECES) | st.binary(max_size=4), max_size=24),
+)
+
+
+@pytest.fixture(scope="module")
+def log_path(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("reader") / "x.log"
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(_log_bytes)
+@example(b"")
+@example(b"no end")
+@example(b"one\ntwo\n")
+@example(b"\xef\xbb\xbfbom\n")
+@example(b"a\rb\r\nc\r\r\nd\r")
+@example(b"a\x0cb\x1cc\xe2\x80\xa8d\xc2\x85e\n")
+@example(b"ok \xff\xfe broken \xe2\x82")
+@example(b"a" * 8191 + b"\r\nb")
+def test_read_log_lines_equals_the_text_layer(log_path, data):
+    log_path.write_bytes(data)
+    assert read_log_lines(log_path) == text_layer_log_lines(log_path)
+
+
+def test_read_log_lines_keeps_a_bom_and_ends_lines_only_at_newlines(tmp_path):
+    path = tmp_path / "x.log"
+    path.write_bytes(b"\xef\xbb\xbfa\x0cb\r\nc\rd\r\r\ne\xe2\x80\xa8f\n")
+    assert read_log_lines(path) == ("\ufeffa\x0cb", "c", "d", "", "e\u2028f")
+
+
+def test_log_files_lists_what_path_glob_lists(tmp_path):
+    for name in ("b.log", "a.b.log", ".h.log", ".log", "a.LOG", "notes.txt", "\u65e5\u5fd7.log"):
+        (tmp_path / name).write_text("x\n")
+    (tmp_path / "dir.log").mkdir()
+    (tmp_path / "gone.log").symlink_to(tmp_path / "missing")
+    listed = log_files(tmp_path)
+    ids = [log_id for log_id, _ in listed]
+    assert ids == [".h", ".log", "a.b", "b", "dir", "gone", "\u65e5\u5fd7"]
+    assert ids == sorted(path.stem for path in tmp_path.glob("*.log"))
+    assert sorted(map(Path, (path for _, path in listed))) == sorted(tmp_path.glob("*.log"))
+    assert all(Path(path).stem == log_id for log_id, path in listed)
+
+
+def test_log_files_orders_one_id_by_name(tmp_path):
+    for name in (".log.log", ".log"):
+        (tmp_path / name).write_text("x\n")
+    listed = [(log_id, Path(path).name) for log_id, path in log_files(tmp_path)]
+    assert listed == [(".log", ".log"), (".log", ".log.log")]
 
 
 def test_duplicate_failed_ids_rejected():
