@@ -6,11 +6,8 @@ Passed logs carry no labels.  A ``Corpus`` keeps each group in log-id
 order, which is the order every later stage reads it in.
 
 A log file is read as bytes and decoded as UTF-8, with undecodable bytes
-replaced; ``"\r\n"`` and a lone ``"\r"`` are read as ``"\n"``, and only
-``"\n"`` ends a line.  A directory is listed with ``os.scandir``: its
-``*.log`` entries (hidden names, directories and symlinks included, names
-matched case-sensitively) as ``(log_id, path)`` pairs, the id being the
-name without its last ``.log`` (the name itself for ``.log``).
+replaced; ``"\\r\\n"`` and a lone ``"\\r"`` are read as ``"\\n"``, and only
+``"\\n"`` ends a line.
 """
 
 import csv
@@ -109,8 +106,8 @@ def read_log_lines(path) -> tuple[str, ...]:
     """Read a log file as bytes and split it into lines.
 
     The bytes are decoded as UTF-8 with undecodable bytes replaced, never
-    fatal.  ``"\r\n"`` and a lone ``"\r"`` are read as ``"\n"``, the line
-    end; a final ``"\n"`` ends the last line rather than starting another.
+    fatal.  ``"\\r\\n"`` and a lone ``"\\r"`` are read as ``"\\n"``, the line
+    end; a final ``"\\n"`` ends the last line rather than starting another.
     """
     # Unbuffered: the whole file is read in one readall(), which a
     # buffered reader would only wrap.

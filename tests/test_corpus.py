@@ -89,9 +89,10 @@ def test_undecodable_bytes_are_replaced(tmp_path):
 # ends (form feed, file separator, U+2028, NEL), a BOM, valid, invalid and
 # truncated UTF-8, and plain text.
 _LOG_BYTE_PIECES = (
-    b"\n", b"\r", b"\r\n", b"\r\r\n", b"\x0c", b"\x1c", "\u2028".encode(), b"\xc2\x85",
+    b"\n", b"\r", b"\r\n", b"\r\r\n",
+    b"\x0c", b"\x1c", "\u2028".encode(), b"\xc2\x85",
     b"\xef\xbb\xbf", b"\xc3\xa9", b"\xff", b"\xe2\x82", b"\xf0\x9f", b"\x00", b"ok 12",
-)  # fmt: skip
+)
 
 # The text layer decodes through an 8 KiB buffer; a padding of 8190 or
 # 8191 bytes puts a leading "\r\r\n" or "\r\n" across its boundary.
