@@ -9,6 +9,7 @@ come from an optional JSON config file; flags override it.
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import baselines as bl
@@ -55,7 +56,7 @@ def _load_config_file(path) -> dict:
 def _read_json(path, what: str):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # a UnicodeDecodeError too
         raise ValidationError(f"{what} {path}: invalid JSON ({exc})") from None
 
 
@@ -107,10 +108,7 @@ def _cmd_gen(args) -> int:
     else:
         spec = default_spec(seed=0)
     if args.seed is not None:
-        from dataclasses import replace
-
         spec = replace(spec, seed=args.seed)
-    spec.validate()
     manifest = generate_synthetic(spec, args.out)
     total_failed = sum(spec.cause_counts)
     print(f"wrote {spec.passed_count} passed and {total_failed} failed logs to {args.out}")

@@ -5,13 +5,17 @@ that cause; passed logs contain only the shared benign templates.  Marker
 and benign template strings may carry ``{int}``, ``{hex}``, ``{ip}``,
 ``{path}`` and ``{word}`` fields that are randomized per line, so the
 template miner is genuinely exercised.  Generation is byte-deterministic
-under a fixed seed.
+under a fixed seed.  ``SyntheticSpec`` checks every field when built, in
+code, from JSON (``spec_from_dict``) or from a corpus's ``manifest.txt``
+(``parse_manifest``), which reads back into the spec that wrote it.
 """
 
 import hashlib
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from functools import partial
+from numbers import Real
 from pathlib import Path
 
 from .errors import ValidationError
@@ -58,7 +62,6 @@ _CAUSE_WORDS = (
 
 def _alpha_index(i: int) -> str:
     # Digit-free index so marker head tokens route as literals.
-    letters = ""
     i, rem = divmod(i, 26)
     letters = chr(ord("a") + rem)
     while i:
@@ -83,9 +86,33 @@ def default_markers(k: int, per_cause: int) -> tuple[tuple[str, ...], ...]:
     return tuple(groups)
 
 
+def _int(name: str, value) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValidationError(f"spec field {name!r} must be an integer, got {value!r}")
+
+
+def _items(name: str, value, check) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"spec field {name!r} must be a list, got {value!r}")
+    return tuple(check(name, item) for item in value)
+
+
+def _template(name: str, value) -> str:
+    # One manifest line each, a first token as marker signature, and UTF-8
+    # text to write (a lone surrogate has no UTF-8 form).
+    if isinstance(value, str) and value.strip() and value.splitlines() == [value]:
+        if value.encode("utf-8", "replace").decode("utf-8") == value:
+            return value
+    raise ValidationError(f"spec field {name!r}: not one non-blank line of text: {value!r}")
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Recipe for a synthetic corpus.
+    """Recipe for a synthetic corpus, checked on construction.
+
+    Counts, ``seed`` and ``lines_range`` hold ints and ``noise_rate`` is a
+    real number, kept as a float; a bool is neither.  Lists become tuples.
 
     ``last_cause_contamination`` plants that many majority-cause (cause 0)
     marker lines into every log of the last cause, producing the fixture
@@ -102,26 +129,25 @@ class SyntheticSpec:
     last_cause_contamination: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "cause_counts", tuple(int(c) for c in self.cause_counts))
-        object.__setattr__(self, "markers", tuple(tuple(m) for m in self.markers))
-        object.__setattr__(self, "benign", tuple(self.benign))
-        object.__setattr__(self, "lines_range", tuple(int(v) for v in self.lines_range))
-
-    @property
-    def k(self) -> int:
-        return len(self.cause_counts)
-
-    def validate(self) -> "SyntheticSpec":
+        for name in ("passed_count", "seed", "last_cause_contamination"):
+            _int(name, getattr(self, name))
+        set_field = partial(object.__setattr__, self)
+        set_field("cause_counts", _items("cause_counts", self.cause_counts, _int))
+        set_field("lines_range", _items("lines_range", self.lines_range, _int))
+        set_field("benign", _items("benign", self.benign, _template))
+        set_field("markers", _items("markers", self.markers, partial(_items, check=_template)))
+        rate = self.noise_rate
+        if not isinstance(rate, Real) or isinstance(rate, bool) or not 0.0 <= rate < 1.0:
+            raise ValidationError(f"noise_rate must be a real number in [0, 1), got {rate!r}")
+        set_field("noise_rate", float(rate))
         if self.k < 2:
             raise ValidationError("spec needs at least 2 causes")
-        if any(c < 0 for c in self.cause_counts) or self.passed_count < 0:
-            raise ValidationError("log counts must be >= 0")
-        if len(self.markers) != self.k:
+        if min(self.passed_count, self.last_cause_contamination, *self.cause_counts) < 0:
+            raise ValidationError("log counts and last_cause_contamination must be >= 0")
+        if len(self.markers) != self.k or not all(self.markers):
             raise ValidationError(
-                f"need one marker set per cause: {self.k} causes, {len(self.markers)} sets"
+                f"need one non-empty marker set per cause, sizes {[len(g) for g in self.markers]}"
             )
-        if any(not group for group in self.markers):
-            raise ValidationError("every cause needs at least one marker template")
         if not self.benign:
             raise ValidationError("spec needs at least one benign template")
         seen: dict[str, str] = {t: "benign" for t in self.benign}
@@ -132,14 +158,16 @@ class SyntheticSpec:
                         f"marker template {template!r} of cause {cause} also appears as {seen[template]}"
                     )
                 seen[template] = f"marker of cause {cause}"
-        if not 0.0 <= self.noise_rate < 1.0:
-            raise ValidationError(f"noise_rate must be in [0, 1), got {self.noise_rate}")
-        lo, hi = self.lines_range
-        if lo < 1 or hi < lo:
+        if len(self.lines_range) != 2 or not 1 <= self.lines_range[0] <= self.lines_range[1]:
             raise ValidationError(f"bad lines_range {self.lines_range}")
-        if self.last_cause_contamination < 0:
-            raise ValidationError("last_cause_contamination must be >= 0")
-        return self
+
+    @property
+    def k(self) -> int:
+        return len(self.cause_counts)
+
+    def marker_signatures(self) -> dict[str, int]:
+        """First token of each marker template -> cause id."""
+        return {t.split()[0]: c for c, group in enumerate(self.markers) for t in group}
 
 
 def default_spec(
@@ -152,12 +180,12 @@ def default_spec(
     last_cause_contamination=0,
 ) -> SyntheticSpec:
     return SyntheticSpec(
-        cause_counts=tuple(cause_counts),
+        cause_counts=cause_counts,
         passed_count=passed_count,
         seed=seed,
         markers=default_markers(len(cause_counts), markers_per_cause),
         noise_rate=noise_rate,
-        lines_range=tuple(lines_range),
+        lines_range=lines_range,
         last_cause_contamination=last_cause_contamination,
     )
 
@@ -166,65 +194,18 @@ def spec_from_dict(data: dict) -> SyntheticSpec:
     """Build a spec from parsed JSON; markers default to the built-in sets."""
     if not isinstance(data, dict):
         raise ValidationError("synthetic spec must be a JSON object")
-    known = {
-        "cause_counts", "passed_count", "seed", "markers", "benign",
-        "noise_rate", "lines_range", "last_cause_contamination", "markers_per_cause",
-    }
-    unknown = sorted(set(data) - known)
+    kwargs = dict(data)
+    per_cause = kwargs.pop("markers_per_cause", 4)
+    unknown = sorted(set(kwargs) - {f.name for f in fields(SyntheticSpec)})
     if unknown:
         raise ValidationError(f"unknown spec fields: {', '.join(unknown)}")
     for required in ("cause_counts", "passed_count", "seed"):
-        if required not in data:
+        if required not in kwargs:
             raise ValidationError(f"spec field {required!r} is required")
-    counts = _spec_ints("cause_counts", data["cause_counts"])
-    markers = data.get("markers")
-    if markers is None:
-        per_cause = _spec_value("markers_per_cause", data.get("markers_per_cause", 4), int)
-        markers = default_markers(len(counts), per_cause)
-    elif not isinstance(markers, (list, tuple)):
-        raise ValidationError("spec field 'markers' must be a list of lists of strings")
-    kwargs = dict(
-        cause_counts=counts,
-        passed_count=_spec_value("passed_count", data["passed_count"], int),
-        seed=_spec_value("seed", data["seed"], int),
-        markers=tuple(_spec_strings("markers", group) for group in markers),
-    )
-    if "benign" in data:
-        kwargs["benign"] = _spec_strings("benign", data["benign"])
-    if "noise_rate" in data:
-        kwargs["noise_rate"] = _spec_value("noise_rate", data["noise_rate"], float)
-    if "lines_range" in data:
-        kwargs["lines_range"] = _spec_ints("lines_range", data["lines_range"])
-        if len(kwargs["lines_range"]) != 2:
-            raise ValidationError("spec field 'lines_range' must hold two integers")
-    if "last_cause_contamination" in data:
-        kwargs["last_cause_contamination"] = _spec_value(
-            "last_cause_contamination", data["last_cause_contamination"], int
-        )
-    return SyntheticSpec(**kwargs).validate()
-
-
-def _spec_value(field: str, value, kind):
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(
-            f"spec field {field!r}: expected {kind.__name__}, got {value!r}"
-        ) from None
-
-
-def _spec_ints(field: str, values) -> tuple[int, ...]:
-    if not isinstance(values, (list, tuple)):
-        raise ValidationError(f"spec field {field!r} must be a list of integers")
-    return tuple(_spec_value(field, value, int) for value in values)
-
-
-def _spec_strings(field: str, values) -> tuple[str, ...]:
-    if not isinstance(values, (list, tuple)) or not all(isinstance(v, str) for v in values):
-        raise ValidationError(
-            f"spec field {field!r}: expected a list of strings, got {values!r}"
-        )
-    return tuple(values)
+    if kwargs.get("markers") is None:
+        k = len(_items("cause_counts", kwargs["cause_counts"], _int))
+        kwargs["markers"] = default_markers(k, _int("markers_per_cause", per_cause))
+    return SyntheticSpec(**kwargs)
 
 
 def _fill(template: str, rng: random.Random) -> str:
@@ -279,81 +260,69 @@ def _failed_lines(spec: SyntheticSpec, rng: random.Random, cause: int, index: in
     return lines
 
 
+def _split_ints(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
+
+
+# The manifest's one-value lines in file order, each with its reader; a
+# tuple is written comma-joined.
+_MANIFEST_FIELDS = {
+    "seed": int,
+    "passed_count": int,
+    "cause_counts": _split_ints,
+    "noise_rate": float,
+    "lines_range": _split_ints,
+    "last_cause_contamination": int,
+}
+
+
 def manifest_text(spec: SyntheticSpec) -> str:
-    lines = [
-        MANIFEST_HEADER,
-        f"seed\t{spec.seed}",
-        f"passed_count\t{spec.passed_count}",
-        "cause_counts\t" + ",".join(str(c) for c in spec.cause_counts),
-        f"noise_rate\t{spec.noise_rate}",
-        f"lines_range\t{spec.lines_range[0]},{spec.lines_range[1]}",
-        f"last_cause_contamination\t{spec.last_cause_contamination}",
-    ]
+    lines = [MANIFEST_HEADER]
+    for name in _MANIFEST_FIELDS:
+        value = getattr(spec, name)
+        text = ",".join(str(v) for v in value) if isinstance(value, tuple) else str(value)
+        lines.append(f"{name}\t{text}")
     lines.extend(f"benign\t{t}" for t in spec.benign)
     for cause, group in enumerate(spec.markers):
         lines.extend(f"marker\t{cause}\t{t}" for t in group)
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class Manifest:
-    seed: int
-    passed_count: int
-    cause_counts: tuple[int, ...]
-    noise_rate: float
-    lines_range: tuple[int, int]
-    last_cause_contamination: int
-    benign: tuple[str, ...]
-    markers: tuple[tuple[int, str], ...] = field(default=())
-
-    def markers_of(self, cause: int) -> tuple[str, ...]:
-        return tuple(t for c, t in self.markers if c == cause)
-
-    def marker_signatures(self) -> dict[str, int]:
-        """First token of each marker template -> cause id."""
-        return {t.split()[0]: c for c, t in self.markers}
-
-
-def parse_manifest(path) -> Manifest:
+def parse_manifest(path) -> SyntheticSpec:
+    """Read a manifest back into the spec that wrote it."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != MANIFEST_HEADER:
         found = lines[0] if lines else "<empty>"
         raise ValidationError(f"manifest header: expected {MANIFEST_HEADER!r}, found {found!r}")
-    fields: dict[str, str] = {}
-    benign: list[str] = []
-    markers: list[tuple[int, str]] = []
-    for row in lines[1:]:
-        if not row:
-            continue
-        key, _, value = row.partition("\t")
-        if key == "benign":
-            benign.append(value)
-        elif key == "marker":
-            cause_text, _, template = value.partition("\t")
-            markers.append((int(cause_text), template))
-        else:
-            fields[key] = value
+    values: dict = {"benign": []}
+    markers: list[list[str]] = []
     try:
-        lo, hi = fields["lines_range"].split(",")
-        return Manifest(
-            seed=int(fields["seed"]),
-            passed_count=int(fields["passed_count"]),
-            cause_counts=tuple(int(c) for c in fields["cause_counts"].split(",")),
-            noise_rate=float(fields["noise_rate"]),
-            lines_range=(int(lo), int(hi)),
-            last_cause_contamination=int(fields["last_cause_contamination"]),
-            benign=tuple(benign),
-            markers=tuple(markers),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"manifest field {exc.args[0]!r} is missing") from None
+        for row in lines[1:]:
+            key, _, value = row.partition("\t")
+            if key == "benign":
+                values["benign"].append(value)
+            elif key == "marker":
+                cause_text, _, template = value.partition("\t")
+                cause = int(cause_text)
+                if cause == len(markers):
+                    markers.append([])
+                elif not 0 <= cause == len(markers) - 1:
+                    raise ValidationError(f"manifest marker of cause {cause} is out of order")
+                markers[cause].append(template)
+            elif key in _MANIFEST_FIELDS and key not in values:
+                values[key] = _MANIFEST_FIELDS[key](value)
+            else:
+                raise ValidationError(f"manifest line {row!r}: unknown or repeated field")
     except ValueError as exc:
         raise ValidationError(f"manifest field parse error: {exc}") from None
+    for name in _MANIFEST_FIELDS:
+        if name not in values:
+            raise ValidationError(f"manifest field {name!r} is missing")
+    return SyntheticSpec(**values, markers=markers)
 
 
 def generate_synthetic(spec: SyntheticSpec, out_dir) -> Path:
     """Write the corpus directory tree and return the manifest path."""
-    spec.validate()
     out = Path(out_dir)
     passed_dir = out / "passed"
     failed_dir = out / "failed"

@@ -27,7 +27,7 @@ def _config_to_json(config: AbstractionConfig) -> str:
 def _config_from_json(text: str) -> AbstractionConfig:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"model field 'config': invalid JSON ({exc})") from None
     try:
         return AbstractionConfig(

@@ -96,7 +96,7 @@ def test_predict_single_log_flags_marker(corpus_dir, model_path, capsys):
     assert "C4 third-party-library" in stdout
     flag_lines = [l for l in stdout.splitlines() if l.startswith("flag\t")]
     assert flag_lines
-    heads = {t.split()[0] for t in manifest.markers_of(3)}
+    heads = {t.split()[0] for t in manifest.markers[3]}
     assert flag_lines[0].split("\t")[4].split()[0] in heads
 
 
@@ -229,6 +229,64 @@ def test_malformed_spec_or_config_value_is_validation_error(
     assert result.returncode == 1
     assert result.stderr.startswith("error:")
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("target", ["model", "config", "spec"])
+@pytest.mark.parametrize(
+    "payload", ["[" * 200_000, "1" * 5_000], ids=["deeply-nested", "int-over-4300-digits"]
+)
+def test_json_too_deep_or_long_is_validation_error(
+    target, payload, corpus_dir, model_path, tmp_path
+):
+    # json.loads raises RecursionError, or a ValueError that is no JSONDecodeError.
+    if target == "model":
+        header, _, rest = model_path.read_text().split("\n", 2)
+        path = tmp_path / "bad.ncc"
+        path.write_text(f"{header}\nconfig\t{payload}\n{rest}")
+        args = ("predict", path, corpus_dir / "failed")
+    else:
+        path = tmp_path / "bad.json"
+        path.write_text(payload)
+        args = {
+            "config": ("train", corpus_dir, "--out", tmp_path / "m.ncc", "--config", path),
+            "spec": ("gen", path, "--out", tmp_path / "out"),
+        }[target]
+    result = _run_cli(*args)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("cause_counts", [3.9, 2]),
+        ("seed", "5"),
+        ("passed_count", True),
+        ("lines_range", [6.5, 8]),
+        ("markers", [["A marker"], [" "]]),
+        ("markers", [["A marker"], ["B first\nsecond"]]),
+    ],
+    ids=[
+        "count-float", "seed-text", "passed-bool", "lines-float", "marker-blank", "marker-two-lines"
+    ],
+)
+def test_gen_spec_value_of_wrong_type_rejected(key, value, tmp_path, capsys):
+    # A spec file is as strict as a config file: nothing is truncated or parsed.
+    spec = {"cause_counts": [3, 2], "passed_count": 2, "seed": 1, key: value}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["gen", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_gen_spec_integer_noise_rate_accepted(tmp_path):
+    path = tmp_path / "spec.json"
+    spec = {"cause_counts": [3, 2], "passed_count": 2, "seed": 1, "noise_rate": 0}
+    path.write_text(json.dumps(spec))
+    assert main(["gen", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert "noise_rate\t0.0\n" in (tmp_path / "out" / "manifest.txt").read_text()
 
 
 def _edited_model(model_path, tmp_path, edit_config=None, old="", new=""):

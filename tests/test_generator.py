@@ -1,12 +1,18 @@
+from dataclasses import replace
+
 import pytest
+from test_golden import NOISY_SPEC
 
 from ncchecker import ValidationError, load_corpus
+from ncchecker.cli import main
 from ncchecker.generator import (
     SyntheticSpec,
     corpus_digest,
     default_spec,
     generate_synthetic,
+    manifest_text,
     parse_manifest,
+    spec_from_dict,
 )
 
 
@@ -70,30 +76,28 @@ def test_manifest_round_trip(tmp_path):
     assert manifest.seed == 5
     assert manifest.cause_counts == (4, 3, 2, 2)
     assert manifest.passed_count == 3
-    assert len(manifest.markers_of(0)) == 4
+    assert len(manifest.markers[0]) == 4
     assert manifest.benign == spec.benign
 
 
 def test_overlapping_marker_sets_rejected():
-    spec = SyntheticSpec(
-        cause_counts=(2, 2),
-        passed_count=1,
-        seed=0,
-        markers=(("SAME marker line",), ("SAME marker line",)),
-    )
     with pytest.raises(ValidationError, match="also appears"):
-        spec.validate()
+        SyntheticSpec(
+            cause_counts=(2, 2),
+            passed_count=1,
+            seed=0,
+            markers=(("SAME marker line",), ("SAME marker line",)),
+        )
 
 
 def test_marker_colliding_with_benign_rejected():
-    spec = SyntheticSpec(
-        cause_counts=(2, 2),
-        passed_count=1,
-        seed=0,
-        markers=(("Took {int} seconds to build instances",), ("OTHER marker",)),
-    )
     with pytest.raises(ValidationError, match="benign"):
-        spec.validate()
+        SyntheticSpec(
+            cause_counts=(2, 2),
+            passed_count=1,
+            seed=0,
+            markers=(("Took {int} seconds to build instances",), ("OTHER marker",)),
+        )
 
 
 def test_last_cause_contamination_plants_majority_markers(tmp_path):
@@ -104,10 +108,95 @@ def test_last_cause_contamination_plants_majority_markers(tmp_path):
         last_cause_contamination=2,
     )
     manifest = parse_manifest(generate_synthetic(spec, tmp_path))
-    majority_heads = {t.split()[0] for t in manifest.markers_of(0)}
+    majority_heads = {t.split()[0] for t in manifest.markers[0]}
     corpus = load_corpus(tmp_path)
     for log in corpus.failed:
         if log.cause != 3:
             continue
         heads = {line.split()[0] for line in log.lines}
         assert len(heads & majority_heads) >= 2
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        default_spec(cause_counts=(4, 3, 2, 2), passed_count=3, seed=5),
+        default_spec(cause_counts=(6, 3, 2, 4), passed_count=4, seed=6, last_cause_contamination=2),
+        SyntheticSpec(
+            cause_counts=(2, 1),
+            passed_count=2,
+            seed=8,
+            markers=(("TABBED\tmarker {int}", "OTHER {word}"), ("LAST marker\t",)),
+            benign=("step\t{int} ok",),
+            noise_rate=0.5,
+            lines_range=(1, 3),
+        ),
+    ],
+    ids=["default", "contaminated", "tabbed"],
+)
+def test_manifest_reads_back_into_its_spec(spec, tmp_path):
+    assert parse_manifest(generate_synthetic(spec, tmp_path)) == spec
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda text: text + "dropout\t0.1\n", "unknown or repeated field"),
+        (lambda text: text + "seed\t9\n", "unknown or repeated field"),
+        (lambda text: text.replace("last_cause_contamination\t0\n", ""), "is missing"),
+        (lambda text: text.replace("marker\t1\t", "marker\t3\t"), "out of order"),
+        (lambda text: text.replace("seed\t5", "seed\tfive"), "parse error"),
+    ],
+    ids=["unknown", "repeated", "missing", "marker-order", "not-a-number"],
+)
+def test_malformed_manifest_rejected(edit, message, tmp_path):
+    text = manifest_text(default_spec(cause_counts=(4, 3, 2, 2), passed_count=3, seed=5))
+    path = tmp_path / "manifest.txt"
+    path.write_text(edit(text), encoding="utf-8")
+    with pytest.raises(ValidationError, match=message):
+        parse_manifest(path)
+
+
+def test_corpus_digests_pinned(tmp_path):
+    # Generated corpora are byte-identical across refactors of the spec.
+    assert main(["gen", "--out", str(tmp_path / "seed7"), "--seed", "7"]) == 0
+    assert corpus_digest(tmp_path / "seed7") == (
+        "406d551b9e4c42bda448ed13769a2f96b812a8385af16bf737e54d5911260e61"
+    )
+    generate_synthetic(spec_from_dict(NOISY_SPEC), tmp_path / "noisy")
+    assert corpus_digest(tmp_path / "noisy") == (
+        "ac3eb3ee92eb366ccafefabf28a3946cdbfe6d8bbade6b5d7af8030212baea20"
+    )
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("cause_counts", (3, 2.0)),
+        ("cause_counts", 5),
+        ("passed_count", True),
+        ("seed", "5"),
+        ("lines_range", (6, 8, 10)),
+        ("noise_rate", "0.1"),
+        ("noise_rate", float("nan")),
+        ("benign", ("   ",)),
+        ("benign", "Heartbeat ok"),
+        ("markers", (("A one",), ("B two\x1cthree",))),
+        ("markers", (("A one",), ("B \ud800",))),
+    ],
+)
+def test_spec_field_of_wrong_type_or_shape_rejected(field, value):
+    spec = default_spec(cause_counts=(3, 2), passed_count=1, seed=0)
+    with pytest.raises(ValidationError):
+        replace(spec, **{field: value})
+
+
+def test_spec_keeps_lists_as_tuples_and_noise_rate_as_float():
+    spec = SyntheticSpec(
+        cause_counts=[3, 2], passed_count=1, seed=0, markers=[["A one"], ["B two"]],
+        noise_rate=0, lines_range=[2, 4],
+    )
+    assert spec.cause_counts == (3, 2) and spec.lines_range == (2, 4)
+    assert spec.markers == (("A one",), ("B two",))
+    assert spec.noise_rate == 0.0 and isinstance(spec.noise_rate, float)
+    assert spec.marker_signatures() == {"A": 0, "B": 1}
