@@ -295,20 +295,15 @@ def parse_manifest(path) -> SyntheticSpec:
         found = lines[0] if lines else "<empty>"
         raise ValidationError(f"manifest header: expected {MANIFEST_HEADER!r}, found {found!r}")
     values: dict = {"benign": []}
-    markers: list[list[str]] = []
+    markers: dict[int, list[str]] = {}
     try:
         for row in lines[1:]:
             key, _, value = row.partition("\t")
             if key == "benign":
                 values["benign"].append(value)
             elif key == "marker":
-                cause_text, _, template = value.partition("\t")
-                cause = int(cause_text)
-                if cause == len(markers):
-                    markers.append([])
-                elif not 0 <= cause == len(markers) - 1:
-                    raise ValidationError(f"manifest marker of cause {cause} is out of order")
-                markers[cause].append(template)
+                cause, _, template = value.partition("\t")
+                markers.setdefault(int(cause), []).append(template)
             elif key in _MANIFEST_FIELDS and key not in values:
                 values[key] = _MANIFEST_FIELDS[key](value)
             else:
@@ -318,7 +313,9 @@ def parse_manifest(path) -> SyntheticSpec:
     for name in _MANIFEST_FIELDS:
         if name not in values:
             raise ValidationError(f"manifest field {name!r} is missing")
-    return SyntheticSpec(**values, markers=markers)
+    if sorted(markers) != list(range(len(markers))):
+        raise ValidationError(f"manifest markers name causes {sorted(markers)}, not 0..k-1")
+    return SyntheticSpec(**values, markers=[markers[c] for c in range(len(markers))])
 
 
 def generate_synthetic(spec: SyntheticSpec, out_dir) -> Path:

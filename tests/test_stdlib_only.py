@@ -20,12 +20,6 @@ def _absolute_imports(tree: ast.AST) -> list[str]:
     return [name.split(".")[0] for name in names]
 
 
-def test_absolute_imports_are_found_and_relative_ones_skipped():
-    source = "import numpy.linalg\nfrom . import table\nfrom .errors import E\n"
-    source += "def f():\n    from pandas.io import x\n"
-    assert _absolute_imports(ast.parse(source)) == ["numpy", "pandas"]
-
-
 def test_package_imports_only_the_standard_library():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) >= 10
