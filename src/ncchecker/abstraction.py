@@ -62,13 +62,25 @@ registry.  It may be shared across threads: a leaf index is published by
 one attribute assignment once complete, so two threads racing on a cold
 leaf at worst both build it.
 
-A frozen parse is a pure function of the masked line, and a log repeats
-its masked lines far more often than its raw ones.  So a frozen
-``parse_log`` keeps a memo from the masked line (before the split) to its
-event id and matches each distinct one once.  The memo lives for one log,
-although ``ncchecker predict`` parses every log of a directory with one
-miner: kept for one call, its memory is bounded by one log's distinct
-lines, and a dict local to the call shares no state between threads.
+A frozen parse is a pure function of the masked line, and a frozen miner
+never changes, so logs repeat masked lines far more often than raw ones,
+within a log and across the logs of a directory.  So a frozen miner keeps
+one memo from a masked line (before the split) to its event id, or None
+for a blank line, and matches each distinct one once for as long as the
+miner lives: ``freeze()`` starts it empty, and so does a reload, which
+freezes a new miner.  ``parse_log`` and a frozen ``parse_line`` both read
+and fill it.  Its memory is bounded by ``FROZEN_MEMO_CAP`` entries: a miss
+that finds the memo full clears it first.  An entry costs its dict slot
+(29-43 bytes; 961,280 bytes for the table of a full memo) and the masked
+line, which the memo keeps alive (49 bytes plus one per character of
+ASCII text, up to four per character otherwise).  Measured on the bench's
+seed-7 test corpora, an entry takes 111 bytes on ``clean``, 118 on
+``short`` and 173 on ``noisy`` (masked lines of 28, 32 and 81 characters
+on average).  So the worst case is the cap times the longest masked line,
+plus about 2.6 MB of table and string headers.  Threads that share the
+miner share the memo: a lookup is one ``dict.get``, so another thread's
+clear can cost a repeat match but never a wrong id, and racing threads
+may each insert one entry past the cap.
 
 A training parse may change the tree, yet most training lines repeat a
 masked line already seen, and such a repeat usually only counts one more
@@ -107,6 +119,12 @@ from .errors import ValidationError
 WILDCARD = "<*>"
 UNKNOWN_EVENT_ID = "<unknown>"
 REGISTRY_HEADER = "ncc-templates v1"
+
+# Entries a frozen miner's memo holds before a miss clears it: above the
+# 22,277 distinct masked lines of the bench's noisy test corpus, and one
+# hash table of 2^16 slots (961,280 bytes) when full.
+FROZEN_MEMO_CAP = 1 << 15
+_MISSING = object()
 
 # The built-in rules, each as written, in its scan form, and with the
 # pattern of the dots it is anchored on, if any.  Order matters: IPv4
@@ -454,7 +472,8 @@ class TemplateMiner:
     Both modes match through per-leaf indexes built on a leaf's first
     lookup.  Training (mutating) mode requires exclusive access and keeps
     the built indexes current as templates are registered and merged.
-    After ``freeze()`` the state is immutable and the miner may be shared
+    After ``freeze()`` the tree and registry are immutable, only the
+    frozen memo of matched lines changes, and the miner may be shared
     across threads (see the module docstring).
     """
 
@@ -474,6 +493,9 @@ class TemplateMiner:
         self._next_index = 1
         # Training memo: masked line -> (leaf index, its widens, template).
         self._memo: dict[str, tuple[_LeafIndex, int, LogTemplate]] | None = {}
+        # Frozen memo, started by freeze(): masked line -> event id, or
+        # None for a blank line.
+        self._frozen_memo: dict[str, str | None] | None = None
 
     @property
     def frozen(self) -> bool:
@@ -482,6 +504,7 @@ class TemplateMiner:
     def freeze(self) -> "TemplateMiner":
         self._frozen = True
         self._memo = None
+        self._frozen_memo = {}
         return self
 
     @property
@@ -552,9 +575,14 @@ class TemplateMiner:
         """Return the event id for one raw line, or None for a blank line.
 
         Training mode merges or registers templates; frozen mode maps
-        unmatched lines to UNKNOWN_EVENT_ID and never mutates state.
+        unmatched lines to UNKNOWN_EVENT_ID and never mutates the tree or
+        the registry.  A frozen miner looks the masked line up in the
+        memo that ``parse_log`` reads and fills (see ``_frozen_parser``).
         """
-        return self._parse_tokens(_mask(line, self._rules).split())
+        masked = _mask(line, self._rules)
+        if self._frozen:
+            return self._frozen_parser()(masked)
+        return self._parse_tokens(masked.split())
 
     def _parse_tokens(self, tokens: Sequence[str], masked: str | None = None) -> str | None:
         """``parse_line`` from the masked tokens on.
@@ -611,12 +639,13 @@ class TemplateMiner:
         is exact is in the module docstring), else line by line, as
         ``parse_line`` masks.
 
-        A frozen miner then matches each distinct masked line of the log
-        once: a dict local to this call maps the line after the mask rules,
-        before the split, to its event id (None for a blank line), so a
-        repeat skips the split, the routing and the leaf lookup.  The memo
-        dies with the call; why it is kept no longer is in the module
-        docstring.
+        A frozen miner then matches each distinct masked line once for as
+        long as the miner lives: its memo maps the line after the mask
+        rules, before the split, to its event id (None for a blank line),
+        so a repeat in this log or any earlier one skips the split, the
+        routing and the leaf lookup.  The memo holds at most
+        ``FROZEN_MEMO_CAP`` entries and is cleared when a miss finds it
+        full; its memory and thread behaviour are in the module docstring.
 
         A training miner looks each masked line up in its own memo, kept
         across calls until ``freeze()``.  A hit whose leaf index has not
@@ -660,13 +689,24 @@ class TemplateMiner:
         return parse
 
     def _frozen_parser(self):
-        """A frozen ``_parse_tokens`` of a masked line, memoised for one log."""
-        parse_tokens, memo = self._parse_tokens, {}
+        """A frozen ``_parse_tokens`` of a masked line, memoised for the miner's life.
+
+        The memo, started empty by ``freeze()``, holds at most
+        ``FROZEN_MEMO_CAP`` entries (a miss clears a full one), so its
+        worst case is the cap times the longest masked line, plus about
+        2.6 MB (module docstring).  A lookup is one ``dict.get``: with
+        ``in`` and then ``[]``, another thread's clear between the two
+        would raise ``KeyError``.
+        """
+        parse_tokens, memo = self._parse_tokens, self._frozen_memo
 
         def parse(masked: str) -> str | None:
-            if masked in memo:
-                return memo[masked]
-            event_id = memo[masked] = parse_tokens(masked.split())
+            event_id = memo.get(masked, _MISSING)
+            if event_id is _MISSING:
+                event_id = parse_tokens(masked.split())
+                if len(memo) >= FROZEN_MEMO_CAP:
+                    memo.clear()
+                memo[masked] = event_id
             return event_id
 
         return parse

@@ -85,6 +85,12 @@ def model_from_text(text: str) -> tuple[TemplateMiner, ScoreTable]:
 
     miner = TemplateMiner.from_registry_text(registry_block, config).freeze()
     table = table_from_text(table_block)
+    for event_id in table.rows:
+        if event_id not in miner.templates:
+            # A parse never yields this id, so the row could never score.
+            raise ValidationError(
+                f"model table: row for event {event_id!r}, which the template registry lacks"
+            )
     return miner, table
 
 

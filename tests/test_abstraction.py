@@ -2,6 +2,7 @@ import random
 import re
 import sys
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -452,7 +453,7 @@ def _results_of_four_threads(parse):
     return [results[n] for n in range(4)]
 
 
-def test_shared_frozen_miner_gives_serial_ids_across_threads():
+def _serial_ids_across_threads():
     lines = _fuzz_lines(17, 600)
     miner = _cold_shared_miner(lines)
     expected = [scan_parse_line(miner, line) for line in lines]
@@ -460,16 +461,60 @@ def test_shared_frozen_miner_gives_serial_ids_across_threads():
     assert results == [expected] * 4
 
 
-def test_shared_frozen_miner_gives_serial_logs_across_threads():
+def _serial_logs_across_threads():
     lines = _fuzz_lines(17, 600)
     miner = _cold_shared_miner(lines)
-    # Each log repeats a third of its lines, so every thread's memo both
-    # misses on cold leaves and hits.
+    # Each log repeats a third of its lines, so the shared memo both misses
+    # on cold leaves and hits.
     logs = [lines[i : i + 60] + lines[i : i + 20] for i in range(0, len(lines), 60)]
     expected = [tuple(scan_parse_line(miner, line) for line in log) for log in logs]
     results = _results_of_four_threads(lambda: [miner.parse_log(log).events for log in logs])
     assert results == [expected] * 4
 
+
+def test_shared_frozen_miner_gives_serial_ids_across_threads():
+    _serial_ids_across_threads()
+
+
+def test_shared_frozen_miner_gives_serial_logs_across_threads():
+    _serial_logs_across_threads()
+
+
+# With a cap of 2 nearly every miss clears the shared memo, so clears race
+# with other threads' lookups and inserts.
+
+
+def test_shared_frozen_miner_gives_serial_ids_while_the_memo_clears(monkeypatch):
+    monkeypatch.setattr(abstraction, "FROZEN_MEMO_CAP", 2)
+    _serial_ids_across_threads()
+
+
+def test_shared_frozen_miner_gives_serial_logs_while_the_memo_clears(monkeypatch):
+    monkeypatch.setattr(abstraction, "FROZEN_MEMO_CAP", 2)
+    _serial_logs_across_threads()
+
+
+
+def test_frozen_memo_lookup_is_one_dict_operation():
+    # Another thread's clear can fall between any two dict operations of a
+    # lookup; this key clears the memo when it is hashed a second time.
+    # Without mask rules, parse_line hands the key to the memo as it is.
+    miner = TemplateMiner(AbstractionConfig(mask_rules=()))
+    miner.parse_line("a b c")
+    miner.freeze()
+    assert miner.parse_line("a b c") == "e1"
+
+    class ClearsOnSecondHash(str):
+        hashes = 0
+
+        def __hash__(self):
+            ClearsOnSecondHash.hashes += 1
+            if ClearsOnSecondHash.hashes == 2:
+                miner._frozen_memo.clear()
+            return str.__hash__(self)
+
+    assert miner.parse_line(ClearsOnSecondHash("a b c")) == "e1"
+    assert ClearsOnSecondHash.hashes == 1
 
 # -- the frozen parse_log memo --------------------------------------------------
 
@@ -506,25 +551,43 @@ def _memo_cases(draw):
     pool = [render(tokens) for tokens in shapes for _ in range(2)]
     pool += [render(tokens[::-1]) for tokens in shapes]
     pool += ["", "  \t ", _UNKNOWN_LINE]
-    repeats = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
-    return config, train, draw(st.permutations(pool + repeats))
+    # Several logs, each with its own repeats, so later logs hit what
+    # earlier ones left in the memo.
+    repeats = st.lists(st.sampled_from(pool), min_size=1, max_size=30)
+    logs = draw(st.lists(repeats.flatmap(lambda r: st.permutations(pool + r)), min_size=1, max_size=3))
+    return config, train, logs
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(_memo_cases())
 def test_frozen_parse_log_memo_equals_per_line_parse(case):
-    config, train, log = case
+    config, train, logs = case
     miner = TemplateMiner(config)
     for line in train:
         miner.parse_line(line)
     miner.freeze()
-    reloaded = TemplateMiner.from_registry_text(miner.export_registry(), config).freeze()
-    for frozen in (reloaded, miner):  # the reloaded miner's leaves start cold
-        seq = frozen.parse_log(log, "log")
-        per_line = [(n, frozen.parse_line(line)) for n, line in enumerate(log, start=1)]
-        expected = [(n, event_id) for n, event_id in per_line if event_id is not None]
-        assert list(zip(seq.line_numbers, seq.events)) == expected
-        assert UNKNOWN_EVENT_ID in seq.events
+    registry = miner.export_registry()
+
+    def cold():
+        return TemplateMiner.from_registry_text(registry, config).freeze()
+
+    expected = []
+    for log in logs:
+        per_line = [(n, cold().parse_line(line)) for n, line in enumerate(log, start=1)]
+        expected.append([(n, event_id) for n, event_id in per_line if event_id is not None])
+    # Caps of 1 and 3 clear the memo in the middle of a log.
+    for cap in (abstraction.FROZEN_MEMO_CAP, 1, 3):
+        with mock.patch.object(abstraction, "FROZEN_MEMO_CAP", cap):
+            miner.freeze()  # an empty memo for each cap
+            for frozen in (cold(), miner):  # a reloaded miner's leaves start cold
+                for log, want in zip(logs, expected):
+                    seq = frozen.parse_log(log, "log")
+                    assert list(zip(seq.line_numbers, seq.events)) == want
+                    assert UNKNOWN_EVENT_ID in seq.events
+                    assert len(frozen._frozen_memo) <= cap
+                # parse_line reads the memo that parse_log filled.
+                per_line = [(n, frozen.parse_line(line)) for n, line in enumerate(logs[0], start=1)]
+                assert [pair for pair in per_line if pair[1] is not None] == expected[0]
 
 
 def test_training_parse_log_counts_every_repeated_line():
@@ -552,19 +615,48 @@ def _count_best_slot(monkeypatch):
     return calls
 
 
-def test_frozen_parse_log_memo_lives_for_one_log(monkeypatch):
+def test_frozen_memo_lives_as_long_as_the_miner(monkeypatch):
     miner = TemplateMiner(AbstractionConfig())
     miner.parse_line("retry 3 of job alpha")
     miner.freeze()
+    assert miner._frozen_memo == {}
     lookups = _count_best_slot(monkeypatch)
     log = ["retry 3 of job alpha"] * 50
     assert miner.parse_log(log).events == ("e1",) * 50
     assert lookups[0] == 1
-    miner.parse_log(log)
-    assert lookups[0] == 2
-    # The key is the masked line, not the raw one.
+    assert miner.parse_log(log).events == ("e1",) * 50
+    assert lookups[0] == 1  # the second parse of the log matches nothing
+    # The key is the masked line, not the raw one, and parse_line reads it.
     assert miner.parse_log([f"retry {n} of job alpha" for n in range(50)]).events == ("e1",) * 50
+    assert miner.parse_line("retry 99 of job alpha") == "e1"
+    assert lookups[0] == 1
+    assert list(miner._frozen_memo) == ["retry <*> of job alpha"]
+    # freeze() and a reload each start an empty memo.
+    miner.freeze()
+    assert miner._frozen_memo == {}
+    assert miner.parse_log(log).events == ("e1",) * 50
+    assert lookups[0] == 2
+    reloaded = TemplateMiner.from_registry_text(miner.export_registry()).freeze()
+    assert reloaded._frozen_memo == {}
+    assert reloaded.parse_line("retry 3 of job alpha") == "e1"
     assert lookups[0] == 3
+
+
+def test_frozen_memo_never_holds_more_than_the_cap(monkeypatch):
+    monkeypatch.setattr(abstraction, "FROZEN_MEMO_CAP", 3)
+    miner = TemplateMiner(AbstractionConfig(mask_rules=()))
+    for word in "abcde":
+        miner.parse_line(f"job {word} done")
+    miner.freeze()
+    lookups = _count_best_slot(monkeypatch)
+    # "d" finds the memo full and clears it, so "a" and "b" match again.
+    for n, word in enumerate("abcdab", start=1):
+        miner.parse_line(f"job {word} done")
+        assert len(miner._frozen_memo) <= 3
+        assert lookups[0] == n
+    assert list(miner._frozen_memo) == ["job d done", "job a done", "job b done"]
+    miner.parse_line("job a done")
+    assert lookups[0] == 6
 
 
 # -- the training memo --------------------------------------------------------

@@ -324,6 +324,13 @@ def _malformed_input_args(case, corpus_dir, model_path, tmp_path):
             model_path, tmp_path, old="n_per_cause\t30\t14\t8\t6", new="n_per_cause\t-5\t25\t10\t5"
         )
         return "eval", model, corpus_dir, "--baselines", "rg"
+    if case == "model-row-without-template":
+        count, first_row = model_path.read_text().split("\nrows\t", 1)[1].split("\n", 2)[:2]
+        event_id = first_row.partition("\t")[0]
+        model = _edited_model(
+            model_path, tmp_path, old=f"rows\t{count}\n{event_id}\t", new=f"rows\t{count}\ne99999\t"
+        )
+        return "predict", model, corpus_dir / "failed"
     if case == "model-non-finite-cell":
         model = _edited_model(model_path, tmp_path, old="\t0.0\t", new="\tnan\t")
         return "predict", model, corpus_dir / "failed"
@@ -351,6 +358,7 @@ def _malformed_input_args(case, corpus_dir, model_path, tmp_path):
         "model-tree-depth-not-an-integer",
         "model-negative-class-count",
         "model-non-finite-cell",
+        "model-row-without-template",
         "labels-not-utf8",
         "labels-field-over-csv-limit",
         "spec-no-benign-template",

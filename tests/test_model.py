@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -93,3 +94,16 @@ def test_loaded_model_still_diffs_benign_lines(tmp_path, fig_corpus):
     )
     assert "<unknown>" not in events.events
     assert prediction.cause == 1
+
+
+@pytest.mark.parametrize("event_id", ["e99999", "<unknown>"])
+def test_table_row_without_registry_template_rejected(fig_corpus, event_id):
+    # A row whose event the registry lacks could never score: no parse
+    # yields that id.
+    text = model_to_text(*build(fig_corpus))
+    head, rows = text.split("\nrows\t", 1)
+    count, first_row, rest = rows.split("\n", 2)
+    cells = first_row.partition("\t")[2]
+    edited = f"{head}\nrows\t{count}\n{event_id}\t{cells}\n{rest}"
+    with pytest.raises(ValidationError, match=f"row for event '{re.escape(event_id)}'"):
+        model_from_text(edited)
