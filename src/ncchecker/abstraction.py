@@ -63,12 +63,12 @@ one attribute assignment once complete, so two threads racing on a cold
 leaf at worst both build it.
 
 A frozen parse is a pure function of the masked line, and a frozen miner
-never changes, so logs repeat masked lines far more often than raw ones,
-within a log and across the logs of a directory.  So a frozen miner keeps
-one memo from a masked line (before the split) to its event id, or None
-for a blank line, and matches each distinct one once for as long as the
-miner lives: ``freeze()`` starts it empty, and so does a reload, which
-freezes a new miner.  ``parse_log`` and a frozen ``parse_line`` both read
+never changes its tree or registry.  Logs repeat masked lines far more
+often than raw ones, within a log and across the logs of a directory.  So
+a frozen miner keeps one memo from a masked line (before the split) to
+its event id, or None for a blank line, and matches each distinct one
+once for as long as the miner lives: ``freeze()`` starts it empty, and so
+does a reload, which freezes a new miner.  ``parse_log`` and a frozen ``parse_line`` both read
 and fill it.  Its memory is bounded by ``FROZEN_MEMO_CAP`` entries: a miss
 that finds the memo full clears it first.  An entry costs its dict slot
 (29-43 bytes; 961,280 bytes for the table of a full memo) and the masked
