@@ -482,8 +482,6 @@ def test_shared_frozen_miner_gives_serial_logs_across_threads():
 
 # With a cap of 2 nearly every miss clears the shared memo, so clears race
 # with other threads' lookups and inserts.
-
-
 def test_shared_frozen_miner_gives_serial_ids_while_the_memo_clears(monkeypatch):
     monkeypatch.setattr(abstraction, "FROZEN_MEMO_CAP", 2)
     _serial_ids_across_threads()
@@ -493,28 +491,6 @@ def test_shared_frozen_miner_gives_serial_logs_while_the_memo_clears(monkeypatch
     monkeypatch.setattr(abstraction, "FROZEN_MEMO_CAP", 2)
     _serial_logs_across_threads()
 
-
-
-def test_frozen_memo_lookup_is_one_dict_operation():
-    # Another thread's clear can fall between any two dict operations of a
-    # lookup; this key clears the memo when it is hashed a second time.
-    # Without mask rules, parse_line hands the key to the memo as it is.
-    miner = TemplateMiner(AbstractionConfig(mask_rules=()))
-    miner.parse_line("a b c")
-    miner.freeze()
-    assert miner.parse_line("a b c") == "e1"
-
-    class ClearsOnSecondHash(str):
-        hashes = 0
-
-        def __hash__(self):
-            ClearsOnSecondHash.hashes += 1
-            if ClearsOnSecondHash.hashes == 2:
-                miner._frozen_memo.clear()
-            return str.__hash__(self)
-
-    assert miner.parse_line(ClearsOnSecondHash("a b c")) == "e1"
-    assert ClearsOnSecondHash.hashes == 1
 
 # -- the frozen parse_log memo --------------------------------------------------
 
@@ -554,7 +530,8 @@ def _memo_cases(draw):
     # Several logs, each with its own repeats, so later logs hit what
     # earlier ones left in the memo.
     repeats = st.lists(st.sampled_from(pool), min_size=1, max_size=30)
-    logs = draw(st.lists(repeats.flatmap(lambda r: st.permutations(pool + r)), min_size=1, max_size=3))
+    log = repeats.flatmap(lambda r: st.permutations(pool + r))
+    logs = draw(st.lists(log, min_size=1, max_size=3))
     return config, train, logs
 
 
@@ -586,7 +563,7 @@ def test_frozen_parse_log_memo_equals_per_line_parse(case):
                     assert UNKNOWN_EVENT_ID in seq.events
                     assert len(frozen._frozen_memo) <= cap
                 # parse_line reads the memo that parse_log filled.
-                per_line = [(n, frozen.parse_line(line)) for n, line in enumerate(logs[0], start=1)]
+                per_line = enumerate(map(frozen.parse_line, logs[0]), start=1)
                 assert [pair for pair in per_line if pair[1] is not None] == expected[0]
 
 
@@ -642,10 +619,32 @@ def test_frozen_memo_lives_as_long_as_the_miner(monkeypatch):
     assert lookups[0] == 3
 
 
+def test_frozen_memo_lookup_is_one_dict_operation():
+    # Another thread's clear can fall between any two dict operations of a
+    # lookup; this key clears the memo when it is hashed a second time.
+    # Without mask rules, parse_line hands the key to the memo as it is.
+    miner = TemplateMiner(AbstractionConfig(mask_rules=()))
+    miner.parse_line("a b c")
+    miner.freeze()
+    assert miner.parse_line("a b c") == "e1"
+
+    class ClearsOnSecondHash(str):
+        hashes = 0
+
+        def __hash__(self):
+            ClearsOnSecondHash.hashes += 1
+            if ClearsOnSecondHash.hashes == 2:
+                miner._frozen_memo.clear()
+            return str.__hash__(self)
+
+    assert miner.parse_line(ClearsOnSecondHash("a b c")) == "e1"
+    assert ClearsOnSecondHash.hashes == 1
+
+
 def test_frozen_memo_never_holds_more_than_the_cap(monkeypatch):
     monkeypatch.setattr(abstraction, "FROZEN_MEMO_CAP", 3)
     miner = TemplateMiner(AbstractionConfig(mask_rules=()))
-    for word in "abcde":
+    for word in "abcd":
         miner.parse_line(f"job {word} done")
     miner.freeze()
     lookups = _count_best_slot(monkeypatch)
