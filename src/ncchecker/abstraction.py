@@ -297,7 +297,7 @@ def preprocess(line: str, config: AbstractionConfig) -> list[str]:
     return _mask(line, _compiled_rules(config.mask_rules)).split()
 
 
-@dataclass
+@dataclass(slots=True)
 class LogTemplate:
     """A mined event pattern: literal tokens with wildcard slots."""
 
@@ -350,8 +350,11 @@ class EventSequence:
 
 
 def event_sort_key(event_id: str):
-    """Deterministic ordering: miner ids ``e<n>`` numerically, others after."""
-    if event_id.startswith("e") and event_id[1:].isdigit():
+    """Deterministic ordering: miner ids ``e<n>`` numerically, others after.
+
+    ``isdecimal``, not ``isdigit``: ``int`` rejects digits such as ``"²"``.
+    """
+    if event_id.startswith("e") and event_id[1:].isdecimal():
         return (0, int(event_id[1:]), event_id)
     return (1, 0, event_id)
 
@@ -486,6 +489,7 @@ class TemplateMiner:
         # parse_log may mask a whole log in one pass (module docstring).
         self._log_pass = all(rule in DEFAULT_MASK_RULES for rule in self.config.mask_rules)
         self._route_depth = self.config.tree_depth - 2
+        self._max_children = self.config.max_children
         self._threshold = self.config.similarity_threshold
         self._root: dict[int, _Node] = {}
         self._templates: dict[str, LogTemplate] = {}
@@ -540,24 +544,33 @@ class TemplateMiner:
                 child = children.get(WILDCARD)
                 # With the <*> child there, the node is capped when it has
                 # more than max_children children.
-                stable = stable and len(children) > self.config.max_children
+                stable = stable and len(children) > self._max_children
             if child is None:
                 return None, False
             node = child
         return node, stable
 
     def _insert_leaf(self, tokens: Sequence[str]) -> _Node:
-        node = self._root.setdefault(len(tokens), _Node())
+        """The leaf a new template goes to, creating the nodes on its route.
+
+        A literal key at a node that already has ``max_children`` literal
+        children goes to the ``<*>`` child instead (the overflow lane).
+        """
+        root = self._root
+        node = root.get(len(tokens))
+        if node is None:
+            node = root[len(tokens)] = _Node()
+        cap = self._max_children
         for token in tokens[: min(self._route_depth, len(tokens) - 1)]:
-            key = _route_key(token)
-            child = node.children.get(key)
+            key = token if token.isalpha() else _route_key(token)  # words route as themselves
+            children = node.children
+            child = children.get(key)
             if child is None:
-                literal_count = len(node.children) - (WILDCARD in node.children)
-                if key != WILDCARD and literal_count >= self.config.max_children:
+                if key != WILDCARD and len(children) - (WILDCARD in children) >= cap:
                     key = WILDCARD  # branch cap reached: overflow lane
-                child = node.children.get(key)
+                    child = children.get(WILDCARD)
                 if child is None:
-                    child = node.children.setdefault(key, _Node())
+                    child = children[key] = _Node()
             node = child
         return node
 
@@ -713,33 +726,52 @@ class TemplateMiner:
 
     # -- registry text: the ncc-templates v1 block of a model -----------
 
-    def export_registry(self) -> str:
+    def registry_lines(self) -> list[str]:
+        """The ``ncc-templates v1`` block as lines: the header, then one per template."""
         lines = [REGISTRY_HEADER]
-        for template in self._templates.values():
-            lines.append(f"{template.event_id}\t{template.match_count}\t{template.text}")
-        return "\n".join(lines) + "\n"
+        lines.extend(
+            f"{template.event_id}\t{template.match_count}\t{template.text}"
+            for template in self._templates.values()
+        )
+        return lines
+
+    def export_registry(self) -> str:
+        return "\n".join(self.registry_lines()) + "\n"
 
     @classmethod
     def from_registry_text(
         cls, text: str, config: AbstractionConfig | None = None
     ) -> "TemplateMiner":
         """Rebuild a miner from an exported registry (tree re-derived)."""
-        lines = text.splitlines()
+        return cls.from_registry_lines(text.splitlines(), config)
+
+    @classmethod
+    def from_registry_lines(
+        cls, lines: Sequence[str], config: AbstractionConfig | None = None
+    ) -> "TemplateMiner":
+        """Rebuild a miner from the lines of an exported registry.
+
+        Templates are inserted in file order through ``_insert_leaf``, the
+        path training registers through, so the tree is re-derived; a blank
+        line is skipped.  Messages number lines from the header, line 1.
+        """
         if not lines or lines[0] != REGISTRY_HEADER:
             found = lines[0] if lines else "<empty>"
             raise ValidationError(
                 f"template registry header: expected {REGISTRY_HEADER!r}, found {found!r}"
             )
         miner = cls(config)
+        templates = miner._templates
+        insert_leaf = miner._insert_leaf
         max_index = 0
-        for lineno, row in enumerate(lines[1:], start=2):
-            if not row:
+        for lineno, row in enumerate(lines, start=1):
+            if lineno == 1 or not row:
                 continue
             parts = row.split("\t", 2)
             if len(parts) != 3:
                 raise ValidationError(f"template registry line {lineno}: expected 3 fields")
             event_id, count_text, template_text = parts
-            if event_id in miner._templates:
+            if event_id in templates:
                 raise ValidationError(
                     f"template registry line {lineno}: duplicate event id {event_id!r}"
                 )
@@ -749,13 +781,14 @@ class TemplateMiner:
                 raise ValidationError(
                     f"template registry line {lineno}: match_count {count_text!r} is not an integer"
                 ) from None
-            tokens = tuple(template_text.split(" "))
-            if not tokens or tokens == ("",):
+            if not template_text:
                 raise ValidationError(f"template registry line {lineno}: empty template")
-            template = LogTemplate(event_id, tokens, match_count)
-            miner._templates[event_id] = template
-            miner._insert_leaf(tokens).template_ids.append(event_id)
-            if event_id.startswith("e") and event_id[1:].isdigit():
-                max_index = max(max_index, int(event_id[1:]))
+            tokens = tuple(template_text.split(" "))
+            templates[event_id] = LogTemplate(event_id, tokens, match_count)
+            insert_leaf(tokens).template_ids.append(event_id)
+            if event_id[:1] == "e" and event_id[1:].isdecimal():
+                index = int(event_id[1:])
+                if index > max_index:
+                    max_index = index
         miner._next_index = max_index + 1
         return miner

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .abstraction import AbstractionConfig, TemplateMiner
 from .errors import ValidationError
-from .table import ScoreTable, table_from_text, table_to_text
+from .table import ScoreTable, table_from_lines, table_lines
 
 MODEL_HEADER = "ncc-model v1"
 
@@ -38,8 +38,8 @@ def _config_from_json(text: str) -> AbstractionConfig:
 
 
 def model_to_text(miner: TemplateMiner, table: ScoreTable) -> str:
-    registry_block = miner.export_registry().splitlines()
-    table_block = table_to_text(table).splitlines()
+    registry_block = miner.registry_lines()
+    table_block = table_lines(table)
     lines = [MODEL_HEADER, f"config\t{_config_to_json(miner.config)}"]
     lines.append(f"templates\t{len(registry_block)}")
     lines.extend(registry_block)
@@ -49,6 +49,7 @@ def model_to_text(miner: TemplateMiner, table: ScoreTable) -> str:
 
 
 def model_from_text(text: str) -> tuple[TemplateMiner, ScoreTable]:
+    """Read an ``ncc-model v1`` file; the module docstring says what it rejects."""
     lines = text.splitlines()
     if not lines or lines[0] != MODEL_HEADER:
         found = lines[0] if lines else "<empty>"
@@ -66,31 +67,37 @@ def model_from_text(text: str) -> tuple[TemplateMiner, ScoreTable]:
         cursor += 1
         return value
 
-    def take_block(name: str) -> str:
+    def take_block(name: str) -> list[str]:
         nonlocal cursor
         count_text = take_field(name)
         try:
             count = int(count_text)
         except ValueError:
-            raise ValidationError(f"model field {name!r}: bad line count {count_text!r}") from None
+            count = -1  # rejected below, as a negative count is
+        if count < 0:
+            raise ValidationError(f"model field {name!r}: bad line count {count_text!r}")
         if cursor + count > len(lines):
             raise ValidationError(f"model section {name!r} is truncated")
-        block = "\n".join(lines[cursor : cursor + count]) + "\n"
+        block = lines[cursor : cursor + count]
         cursor += count
         return block
 
     config = _config_from_json(take_field("config"))
     registry_block = take_block("templates")
     table_block = take_block("table")
+    if cursor < len(lines):
+        raise ValidationError(f"model line {cursor + 1}: unexpected line after the table block")
 
-    miner = TemplateMiner.from_registry_text(registry_block, config).freeze()
-    table = table_from_text(table_block)
-    for event_id in table.rows:
-        if event_id not in miner.templates:
-            # A parse never yields this id, so the row could never score.
-            raise ValidationError(
-                f"model table: row for event {event_id!r}, which the template registry lacks"
-            )
+    miner = TemplateMiner.from_registry_lines(registry_block, config).freeze()
+    table = table_from_lines(table_block)
+    # A row whose event the registry lacks could never score: no parse
+    # yields that id.
+    missing = table.rows.keys() - miner.templates.keys()
+    if missing:
+        event_id = next(eid for eid in table.rows if eid in missing)
+        raise ValidationError(
+            f"model table: row for event {event_id!r}, which the template registry lacks"
+        )
     return miner, table
 
 

@@ -28,6 +28,8 @@ TABLE_HEADER = "ncc-table v1"
 
 SINGLE = "single"
 MULTI = "multi"
+# What a saved row of each kind must hold, as the loader says it.
+_KIND_NEEDS = {SINGLE: "exactly one non-zero cell", MULTI: "two or more non-zero cells"}
 
 
 def collect_pools(
@@ -146,17 +148,24 @@ class ScoreTable:
 def scores_from_counts(
     counts: CountTable, taxonomy: CauseTaxonomy, *, skip_reweight: bool = False
 ) -> ScoreTable:
-    """Reweight every count row; with skip_reweight the raw counts pass through."""
+    """Reweight every count row; with skip_reweight the raw counts pass through.
+
+    Rows with equal counts share one score tuple, reweighted once.
+    """
     if len(counts.n_per_cause) != taxonomy.k:
         raise ValidationError("count table and taxonomy disagree on the number of causes")
     rows: dict[str, tuple[float, ...]] = {}
     kinds: dict[str, str] = {}
+    scored: dict[tuple[int, ...], tuple[tuple[float, ...], str]] = {}
     for eid, count_row in counts.rows.items():
-        kinds[eid] = row_kind(count_row)
-        if skip_reweight:
-            rows[eid] = tuple(float(c) for c in count_row)
-        else:
-            rows[eid] = tuple(reweight(count_row))
+        entry = scored.get(count_row)
+        if entry is None:
+            if skip_reweight:
+                row = tuple(float(c) for c in count_row)
+            else:
+                row = tuple(reweight(count_row))
+            entry = scored[count_row] = (row, row_kind(count_row))
+        rows[eid], kinds[eid] = entry
     return ScoreTable(
         rows=rows,
         kinds=kinds,
@@ -168,11 +177,19 @@ def scores_from_counts(
 
 
 def apply_icf(table: ScoreTable) -> ScoreTable:
-    """Multiply every cell of a reweighted table by its column's icf."""
-    rows = {
-        eid: tuple(value * table.icf[j] for j, value in enumerate(row))
-        for eid, row in table.rows.items()
-    }
+    """Multiply every cell of a reweighted table by its column's icf.
+
+    A row object shared by several events is scaled once and stays shared.
+    Sharing follows the object, not tuple equality: ``0.0 == -0.0``.
+    """
+    icf = table.icf
+    scaled: dict[int, tuple[float, ...]] = {}
+    rows: dict[str, tuple[float, ...]] = {}
+    for eid, row in table.rows.items():
+        new = scaled.get(id(row))
+        if new is None:
+            new = scaled[id(row)] = tuple(value * icf[j] for j, value in enumerate(row))
+        rows[eid] = new
     return replace(table, rows=rows)
 
 
@@ -224,11 +241,13 @@ def build(
 # -- persistence -------------------------------------------------------
 
 
-def table_to_text(table: ScoreTable) -> str:
-    """Serialize a table; float cells use repr and round-trip exactly.
+def table_lines(table: ScoreTable) -> list[str]:
+    """The ``ncc-table v1`` block as lines; float cells use repr and round-trip exactly.
 
     The ``stage`` and ``registry`` lines are fixed: they keep the block's
-    layout of ``ncc-table v1``.
+    layout of ``ncc-table v1``.  Each distinct row object is formatted
+    once; the key is the object, since equal rows can differ in ``repr``
+    (``0.0 == -0.0``).
     """
     lines = [TABLE_HEADER, f"k\t{table.k}"]
     lines.extend(f"cause\t{j}\t{table.taxonomy.names[j]}" for j in range(table.k))
@@ -238,10 +257,19 @@ def table_to_text(table: ScoreTable) -> str:
     lines.append("stage\tfinal")
     lines.append("registry\t-")
     lines.append(f"rows\t{len(table.rows)}")
+    kinds = table.kinds
+    formatted: dict[int, str] = {}
     for eid, row in table.rows.items():
-        cells = "\t".join(repr(v) for v in row)
-        lines.append(f"{eid}\t{cells}\t{table.kinds[eid]}")
-    return "\n".join(lines) + "\n"
+        cells = formatted.get(id(row))
+        if cells is None:
+            cells = formatted[id(row)] = "\t".join(map(repr, row))
+        lines.append(f"{eid}\t{cells}\t{kinds[eid]}")
+    return lines
+
+
+def table_to_text(table: ScoreTable) -> str:
+    """Serialize a table as its ``ncc-table v1`` block (see ``table_lines``)."""
+    return "\n".join(table_lines(table)) + "\n"
 
 
 def _expect_field(parts: list[str], name: str, lineno: int) -> list[str]:
@@ -251,8 +279,34 @@ def _expect_field(parts: list[str], name: str, lineno: int) -> list[str]:
     return parts[1:]
 
 
+def _read_cells(cells_text: str, lineno: int) -> tuple[tuple[float, ...], str | None]:
+    """One row's validated cells, and the kind their non-zero cells make (None for none)."""
+    row = tuple(map(float, cells_text.split("\t")))
+    if not all(map(math.isfinite, row)):
+        raise ValidationError(f"table line {lineno}: cells must be finite")
+    if any(v < 0 for v in row):
+        raise ValidationError(f"table line {lineno}: cells must be >= 0")
+    nonzero = sum(1 for v in row if v)
+    if nonzero == 0:
+        return row, None
+    return row, SINGLE if nonzero == 1 else MULTI
+
+
 def table_from_text(text: str) -> ScoreTable:
-    lines = text.splitlines()
+    """Read an ``ncc-table v1`` block (see ``table_from_lines``)."""
+    return table_from_lines(text.splitlines())
+
+
+def table_from_lines(lines: Sequence[str]) -> ScoreTable:
+    """Read the lines of an ``ncc-table v1`` block; messages number them from 1.
+
+    Besides the layout, the block must be what ``build`` writes:
+    ``n_total`` is the sum of ``n_per_cause``, ``icf`` equals
+    ``compute_icf`` of the two exactly, no value is negative or
+    non-finite, a ``single`` row has one non-zero cell and a ``multi`` row
+    at least two, and exactly ``rows`` row lines end the block.  Rows with
+    the same cells text are parsed and checked once and share one tuple.
+    """
     if not lines or lines[0] != TABLE_HEADER:
         found = lines[0] if lines else "<empty>"
         raise ValidationError(f"table header: expected {TABLE_HEADER!r}, found {found!r}")
@@ -290,6 +344,8 @@ def table_from_text(text: str) -> ScoreTable:
         _expect_field(parts, "registry", at)
         parts, at = next_parts()
         n_rows = int(_expect_field(parts, "rows", at)[0])
+        if n_rows < 0:
+            raise ValidationError(f"table line {at}: bad row count {n_rows}")
 
         if len(n_per_cause) != k or len(icf) != k:
             raise ValidationError("table fields 'n_per_cause'/'icf' must have k entries")
@@ -299,23 +355,42 @@ def table_from_text(text: str) -> ScoreTable:
             raise ValidationError(
                 "table field 'n_per_cause': counts must be >= 0 and not all zero"
             )
+        if n_total != sum(n_per_cause):
+            raise ValidationError(
+                f"table field 'n_total': {n_total} is not the sum of 'n_per_cause'"
+            )
+        if icf != compute_icf(n_total, n_per_cause):
+            raise ValidationError("table field 'icf': values must be n_total / n_per_cause")
 
         rows: dict[str, tuple[float, ...]] = {}
         kinds: dict[str, str] = {}
-        for _ in range(n_rows):
-            parts, at = next_parts()
-            if len(parts) != k + 2:
+        # Cells text (between the event id and the kind) -> its row and kind.
+        parsed: dict[str, tuple[tuple[float, ...], str | None]] = {}
+        tabs = k + 1
+        for at, line in enumerate(lines[cursor : cursor + n_rows], start=cursor + 1):
+            if line.count("\t") != tabs:
                 raise ValidationError(f"table line {at}: expected {k + 2} fields per row")
-            eid, cells, kind = parts[0], parts[1:-1], parts[-1]
-            if kind not in (SINGLE, MULTI):
+            eid, _, rest = line.partition("\t")
+            cells_text, _, kind = rest.rpartition("\t")
+            if kind not in _KIND_NEEDS:
                 raise ValidationError(f"table line {at}: row kind must be single or multi")
             if eid in rows:
                 raise ValidationError(f"table line {at}: duplicate row for event {eid!r}")
-            row = tuple(map(float, cells))
-            if not all(map(math.isfinite, row)):
-                raise ValidationError(f"table line {at}: cells must be finite")
+            entry = parsed.get(cells_text)
+            if entry is None:
+                entry = parsed[cells_text] = _read_cells(cells_text, at)
+            row, made = entry
+            if kind != made:
+                raise ValidationError(f"table line {at}: a {kind} row needs {_KIND_NEEDS[kind]}")
             rows[eid] = row
-            kinds[eid] = kind
+            kinds[eid] = made
+        end = cursor + n_rows
+        if end > len(lines):
+            raise ValidationError("table file truncated")
+        if end < len(lines):
+            raise ValidationError(
+                f"table line {end + 1}: more lines than the {n_rows} rows of line {cursor}"
+            )
     except (ValueError, IndexError) as exc:
         raise ValidationError(f"corrupt table file: {exc}") from None
 
