@@ -7,6 +7,18 @@ as JSON, then the ``ncc-templates v1`` registry block
 The artifact is self-describing; prediction and evaluation never need the
 original training corpus.  Sections carry explicit line counts so raw
 template text can never be mistaken for a section marker.
+
+``model_from_text`` splits the file once and hands each block's lines to
+its one reader (``TemplateMiner.from_registry_lines``,
+``table.table_from_lines``).  It rejects, with ``ValidationError``: a
+missing or misnamed field; a block count that is not a non-negative
+integer or runs past the end; any line after the table block; a malformed
+registry line; a table whose ``rows`` count differs from its row lines,
+whose ``n_total`` or ``icf`` disagree with ``n_per_cause``, or that holds
+a negative or non-finite value or a row whose non-zero cells do not fit
+its kind; and a table row for an event the registry lacks.  Rows with the
+same cells text are parsed once and share one tuple, as ``build`` shares
+the rows of equal counts; the writer formats each shared row once.
 """
 
 import dataclasses

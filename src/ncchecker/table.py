@@ -7,8 +7,8 @@ single-problem counts map through 0 / 1.0 / log2(1 + c)), then scale each
 column by the inverse class frequency N / N_j.  The resulting table is the
 whole trained model besides the frozen template registry.  It is stored
 only as the ``ncc-table v1`` block of an ``ncc-model v1`` file (see
-``model``); ``table_to_text`` and ``table_from_text`` write and read that
-block.
+``model``); ``table_lines`` and ``table_from_lines`` write and read that
+block's lines, and ``table_to_text`` and ``table_from_text`` its text.
 """
 
 import math
@@ -366,9 +366,8 @@ def table_from_lines(lines: Sequence[str]) -> ScoreTable:
         kinds: dict[str, str] = {}
         # Cells text (between the event id and the kind) -> its row and kind.
         parsed: dict[str, tuple[tuple[float, ...], str | None]] = {}
-        tabs = k + 1
         for at, line in enumerate(lines[cursor : cursor + n_rows], start=cursor + 1):
-            if line.count("\t") != tabs:
+            if line.count("\t") != k + 1:
                 raise ValidationError(f"table line {at}: expected {k + 2} fields per row")
             eid, _, rest = line.partition("\t")
             cells_text, _, kind = rest.rpartition("\t")
@@ -391,7 +390,7 @@ def table_from_lines(lines: Sequence[str]) -> ScoreTable:
             raise ValidationError(
                 f"table line {end + 1}: more lines than the {n_rows} rows of line {cursor}"
             )
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, OverflowError) as exc:  # overflow: n_total / n_j
         raise ValidationError(f"corrupt table file: {exc}") from None
 
     return ScoreTable(

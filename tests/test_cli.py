@@ -302,6 +302,16 @@ def _edited_model(model_path, tmp_path, edit_config=None, old="", new=""):
     return bad
 
 
+# Cases that replace the model line starting with a field name.
+_MODEL_TABLE_EDITS = {
+    "model-row-count-zero": ("rows\t", "rows\t0"),
+    "model-row-count-negative": ("rows\t", "rows\t-1"),
+    "model-templates-count-negative": ("templates\t", "templates\t-1"),
+    "model-n-total-not-the-sum": ("n_total\t", "n_total\t57"),
+    "model-icf-not-n-over-nj": ("icf\t", "icf\t2.0\t4.0\t7.0\t9.0"),
+}
+
+
 def _malformed_input_args(case, corpus_dir, model_path, tmp_path):
     if case == "model-mask-rule-not-a-pair":
         model = _edited_model(
@@ -329,6 +339,21 @@ def _malformed_input_args(case, corpus_dir, model_path, tmp_path):
         event_id = first_row.partition("\t")[0]
         model = _edited_model(
             model_path, tmp_path, old=f"rows\t{count}\n{event_id}\t", new=f"rows\t{count}\ne99999\t"
+        )
+        return "predict", model, corpus_dir / "failed"
+    if case in _MODEL_TABLE_EDITS:
+        field, new = _MODEL_TABLE_EDITS[case]
+        lines = model_path.read_text().splitlines()
+        old = next(line for line in lines if line.startswith(field))
+        model = _edited_model(model_path, tmp_path, old=old, new=new)
+        return "predict", model, corpus_dir / "failed"
+    if case == "model-line-after-table":
+        model = tmp_path / "edited.ncc"
+        model.write_text(model_path.read_text() + "e99999\t0.0\t1.0\t0.0\t0.0\tsingle\n")
+        return "predict", model, corpus_dir / "failed"
+    if case == "model-single-row-with-two-cells":
+        model = _edited_model(
+            model_path, tmp_path, old="\t0.0\t0.0\tsingle", new="\t1.0\t0.0\tsingle"
         )
         return "predict", model, corpus_dir / "failed"
     if case == "model-non-finite-cell":
@@ -359,6 +384,9 @@ def _malformed_input_args(case, corpus_dir, model_path, tmp_path):
         "model-negative-class-count",
         "model-non-finite-cell",
         "model-row-without-template",
+        *_MODEL_TABLE_EDITS,
+        "model-line-after-table",
+        "model-single-row-with-two-cells",
         "labels-not-utf8",
         "labels-field-over-csv-limit",
         "spec-no-benign-template",

@@ -5,9 +5,11 @@ from hypothesis import given, strategies as st
 
 from ncchecker import ValidationError, build, load_corpus
 from ncchecker.abstraction import EventSequence
-from ncchecker.corpus import DEFAULT_TAXONOMY, Corpus, LabeledFailedLog
+from ncchecker.corpus import DEFAULT_TAXONOMY, CauseTaxonomy, Corpus, LabeledFailedLog
 from ncchecker.generator import default_spec, generate_synthetic, parse_manifest
 from ncchecker.table import (
+    CountTable,
+    ScoreTable,
     apply_icf,
     collect_pools,
     compute_icf,
@@ -377,3 +379,70 @@ def test_serialized_size_scales_with_rows(tmp_path):
     overhead = 8 + table.k  # header and metadata lines
     assert len(text.splitlines()) == len(table.rows) + overhead
     assert len(text.encode()) < 200 * (len(table.rows) + overhead)
+
+
+def test_equal_count_rows_share_one_score_row_through_icf():
+    counts = CountTable(
+        rows={"e1": (2, 2), "e2": (0, 3), "e3": (2, 2), "e4": (0, 3), "e5": (1, 1)},
+        n_total=5,
+        n_per_cause=(2, 3),
+    )
+    for skip_reweight in (False, True):
+        reweighted = scores_from_counts(
+            counts, CauseTaxonomy(("x", "y")), skip_reweight=skip_reweight
+        )
+        final = apply_icf(reweighted)
+        for table in (reweighted, final):
+            assert table.rows["e1"] is table.rows["e3"]
+            assert table.rows["e2"] is table.rows["e4"]
+            assert len({id(row) for row in table.rows.values()}) == 3
+        # (2, 2) and (1, 1) reweight to equal rows, but from different counts.
+        assert (reweighted.rows["e1"] == reweighted.rows["e5"]) is not skip_reweight
+        assert list(reweighted.kinds.values()) == ["multi", "single", "multi", "single", "multi"]
+
+
+def test_rows_differing_only_in_the_sign_of_a_zero_keep_their_text():
+    # (1.0, 0.0) == (1.0, -0.0), but their repr differs: the writer keys
+    # its formatting on the row object, so each row keeps its own text.
+    shared = (2.0, 0.0)
+    table = ScoreTable(
+        rows={"e1": shared, "e2": (2.0, -0.0), "e3": shared, "e4": (2.0, 0.0)},
+        kinds=dict.fromkeys(("e1", "e2", "e3", "e4"), "single"),
+        icf=compute_icf(2, (1, 1)),
+        taxonomy=CauseTaxonomy(("x", "y")),
+        n_total=2,
+        n_per_cause=(1, 1),
+    )
+    text = table_to_text(table)
+    assert text.splitlines()[-4:] == [
+        "e1\t2.0\t0.0\tsingle",
+        "e2\t2.0\t-0.0\tsingle",
+        "e3\t2.0\t0.0\tsingle",
+        "e4\t2.0\t0.0\tsingle",
+    ]
+    loaded = table_from_text(text)
+    assert table_to_text(loaded) == text
+    assert loaded.rows["e1"] is loaded.rows["e3"] is loaded.rows["e4"]
+    assert loaded.rows["e2"] is not loaded.rows["e1"]
+
+
+def test_built_tables_of_every_variant_load(fig_corpus):
+    for variant in ("full", "drop1", "drop2", "drop3"):
+        _, table = build(fig_corpus, variant=variant)
+        loaded = table_from_text(table_to_text(table))
+        assert (loaded.rows, loaded.kinds, loaded.icf) == (table.rows, table.kinds, table.icf)
+
+
+def test_load_rejects_a_line_after_the_rows(fig_corpus):
+    _, table = build(fig_corpus)
+    with pytest.raises(ValidationError, match="^table line 16: more lines than the 3 rows"):
+        table_from_text(table_to_text(table) + "e9\t0.0\t1.0\t0.0\t0.0\tsingle\n")
+
+
+def test_load_rejects_class_counts_too_large_for_an_icf(fig_corpus):
+    _, table = build(fig_corpus)
+    huge = 10**400
+    text = table_to_text(table).replace("n_total\t11", f"n_total\t{huge + 9}")
+    text = text.replace("n_per_cause\t2\t", f"n_per_cause\t{huge}\t")
+    with pytest.raises(ValidationError, match="^corrupt table file: .*too large"):
+        table_from_text(text)
