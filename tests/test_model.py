@@ -115,9 +115,9 @@ def test_table_row_without_registry_template_rejected(fig_corpus, event_id):
 
 # -- the one-pass reader ---------------------------------------------------------
 
-# Each mutant edits the fig corpus's model (3 templates' worth of rows, 28
-# lines) by replacing ``old`` once with ``new``.  Table line numbers count
-# from the table block's header, line 14 of the file.
+# Each mutant edits the fig corpus's model (8 templates, 3 rows, 28 lines)
+# by replacing the first ``old`` with ``new``.  Registry and table line
+# numbers count from their block's header, lines 4 and 14 of the file.
 _MUTANTS = [
     ("header", "ncc-model v1\n", "ncc-model v2\n",
      "model header: expected 'ncc-model v1', found 'ncc-model v2'"),
