@@ -111,6 +111,7 @@ counts and templates are those of parsing every line.
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from numbers import Real
 from typing import Iterable, Sequence
 
@@ -119,6 +120,9 @@ from .errors import ValidationError
 WILDCARD = "<*>"
 UNKNOWN_EVENT_ID = "<unknown>"
 REGISTRY_HEADER = "ncc-templates v1"
+# By default int() and str() refuse ints with more digits than this
+# (sys.int_info.default_max_str_digits).
+_MAX_COUNT_DIGITS = 4300
 
 # Entries a frozen miner's memo holds before a miss clears it: above the
 # 22,277 distinct masked lines of the bench's noisy test corpus, and one
@@ -347,6 +351,16 @@ class EventSequence:
 
     def distinct_events(self) -> frozenset[str]:
         return frozenset(self.events) - {UNKNOWN_EVENT_ID}
+
+
+def _is_count(text: str) -> bool:
+    """Whether ``text`` is a non-negative int as ``str`` writes it (within its digit limit)."""
+    return (
+        text.isdigit()
+        and text.isascii()
+        and (text[0] != "0" or text == "0")
+        and len(text) <= _MAX_COUNT_DIGITS
+    )
 
 
 def event_sort_key(event_id: str):
@@ -747,44 +761,50 @@ class TemplateMiner:
 
     @classmethod
     def from_registry_lines(
-        cls, lines: Sequence[str], config: AbstractionConfig | None = None
+        cls, lines: Sequence[str], config: AbstractionConfig | None = None, first_line: int = 1
     ) -> "TemplateMiner":
         """Rebuild a miner from the lines of an exported registry.
 
-        Templates are inserted in file order through ``_insert_leaf``, the
-        path training registers through, so the tree is re-derived; a blank
-        line is skipped.  Messages number lines from the header, line 1.
+        Each line must be one ``registry_lines`` writes: three tab-separated
+        fields, a ``match_count`` as ``str`` writes a non-negative int, and a
+        template text of non-empty tokens joined by single spaces; a blank
+        line is rejected.  Templates are inserted in file order through
+        ``_insert_leaf``, the path training registers through, so the tree
+        is re-derived.  Messages number lines from the header, file line
+        ``first_line``.
         """
         if not lines or lines[0] != REGISTRY_HEADER:
             found = lines[0] if lines else "<empty>"
             raise ValidationError(
-                f"template registry header: expected {REGISTRY_HEADER!r}, found {found!r}"
+                f"template registry line {first_line}: expected header {REGISTRY_HEADER!r}, "
+                f"found {found!r}"
             )
         miner = cls(config)
         templates = miner._templates
         insert_leaf = miner._insert_leaf
         max_index = 0
-        for lineno, row in enumerate(lines, start=1):
-            if lineno == 1 or not row:
-                continue
+        for lineno, row in enumerate(islice(lines, 1, None), first_line + 1):
             parts = row.split("\t", 2)
             if len(parts) != 3:
-                raise ValidationError(f"template registry line {lineno}: expected 3 fields")
-            event_id, count_text, template_text = parts
+                raise ValidationError(
+                    f"template registry line {lineno}: expected 3 fields, found {row!r}"
+                )
+            event_id, count_text, text = parts
             if event_id in templates:
                 raise ValidationError(
                     f"template registry line {lineno}: duplicate event id {event_id!r}"
                 )
-            try:
-                match_count = int(count_text)
-            except ValueError:
+            if not _is_count(count_text):
                 raise ValidationError(
-                    f"template registry line {lineno}: match_count {count_text!r} is not an integer"
-                ) from None
-            if not template_text:
-                raise ValidationError(f"template registry line {lineno}: empty template")
-            tokens = tuple(template_text.split(" "))
-            templates[event_id] = LogTemplate(event_id, tokens, match_count)
+                    f"template registry line {lineno}: match_count {count_text!r} is not a count"
+                )
+            tokens = tuple(text.split(" "))
+            if "" in tokens:
+                raise ValidationError(
+                    f"template registry line {lineno}: template {text!r} is not tokens "
+                    "joined by single spaces"
+                )
+            templates[event_id] = LogTemplate(event_id, tokens, int(count_text))
             insert_leaf(tokens).template_ids.append(event_id)
             if event_id[:1] == "e" and event_id[1:].isdecimal():
                 index = int(event_id[1:])

@@ -33,6 +33,9 @@ class CauseTaxonomy:
         object.__setattr__(self, "names", tuple(str(n) for n in self.names))
         if len(self.names) < 2:
             raise ValidationError("taxonomy needs at least 2 causes")
+        for name in self.names:
+            if "".join(name.splitlines()) != name:
+                raise ValidationError(f"cause name {name!r} holds a line break")
 
     @property
     def k(self) -> int:

@@ -2,30 +2,30 @@
 
 ``ncc-model v1`` is the one persisted format.  It holds the miner config
 as JSON, then the ``ncc-templates v1`` registry block
-(``TemplateMiner.export_registry``) and the ``ncc-table v1`` block
-(``table.table_to_text``); neither block is written as a file of its own.
+(``TemplateMiner.registry_lines``) and the ``ncc-table v1`` block
+(``table.table_lines``); neither block is written as a file of its own.
 The artifact is self-describing; prediction and evaluation never need the
 original training corpus.  Sections carry explicit line counts so raw
 template text can never be mistaken for a section marker.
 
-``model_from_text`` splits the file once and hands each block's lines to
-its one reader (``TemplateMiner.from_registry_lines``,
-``table.table_from_lines``).  It rejects, with ``ValidationError``: a
-missing or misnamed field; a block count that is not a non-negative
-integer or runs past the end; any line after the table block; a malformed
-registry line; a table whose ``rows`` count differs from its row lines,
-whose ``n_total`` or ``icf`` disagree with ``n_per_cause``, or that holds
-a negative or non-finite value or a row whose non-zero cells do not fit
-its kind; and a table row for an event the registry lacks.  Rows with the
-same cells text are parsed once and share one tuple, as ``build`` shares
-the rows of equal counts; the writer formats each shared row once.
+The writers own the layout.  ``model_from_text`` splits the file once,
+reads the values the writers cannot derive, and rejects with
+``ValidationError`` any line that differs from the line they would write
+for those values: the config must be ``_config_to_json`` of the config it
+reads as, a block count a non-negative int as ``str`` writes it, and each
+block is checked the same way by its one reader
+(``TemplateMiner.from_registry_lines``, ``table.table_from_lines``).
+Besides that it rejects values a comparison cannot catch (see the two
+readers), a block that runs past the end of the file, any line after the
+table block, and a table row for an event the registry lacks.  Every
+message names a file line.
 """
 
 import dataclasses
 import json
 from pathlib import Path
 
-from .abstraction import AbstractionConfig, TemplateMiner
+from .abstraction import AbstractionConfig, TemplateMiner, _is_count
 from .errors import ValidationError
 from .table import ScoreTable, table_from_lines, table_lines
 
@@ -33,20 +33,20 @@ MODEL_HEADER = "ncc-model v1"
 
 
 def _config_to_json(config: AbstractionConfig) -> str:
-    return json.dumps(dataclasses.asdict(config), sort_keys=True, separators=(",", ":"))
+    fields = {field.name: getattr(config, field.name) for field in dataclasses.fields(config)}
+    return json.dumps(fields, sort_keys=True, separators=(",", ":"))
 
 
 def _config_from_json(text: str) -> AbstractionConfig:
+    """The config that ``text``, line 2 of a model file, reads as and is written as."""
     try:
-        payload = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise ValidationError(f"model field 'config': invalid JSON ({exc})") from None
-    try:
-        return AbstractionConfig(
-            **{field.name: payload[field.name] for field in dataclasses.fields(AbstractionConfig)}
-        )
-    except (KeyError, TypeError, ValueError, ValidationError) as exc:
-        raise ValidationError(f"model field 'config': {exc}") from None
+        config = AbstractionConfig(**json.loads(text))
+    except (TypeError, ValueError, RecursionError, ValidationError) as exc:
+        raise ValidationError(f"model line 2: bad config: {exc}") from None
+    want = _config_to_json(config)
+    if text != want:
+        raise ValidationError(f"model line 2: expected config {want!r}, found {text!r}")
+    return config
 
 
 def model_to_text(miner: TemplateMiner, table: ScoreTable) -> str:
@@ -65,34 +65,31 @@ def model_from_text(text: str) -> tuple[TemplateMiner, ScoreTable]:
     lines = text.splitlines()
     if not lines or lines[0] != MODEL_HEADER:
         found = lines[0] if lines else "<empty>"
-        raise ValidationError(f"model header: expected {MODEL_HEADER!r}, found {found!r}")
+        raise ValidationError(f"model line 1: expected header {MODEL_HEADER!r}, found {found!r}")
 
-    cursor = 1
+    cursor = 1  # index of the next line to read
 
     def take_field(name: str) -> str:
         nonlocal cursor
         if cursor >= len(lines):
-            raise ValidationError(f"model field {name!r} is missing (file truncated)")
+            raise ValidationError(f"model line {cursor + 1}: no field {name!r}, file truncated")
         key, _, value = lines[cursor].partition("\t")
         if key != name:
-            raise ValidationError(f"model field {name!r}: found {key!r} instead")
+            raise ValidationError(
+                f"model line {cursor + 1}: expected field {name!r}, found {key!r}"
+            )
         cursor += 1
         return value
 
     def take_block(name: str) -> list[str]:
         nonlocal cursor
         count_text = take_field(name)
-        try:
-            count = int(count_text)
-        except ValueError:
-            count = -1  # rejected below, as a negative count is
-        if count < 0:
-            raise ValidationError(f"model field {name!r}: bad line count {count_text!r}")
-        if cursor + count > len(lines):
-            raise ValidationError(f"model section {name!r} is truncated")
-        block = lines[cursor : cursor + count]
-        cursor += count
-        return block
+        if not _is_count(count_text):
+            raise ValidationError(f"model line {cursor}: bad line count {count_text!r}")
+        start, cursor = cursor, cursor + int(count_text)
+        if cursor > len(lines):
+            raise ValidationError(f"model line {start}: block {name!r} is truncated")
+        return lines[start:cursor]
 
     config = _config_from_json(take_field("config"))
     registry_block = take_block("templates")
@@ -100,15 +97,17 @@ def model_from_text(text: str) -> tuple[TemplateMiner, ScoreTable]:
     if cursor < len(lines):
         raise ValidationError(f"model line {cursor + 1}: unexpected line after the table block")
 
-    miner = TemplateMiner.from_registry_lines(registry_block, config).freeze()
-    table = table_from_lines(table_block)
+    # The registry header is file line 4, after the header, config and templates lines.
+    miner = TemplateMiner.from_registry_lines(registry_block, config, 4).freeze()
+    table = table_from_lines(table_block, 5 + len(registry_block))
     # A row whose event the registry lacks could never score: no parse
     # yields that id.
     missing = table.rows.keys() - miner.templates.keys()
     if missing:
-        event_id = next(eid for eid in table.rows if eid in missing)
+        first_row = len(lines) + 1 - len(table.rows)
+        at, event_id = next((at, e) for at, e in enumerate(table.rows, first_row) if e in missing)
         raise ValidationError(
-            f"model table: row for event {event_id!r}, which the template registry lacks"
+            f"table line {at}: row for event {event_id!r}, which the template registry lacks"
         )
     return miner, table
 

@@ -5,14 +5,18 @@ against the passed pool, count per-cause presence of each surviving
 event, reweight rows (multi-problem rows normalize to sum 1;
 single-problem counts map through 0 / 1.0 / log2(1 + c)), then scale each
 column by the inverse class frequency N / N_j.  The resulting table is the
-whole trained model besides the frozen template registry.  It is stored
-only as the ``ncc-table v1`` block of an ``ncc-model v1`` file (see
-``model``); ``table_lines`` and ``table_from_lines`` write and read that
-block's lines, and ``table_to_text`` and ``table_from_text`` its text.
+whole trained model besides the frozen template registry.  A table holds
+only what it cannot derive: its rows, taxonomy and class sizes; ``n_total``,
+``icf`` and each row's kind (``row_kind``) follow from them.
+
+It is stored only as the ``ncc-table v1`` block of an ``ncc-model v1``
+file (see ``model``).  ``table_lines`` writes that block and owns its
+layout; ``table_from_lines`` reads the values it cannot derive and checks
+every line against the line ``table_lines`` writes for them.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 from .abstraction import (
@@ -28,8 +32,7 @@ TABLE_HEADER = "ncc-table v1"
 
 SINGLE = "single"
 MULTI = "multi"
-# What a saved row of each kind must hold, as the loader says it.
-_KIND_NEEDS = {SINGLE: "exactly one non-zero cell", MULTI: "two or more non-zero cells"}
+NONE = "none"
 
 
 def collect_pools(
@@ -60,7 +63,6 @@ class CountTable:
     """Per-event presence counts by cause, plus training-set sizes."""
 
     rows: Mapping[str, tuple[int, ...]]
-    n_total: int
     n_per_cause: tuple[int, ...]
 
 
@@ -83,7 +85,7 @@ def init_counts(
             if row is not None:
                 row[cause] += 1
     frozen_rows = {eid: tuple(row) for eid, row in rows.items()}
-    return CountTable(frozen_rows, sum(n_per_cause), tuple(n_per_cause))
+    return CountTable(frozen_rows, tuple(n_per_cause))
 
 
 def _single_problem_weight(count: int) -> float:
@@ -101,10 +103,10 @@ def reweight(row: Sequence[int]) -> list[float]:
     of the row total; single-problem rows go through the piecewise map,
     whose branches agree at count 1 since log2(1 + 1) == 1.0.
     """
-    nonzero = sum(1 for c in row if c)
-    if nonzero == 0:
+    kind = row_kind(row)
+    if kind == NONE:
         raise ValidationError("cannot reweight an all-zero count row")
-    if nonzero >= 2:
+    if kind == MULTI:
         total = sum(row)
         return [c / total for c in row]
     return [_single_problem_weight(c) for c in row]
@@ -122,24 +124,52 @@ def majority_from_counts(n_per_cause: Sequence[int]) -> int:
     return max(range(len(n_per_cause)), key=lambda j: (n_per_cause[j], -j))
 
 
-def row_kind(count_row: Sequence[int]) -> str:
-    return SINGLE if sum(1 for c in count_row if c) == 1 else MULTI
+def row_kind(row: Sequence[float]) -> str:
+    """``single``, ``multi`` or ``none``: how many cells of a count or score row are non-zero."""
+    nonzero = len(row) - row.count(0)
+    return MULTI if nonzero > 1 else SINGLE if nonzero else NONE
 
 
 @dataclass(frozen=True)
 class ScoreTable:
-    """Event score rows by cause, with the training class sizes and icf."""
+    """Event score rows by cause, with the training class sizes.
+
+    Cells are finite floats >= 0.  ``n_total`` and ``icf`` are computed
+    once, from ``n_per_cause``, which must hold ``k`` int counts >= 0, not
+    all zero.
+    """
 
     rows: dict[str, tuple[float, ...]]
-    kinds: dict[str, str]
-    icf: tuple[float, ...]
     taxonomy: CauseTaxonomy
-    n_total: int
     n_per_cause: tuple[int, ...]
+    n_total: int = field(init=False)
+    icf: tuple[float, ...] = field(init=False)
+
+    def __post_init__(self):
+        counts = tuple(self.n_per_cause)
+        if (
+            len(counts) != self.taxonomy.k
+            or not all(type(n) is int and n >= 0 for n in counts)
+            or not any(counts)
+        ):
+            raise ValidationError(
+                f"n_per_cause must hold {self.taxonomy.k} int counts >= 0, not all zero"
+            )
+        object.__setattr__(self, "n_per_cause", counts)
+        object.__setattr__(self, "n_total", sum(counts))
+        try:
+            object.__setattr__(self, "icf", compute_icf(self.n_total, counts))
+        except OverflowError:
+            raise ValidationError("n_per_cause counts are too large for a float icf") from None
 
     @property
     def k(self) -> int:
         return self.taxonomy.k
+
+    @property
+    def kinds(self) -> dict[str, str]:
+        """Each row's ``row_kind``."""
+        return {eid: row_kind(row) for eid, row in self.rows.items()}
 
     def __contains__(self, event_id: str) -> bool:
         return event_id in self.rows
@@ -152,28 +182,18 @@ def scores_from_counts(
 
     Rows with equal counts share one score tuple, reweighted once.
     """
-    if len(counts.n_per_cause) != taxonomy.k:
-        raise ValidationError("count table and taxonomy disagree on the number of causes")
     rows: dict[str, tuple[float, ...]] = {}
-    kinds: dict[str, str] = {}
-    scored: dict[tuple[int, ...], tuple[tuple[float, ...], str]] = {}
+    scored: dict[tuple[int, ...], tuple[float, ...]] = {}
     for eid, count_row in counts.rows.items():
-        entry = scored.get(count_row)
-        if entry is None:
+        row = scored.get(count_row)
+        if row is None:
             if skip_reweight:
                 row = tuple(float(c) for c in count_row)
             else:
                 row = tuple(reweight(count_row))
-            entry = scored[count_row] = (row, row_kind(count_row))
-        rows[eid], kinds[eid] = entry
-    return ScoreTable(
-        rows=rows,
-        kinds=kinds,
-        icf=compute_icf(counts.n_total, counts.n_per_cause),
-        taxonomy=taxonomy,
-        n_total=counts.n_total,
-        n_per_cause=counts.n_per_cause,
-    )
+            scored[count_row] = row
+        rows[eid] = row
+    return ScoreTable(rows, taxonomy, counts.n_per_cause)
 
 
 def apply_icf(table: ScoreTable) -> ScoreTable:
@@ -241,55 +261,40 @@ def build(
 # -- persistence -------------------------------------------------------
 
 
-def table_lines(table: ScoreTable) -> list[str]:
-    """The ``ncc-table v1`` block as lines; float cells use repr and round-trip exactly.
+def _head_lines(table: ScoreTable, n_rows: int) -> list[str]:
+    """The block's lines from its header through ``rows``.
 
     The ``stage`` and ``registry`` lines are fixed: they keep the block's
-    layout of ``ncc-table v1``.  Each distinct row object is formatted
-    once; the key is the object, since equal rows can differ in ``repr``
-    (``0.0 == -0.0``).
+    layout of ``ncc-table v1``.
     """
     lines = [TABLE_HEADER, f"k\t{table.k}"]
-    lines.extend(f"cause\t{j}\t{table.taxonomy.names[j]}" for j in range(table.k))
+    lines.extend(f"cause\t{j}\t{name}" for j, name in enumerate(table.taxonomy.names))
     lines.append(f"n_total\t{table.n_total}")
-    lines.append("n_per_cause\t" + "\t".join(str(n) for n in table.n_per_cause))
-    lines.append("icf\t" + "\t".join(repr(v) for v in table.icf))
-    lines.append("stage\tfinal")
-    lines.append("registry\t-")
-    lines.append(f"rows\t{len(table.rows)}")
-    kinds = table.kinds
-    formatted: dict[int, str] = {}
-    for eid, row in table.rows.items():
-        cells = formatted.get(id(row))
-        if cells is None:
-            cells = formatted[id(row)] = "\t".join(map(repr, row))
-        lines.append(f"{eid}\t{cells}\t{kinds[eid]}")
+    lines.append("n_per_cause\t" + "\t".join(map(str, table.n_per_cause)))
+    lines.append("icf\t" + "\t".join(map(repr, table.icf)))
+    lines.extend(("stage\tfinal", "registry\t-", f"rows\t{n_rows}"))
     return lines
 
 
-def table_to_text(table: ScoreTable) -> str:
-    """Serialize a table as its ``ncc-table v1`` block (see ``table_lines``)."""
-    return "\n".join(table_lines(table)) + "\n"
+def _row_text(row: tuple[float, ...]) -> str:
+    """A row line after its event id: the cells by ``repr``, then the kind."""
+    return "\t".join(map(repr, row)) + "\t" + row_kind(row)
 
 
-def _expect_field(parts: list[str], name: str, lineno: int) -> list[str]:
-    if not parts or parts[0] != name:
-        found = parts[0] if parts else "<empty>"
-        raise ValidationError(f"table line {lineno}: expected field {name!r}, found {found!r}")
-    return parts[1:]
+def table_lines(table: ScoreTable) -> list[str]:
+    """The ``ncc-table v1`` block as lines; float cells use repr and round-trip exactly.
 
-
-def _read_cells(cells_text: str, lineno: int) -> tuple[tuple[float, ...], str | None]:
-    """One row's validated cells, and the kind their non-zero cells make (None for none)."""
-    row = tuple(map(float, cells_text.split("\t")))
-    if not all(map(math.isfinite, row)):
-        raise ValidationError(f"table line {lineno}: cells must be finite")
-    if any(v < 0 for v in row):
-        raise ValidationError(f"table line {lineno}: cells must be >= 0")
-    nonzero = sum(1 for v in row if v)
-    if nonzero == 0:
-        return row, None
-    return row, SINGLE if nonzero == 1 else MULTI
+    Each distinct row object is formatted once; the key is the object,
+    since equal rows can differ in ``repr`` (``0.0 == -0.0``).
+    """
+    lines = _head_lines(table, len(table.rows))
+    formatted: dict[int, str] = {}
+    for eid, row in table.rows.items():
+        text = formatted.get(id(row))
+        if text is None:
+            text = formatted[id(row)] = _row_text(row)
+        lines.append(f"{eid}\t{text}")
+    return lines
 
 
 def table_from_text(text: str) -> ScoreTable:
@@ -297,107 +302,48 @@ def table_from_text(text: str) -> ScoreTable:
     return table_from_lines(text.splitlines())
 
 
-def table_from_lines(lines: Sequence[str]) -> ScoreTable:
-    """Read the lines of an ``ncc-table v1`` block; messages number them from 1.
+def table_from_lines(lines: Sequence[str], first_line: int = 1) -> ScoreTable:
+    """Read the lines of an ``ncc-table v1`` block whose header is file line ``first_line``.
 
-    Besides the layout, the block must be what ``build`` writes:
-    ``n_total`` is the sum of ``n_per_cause``, ``icf`` equals
-    ``compute_icf`` of the two exactly, no value is negative or
-    non-finite, a ``single`` row has one non-zero cell and a ``multi`` row
-    at least two, and exactly ``rows`` row lines end the block.  Rows with
-    the same cells text are parsed and checked once and share one tuple.
+    Only ``k``, the cause names, ``n_per_cause`` and the cells are read;
+    every line must then be the one ``table_lines`` writes for them, with
+    ``rows`` counting the lines after the head.  The values are checked
+    too: ``n_per_cause`` as ``ScoreTable`` checks it, and every cell
+    finite and >= 0.  Rows with the same text after the event id are
+    parsed and checked once and share one tuple.
     """
-    if not lines or lines[0] != TABLE_HEADER:
-        found = lines[0] if lines else "<empty>"
-        raise ValidationError(f"table header: expected {TABLE_HEADER!r}, found {found!r}")
+    rows: dict[str, tuple[float, ...]] = {}
+    at = 0  # index of the line being read
     try:
-        cursor = 1
-
-        def next_parts():
-            nonlocal cursor
-            if cursor >= len(lines):
-                raise ValidationError("table file truncated")
-            parts = lines[cursor].split("\t")
-            cursor += 1
-            return parts, cursor
-
-        parts, at = next_parts()
-        k = int(_expect_field(parts, "k", at)[0])
-        names = []
-        for j in range(k):
-            parts, at = next_parts()
-            values = _expect_field(parts, "cause", at)
-            if int(values[0]) != j:
-                raise ValidationError(f"table line {at}: cause ids must be ordered 0..{k - 1}")
-            names.append(values[1])
-        parts, at = next_parts()
-        n_total = int(_expect_field(parts, "n_total", at)[0])
-        parts, at = next_parts()
-        n_per_cause = tuple(int(v) for v in _expect_field(parts, "n_per_cause", at))
-        parts, at = next_parts()
-        icf = tuple(float(v) for v in _expect_field(parts, "icf", at))
-        parts, at = next_parts()
-        stage = _expect_field(parts, "stage", at)[0]
-        if stage != "final":
-            raise ValidationError(f"table field 'stage': expected 'final', got {stage!r}")
-        parts, at = next_parts()
-        _expect_field(parts, "registry", at)
-        parts, at = next_parts()
-        n_rows = int(_expect_field(parts, "rows", at)[0])
-        if n_rows < 0:
-            raise ValidationError(f"table line {at}: bad row count {n_rows}")
-
-        if len(n_per_cause) != k or len(icf) != k:
-            raise ValidationError("table fields 'n_per_cause'/'icf' must have k entries")
-        if not all(map(math.isfinite, icf)):
-            raise ValidationError("table field 'icf': values must be finite")
-        if any(n < 0 for n in n_per_cause) or not any(n_per_cause):
-            raise ValidationError(
-                "table field 'n_per_cause': counts must be >= 0 and not all zero"
-            )
-        if n_total != sum(n_per_cause):
-            raise ValidationError(
-                f"table field 'n_total': {n_total} is not the sum of 'n_per_cause'"
-            )
-        if icf != compute_icf(n_total, n_per_cause):
-            raise ValidationError("table field 'icf': values must be n_total / n_per_cause")
-
-        rows: dict[str, tuple[float, ...]] = {}
-        kinds: dict[str, str] = {}
-        # Cells text (between the event id and the kind) -> its row and kind.
-        parsed: dict[str, tuple[tuple[float, ...], str | None]] = {}
-        for at, line in enumerate(lines[cursor : cursor + n_rows], start=cursor + 1):
-            if line.count("\t") != k + 1:
-                raise ValidationError(f"table line {at}: expected {k + 2} fields per row")
-            eid, _, rest = line.partition("\t")
-            cells_text, _, kind = rest.rpartition("\t")
-            if kind not in _KIND_NEEDS:
-                raise ValidationError(f"table line {at}: row kind must be single or multi")
+        if lines[0] != TABLE_HEADER:
+            raise ValidationError(f"expected header {TABLE_HEADER!r}, found {lines[0]!r}")
+        at = 1
+        k = int(lines[1].partition("\t")[2])
+        taxonomy = CauseTaxonomy(tuple(line.split("\t", 2)[-1] for line in lines[2 : 2 + k]))
+        at = 3 + k
+        # The table derives nothing from its rows, so they can fill in below.
+        table = ScoreTable(rows, taxonomy, tuple(map(int, lines[at].split("\t")[1:])))
+        head = _head_lines(table, len(lines) - 8 - k)
+        for at, want in enumerate(head):
+            if lines[at] != want:
+                raise ValidationError(f"expected {want!r}, found {lines[at]!r}")
+        parsed: dict[str, tuple[float, ...]] = {}
+        for at in range(len(head), len(lines)):
+            eid, _, text = lines[at].partition("\t")
+            row = parsed.get(text)
+            if row is None:
+                row = tuple(map(float, text.split("\t", k)[:k]))
+                if not all(0.0 <= v < math.inf for v in row):
+                    raise ValidationError("cells must be finite and >= 0")
+                if _row_text(row) != text:
+                    want = f"{eid}\t{_row_text(row)}"
+                    raise ValidationError(f"expected {want!r}, found {lines[at]!r}")
+                parsed[text] = row
             if eid in rows:
-                raise ValidationError(f"table line {at}: duplicate row for event {eid!r}")
-            entry = parsed.get(cells_text)
-            if entry is None:
-                entry = parsed[cells_text] = _read_cells(cells_text, at)
-            row, made = entry
-            if kind != made:
-                raise ValidationError(f"table line {at}: a {kind} row needs {_KIND_NEEDS[kind]}")
+                raise ValidationError(f"duplicate row for event {eid!r}")
             rows[eid] = row
-            kinds[eid] = made
-        end = cursor + n_rows
-        if end > len(lines):
-            raise ValidationError("table file truncated")
-        if end < len(lines):
-            raise ValidationError(
-                f"table line {end + 1}: more lines than the {n_rows} rows of line {cursor}"
-            )
-    except (ValueError, IndexError, OverflowError) as exc:  # overflow: n_total / n_j
-        raise ValidationError(f"corrupt table file: {exc}") from None
-
-    return ScoreTable(
-        rows=rows,
-        kinds=kinds,
-        icf=icf,
-        taxonomy=CauseTaxonomy(tuple(names)),
-        n_total=n_total,
-        n_per_cause=n_per_cause,
-    )
+    except IndexError:
+        raise ValidationError(f"table line {first_line + at}: missing, block truncated") from None
+    except (ValueError, ValidationError) as exc:
+        raise ValidationError(f"table line {first_line + at}: {exc}") from None
+    return table

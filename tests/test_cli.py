@@ -298,7 +298,8 @@ def _edited_model(model_path, tmp_path, edit_config=None, old="", new=""):
         edit_config(config)
     assert old in rest
     bad = tmp_path / "edited.ncc"
-    bad.write_text(f"{header}\n{key}\t{json.dumps(config)}\n{rest.replace(old, new, 1)}")
+    payload = json.dumps(config, sort_keys=True, separators=(",", ":"))  # as the writer writes it
+    bad.write_text(f"{header}\n{key}\t{payload}\n{rest.replace(old, new, 1)}")
     return bad
 
 
@@ -399,6 +400,20 @@ def test_malformed_model_labels_or_spec_is_validation_error(
     assert result.returncode == 1
     assert result.stderr.startswith("error:")
     assert "Traceback" not in result.stderr
+
+
+def test_predict_on_a_bad_model_names_the_file_line(corpus_dir, model_path, tmp_path):
+    # A cell the writer would spell otherwise: 0.0 written as 0e0.
+    lines = model_path.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.endswith("\tsingle"))
+    found = lines[at].replace("\t0.0\t", "\t0e0\t", 1)
+    lines[at] = found
+    model = tmp_path / "bad.ncc"
+    model.write_text("\n".join(lines) + "\n")
+    result = _run_cli("predict", model, corpus_dir / "failed")
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: table line {at + 1}: expected ")
+    assert result.stderr.rstrip().endswith(f"found {found!r}")
 
 
 def test_eval_with_rg_and_mcc(corpus_dir, model_path, capsys):

@@ -2,12 +2,12 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ncchecker import ValidationError, build, load_model, predict_lines, save_model
 from ncchecker.abstraction import AbstractionConfig
 from ncchecker.corpus import DEFAULT_TAXONOMY, Corpus, LabeledFailedLog, PassedLog
-from ncchecker.model import model_from_text, model_to_text
+from ncchecker.model import _config_to_json, model_from_text, model_to_text
 from ncchecker.table import ABLATION_VARIANTS
 
 from conftest import MULTI_LINE, SINGLE1_LINE, SINGLE5_LINE
@@ -82,7 +82,7 @@ def test_model_config_value_of_wrong_type_rejected(fig_corpus, key, value):
     config = json.loads(payload)
     config[key] = value
     edited = f"{header}\n{field}\t{json.dumps(config)}\n{rest}"
-    with pytest.raises(ValidationError, match=f"model field 'config': {key} must be"):
+    with pytest.raises(ValidationError, match=f"^model line 2: bad config: {key} must be"):
         model_from_text(edited)
 
 
@@ -116,83 +116,134 @@ def test_table_row_without_registry_template_rejected(fig_corpus, event_id):
 # -- the one-pass reader ---------------------------------------------------------
 
 # Each mutant edits the fig corpus's model (8 templates, 3 rows, 28 lines)
-# by replacing the first ``old`` with ``new``.  Registry and table line
-# numbers count from their block's header, lines 4 and 14 of the file.
+# by replacing the first ``old`` with ``new``.  Every message numbers file
+# lines: the registry block starts on line 4 and the table block on line 14.
+_CONFIG = _config_to_json(AbstractionConfig())
+_IN_ORDER = '"max_children":100,"similarity_threshold":0.4'
+_MAX_CHILDREN = '"max_children":100,'
+_REORDERED = '"similarity_threshold":0.4,"max_children":100'
 _MUTANTS = [
     ("header", "ncc-model v1\n", "ncc-model v2\n",
-     "model header: expected 'ncc-model v1', found 'ncc-model v2'"),
+     "model line 1: expected header 'ncc-model v1', found 'ncc-model v2'"),
+    ("config-extra-key", '"tree_depth":4}', '"tree_depth":4,"x":1}',
+     "model line 2: bad config: "
+     "AbstractionConfig.__init__() got an unexpected keyword argument 'x'"),
+    ("config-reordered-keys", _IN_ORDER, _REORDERED,
+     f"model line 2: expected config {_CONFIG!r}, "
+     f"found {_CONFIG.replace(_IN_ORDER, _REORDERED)!r}"),
+    ("config-missing-key", _MAX_CHILDREN, "",
+     f"model line 2: expected config {_CONFIG!r}, found {_CONFIG.replace(_MAX_CHILDREN, '')!r}"),
     ("templates-field-renamed", "templates\t9", "template\t9",
-     "model field 'templates': found 'template' instead"),
+     "model line 3: expected field 'templates', found 'template'"),
     ("templates-count-not-a-number", "templates\t9", "templates\tnine",
-     "model field 'templates': bad line count 'nine'"),
+     "model line 3: bad line count 'nine'"),
     ("templates-count-negative", "templates\t9", "templates\t-1",
-     "model field 'templates': bad line count '-1'"),
+     "model line 3: bad line count '-1'"),
+    ("templates-count-signed", "templates\t9", "templates\t+9",
+     "model line 3: bad line count '+9'"),
+    ("templates-count-zero-padded", "templates\t9", "templates\t09",
+     "model line 3: bad line count '09'"),
     ("table-count-negative", "table\t15", "table\t-1",
-     "model field 'table': bad line count '-1'"),
+     "model line 13: bad line count '-1'"),
     ("table-count-past-the-end", "table\t15", "table\t16",
-     "model section 'table' is truncated"),
+     "model line 13: block 'table' is truncated"),
     ("table-count-short-of-the-end", "table\t15", "table\t14",
      "model line 28: unexpected line after the table block"),
     ("line-after-the-table", "\t2.2\t0.0\t0.0\tsingle\n",
      "\t2.2\t0.0\t0.0\tsingle\nextra\n",
      "model line 29: unexpected line after the table block"),
     ("registry-header", "ncc-templates v1", "ncc-templates v2",
-     "template registry header: expected 'ncc-templates v1', found 'ncc-templates v2'"),
+     "template registry line 4: expected header 'ncc-templates v1', found 'ncc-templates v2'"),
     ("registry-duplicate-id", "e2\t5\t", "e1\t5\t",
-     "template registry line 3: duplicate event id 'e1'"),
+     "template registry line 6: duplicate event id 'e1'"),
     ("registry-two-fields", "e3\t4\tcmd.pathinfo=<*>", "e3\t4",
-     "template registry line 4: expected 3 fields"),
+     "template registry line 7: expected 3 fields, found 'e3\\t4'"),
+    ("registry-blank-line", "templates\t9\nncc-templates v1\ne1\t6\tsystem-view\n",
+     "templates\t10\nncc-templates v1\ne1\t6\tsystem-view\n\n",
+     "template registry line 6: expected 3 fields, found ''"),
     ("registry-count-not-an-integer", "e4\t4\t", "e4\tfour\t",
-     "template registry line 5: match_count 'four' is not an integer"),
+     "template registry line 8: match_count 'four' is not a count"),
+    ("registry-count-signed", "e4\t4\t", "e4\t+4\t",
+     "template registry line 8: match_count '+4' is not a count"),
+    ("registry-count-zero-padded", "e4\t4\t", "e4\t04\t",
+     "template registry line 8: match_count '04' is not a count"),
     ("registry-empty-template", "e5\t4\tdelete rollback checkpoint <*>", "e5\t4\t",
-     "template registry line 6: empty template"),
+     "template registry line 9: template '' is not tokens joined by single spaces"),
+    ("registry-empty-tokens", "e1\t6\tsystem-view", "e1\t6\t a  b ",
+     "template registry line 5: template ' a  b ' is not tokens joined by single spaces"),
     ("table-header", "ncc-table v1", "ncc-table v2",
-     "table header: expected 'ncc-table v1', found 'ncc-table v2'"),
+     "table line 14: expected header 'ncc-table v1', found 'ncc-table v2'"),
     ("k-not-an-integer", "k\t4", "k\tfour",
-     "corrupt table file: invalid literal for int() with base 10: 'four'"),
+     "table line 15: invalid literal for int() with base 10: 'four'"),
+    # With k off by one the reader takes a neighbouring line for n_per_cause.
+    ("k-smaller", "k\t4", "k\t3",
+     "table line 20: n_per_cause must hold 3 int counts >= 0, not all zero"),
+    ("k-larger", "k\t4", "k\t5",
+     "table line 22: invalid literal for int() with base 10: '5.5'"),
+    ("k-signed", "k\t4", "k\t+4", "table line 15: expected 'k\\t4', found 'k\\t+4'"),
     ("cause-out-of-order", "cause\t1\t", "cause\t2\t",
-     "table line 4: cause ids must be ordered 0..3"),
+     "table line 17: expected 'cause\\t1\\tenvironmental', found 'cause\\t2\\tenvironmental'"),
     ("field-renamed", "n_total\t11", "total\t11",
-     "table line 7: expected field 'n_total', found 'total'"),
+     "table line 20: expected 'n_total\\t11', found 'total\\t11'"),
     ("stage-not-final", "stage\tfinal", "stage\traw",
-     "table field 'stage': expected 'final', got 'raw'"),
+     "table line 23: expected 'stage\\tfinal', found 'stage\\traw'"),
     ("class-count-negative", "n_per_cause\t2\t5\t1\t3", "n_per_cause\t-1\t8\t1\t3",
-     "table field 'n_per_cause': counts must be >= 0 and not all zero"),
+     "table line 21: n_per_cause must hold 4 int counts >= 0, not all zero"),
+    ("class-count-missing", "n_per_cause\t2\t5\t1\t3", "n_per_cause\t2\t5\t1",
+     "table line 21: n_per_cause must hold 4 int counts >= 0, not all zero"),
     ("n-total-not-the-sum", "n_total\t11", "n_total\t12",
-     "table field 'n_total': 12 is not the sum of 'n_per_cause'"),
+     "table line 20: expected 'n_total\\t11', found 'n_total\\t12'"),
     ("icf-not-finite", "icf\t5.5\t", "icf\tnan\t",
-     "table field 'icf': values must be finite"),
+     "table line 22: expected 'icf\\t5.5\\t2.2\\t11.0\\t3.6666666666666665', "
+     "found 'icf\\tnan\\t2.2\\t11.0\\t3.6666666666666665'"),
     ("icf-not-n-over-nj", "icf\t5.5\t", "icf\t5.6\t",
-     "table field 'icf': values must be n_total / n_per_cause"),
+     "table line 22: expected 'icf\\t5.5\\t2.2\\t11.0\\t3.6666666666666665', "
+     "found 'icf\\t5.6\\t2.2\\t11.0\\t3.6666666666666665'"),
     ("row-count-zero", "rows\t3", "rows\t0",
-     "table line 13: more lines than the 0 rows of line 12"),
+     "table line 25: expected 'rows\\t3', found 'rows\\t0'"),
     ("row-count-short", "rows\t3", "rows\t2",
-     "table line 15: more lines than the 2 rows of line 12"),
-    ("row-count-negative", "rows\t3", "rows\t-1", "table line 12: bad row count -1"),
-    ("row-count-past-the-block", "rows\t3", "rows\t4", "table file truncated"),
+     "table line 25: expected 'rows\\t3', found 'rows\\t2'"),
+    ("row-count-negative", "rows\t3", "rows\t-1",
+     "table line 25: expected 'rows\\t3', found 'rows\\t-1'"),
+    ("row-count-past-the-block", "rows\t3", "rows\t4",
+     "table line 25: expected 'rows\\t3', found 'rows\\t4'"),
     ("row-fields", "e8\t0.0\t2.2\t0.0\t0.0\t", "e8\t0.0\t2.2\t0.0\t",
-     "table line 15: expected 6 fields per row"),
+     "table line 28: could not convert string to float: 'single'"),
     ("row-kind-unknown", "0.0\tsingle\ne8", "0.0\tdouble\ne8",
-     "table line 14: row kind must be single or multi"),
+     "table line 27: expected 'e7\\t0.0\\t5.686917501586544\\t0.0\\t0.0\\tsingle', "
+     "found 'e7\\t0.0\\t5.686917501586544\\t0.0\\t0.0\\tdouble'"),
     ("row-duplicate", "e8\t0.0\t2.2", "e7\t0.0\t2.2",
-     "table line 15: duplicate row for event 'e7'"),
+     "table line 28: duplicate row for event 'e7'"),
     ("cell-not-a-number", "e8\t0.0\t2.2", "e8\tzero\t2.2",
-     "corrupt table file: could not convert string to float: 'zero'"),
-    ("cell-not-finite", "e8\t0.0\t2.2", "e8\tinf\t2.2", "table line 15: cells must be finite"),
-    ("cell-negative", "e8\t0.0\t2.2", "e8\t-1.0\t2.2", "table line 15: cells must be >= 0"),
+     "table line 28: could not convert string to float: 'zero'"),
+    ("cell-not-finite", "e8\t0.0\t2.2", "e8\tinf\t2.2",
+     "table line 28: cells must be finite and >= 0"),
+    ("cell-negative", "e8\t0.0\t2.2", "e8\t-1.0\t2.2",
+     "table line 28: cells must be finite and >= 0"),
+    ("cell-not-repr", "e8\t0.0\t2.2\t", "e8\t0.0\t2.20\t",
+     "table line 28: expected 'e8\\t0.0\\t2.2\\t0.0\\t0.0\\tsingle', "
+     "found 'e8\\t0.0\\t2.20\\t0.0\\t0.0\\tsingle'"),
+    ("cell-exponent", "e8\t0.0\t2.2", "e8\t0e0\t2.2",
+     "table line 28: expected 'e8\\t0.0\\t2.2\\t0.0\\t0.0\\tsingle', "
+     "found 'e8\\t0e0\\t2.2\\t0.0\\t0.0\\tsingle'"),
     ("single-row-two-cells", "e8\t0.0\t2.2", "e8\t1.0\t2.2",
-     "table line 15: a single row needs exactly one non-zero cell"),
+     "table line 28: expected 'e8\\t1.0\\t2.2\\t0.0\\t0.0\\tmulti', "
+     "found 'e8\\t1.0\\t2.2\\t0.0\\t0.0\\tsingle'"),
     ("single-row-no-cell", "e8\t0.0\t2.2", "e8\t0.0\t0.0",
-     "table line 15: a single row needs exactly one non-zero cell"),
+     "table line 28: expected 'e8\\t0.0\\t0.0\\t0.0\\t0.0\\tnone', "
+     "found 'e8\\t0.0\\t0.0\\t0.0\\t0.0\\tsingle'"),
     ("multi-row-one-cell", "e6\t1.1\t0.8800000000000001\t1.1\t1.0999999999999999",
-     "e6\t1.1\t0.0\t0.0\t0.0", "table line 13: a multi row needs two or more non-zero cells"),
-    # e8's cells repeat e7's, which were read and checked on line 14: the
-    # kind is still checked on line 15.
+     "e6\t1.1\t0.0\t0.0\t0.0",
+     "table line 26: expected 'e6\\t1.1\\t0.0\\t0.0\\t0.0\\tsingle', "
+     "found 'e6\\t1.1\\t0.0\\t0.0\\t0.0\\tmulti'"),
+    # e8's cells repeat e7's, but its text after the id differs in the
+    # kind, so it is read and compared on its own.
     ("repeated-cells-wrong-kind", "e8\t0.0\t2.2\t0.0\t0.0\tsingle",
      "e8\t0.0\t5.686917501586544\t0.0\t0.0\tmulti",
-     "table line 15: a multi row needs two or more non-zero cells"),
+     "table line 28: expected 'e8\\t0.0\\t5.686917501586544\\t0.0\\t0.0\\tsingle', "
+     "found 'e8\\t0.0\\t5.686917501586544\\t0.0\\t0.0\\tmulti'"),
     ("row-without-template", "e8\t0.0\t2.2", "e99\t0.0\t2.2",
-     "model table: row for event 'e99', which the template registry lacks"),
+     "table line 28: row for event 'e99', which the template registry lacks"),
 ]
 
 
@@ -294,3 +345,29 @@ def test_reloaded_model_is_the_trained_one(case):
     shared = {}
     for row in loaded_table.rows.values():
         assert shared.setdefault("\t".join(map(repr, row)), row) is row
+
+
+# What a one-line edit may insert: digits, signs, separators and letters of
+# the saved fields and kinds, but no line break.
+_EDIT_CHARS = "0123456789.-+ \tefinaslgmuto<*>\"[],:"
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_trained_models(), st.data())
+def test_a_one_line_edit_is_rejected_or_loads_as_written(case, data):
+    corpus, config, variant, _ = case
+    lines = model_to_text(*build(corpus, config, variant)).splitlines()
+    at = data.draw(st.integers(0, len(lines) - 1))
+    line = lines[at]
+    start = data.draw(st.integers(0, len(line)))
+    inserted = data.draw(st.text(st.sampled_from(_EDIT_CHARS), max_size=3))
+    # Without an insertion, delete at least one character.
+    end = data.draw(st.integers(min(start + (not inserted), len(line)), min(start + 3, len(line))))
+    lines[at] = line[:start] + inserted + line[end:]
+    assume(lines[at] != line)
+    try:
+        loaded = model_from_text("\n".join(lines) + "\n")
+    except ValidationError:
+        return
+    assert model_to_text(*loaded).splitlines() == lines
+

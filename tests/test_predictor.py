@@ -14,18 +14,10 @@ def _seq(events, source="f"):
     return EventSequence(source, tuple(events), tuple(range(1, len(events) + 1)))
 
 
-def _table(rows, icf=(1.0, 1.0, 1.0, 1.0), n_per_cause=(4, 3, 2, 1)):
-    kinds = {
-        eid: "single" if sum(1 for v in row if v) == 1 else "multi"
-        for eid, row in rows.items()
-    }
+def _table(rows, n_per_cause=(1, 1, 1, 1)):
+    """A table over the default taxonomy; equal class sizes give every cause the same icf."""
     return ScoreTable(
-        rows={eid: tuple(row) for eid, row in rows.items()},
-        kinds=kinds,
-        icf=tuple(icf),
-        taxonomy=DEFAULT_TAXONOMY,
-        n_total=sum(n_per_cause),
-        n_per_cause=tuple(n_per_cause),
+        {eid: tuple(row) for eid, row in rows.items()}, DEFAULT_TAXONOMY, tuple(n_per_cause)
     )
 
 
@@ -101,16 +93,13 @@ def test_predict_fallback_majority_tie_takes_lower_id():
 
 
 def test_predict_score_tie_prefers_rarer_class():
-    table = _table(
-        {"ea": (0.5, 0.5, 0.0, 0.0)},
-        icf=(1.55, 4.54, 8.55, 61.85),
-    )
+    table = _table({"ea": (0.5, 0.5, 0.0, 0.0)}, n_per_cause=(2600, 885, 470, 65))
     prediction = predict(table, _seq(["ea"]))
     assert prediction.cause == 1
 
 
 def test_predict_score_and_icf_tie_takes_lower_id():
-    table = _table({"ea": (0.5, 0.5, 0.0, 0.0)}, icf=(2.0, 2.0, 2.0, 2.0))
+    table = _table({"ea": (0.5, 0.5, 0.0, 0.0)})
     assert predict(table, _seq(["ea"])).cause == 0
 
 
