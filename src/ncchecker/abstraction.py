@@ -508,7 +508,8 @@ class TemplateMiner:
         self._root: dict[int, _Node] = {}
         self._templates: dict[str, LogTemplate] = {}
         self._frozen = False
-        self._next_index = 1
+        # None after a registry rebuild: the first registration works it out.
+        self._next_index: int | None = 1
         # Training memo: masked line -> (leaf index, its widens, template).
         self._memo: dict[str, tuple[_LeafIndex, int, LogTemplate]] | None = {}
         # Frozen memo, started by freeze(): masked line -> event id, or
@@ -647,6 +648,11 @@ class TemplateMiner:
         return template
 
     def _register(self, tokens: Sequence[str]) -> LogTemplate:
+        if self._next_index is None:  # continue after the highest e<n> id
+            self._next_index = 1 + max(
+                (int(e[1:]) for e in self._templates if e[:1] == "e" and e[1:].isdecimal()),
+                default=0,
+            )
         event_id = f"e{self._next_index}"
         self._next_index += 1
         template = LogTemplate(event_id, tuple(tokens), 1)
@@ -782,7 +788,6 @@ class TemplateMiner:
         miner = cls(config)
         templates = miner._templates
         insert_leaf = miner._insert_leaf
-        max_index = 0
         for lineno, row in enumerate(islice(lines, 1, None), first_line + 1):
             parts = row.split("\t", 2)
             if len(parts) != 3:
@@ -806,9 +811,5 @@ class TemplateMiner:
                 )
             templates[event_id] = LogTemplate(event_id, tokens, int(count_text))
             insert_leaf(tokens).template_ids.append(event_id)
-            if event_id[:1] == "e" and event_id[1:].isdecimal():
-                index = int(event_id[1:])
-                if index > max_index:
-                    max_index = index
-        miner._next_index = max_index + 1
+        miner._next_index = None
         return miner

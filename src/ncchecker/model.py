@@ -31,10 +31,13 @@ from .table import ScoreTable, table_from_lines, table_lines
 
 MODEL_HEADER = "ncc-model v1"
 
+# Built once: every load writes the config it read, to compare the lines.
+_CONFIG_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_CONFIG_FIELDS = tuple(field.name for field in dataclasses.fields(AbstractionConfig))
+
 
 def _config_to_json(config: AbstractionConfig) -> str:
-    fields = {field.name: getattr(config, field.name) for field in dataclasses.fields(config)}
-    return json.dumps(fields, sort_keys=True, separators=(",", ":"))
+    return _CONFIG_ENCODER.encode({name: getattr(config, name) for name in _CONFIG_FIELDS})
 
 
 def _config_from_json(text: str) -> AbstractionConfig:

@@ -984,6 +984,14 @@ def test_registry_round_trip(config):
     assert new_event == f"e{len(miner.templates) + 1}"
 
 
+def test_rebuilt_miner_continues_after_its_highest_id(config):
+    # Ids out of order and one not of the e<n> form: fresh ids follow e5.
+    registry = f"{REGISTRY_HEADER}\ne5\t1\talpha <*>\ne2\t1\tbeta <*>\nx9\t1\tgamma <*>\n"
+    miner = TemplateMiner.from_registry_text(registry, config)
+    assert miner.parse_line("zz yy xx ww vv uu tt ss rr") == "e6"
+    assert miner.parse_line("qq pp oo nn mm ll kk jj ii hh") == "e7"
+
+
 def test_registry_version_mismatch(config):
     with pytest.raises(ValidationError, match="header"):
         TemplateMiner.from_registry_text("ncc-templates v999\n", config)
