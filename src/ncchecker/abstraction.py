@@ -794,7 +794,7 @@ class TemplateMiner:
                 raise ValidationError(
                     f"template registry line {lineno}: expected 3 fields, found {row!r}"
                 )
-            event_id, count_text, text = parts
+            event_id, count_text, template_text = parts
             if event_id in templates:
                 raise ValidationError(
                     f"template registry line {lineno}: duplicate event id {event_id!r}"
@@ -803,10 +803,10 @@ class TemplateMiner:
                 raise ValidationError(
                     f"template registry line {lineno}: match_count {count_text!r} is not a count"
                 )
-            tokens = tuple(text.split(" "))
+            tokens = tuple(template_text.split(" "))
             if "" in tokens:
                 raise ValidationError(
-                    f"template registry line {lineno}: template {text!r} is not tokens "
+                    f"template registry line {lineno}: template {template_text!r} is not tokens "
                     "joined by single spaces"
                 )
             templates[event_id] = LogTemplate(event_id, tokens, int(count_text))
