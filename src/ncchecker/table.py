@@ -318,7 +318,7 @@ def table_from_lines(lines: Sequence[str], first_line: int = 1) -> ScoreTable:
         if lines[0] != TABLE_HEADER:
             raise ValidationError(f"expected header {TABLE_HEADER!r}, found {lines[0]!r}")
         at = 1
-        k = int(lines[1].partition("\t")[2])
+        k = max(0, int(lines[1].partition("\t")[2]))  # no negative index below
         taxonomy = CauseTaxonomy(tuple(line.split("\t", 2)[-1] for line in lines[2 : 2 + k]))
         at = 3 + k
         # The table derives nothing from its rows, so they can fill in below.

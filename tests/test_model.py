@@ -181,6 +181,7 @@ _MUTANTS = [
     ("k-larger", "k\t4", "k\t5",
      "table line 22: invalid literal for int() with base 10: '5.5'"),
     ("k-signed", "k\t4", "k\t+4", "table line 15: expected 'k\\t4', found 'k\\t+4'"),
+    ("k-negative", "k\t4", "k\t-4", "table line 15: taxonomy needs at least 2 causes"),
     ("cause-out-of-order", "cause\t1\t", "cause\t2\t",
      "table line 17: expected 'cause\\t1\\tenvironmental', found 'cause\\t2\\tenvironmental'"),
     ("field-renamed", "n_total\t11", "total\t11",
