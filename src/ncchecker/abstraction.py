@@ -65,22 +65,22 @@ leaf at worst both build it.
 A frozen parse is a pure function of the masked line, and a frozen miner
 never changes its tree or registry.  Logs repeat masked lines far more
 often than raw ones, within a log and across the logs of a directory.  So
-a frozen miner keeps one memo from a masked line (before the split) to
-its event id, or None for a blank line, and matches each distinct one
-once for as long as the miner lives: ``freeze()`` starts it empty, and so
-does a reload, which freezes a new miner.  ``parse_log`` and a frozen ``parse_line`` both read
-and fill it.  Its memory is bounded by ``FROZEN_MEMO_CAP`` entries: a miss
-that finds the memo full clears it first.  An entry costs its dict slot
-(29-43 bytes; 961,280 bytes for the table of a full memo) and the masked
-line, which the memo keeps alive (49 bytes plus one per character of
-ASCII text, up to four per character otherwise).  Measured on the bench's
-seed-7 test corpora, an entry takes 111 bytes on ``clean``, 118 on
+a frozen miner keeps one memo from a masked line (before the split) to its
+event id, or None for a blank line, and matches each distinct one once for
+as long as the miner lives: ``freeze()`` starts it empty, and so does a
+reload, which freezes a new miner.  ``parse_log`` and ``parse_line`` both
+read and fill it.  Its memory is bounded by ``FROZEN_MEMO_CAP`` entries: a
+miss that finds the memo full clears it first.  An entry costs its dict
+slot (29-43 bytes; 961,280 bytes for the table of a full memo) and the
+masked line, which the memo keeps alive (49 bytes plus one per character
+of ASCII text, up to four per character otherwise).  Measured on the
+bench's seed-7 test corpora, an entry takes 111 bytes on ``clean``, 118 on
 ``short`` and 173 on ``noisy`` (masked lines of 28, 32 and 81 characters
 on average).  So the worst case is the cap times the longest masked line,
 plus about 2.6 MB of table and string headers.  Threads that share the
 miner share the memo: a lookup is one ``dict.get``, so another thread's
-clear can cost a repeat match but never a wrong id, and racing threads
-may each insert one entry past the cap.
+clear can cost a repeat match but never a wrong id, and racing threads may
+each insert one entry past the cap.
 
 A training parse may change the tree, yet most training lines repeat a
 masked line already seen, and such a repeat usually only counts one more
@@ -89,7 +89,8 @@ construction until ``freeze()`` drops it, mapping a masked line to the
 result of its last full match: the leaf's index, that index's widen count
 after the merge, and the template.  A hit adds one to the template's
 ``match_count`` and skips the split, the routing, the lookup and the
-merge.  It is exact when both of these hold:
+merge; ``parse_log`` and ``parse_line`` both read and fill it.  It is
+exact when both of these hold:
 
 * The entry was recorded after a match on a stable route.  A route is
   stable when each step finds its key child, or falls back to ``<*>`` at
@@ -314,26 +315,6 @@ class LogTemplate:
         return " ".join(self.tokens)
 
 
-def seq_similarity(tokens: Sequence[str], template: LogTemplate) -> float:
-    """Position-wise match ratio of a token sequence against a template.
-
-    A wildcard slot matches any token.  This is the similarity a leaf
-    index computes for all of a leaf's templates at once.  Lengths must
-    agree; a mismatch is a caller bug.
-    """
-    if len(tokens) != len(template.tokens):
-        raise ValueError(
-            f"token count {len(tokens)} does not match template "
-            f"{template.event_id} of length {len(template.tokens)}"
-        )
-    if not tokens:
-        return 1.0
-    hits = sum(
-        1 for tok, slot in zip(tokens, template.tokens) if slot == WILDCARD or slot == tok
-    )
-    return hits / len(tokens)
-
-
 @dataclass(frozen=True)
 class EventSequence:
     """Per-line event ids for one log, with the 1-based source line numbers."""
@@ -363,13 +344,19 @@ def _is_count(text: str) -> bool:
     )
 
 
-def event_sort_key(event_id: str):
-    """Deterministic ordering: miner ids ``e<n>`` numerically, others after.
+def _is_miner_id(event_id: str) -> bool:
+    """Whether ``event_id`` is ``e<n>`` as the miner writes it: ``_is_count(n)``."""
+    return event_id[:1] == "e" and _is_count(event_id[1:])
 
-    ``isdecimal``, not ``isdigit``: ``int`` rejects digits such as ``"²"``.
+
+def event_sort_key(event_id: str):
+    """Deterministic ordering: miner ids ``e<n>`` by ``n``, every other id after, by text.
+
+    ``n`` orders by its length and then its text, which for a count
+    without leading zeros is its numeric order; no ``int`` is built.
     """
-    if event_id.startswith("e") and event_id[1:].isdecimal():
-        return (0, int(event_id[1:]), event_id)
+    if _is_miner_id(event_id):
+        return (0, len(event_id), event_id)
     return (1, 0, event_id)
 
 
@@ -604,19 +591,17 @@ class TemplateMiner:
 
         Training mode merges or registers templates; frozen mode maps
         unmatched lines to UNKNOWN_EVENT_ID and never mutates the tree or
-        the registry.  A frozen miner looks the masked line up in the
-        memo that ``parse_log`` reads and fills (see ``_frozen_parser``).
+        the registry.  The masked line goes through the parser that
+        ``parse_log`` uses, so it reads and fills the same memo.
         """
-        masked = _mask(line, self._rules)
-        if self._frozen:
-            return self._frozen_parser()(masked)
-        return self._parse_tokens(masked.split())
+        parse = self._frozen_parser() if self._frozen else self._training_parser()
+        return parse(_mask(line, self._rules))
 
-    def _parse_tokens(self, tokens: Sequence[str], masked: str | None = None) -> str | None:
+    def _parse_tokens(self, tokens: Sequence[str], masked: str) -> str | None:
         """``parse_line`` from the masked tokens on.
 
         A training match on a stable route is recorded in the memo under
-        ``masked``, the line the tokens were split from, when it is given.
+        ``masked``, the line the tokens were split from.
         """
         if not tokens:
             return None
@@ -627,7 +612,7 @@ class TemplateMiner:
                 event_id = leaf.template_ids[slot]
                 if not self._frozen:
                     template = self._merge(leaf, slot, tokens, sim)
-                    if stable and masked is not None:
+                    if stable:
                         index = leaf.index
                         self._memo[masked] = (index, index.widens, template)
                 return event_id
@@ -650,8 +635,7 @@ class TemplateMiner:
     def _register(self, tokens: Sequence[str]) -> LogTemplate:
         if self._next_index is None:  # continue after the highest e<n> id
             self._next_index = 1 + max(
-                (int(e[1:]) for e in self._templates if e[:1] == "e" and e[1:].isdecimal()),
-                default=0,
+                (int(e[1:]) for e in self._templates if _is_miner_id(e)), default=0
             )
         event_id = f"e{self._next_index}"
         self._next_index += 1
@@ -670,22 +654,8 @@ class TemplateMiner:
         (the built-in ones under ``<*>``) and no line that holds ``"\n"``,
         by one pass per rule over the lines joined with ``"\n"`` (why that
         is exact is in the module docstring), else line by line, as
-        ``parse_line`` masks.
-
-        A frozen miner then matches each distinct masked line once for as
-        long as the miner lives: its memo maps the line after the mask
-        rules, before the split, to its event id (None for a blank line),
-        so a repeat in this log or any earlier one skips the split, the
-        routing and the leaf lookup.  The memo holds at most
-        ``FROZEN_MEMO_CAP`` entries and is cleared when a miss finds it
-        full; its memory and thread behaviour are in the module docstring.
-
-        A training miner looks each masked line up in its own memo, kept
-        across calls until ``freeze()``.  A hit whose leaf index has not
-        widened a template since it was recorded counts one more match of
-        the recorded template; any other line is parsed in full, and
-        recorded if it matched on a stable route.  The module docstring
-        says why a hit is exact.
+        ``parse_line`` masks.  Each masked line then goes through the
+        parser ``parse_line`` uses, so both read and fill one memo.
         """
         parse = self._frozen_parser() if self._frozen else self._training_parser()
         events: list[str] = []
@@ -707,7 +677,13 @@ class TemplateMiner:
         return [_mask(line, self._rules) for line in lines]
 
     def _training_parser(self):
-        """A training ``_parse_tokens`` of a masked line, skipped on an exact memo hit."""
+        """A training ``_parse_tokens`` of a masked line, skipped on an exact memo hit.
+
+        The memo lives until ``freeze()``.  A hit whose leaf index has not
+        widened a template since it was recorded counts one more match of
+        the recorded template; any other line is parsed in full, and
+        recorded if it matched on a stable route (module docstring).
+        """
         parse_tokens, memo = self._parse_tokens, self._memo
 
         def parse(masked: str) -> str | None:
@@ -724,19 +700,18 @@ class TemplateMiner:
     def _frozen_parser(self):
         """A frozen ``_parse_tokens`` of a masked line, memoised for the miner's life.
 
-        The memo, started empty by ``freeze()``, holds at most
-        ``FROZEN_MEMO_CAP`` entries (a miss clears a full one), so its
-        worst case is the cap times the longest masked line, plus about
-        2.6 MB (module docstring).  A lookup is one ``dict.get``: with
-        ``in`` and then ``[]``, another thread's clear between the two
-        would raise ``KeyError``.
+        A repeat in any log skips the split, the routing and the leaf
+        lookup.  The memo, started empty by ``freeze()``, holds at most
+        ``FROZEN_MEMO_CAP`` entries (a miss clears a full one; its memory is
+        in the module docstring).  A lookup is one ``dict.get``: with ``in``
+        and then ``[]``, another thread's clear between would raise ``KeyError``.
         """
         parse_tokens, memo = self._parse_tokens, self._frozen_memo
 
         def parse(masked: str) -> str | None:
             event_id = memo.get(masked, _MISSING)
             if event_id is _MISSING:
-                event_id = parse_tokens(masked.split())
+                event_id = parse_tokens(masked.split(), masked)
                 if len(memo) >= FROZEN_MEMO_CAP:
                     memo.clear()
                 memo[masked] = event_id

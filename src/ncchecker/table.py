@@ -12,11 +12,14 @@ only what it cannot derive: its rows, taxonomy and class sizes; ``n_total``,
 It is stored only as the ``ncc-table v1`` block of an ``ncc-model v1``
 file (see ``model``).  ``table_lines`` writes that block and owns its
 layout; ``table_from_lines`` reads the values it cannot derive and checks
-every line against the line ``table_lines`` writes for them.
+every line against the line ``table_lines`` writes for them.  What a
+table may hold is the ``ScoreTable`` constructor's to decide, so every
+table it accepts saves to a block that reads back equal.
 """
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .abstraction import (
@@ -130,13 +133,31 @@ def row_kind(row: Sequence[float]) -> str:
     return MULTI if nonzero > 1 else SINGLE if nonzero else NONE
 
 
+def _class_sizes(n_per_cause: Sequence[int], k: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """``n_per_cause`` as a tuple, and its icf; it must hold ``k`` int counts >= 0, not all zero."""
+    counts = tuple(n_per_cause)
+    if len(counts) != k or not all(type(n) is int and n >= 0 for n in counts) or not any(counts):
+        raise ValidationError(f"n_per_cause must hold {k} int counts >= 0, not all zero")
+    try:
+        return counts, compute_icf(sum(counts), counts)
+    except OverflowError:
+        raise ValidationError("n_per_cause counts are too large for a float icf") from None
+
+
+def _cells_ok(cells: Iterable[float]) -> bool:
+    """Whether every cell is a float, finite and >= 0; nan fails ``0.0 <= v``."""
+    return all(type(v) is float and 0.0 <= v < math.inf for v in cells)
+
+
 @dataclass(frozen=True)
 class ScoreTable:
     """Event score rows by cause, with the training class sizes.
 
-    Cells are finite floats >= 0.  ``n_total`` and ``icf`` are computed
-    once, from ``n_per_cause``, which must hold ``k`` int counts >= 0, not
-    all zero.
+    The constructor owns what a table may hold, so that every table saves
+    to a file that loads: each distinct row object holds ``k`` floats, each
+    finite and >= 0; no event id holds a tab or a line break (as
+    ``str.splitlines`` sees one); ``n_per_cause`` holds ``k`` int counts
+    >= 0, not all zero.  ``n_total`` and ``icf`` are computed once, from it.
     """
 
     rows: dict[str, tuple[float, ...]]
@@ -146,21 +167,21 @@ class ScoreTable:
     icf: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        counts = tuple(self.n_per_cause)
-        if (
-            len(counts) != self.taxonomy.k
-            or not all(type(n) is int and n >= 0 for n in counts)
-            or not any(counts)
-        ):
-            raise ValidationError(
-                f"n_per_cause must hold {self.taxonomy.k} int counts >= 0, not all zero"
-            )
+        k = self.taxonomy.k
+        counts, icf = _class_sizes(self.n_per_cause, k)
         object.__setattr__(self, "n_per_cause", counts)
         object.__setattr__(self, "n_total", sum(counts))
-        try:
-            object.__setattr__(self, "icf", compute_icf(self.n_total, counts))
-        except OverflowError:
-            raise ValidationError("n_per_cause counts are too large for a float icf") from None
+        object.__setattr__(self, "icf", icf)
+        distinct = {id(row): row for row in self.rows.values()}.values()  # as the writer keys them
+        if {*map(len, distinct)} - {k} or not _cells_ok(chain.from_iterable(distinct)):
+            eid = next(e for e, row in self.rows.items() if len(row) != k or not _cells_ok(row))
+            raise ValidationError(
+                f"row for event {eid!r}: cells must be {k} floats, each finite and >= 0"
+            )
+        ids = "".join(self.rows)  # holds a break if and only if some id does
+        if "\t" in ids or "".join(ids.splitlines()) != ids:
+            eid = next(e for e in self.rows if "\t" in e or "".join(e.splitlines()) != e)
+            raise ValidationError(f"event id {eid!r} holds a tab or a line break")
 
     @property
     def k(self) -> int:
@@ -170,9 +191,6 @@ class ScoreTable:
     def kinds(self) -> dict[str, str]:
         """Each row's ``row_kind``."""
         return {eid: row_kind(row) for eid, row in self.rows.items()}
-
-    def __contains__(self, event_id: str) -> bool:
-        return event_id in self.rows
 
 
 def scores_from_counts(
@@ -261,17 +279,19 @@ def build(
 # -- persistence -------------------------------------------------------
 
 
-def _head_lines(table: ScoreTable, n_rows: int) -> list[str]:
+def _head_lines(
+    taxonomy: CauseTaxonomy, n_per_cause: tuple[int, ...], icf: tuple[float, ...], n_rows: int
+) -> list[str]:
     """The block's lines from its header through ``rows``.
 
     The ``stage`` and ``registry`` lines are fixed: they keep the block's
     layout of ``ncc-table v1``.
     """
-    lines = [TABLE_HEADER, f"k\t{table.k}"]
-    lines.extend(f"cause\t{j}\t{name}" for j, name in enumerate(table.taxonomy.names))
-    lines.append(f"n_total\t{table.n_total}")
-    lines.append("n_per_cause\t" + "\t".join(map(str, table.n_per_cause)))
-    lines.append("icf\t" + "\t".join(map(repr, table.icf)))
+    lines = [TABLE_HEADER, f"k\t{taxonomy.k}"]
+    lines.extend(f"cause\t{j}\t{name}" for j, name in enumerate(taxonomy.names))
+    lines.append(f"n_total\t{sum(n_per_cause)}")
+    lines.append("n_per_cause\t" + "\t".join(map(str, n_per_cause)))
+    lines.append("icf\t" + "\t".join(map(repr, icf)))
     lines.extend(("stage\tfinal", "registry\t-", f"rows\t{n_rows}"))
     return lines
 
@@ -287,7 +307,7 @@ def table_lines(table: ScoreTable) -> list[str]:
     Each distinct row object is formatted once; the key is the object,
     since equal rows can differ in ``repr`` (``0.0 == -0.0``).
     """
-    lines = _head_lines(table, len(table.rows))
+    lines = _head_lines(table.taxonomy, table.n_per_cause, table.icf, len(table.rows))
     formatted: dict[int, str] = {}
     for eid, row in table.rows.items():
         text = formatted.get(id(row))
@@ -308,9 +328,9 @@ def table_from_lines(lines: Sequence[str], first_line: int = 1) -> ScoreTable:
     Only ``k``, the cause names, ``n_per_cause`` and the cells are read;
     every line must then be the one ``table_lines`` writes for them, with
     ``rows`` counting the lines after the head.  The values are checked
-    too: ``n_per_cause`` as ``ScoreTable`` checks it, and every cell
-    finite and >= 0.  Rows with the same text after the event id are
-    parsed and checked once and share one tuple.
+    by the rules ``ScoreTable`` runs, each where its line is read, so a
+    message names that line.  Rows with the same text after the event id
+    are parsed and checked once and share one tuple.
     """
     rows: dict[str, tuple[float, ...]] = {}
     at = 0  # index of the line being read
@@ -321,9 +341,8 @@ def table_from_lines(lines: Sequence[str], first_line: int = 1) -> ScoreTable:
         k = max(0, int(lines[1].partition("\t")[2]))  # no negative index below
         taxonomy = CauseTaxonomy(tuple(line.split("\t", 2)[-1] for line in lines[2 : 2 + k]))
         at = 3 + k
-        # The table derives nothing from its rows, so they can fill in below.
-        table = ScoreTable(rows, taxonomy, tuple(map(int, lines[at].split("\t")[1:])))
-        head = _head_lines(table, len(lines) - 8 - k)
+        counts, icf = _class_sizes(tuple(map(int, lines[at].split("\t")[1:])), k)
+        head = _head_lines(taxonomy, counts, icf, len(lines) - 8 - k)
         for at, want in enumerate(head):
             if lines[at] != want:
                 raise ValidationError(f"expected {want!r}, found {lines[at]!r}")
@@ -333,7 +352,7 @@ def table_from_lines(lines: Sequence[str], first_line: int = 1) -> ScoreTable:
             row = parsed.get(text)
             if row is None:
                 row = tuple(map(float, text.split("\t", k)[:k]))
-                if not all(0.0 <= v < math.inf for v in row):
+                if not _cells_ok(row):
                     raise ValidationError("cells must be finite and >= 0")
                 if _row_text(row) != text:
                     want = f"{eid}\t{_row_text(row)}"
@@ -346,4 +365,4 @@ def table_from_lines(lines: Sequence[str], first_line: int = 1) -> ScoreTable:
         raise ValidationError(f"table line {first_line + at}: missing, block truncated") from None
     except (ValueError, ValidationError) as exc:
         raise ValidationError(f"table line {first_line + at}: {exc}") from None
-    return table
+    return ScoreTable(rows, taxonomy, counts)

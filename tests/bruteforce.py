@@ -4,11 +4,13 @@
 ``re.sub`` per rule in order: the reference for the scan forms the miner
 compiles the built-in rules from.
 
-``scan_train_line`` and ``scan_parse_line`` are the training and frozen
-parses by a linear scan of the routed leaf, scored with
-``seq_similarity``: the references for the miner's indexed match.  They
-reuse only the miner's tree routing and template registration, so a miner
-driven by them never builds a leaf index.
+``seq_similarity`` is the position-wise match ratio of a line against
+one template, which a leaf index computes for all of a leaf's templates
+at once.  ``scan_train_line`` and ``scan_parse_line`` are the training
+and frozen parses by a linear scan of the routed leaf, scored with it:
+the references for the miner's indexed match.  They reuse only the
+miner's tree routing and template registration, so a miner driven by
+them never builds a leaf index.
 
 ``text_layer_log_lines`` reads a log through Python's text layer, whose
 decoder and newline translation are the reference for the byte-level
@@ -24,7 +26,6 @@ import math
 import re
 from pathlib import Path
 
-from ncchecker import abstraction
 from ncchecker.abstraction import UNKNOWN_EVENT_ID, WILDCARD, TemplateMiner, preprocess
 
 
@@ -43,14 +44,33 @@ def text_layer_log_lines(path):
     return tuple(lines)
 
 
+def seq_similarity(tokens, template):
+    """Position-wise match ratio of a token sequence against a template.
+
+    A wildcard slot matches any token.  Lengths must agree; a mismatch is
+    a caller bug.
+    """
+    if len(tokens) != len(template.tokens):
+        raise ValueError(
+            f"token count {len(tokens)} does not match template "
+            f"{template.event_id} of length {len(template.tokens)}"
+        )
+    if not tokens:
+        return 1.0
+    hits = sum(
+        1 for tok, slot in zip(tokens, template.tokens) if slot == WILDCARD or slot == tok
+    )
+    return hits / len(tokens)
+
+
 def _scan_leaf(miner, tokens):
     """First template of the routed leaf with the highest similarity, or None."""
     leaf, _ = miner._search_leaf(tokens)
     best, best_sim = None, -1.0
     for tid in leaf.template_ids if leaf is not None else ():
         template = miner.templates[tid]
-        # Looked up on the module so tests can count the calls.
-        sim = abstraction.seq_similarity(tokens, template)
+        # A global, looked up per call, so tests can count the calls.
+        sim = seq_similarity(tokens, template)
         if sim > best_sim:
             best, best_sim = template, sim
     if best is not None and best_sim >= miner.config.similarity_threshold:

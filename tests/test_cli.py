@@ -416,6 +416,23 @@ def test_predict_on_a_bad_model_names_the_file_line(corpus_dir, model_path, tmp_
     assert result.stderr.rstrip().endswith(f"found {found!r}")
 
 
+def test_predict_with_an_event_id_past_the_int_digit_limit(corpus_dir, model_path, tmp_path):
+    # Python's int() refuses more than 4,300 digits; contributors are
+    # sorted by event id, so a log that hits this row must still sort.
+    lines = model_path.read_text().splitlines()
+    event_id = lines[lines.index("registry\t-") + 2].partition("\t")[0]
+    renamed = "e" + "1" * 5000
+    for at, line in enumerate(lines):
+        if line.startswith(f"{event_id}\t"):
+            lines[at] = renamed + line[len(event_id) :]
+    model = tmp_path / "long-id.ncc"
+    model.write_text("\n".join(lines) + "\n")
+    result = _run_cli("predict", model, corpus_dir / "failed", "--json")
+    assert result.returncode == 0
+    assert "Traceback" not in result.stderr
+    assert renamed in result.stdout
+
+
 def test_eval_with_rg_and_mcc(corpus_dir, model_path, capsys):
     assert (
         main(

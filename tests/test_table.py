@@ -459,20 +459,60 @@ _NAME = st.text(
 _CELL = st.one_of(
     st.just(0.0), st.just(-0.0), st.floats(min_value=0.0, allow_infinity=False)
 )
+_EVENT_ID = _NAME.filter(lambda e: "\t" not in e)
 
 
 @st.composite
-def _tables(draw):
-    """Random valid tables: some rows share one tuple, some are all zero."""
+def _table_parts(draw):
+    """Random valid table arguments: some rows share one tuple, some are all zero."""
     k = draw(st.integers(2, 5))
     names = draw(st.lists(_NAME, min_size=k, max_size=k))
     n_per_cause = draw(
         st.lists(st.integers(0, 10**6), min_size=k, max_size=k).filter(any)
     )
     pool = draw(st.lists(st.tuples(*[_CELL] * k), min_size=1, max_size=4))
-    eids = draw(st.lists(_NAME.filter(lambda e: "\t" not in e), max_size=8, unique=True))
+    eids = draw(st.lists(_EVENT_ID, max_size=8, unique=True))
     rows = {eid: draw(st.sampled_from(pool)) for eid in eids}
-    return ScoreTable(rows, CauseTaxonomy(tuple(names)), tuple(n_per_cause))
+    return rows, CauseTaxonomy(tuple(names)), tuple(n_per_cause)
+
+
+def _tables():
+    """Random valid tables (see ``_table_parts``)."""
+    return _table_parts().map(lambda parts: ScoreTable(*parts))
+
+
+# A cell no written row can hold: an int or a bool, a negative float,
+# or one that is not finite.
+_BAD_CELL = st.one_of(
+    st.integers(0, 10),
+    st.booleans(),
+    st.floats(max_value=-5e-324, allow_nan=False),
+    st.sampled_from([math.inf, math.nan]),
+)
+
+
+@st.composite
+def _faulty_table_parts(draw):
+    """Valid table arguments plus one row the writer could not write.
+
+    The row has a bad cell, or too few or too many cells, or its event id
+    holds a tab or a line break.
+    """
+    rows, taxonomy, n_per_cause = draw(_table_parts())
+    k = taxonomy.k
+    fault = draw(st.sampled_from(["cell", "length", "id"]))
+    row = list(draw(st.tuples(*[_CELL] * k)))
+    eid = draw(_EVENT_ID.filter(lambda e: e not in rows))
+    if fault == "cell":
+        row[draw(st.integers(0, k - 1))] = draw(_BAD_CELL)
+    elif fault == "length":
+        row = row[1:] if draw(st.booleans()) else row + [0.0]
+    else:
+        breaker = draw(st.sampled_from("\t" + _LINE_BREAKS))
+        eid = draw(_NAME) + breaker + draw(_NAME)
+    items = list(rows.items())
+    items.insert(draw(st.integers(0, len(items))), (eid, tuple(row)))
+    return dict(items), taxonomy, n_per_cause
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -484,3 +524,27 @@ def test_every_table_that_can_be_built_saves_and_reloads_equal(table):
     assert loaded == table
     assert loaded.kinds == table.kinds
 
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_faulty_table_parts())
+def test_a_row_the_writer_could_not_write_is_rejected_at_construction(parts):
+    with pytest.raises(ValidationError, match=r"^(row for event .*: |event id )"):
+        ScoreTable(*parts)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ({"e1": (1, 0)}, "row for event 'e1': cells must be 2 floats, each finite and >= 0"),
+        ({"e1": (1.0,)}, "row for event 'e1': cells must be 2 floats, each finite and >= 0"),
+        ({"e1": (1.0, -1.0)}, "row for event 'e1': cells must be 2 floats, each finite and >= 0"),
+        ({"e0": (1.0, 0.0), "e1": (math.nan, 1.0)},
+         "row for event 'e1': cells must be 2 floats, each finite and >= 0"),
+        ({"e1": (1.0, 0.0), "e\t2": (1.0, 0.0)}, "event id 'e\\t2' holds a tab or a line break"),
+        ({"e\u20282": (1.0, 0.0)}, "event id 'e\\u20282' holds a tab or a line break"),
+    ],
+)
+def test_a_hand_built_table_that_would_not_reload_cannot_be_built(rows, message):
+    with pytest.raises(ValidationError) as raised:
+        ScoreTable(rows, CauseTaxonomy(("x", "y")), (1, 1))
+    assert str(raised.value) == message
