@@ -704,7 +704,8 @@ class TemplateMiner:
         lookup.  The memo, started empty by ``freeze()``, holds at most
         ``FROZEN_MEMO_CAP`` entries (a miss clears a full one; its memory is
         in the module docstring).  A lookup is one ``dict.get``: with ``in``
-        and then ``[]``, another thread's clear between would raise ``KeyError``.
+        and then ``[]``, another thread's clear between the two would raise
+        ``KeyError``.
         """
         parse_tokens, memo = self._parse_tokens, self._frozen_memo
 
