@@ -36,16 +36,22 @@ Unicode compile: under ``re.ASCII`` it could match differently even on
 ASCII text (``(?i)\u017f``, the long s, matches ``s`` only in Unicode
 mode).
 
-``parse_log`` masks a whole log before matching any of it.  When every
-rule is a built-in one under ``<*>``, it joins the lines with ``"\n"``,
-runs each rule once over that text and splits it back, which spares the
-per-call cost of ``re.sub`` on each short line.  This is exact because no
-built-in rule can match ``"\n"`` (their classes are digits, ``[\w.+-]``
-and hex digits), their lookarounds (``[\w.]``, ``[\w/]``, ``\w``, ``\b``)
-treat ``"\n"`` as they treat the start or end of a string, and ``<*>``
-holds no ``"\n"``.  A user rule may not be line-local (``^`` or ``\s``
-can see the join), and a line given through the API may hold ``"\n"``
-itself; such logs mask line by line, as ``parse_line`` does.
+``parse_log`` masks a whole log before matching any of it, and
+``parse_logs``, which training uses, masks the lines of many logs at once,
+in chunks of at most ``MASK_CHUNK_LINES`` lines that may cut a log
+anywhere.  When every rule is a built-in one under ``<*>``, the lines of a
+log or chunk are joined with ``"\n"``, each rule runs once over that text,
+and the text is split back, which spares the per-call cost of ``re.sub``
+on each short line.  This is exact because no built-in rule can match
+``"\n"`` (their classes are digits, ``[\w.+-]`` and hex digits), their
+lookarounds (``[\w.]``, ``[\w/]``, ``\w``, ``\b``) treat ``"\n"`` as they
+treat the start or end of a string, and ``<*>`` holds no ``"\n"``; so a
+line masks the same whoever its neighbours are.  A user rule may not be
+line-local (``^`` or ``\s`` can see the join), and a line given through
+the API may hold ``"\n"`` itself; such a log or chunk masks line by line,
+as ``parse_line`` does.  The ASCII twins run only when the whole joined
+text is ASCII, so one non-ASCII line sends its whole chunk through the
+Unicode compiles: exact, but slower.
 
 Both modes look lines up in a per-leaf inverted index (token position ->
 literal token -> template slots), built lazily on the leaf's first lookup
@@ -112,9 +118,9 @@ counts and templates are those of parsing every line.
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
 from numbers import Real
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
 
@@ -124,12 +130,25 @@ REGISTRY_HEADER = "ncc-templates v1"
 # By default int() and str() refuse ints with more digits than this
 # (sys.int_info.default_max_str_digits).
 _MAX_COUNT_DIGITS = 4300
+# The first miner id index with more digits than that: no id at or past
+# it is one the miner may write.
+_MINER_INDEX_LIMIT = 10**_MAX_COUNT_DIGITS
 
 # Entries a frozen miner's memo holds before a miss clears it: above the
 # 22,277 distinct masked lines of the bench's noisy test corpus, and one
 # hash table of 2^16 slots (961,280 bytes) when full.
 FROZEN_MEMO_CAP = 1 << 15
 _MISSING = object()
+
+# Lines ``parse_logs`` masks in one pass per rule.  It bounds what is held
+# at once, the joined chunk, its masked text and its masked lines, to
+# about 1 MB on lines of 80 characters; a 10K-log corpus of 1.3M lines
+# joined whole would hold over 100 MB.  The value was timed on the bench's
+# seed-7 training corpora (median of 20 interleaved passes, 2 CPUs,
+# Python 3.11.7): masking ``short`` took 40.5 ms one log at a time, 33.0
+# in chunks of 256 lines, 31.2 in chunks of 4,096 and 33.1 in chunks of
+# 16,384; ``clean`` and ``noisy`` were within 5% from 512 to 4,096.
+MASK_CHUNK_LINES = 4096
 
 # The built-in rules, each as written, in its scan form, and with the
 # pattern of the dots it is anchored on, if any.  Order matters: IPv4
@@ -470,6 +489,19 @@ class _LeafIndex:
             self.widest = slot
 
 
+def _sequence(parse, masked_lines: Iterable[str], source: str) -> EventSequence:
+    """The events ``parse`` gives the masked lines of one log, and their line numbers."""
+    events: list[str] = []
+    numbers: list[int] = []
+    for lineno, masked in enumerate(masked_lines, start=1):
+        event_id = parse(masked)
+        if event_id is None:
+            continue
+        events.append(event_id)
+        numbers.append(lineno)
+    return EventSequence(source, tuple(events), tuple(numbers))
+
+
 class TemplateMiner:
     """Online Drain-style miner; owns the parse tree and template registry.
 
@@ -594,8 +626,7 @@ class TemplateMiner:
         the registry.  The masked line goes through the parser that
         ``parse_log`` uses, so it reads and fills the same memo.
         """
-        parse = self._frozen_parser() if self._frozen else self._training_parser()
-        return parse(_mask(line, self._rules))
+        return self._parser()(_mask(line, self._rules))
 
     def _parse_tokens(self, tokens: Sequence[str], masked: str) -> str | None:
         """``parse_line`` from the masked tokens on.
@@ -637,6 +668,10 @@ class TemplateMiner:
             self._next_index = 1 + max(
                 (int(e[1:]) for e in self._templates if _is_miner_id(e)), default=0
             )
+        if self._next_index >= _MINER_INDEX_LIMIT:
+            raise ValidationError(
+                f"no event id left: the next would have more than {_MAX_COUNT_DIGITS} digits"
+            )
         event_id = f"e{self._next_index}"
         self._next_index += 1
         template = LogTemplate(event_id, tuple(tokens), 1)
@@ -657,24 +692,40 @@ class TemplateMiner:
         ``parse_line`` masks.  Each masked line then goes through the
         parser ``parse_line`` uses, so both read and fill one memo.
         """
-        parse = self._frozen_parser() if self._frozen else self._training_parser()
-        events: list[str] = []
-        numbers: list[int] = []
-        for lineno, masked in enumerate(self._mask_log(tuple(lines)), start=1):
-            event_id = parse(masked)
-            if event_id is None:
-                continue
-            events.append(event_id)
-            numbers.append(lineno)
-        return EventSequence(source, tuple(events), tuple(numbers))
+        return _sequence(self._parser(), self._mask_log(tuple(lines)), source)
+
+    def parse_logs(self, logs: Iterable[tuple[Sequence[str], str]]) -> list[EventSequence]:
+        """``[self.parse_log(lines, source) for lines, source in logs]``, masked in bulk.
+
+        The lines of consecutive logs are masked together, in chunks of at
+        most ``MASK_CHUNK_LINES`` lines, each as ``parse_log`` masks one
+        log; masking is a function of each line alone (module docstring),
+        so every sequence, template and count is ``parse_log``'s.
+        """
+        logs = list(logs)
+        lines = (line for log_lines, _ in logs for line in log_lines)
+        masked = chain.from_iterable(self._mask_chunks(lines))
+        parse = self._parser()
+        return [
+            _sequence(parse, islice(masked, len(log_lines)), source) for log_lines, source in logs
+        ]
+
+    def _mask_chunks(self, lines: Iterator[str]) -> Iterator[list[str]]:
+        """``_mask_log`` of each run of at most ``MASK_CHUNK_LINES`` of ``lines``."""
+        while chunk := tuple(islice(lines, MASK_CHUNK_LINES)):
+            yield self._mask_log(chunk)
 
     def _mask_log(self, lines: tuple[str, ...]) -> list[str]:
-        """The log's lines after the mask rules, in one pass per rule when exact."""
+        """The lines after the mask rules, in one pass per rule when exact."""
         if self._log_pass:
             text = "\n".join(lines)
             if text.count("\n") == len(lines) - 1:  # no line holds a "\n" of its own
                 return _mask(text, self._rules).split("\n")
         return [_mask(line, self._rules) for line in lines]
+
+    def _parser(self):
+        """The parser of a masked line for the miner's mode."""
+        return self._frozen_parser() if self._frozen else self._training_parser()
 
     def _training_parser(self):
         """A training ``_parse_tokens`` of a masked line, skipped on an exact memo hit.

@@ -241,7 +241,7 @@ def _cmd_eval(args) -> int:
             reports["cam"] = ev.evaluate(truth, cam_preds, table.taxonomy)
         elif name == "lff":
             train_logs = train_corpus.failed
-            sequences = [miner.parse_log(log.lines, log.log_id) for log in train_logs]
+            sequences = miner.parse_logs((log.lines, log.log_id) for log in train_logs)
             index = bl.lff_train(
                 sequences,
                 [log.cause for log in train_logs],

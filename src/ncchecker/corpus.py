@@ -21,6 +21,11 @@ from pathlib import Path
 from .errors import ValidationError
 
 LABELS_HEADER = ("log_id", "cause_id")
+# How ``read_log_lines`` opens a log (O_BINARY, Windows only, keeps
+# "\r\n" from being translated) and what it asks for in each read after
+# its first.
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+_READ_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -112,10 +117,20 @@ def read_log_lines(path) -> tuple[str, ...]:
     fatal.  ``"\\r\\n"`` and a lone ``"\\r"`` are read as ``"\\n"``, the line
     end; a final ``"\\n"`` ends the last line rather than starting another.
     """
-    # Unbuffered: the whole file is read in one readall(), which a
-    # buffered reader would only wrap.
-    with open(path, "rb", buffering=0) as handle:
-        text = handle.read().decode("utf-8", "replace")
+    # Raw os calls, with no file object: the first read asks for one byte
+    # more than fstat saw, so a file of that size ends at the next read,
+    # which returns no bytes.  Reads go on until one does, so a file that
+    # grew, or whose size fstat does not give, is read whole.
+    fd = os.open(path, _READ_FLAGS)
+    try:
+        chunks = []
+        size = os.fstat(fd).st_size + 1
+        while chunk := os.read(fd, size):
+            chunks.append(chunk)
+            size = _READ_BYTES
+    finally:
+        os.close(fd)
+    text = b"".join(chunks).decode("utf-8", "replace")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     # splitlines() would also break at form feeds and other separators that

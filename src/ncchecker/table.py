@@ -254,10 +254,9 @@ def build(
     if not train_corpus.failed:
         raise ValidationError("training corpus has no failed logs; nothing to learn from")
     miner = TemplateMiner(config)
-    passed_seqs = [miner.parse_log(log.lines, log.log_id) for log in train_corpus.passed]
-    labeled_seqs = [
-        (miner.parse_log(log.lines, log.log_id), log.cause) for log in train_corpus.failed
-    ]
+    passed_seqs = miner.parse_logs((log.lines, log.log_id) for log in train_corpus.passed)
+    failed_seqs = miner.parse_logs((log.lines, log.log_id) for log in train_corpus.failed)
+    labeled_seqs = [(seq, log.cause) for seq, log in zip(failed_seqs, train_corpus.failed)]
     miner.freeze()
 
     passed_pool, failed_pool = collect_pools(passed_seqs, (seq for seq, _ in labeled_seqs))
@@ -322,15 +321,22 @@ def table_from_text(text: str) -> ScoreTable:
     return table_from_lines(text.splitlines())
 
 
+_BAD_CELLS = "cells must be finite and >= 0"
+
+
 def table_from_lines(lines: Sequence[str], first_line: int = 1) -> ScoreTable:
     """Read the lines of an ``ncc-table v1`` block whose header is file line ``first_line``.
 
     Only ``k``, the cause names, ``n_per_cause`` and the cells are read;
     every line must then be the one ``table_lines`` writes for them, with
-    ``rows`` counting the lines after the head.  The values are checked
-    by the rules ``ScoreTable`` runs, each where its line is read, so a
-    message names that line.  Rows with the same text after the event id
-    are parsed and checked once and share one tuple.
+    ``rows`` counting the lines after the head.  The head's values are
+    checked by the rules ``ScoreTable`` runs, where their lines are read;
+    the cells are checked once, by the ``ScoreTable`` built last, and a
+    row it rejects is named by its first line.  So a message names a
+    line, and a file with several faults reports its first fault other
+    than a bad cell in a row written as the writer would write it.  Rows
+    with the same text after the event id are parsed once and share one
+    tuple.
     """
     rows: dict[str, tuple[float, ...]] = {}
     at = 0  # index of the line being read
@@ -352,9 +358,9 @@ def table_from_lines(lines: Sequence[str], first_line: int = 1) -> ScoreTable:
             row = parsed.get(text)
             if row is None:
                 row = tuple(map(float, text.split("\t", k)[:k]))
-                if not _cells_ok(row):
-                    raise ValidationError("cells must be finite and >= 0")
                 if _row_text(row) != text:
+                    if not _cells_ok(row):
+                        raise ValidationError(_BAD_CELLS)
                     want = f"{eid}\t{_row_text(row)}"
                     raise ValidationError(f"expected {want!r}, found {lines[at]!r}")
                 parsed[text] = row
@@ -365,4 +371,10 @@ def table_from_lines(lines: Sequence[str], first_line: int = 1) -> ScoreTable:
         raise ValidationError(f"table line {first_line + at}: missing, block truncated") from None
     except (ValueError, ValidationError) as exc:
         raise ValidationError(f"table line {first_line + at}: {exc}") from None
-    return ScoreTable(rows, taxonomy, counts)
+    try:
+        return ScoreTable(rows, taxonomy, counts)
+    except ValidationError:
+        # Each row read holds k cells and no id holds a tab or a line break,
+        # so the constructor can only have rejected some row's cells.
+        at = next(at for at, row in enumerate(rows.values(), len(head)) if not _cells_ok(row))
+        raise ValidationError(f"table line {first_line + at}: {_BAD_CELLS}") from None
