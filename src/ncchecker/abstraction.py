@@ -74,8 +74,8 @@ often than raw ones, within a log and across the logs of a directory.  So
 a frozen miner keeps one memo from a masked line (before the split) to its
 event id, or None for a blank line, and matches each distinct one once for
 as long as the miner lives: ``freeze()`` starts it empty, and so does a
-reload, which freezes a new miner.  ``parse_log`` and ``parse_line`` both
-read and fill it.  Its memory is bounded by ``FROZEN_MEMO_CAP`` entries: a
+reload, which freezes a new miner.  ``parse_line``, ``parse_log`` and
+``parse_logs`` all read and fill it.  Its memory is bounded by ``FROZEN_MEMO_CAP`` entries: a
 miss that finds the memo full clears it first.  An entry costs its dict
 slot (29-43 bytes; 961,280 bytes for the table of a full memo) and the
 masked line, which the memo keeps alive (49 bytes plus one per character
@@ -95,8 +95,8 @@ construction until ``freeze()`` drops it, mapping a masked line to the
 result of its last full match: the leaf's index, that index's widen count
 after the merge, and the template.  A hit adds one to the template's
 ``match_count`` and skips the split, the routing, the lookup and the
-merge; ``parse_log`` and ``parse_line`` both read and fill it.  It is
-exact when both of these hold:
+merge; ``parse_line``, ``parse_log`` and ``parse_logs`` all read and fill
+it.  It is exact when both of these hold:
 
 * The entry was recorded after a match on a stable route.  A route is
   stable when each step finds its key child, or falls back to ``<*>`` at
@@ -141,14 +141,16 @@ FROZEN_MEMO_CAP = 1 << 15
 _MISSING = object()
 
 # Lines ``parse_logs`` masks in one pass per rule.  It bounds what is held
-# at once, the joined chunk, its masked text and its masked lines, to
-# about 1 MB on lines of 80 characters; a 10K-log corpus of 1.3M lines
-# joined whole would hold over 100 MB.  The value was timed on the bench's
-# seed-7 training corpora (median of 20 interleaved passes, 2 CPUs,
-# Python 3.11.7): masking ``short`` took 40.5 ms one log at a time, 33.0
-# in chunks of 256 lines, 31.2 in chunks of 4,096 and 33.1 in chunks of
-# 16,384; ``clean`` and ``noisy`` were within 5% from 512 to 4,096.
-MASK_CHUNK_LINES = 4096
+# at once, the chunk, its joined and masked text and its masked lines, to
+# about 300 KB on lines of 80 characters; a 10K-log corpus of 1.3M lines
+# joined whole would hold over 100 MB.  Timed with ``build`` on the bench's
+# seed-7 training corpora (median of 30 to 40 interleaved runs, 2 CPUs,
+# Python 3.11.7), chunks of 256 to 4,096 lines were within 7% of each
+# other, and 1,024 was never slower than 4,096: ``short`` 87.7 vs 89.4 ms,
+# ``clean`` 134.1 vs 138.9, ``noisy`` 182.5 vs 185.2.  The memory that
+# ``build`` traced at its peak on ``short`` grew by 0.12 MB over masking
+# one log at a time with 1,024 lines, and by 0.47 MB with 4,096.
+MASK_CHUNK_LINES = 1024
 
 # The built-in rules, each as written, in its scan form, and with the
 # pattern of the dots it is anchored on, if any.  Order matters: IPv4

@@ -5,7 +5,7 @@ import threading
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import bruteforce
 from bruteforce import (
@@ -876,6 +876,94 @@ def test_parse_log_masks_in_one_pass_per_rule(rules, calls):
             miner.freeze()
 
 
+def test_parse_logs_masks_in_one_pass_per_rule_per_chunk(monkeypatch):
+    # Three logs of 50 lines in chunks of 64 lines: three passes per rule,
+    # the last chunk 22 lines; the logs' own bounds do not matter.
+    monkeypatch.setattr(abstraction, "MASK_CHUNK_LINES", 64)
+    logs = [
+        ([f"retry {n} of job /srv/a.rb:{n} at 0x{n:x} on 10.0.{log}.{n}" for n in range(50)], "l")
+        for log in range(3)
+    ]
+    miner = TemplateMiner()
+    for _ in ("training", "frozen"):
+        compiled = miner._rules
+        counters = [_CountingRule(rule[1]) for rule in compiled]
+        miner._rules = tuple((rule[0], c, rule[2]) for c, rule in zip(counters, compiled))
+        assert [len(seq) for seq in miner.parse_logs(logs)] == [50] * 3
+        assert [c.calls for c in counters] == [3] * 4
+        miner._rules = compiled
+        miner.freeze()
+
+
+# -- parse_logs: parse_log over many logs, masked in chunks -------------------
+
+_ascii_log_lines = st.lists(
+    st.sampled_from([*_ASCII_MASK_PIECES, "\r", "\x0c"]), max_size=12
+).map("".join)
+
+
+@st.composite
+def _log_batches(draw):
+    """Logs of short ASCII lines; sometimes one line gets a non-ASCII piece
+    and one line a "\n" of its own, as only the library API can pass."""
+    logs = draw(st.lists(st.lists(_ascii_log_lines, max_size=8), max_size=6))
+    at = [(i, j) for i, log in enumerate(logs) for j in range(len(log))]
+    if at and draw(st.booleans()):
+        i, j = draw(st.sampled_from(at))
+        logs[i][j] += draw(st.sampled_from(["\u0663", "\u00e9", "\u00b2"]))
+    if at and draw(st.integers(0, 3)) == 0:
+        i, j = draw(st.sampled_from(at))
+        logs[i][j] += "\n" + draw(_ascii_log_lines)
+    return [(tuple(lines), f"log{n}") for n, lines in enumerate(logs)]
+
+
+def _assert_parse_logs_is_parse_log(rules, chunk, train, probe):
+    """``parse_logs`` equals ``parse_log`` per log, training then frozen."""
+    config = AbstractionConfig(mask_rules=rules)
+    batched, per_log = TemplateMiner(config), TemplateMiner(config)
+    with mock.patch.object(abstraction, "MASK_CHUNK_LINES", chunk):
+        for logs in (train, probe):
+            assert batched.parse_logs(iter(logs)) == [per_log.parse_log(*log) for log in logs]
+            assert batched.export_registry() == per_log.export_registry()
+            assert {e: t.match_count for e, t in batched.templates.items()} == {
+                e: t.match_count for e, t in per_log.templates.items()
+            }
+            batched.freeze()
+            per_log.freeze()
+
+
+# Chunk bounds that cut most logs, one that never does, and the real one.
+_chunks = st.sampled_from([1, 2, 3, 5, 64, abstraction.MASK_CHUNK_LINES])
+_BLANK_AND_EMPTY_LOGS = [(("a 1", "b /x", "a 2"), "l0"), ((), "l1"), (("", " \t"), "l2")]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    rules=st.sampled_from([DEFAULT_MASK_RULES, (_USER_RULE, *DEFAULT_MASK_RULES)]),
+    chunk=_chunks,
+    train=_log_batches(),
+    probe=_log_batches(),
+)
+@example(DEFAULT_MASK_RULES, 2, _BLANK_AND_EMPTY_LOGS, _BLANK_AND_EMPTY_LOGS)
+@example(DEFAULT_MASK_RULES, 3, [(("e 1", "e\u00e9 2", "e 3", "e 4"), "l0")], [])
+@example(DEFAULT_MASK_RULES, 2, [(("x 1", "a 1\nb 2", "y 2"), "l0"), (("a 1",), "l1")], [])
+@example((_USER_RULE, *DEFAULT_MASK_RULES), 2, [(("e 1", "f 2", "g 3"), "l0")], [])
+def test_parse_logs_equals_parse_log_per_log(rules, chunk, train, probe):
+    _assert_parse_logs_is_parse_log(rules, chunk, train, probe)
+
+
+def test_parse_logs_equals_parse_log_on_a_log_longer_than_a_chunk():
+    # The real bound: a log of 3 lines, then one 2 lines past a chunk that
+    # holds one non-ASCII line and blank lines, then an empty log.
+    long_log = tuple(
+        "" if n % 500 == 7 else f"job {n % 13} on 10.0.0.{n % 256} at /srv/a{n % 7}.rb:{n}"
+        for n in range(abstraction.MASK_CHUNK_LINES + 2)
+    )
+    long_log = long_log[:100] + ("job 3 \u00e9t\u00e9 0x1f",) + long_log[101:]
+    logs = [(("job 1 on 10.0.0.1", "", "retry 4"), "short"), (long_log, "long"), ((), "empty")]
+    _assert_parse_logs_is_parse_log(DEFAULT_MASK_RULES, abstraction.MASK_CHUNK_LINES, logs, logs)
+
+
 class _CountingScan:
     """Stands in for a compiled scan form, counting its ``match`` calls; it has no ``search``."""
 
@@ -1012,6 +1100,19 @@ def test_only_miner_ids_count_toward_the_next_id(config):
     rows = "".join(f"{eid}\t1\tt{i} <*>\n" for i, eid in enumerate((*odd, "e7")))
     miner = TemplateMiner.from_registry_text(f"{REGISTRY_HEADER}\n{rows}", config)
     assert miner.parse_line("zz yy xx ww vv uu tt ss rr") == "e8"
+
+
+def test_a_miner_with_no_event_id_left_raises_validation_error(config):
+    # The next id after 4,300 nines would have 4,301 digits: an id that
+    # _is_miner_id rejects, and that str() of an int refuses to write.
+    full = TemplateMiner.from_registry_text(f"{REGISTRY_HEADER}\ne{'9' * 4300}\t1\ta b\n", config)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="^no event id left: .* more than 4300 digits$"):
+            full.parse_line("x y z w")
+    assert list(full.templates) == ["e" + "9" * 4300]
+    # One id short of the limit still registers, with 4,300 digits.
+    last = TemplateMiner.from_registry_text(f"{REGISTRY_HEADER}\ne{'9' * 4299}8\t1\ta b\n", config)
+    assert last.parse_line("x y z w") == "e" + "9" * 4300
 
 
 def test_event_sort_key_orders_miner_ids_by_value_then_other_ids_by_text():

@@ -161,6 +161,18 @@ def test_train_on_a_directory_named_like_a_log_is_io_error(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+def test_train_on_a_log_that_cannot_be_opened_is_io_error(tmp_path):
+    for group in ("passed", "failed"):
+        (tmp_path / group).mkdir()
+    (tmp_path / "failed" / "f1.log").write_text("boom\n")
+    (tmp_path / "labels.csv").write_text("log_id,cause_id\nf1,0\n")
+    (tmp_path / "passed" / "gone.log").symlink_to(tmp_path / "missing")
+    result = _run_cli("train", tmp_path, "--out", tmp_path / "m.ncc")
+    assert result.returncode == 2
+    assert result.stderr.startswith("i/o error:")
+    assert "Traceback" not in result.stderr
+
+
 def test_predict_on_a_directory_named_like_a_log_is_io_error(model_path, tmp_path):
     (tmp_path / "a.log").write_text("boom\n")
     (tmp_path / "x.log").mkdir()

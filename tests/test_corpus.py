@@ -1,3 +1,5 @@
+import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -108,9 +110,20 @@ def log_path(tmp_path_factory) -> Path:
     return tmp_path_factory.mktemp("reader") / "x.log"
 
 
+def _sized(size: int) -> bytes:
+    """``size`` bytes of short lines, with "\r\n", "\r" and a 2-byte character."""
+    return (b"ab 12\r\n\xc3\xa9\r" * (size // 9 + 1))[:size]
+
+
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(_log_bytes)
 @example(b"")
+@example(b"x")
+# Around the 64 KiB that each read after the first asks for.
+@example(_sized(65_535))
+@example(_sized(65_536))
+@example(_sized(65_537))
+@example(_sized(200_001))
 @example(b"no end")
 @example(b"one\ntwo\n")
 @example(b"\xef\xbb\xbfbom\n")
@@ -127,6 +140,38 @@ def test_read_log_lines_keeps_a_bom_and_ends_lines_only_at_newlines(tmp_path):
     path = tmp_path / "x.log"
     path.write_bytes(b"\xef\xbb\xbfa\x0cb\r\nc\rd\r\r\ne\xe2\x80\xa8f\n")
     assert read_log_lines(path) == ("\ufeffa\x0cb", "c", "d", "", "e\u2028f")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_read_log_lines_reads_on_to_the_end_of_what_fstat_gives_no_size(tmp_path):
+    # A pipe has size 0 to fstat; the writer sends more than two reads take.
+    fifo = tmp_path / "x.log"
+    os.mkfifo(fifo)
+    data = b"line 1\n" * 30_000
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+    writer.start()
+    try:
+        assert read_log_lines(fifo) == ("line 1",) * 30_000
+    finally:
+        writer.join(timeout=10)
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_read_log_lines_closes_what_it_opens(tmp_path):
+    (tmp_path / "a.log").write_bytes(b"one\ntwo\n")
+    (tmp_path / "x.log").mkdir()
+    before = _open_fds()
+    for _ in range(3):
+        assert read_log_lines(tmp_path / "a.log") == ("one", "two")
+        assert _open_fds() == before
+        for missing in (tmp_path / "x.log", tmp_path / "gone.log"):
+            with pytest.raises(OSError):
+                read_log_lines(missing)
+            assert _open_fds() == before
 
 
 def test_log_files_lists_what_path_glob_lists(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -8,6 +9,7 @@ from ncchecker import ValidationError, build, load_model, predict_lines, save_mo
 from ncchecker.abstraction import AbstractionConfig
 from ncchecker.corpus import DEFAULT_TAXONOMY, Corpus, LabeledFailedLog, PassedLog
 from ncchecker.model import _config_to_json, model_from_text, model_to_text
+from ncchecker import table as table_module
 from ncchecker.table import ABLATION_VARIANTS
 
 from conftest import MULTI_LINE, SINGLE1_LINE, SINGLE5_LINE
@@ -221,6 +223,14 @@ _MUTANTS = [
      "table line 28: cells must be finite and >= 0"),
     ("cell-negative", "e8\t0.0\t2.2", "e8\t-1.0\t2.2",
      "table line 28: cells must be finite and >= 0"),
+    # Written as the writer would write the cells: the constructor rejects
+    # them, and the reader names their line.
+    ("cell-not-finite-as-written", "e8\t0.0\t2.2", "e8\t0.0\tinf",
+     "table line 28: cells must be finite and >= 0"),
+    ("cell-nan-as-written", "e8\t0.0\t2.2", "e8\t0.0\tnan",
+     "table line 28: cells must be finite and >= 0"),
+    ("cell-negative-as-written", "e7\t0.0\t5.686917501586544", "e7\t0.0\t-5.686917501586544",
+     "table line 27: cells must be finite and >= 0"),
     ("cell-not-repr", "e8\t0.0\t2.2\t", "e8\t0.0\t2.20\t",
      "table line 28: expected 'e8\\t0.0\\t2.2\\t0.0\\t0.0\\tsingle', "
      "found 'e8\\t0.0\\t2.20\\t0.0\\t0.0\\tsingle'"),
@@ -257,6 +267,25 @@ def test_malformed_model_mutant_names_its_fault(fig_corpus, old, new, message):
     with pytest.raises(ValidationError) as raised:
         model_from_text(text.replace(old, new, 1))
     assert str(raised.value) == message
+
+
+def test_a_bad_cell_written_as_the_writer_writes_it_is_reported_after_other_faults(fig_corpus):
+    # Line 27's cells are checked only once every row is read, by the
+    # table's constructor, so the duplicate on line 28 is reported first.
+    text = model_to_text(*build(fig_corpus))
+    text = text.replace("e7\t0.0\t5.686917501586544", "e7\t0.0\tinf", 1)
+    text = text.replace("e8\t0.0\t2.2", "e7\t0.0\t2.2", 1)
+    with pytest.raises(ValidationError, match="^table line 28: duplicate row for event 'e7'$"):
+        model_from_text(text)
+
+
+def test_loading_checks_each_distinct_row_once(fig_corpus):
+    text = model_to_text(*build(fig_corpus))
+    with mock.patch.object(table_module, "_cells_ok", wraps=table_module._cells_ok) as cells_ok:
+        model_from_text(text)
+    # The constructor's one call over the cells of every distinct row; the
+    # reader calls it only to name a faulty line.
+    assert cells_ok.call_count == 1
 
 
 def test_trailing_blank_line_rejected(fig_corpus):
