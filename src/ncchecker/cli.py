@@ -54,8 +54,16 @@ def _load_config_file(path) -> dict:
 
 
 def _read_json(path, what: str):
+    def unique_keys(pairs):
+        payload = {}
+        for key, value in pairs:
+            if key in payload:
+                raise ValidationError(f"{what} {path}: duplicate key {key!r}")
+            payload[key] = value
+        return payload
+
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as exc:  # a UnicodeDecodeError too
         raise ValidationError(f"{what} {path}: invalid JSON ({exc})") from None
 

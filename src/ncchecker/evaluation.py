@@ -83,14 +83,12 @@ class MacroReport:
     f1: float
     support: tuple[int, ...]
     total: int
-    cm: ConfusionMatrix | None = None
 
 
 def macro(
     per_class: Sequence[ClassMetrics],
     class_names: Sequence[str] | None = None,
     support: Sequence[int] | None = None,
-    cm: ConfusionMatrix | None = None,
 ) -> MacroReport:
     """Unweighted means over all K classes, zero-support classes included."""
     k = len(per_class)
@@ -106,7 +104,6 @@ def macro(
         f1=sum(m.f1 for m in per_class) / k,
         support=supports,
         total=sum(supports),
-        cm=cm,
     )
 
 
@@ -118,7 +115,6 @@ def evaluate(
         per_class_metrics(cm),
         class_names=taxonomy.names,
         support=tuple(cm.row_sum(j) for j in range(taxonomy.k)),
-        cm=cm,
     )
 
 

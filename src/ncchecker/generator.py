@@ -6,21 +6,21 @@ and benign template strings may carry ``{int}``, ``{hex}``, ``{ip}``,
 ``{path}`` and ``{word}`` fields that are randomized per line, so the
 template miner is genuinely exercised.  Generation is byte-deterministic
 under a fixed seed.  ``SyntheticSpec`` checks every field when built, in
-code, from JSON (``spec_from_dict``) or from a corpus's ``manifest.txt``
-(``parse_manifest``), which reads back into the spec that wrote it.
+code or from JSON (``spec_from_dict``).  A corpus's ``manifest.json`` holds
+its spec's fields in field order, so ``spec_from_dict`` reads it back into
+the spec that wrote it, and ``gen`` on it writes the same corpus again.
 """
 
 import hashlib
+import json
 import random
 import re
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from numbers import Real
 from pathlib import Path
 
 from .errors import ValidationError
-
-MANIFEST_HEADER = "ncc-manifest v1"
 
 _FILL_PATTERN = re.compile(r"\{(int|hex|ip|path|word)\}")
 _WORDS = (
@@ -99,8 +99,8 @@ def _items(name: str, value, check) -> tuple:
 
 
 def _template(name: str, value) -> str:
-    # One manifest line each, a first token as marker signature, and UTF-8
-    # text to write (a lone surrogate has no UTF-8 form).
+    # One log line each, a first token as marker signature, and UTF-8 text
+    # to write (a lone surrogate has no UTF-8 form).
     if isinstance(value, str) and value.strip() and value.splitlines() == [value]:
         if value.encode("utf-8", "replace").decode("utf-8") == value:
             return value
@@ -191,10 +191,16 @@ def default_spec(
 
 
 def spec_from_dict(data: dict) -> SyntheticSpec:
-    """Build a spec from parsed JSON; markers default to the built-in sets."""
+    """Build a spec from parsed JSON, a spec file or a ``manifest.json``.
+
+    Without ``markers``, each cause gets ``markers_per_cause`` (default 4)
+    built-in markers; a spec may not give both.
+    """
     if not isinstance(data, dict):
         raise ValidationError("synthetic spec must be a JSON object")
     kwargs = dict(data)
+    if "markers_per_cause" in kwargs and kwargs.get("markers") is not None:
+        raise ValidationError("spec gives both 'markers' and 'markers_per_cause'")
     per_cause = kwargs.pop("markers_per_cause", 4)
     unknown = sorted(set(kwargs) - {f.name for f in fields(SyntheticSpec)})
     if unknown:
@@ -260,64 +266,6 @@ def _failed_lines(spec: SyntheticSpec, rng: random.Random, cause: int, index: in
     return lines
 
 
-def _split_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(","))
-
-
-# The manifest's one-value lines in file order, each with its reader; a
-# tuple is written comma-joined.
-_MANIFEST_FIELDS = {
-    "seed": int,
-    "passed_count": int,
-    "cause_counts": _split_ints,
-    "noise_rate": float,
-    "lines_range": _split_ints,
-    "last_cause_contamination": int,
-}
-
-
-def manifest_text(spec: SyntheticSpec) -> str:
-    lines = [MANIFEST_HEADER]
-    for name in _MANIFEST_FIELDS:
-        value = getattr(spec, name)
-        text = ",".join(str(v) for v in value) if isinstance(value, tuple) else str(value)
-        lines.append(f"{name}\t{text}")
-    lines.extend(f"benign\t{t}" for t in spec.benign)
-    for cause, group in enumerate(spec.markers):
-        lines.extend(f"marker\t{cause}\t{t}" for t in group)
-    return "\n".join(lines) + "\n"
-
-
-def parse_manifest(path) -> SyntheticSpec:
-    """Read a manifest back into the spec that wrote it."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != MANIFEST_HEADER:
-        found = lines[0] if lines else "<empty>"
-        raise ValidationError(f"manifest header: expected {MANIFEST_HEADER!r}, found {found!r}")
-    values: dict = {"benign": []}
-    markers: dict[int, list[str]] = {}
-    try:
-        for row in lines[1:]:
-            key, _, value = row.partition("\t")
-            if key == "benign":
-                values["benign"].append(value)
-            elif key == "marker":
-                cause, _, template = value.partition("\t")
-                markers.setdefault(int(cause), []).append(template)
-            elif key in _MANIFEST_FIELDS and key not in values:
-                values[key] = _MANIFEST_FIELDS[key](value)
-            else:
-                raise ValidationError(f"manifest line {row!r}: unknown or repeated field")
-    except ValueError as exc:
-        raise ValidationError(f"manifest field parse error: {exc}") from None
-    for name in _MANIFEST_FIELDS:
-        if name not in values:
-            raise ValidationError(f"manifest field {name!r} is missing")
-    if sorted(markers) != list(range(len(markers))):
-        raise ValidationError(f"manifest markers name causes {sorted(markers)}, not 0..k-1")
-    return SyntheticSpec(**values, markers=[markers[c] for c in range(len(markers))])
-
-
 def generate_synthetic(spec: SyntheticSpec, out_dir) -> Path:
     """Write the corpus directory tree and return the manifest path."""
     out = Path(out_dir)
@@ -344,8 +292,8 @@ def generate_synthetic(spec: SyntheticSpec, out_dir) -> Path:
             label_rows.append(f"{log_id},{cause}")
     (out / "labels.csv").write_text("\n".join(label_rows) + "\n", encoding="utf-8")
 
-    manifest_path = out / "manifest.txt"
-    manifest_path.write_text(manifest_text(spec), encoding="utf-8")
+    manifest_path = out / "manifest.json"
+    manifest_path.write_text(json.dumps(asdict(spec), indent=2) + "\n", encoding="utf-8")
     return manifest_path
 
 

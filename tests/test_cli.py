@@ -9,7 +9,7 @@ import pytest
 
 import ncchecker
 from ncchecker.cli import main
-from ncchecker.generator import default_spec, generate_synthetic, parse_manifest
+from ncchecker.generator import default_spec, generate_synthetic, spec_from_dict
 
 
 @pytest.fixture(scope="module")
@@ -33,14 +33,14 @@ def test_gen_writes_corpus_and_manifest(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "manifest" in stdout
     assert (out / "labels.csv").exists()
-    assert parse_manifest(out / "manifest.txt").seed == 3
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 3
 
 
 def test_gen_same_seed_identical_manifests(tmp_path):
     main(["gen", "--out", str(tmp_path / "a"), "--seed", "9"])
     main(["gen", "--out", str(tmp_path / "b"), "--seed", "9"])
     digest = lambda p: hashlib.sha256(Path(p).read_bytes()).hexdigest()
-    assert digest(tmp_path / "a" / "manifest.txt") == digest(tmp_path / "b" / "manifest.txt")
+    assert digest(tmp_path / "a" / "manifest.json") == digest(tmp_path / "b" / "manifest.json")
 
 
 def test_gen_spec_file_and_validation_error(tmp_path):
@@ -87,7 +87,7 @@ def test_train_empty_corpus_fails_validation(tmp_path, capsys):
 
 
 def test_predict_single_log_flags_marker(corpus_dir, model_path, capsys):
-    manifest = parse_manifest(corpus_dir / "manifest.txt")
+    manifest = spec_from_dict(json.loads((corpus_dir / "manifest.json").read_text()))
     # Last failed log belongs to the last cause (cause-major file order).
     target = sorted((corpus_dir / "failed").glob("*.log"))[-1]
     assert main(["predict", str(model_path), str(target)]) == 0
@@ -210,6 +210,18 @@ def test_predict_invalid_mask_regex_is_validation_error(corpus_dir, model_path, 
         ("gen", '{"cause_counts": [4, 3],'),
         ("gen", json.dumps({"cause_counts": ["x", 1], "passed_count": 2, "seed": 1})),
         ("gen", json.dumps({"cause_counts": [2, 2], "passed_count": 1, "seed": 1, "markers": 5})),
+        (
+            "gen",
+            json.dumps(
+                {
+                    "cause_counts": [2, 2],
+                    "passed_count": 1,
+                    "seed": 1,
+                    "markers": [["A x"], ["B y"]],
+                    "markers_per_cause": "junk",
+                }
+            ),
+        ),
         ("train", json.dumps({"tree_depth": "abc"})),
         ("eval", json.dumps({"seed": "abc"})),
         ("eval", json.dumps({"k_neighbors": 0})),
@@ -219,6 +231,7 @@ def test_predict_invalid_mask_regex_is_validation_error(corpus_dir, model_path, 
         "gen-invalid-json",
         "gen-cause-count-x",
         "gen-markers-not-list",
+        "gen-markers-and-markers-per-cause",
         "train-tree-depth",
         "eval-seed",
         "eval-k-neighbors-zero",
@@ -298,7 +311,32 @@ def test_gen_spec_integer_noise_rate_accepted(tmp_path):
     spec = {"cause_counts": [3, 2], "passed_count": 2, "seed": 1, "noise_rate": 0}
     path.write_text(json.dumps(spec))
     assert main(["gen", str(path), "--out", str(tmp_path / "out")]) == 0
-    assert "noise_rate\t0.0\n" in (tmp_path / "out" / "manifest.txt").read_text()
+    assert '"noise_rate": 0.0,' in (tmp_path / "out" / "manifest.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "command, content, key",
+    [
+        ("gen", '{"cause_counts": [3, 2], "passed_count": 1, "seed": 1, "seed": 2}', "seed"),
+        ("gen", '{"cause_counts": [3, 2], "passed_count": 1, "benign": [{"a": 1, "a": 2}]}', "a"),
+        ("train", '{"tree_depth": 4, "tree_depth": 5}', "tree_depth"),
+    ],
+    ids=["spec", "spec-nested", "config"],
+)
+def test_duplicate_json_key_is_validation_error(
+    command, content, key, corpus_dir, tmp_path, capsys
+):
+    # Found at any depth, before a missing "seed" or a benign template that is no text.
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    out = tmp_path / "out"
+    what, args = {
+        "gen": ("spec file", [str(path), "--out", str(out)]),
+        "train": ("config file", [str(corpus_dir), "--out", str(out), "--config", str(path)]),
+    }[command]
+    assert main([command, *args]) == 1
+    assert capsys.readouterr().err == f"error: {what} {path}: duplicate key {key!r}\n"
+    assert not out.exists()
 
 
 def _edited_model(model_path, tmp_path, edit_config=None, old="", new=""):

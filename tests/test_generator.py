@@ -1,4 +1,5 @@
-from dataclasses import replace
+import json
+from dataclasses import fields, replace
 
 import pytest
 from test_golden import NOISY_SPEC
@@ -10,10 +11,12 @@ from ncchecker.generator import (
     corpus_digest,
     default_spec,
     generate_synthetic,
-    manifest_text,
-    parse_manifest,
     spec_from_dict,
 )
+
+
+def _read_back(manifest_path) -> SyntheticSpec:
+    return spec_from_dict(json.loads(manifest_path.read_text(encoding="utf-8")))
 
 
 def test_counts_and_labels(tmp_path):
@@ -35,8 +38,7 @@ def test_round_trip_counts_match_spec(tmp_path):
 
 def test_every_failed_log_carries_its_cause_marker(tmp_path):
     spec = default_spec(cause_counts=(8, 6, 4, 3), passed_count=5, seed=3, noise_rate=0.2)
-    manifest_path = generate_synthetic(spec, tmp_path)
-    manifest = parse_manifest(manifest_path)
+    manifest = _read_back(generate_synthetic(spec, tmp_path))
     signatures = manifest.marker_signatures()
     corpus = load_corpus(tmp_path)
     for log in corpus.failed:
@@ -47,7 +49,7 @@ def test_every_failed_log_carries_its_cause_marker(tmp_path):
 
 def test_marker_soundness_no_marker_in_passed_logs(tmp_path):
     spec = default_spec(cause_counts=(8, 6, 4, 3), passed_count=10, seed=4)
-    manifest = parse_manifest(generate_synthetic(spec, tmp_path))
+    manifest = _read_back(generate_synthetic(spec, tmp_path))
     signatures = manifest.marker_signatures()
     corpus = load_corpus(tmp_path)
     for log in corpus.passed:
@@ -72,7 +74,11 @@ def test_different_seeds_differ(tmp_path):
 
 def test_manifest_round_trip(tmp_path):
     spec = default_spec(cause_counts=(4, 3, 2, 2), passed_count=3, seed=5)
-    manifest = parse_manifest(generate_synthetic(spec, tmp_path))
+    manifest_path = generate_synthetic(spec, tmp_path)
+    assert manifest_path == tmp_path / "manifest.json"
+    payload = json.loads(manifest_path.read_text(encoding="utf-8"))
+    assert list(payload) == [f.name for f in fields(SyntheticSpec)]
+    manifest = _read_back(manifest_path)
     assert manifest.seed == 5
     assert manifest.cause_counts == (4, 3, 2, 2)
     assert manifest.passed_count == 3
@@ -107,7 +113,7 @@ def test_last_cause_contamination_plants_majority_markers(tmp_path):
         seed=6,
         last_cause_contamination=2,
     )
-    manifest = parse_manifest(generate_synthetic(spec, tmp_path))
+    manifest = _read_back(generate_synthetic(spec, tmp_path))
     majority_heads = {t.split()[0] for t in manifest.markers[0]}
     corpus = load_corpus(tmp_path)
     for log in corpus.failed:
@@ -135,38 +141,55 @@ def test_last_cause_contamination_plants_majority_markers(tmp_path):
     ids=["default", "contaminated", "tabbed"],
 )
 def test_manifest_reads_back_into_its_spec(spec, tmp_path):
-    assert parse_manifest(generate_synthetic(spec, tmp_path)) == spec
+    manifest_path = generate_synthetic(spec, tmp_path / "corpus")
+    assert _read_back(manifest_path) == spec
+    assert main(["gen", str(manifest_path), "--out", str(tmp_path / "copy")]) == 0
+    assert corpus_digest(tmp_path / "copy") == corpus_digest(tmp_path / "corpus")
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda text: text + "dropout\t0.1\n", "unknown or repeated field"),
-        (lambda text: text + "seed\t9\n", "unknown or repeated field"),
-        (lambda text: text.replace("last_cause_contamination\t0\n", ""), "is missing"),
-        (lambda text: text.replace("marker\t1\t", "marker\t4\t"), "not 0..k-1"),
-        (lambda text: text.replace("seed\t5", "seed\tfive"), "parse error"),
+        (lambda text: text.replace("{", '{"dropout": 0.1, ', 1), "unknown spec fields: dropout"),
+        (lambda text: text.replace("{", '{"seed": 9, ', 1), "duplicate key 'seed'"),
+        (lambda text: text.replace('  "seed": 5,\n', ""), "'seed' is required"),
+        (lambda text: text.replace('"seed": 5', '"seed": "five"'), "must be an integer"),
+        (
+            lambda text: text.replace("{", '{"markers_per_cause": 4, ', 1),
+            "both 'markers' and 'markers_per_cause'",
+        ),
     ],
-    ids=["unknown", "repeated", "missing", "marker-cause-gap", "not-a-number"],
+    ids=["unknown", "repeated", "missing", "not-a-number", "markers-per-cause"],
 )
-def test_malformed_manifest_rejected(edit, message, tmp_path):
-    text = manifest_text(default_spec(cause_counts=(4, 3, 2, 2), passed_count=3, seed=5))
-    path = tmp_path / "manifest.txt"
-    path.write_text(edit(text), encoding="utf-8")
-    with pytest.raises(ValidationError, match=message):
-        parse_manifest(path)
+def test_malformed_manifest_rejected(edit, message, tmp_path, capsys):
+    spec = default_spec(cause_counts=(4, 3, 2, 2), passed_count=3, seed=5)
+    manifest_path = generate_synthetic(spec, tmp_path / "corpus")
+    manifest_path.write_text(edit(manifest_path.read_text(encoding="utf-8")), encoding="utf-8")
+    assert main(["gen", str(manifest_path), "--out", str(tmp_path / "copy")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "copy").exists()
 
 
 def test_corpus_digests_pinned(tmp_path):
-    # Generated corpora are byte-identical across refactors of the spec.
+    # Logs and labels are byte-identical across refactors of the spec; the
+    # whole-corpus digest pins the manifest's bytes too.
     assert main(["gen", "--out", str(tmp_path / "seed7"), "--seed", "7"]) == 0
-    assert corpus_digest(tmp_path / "seed7") == (
-        "406d551b9e4c42bda448ed13769a2f96b812a8385af16bf737e54d5911260e61"
-    )
     generate_synthetic(spec_from_dict(NOISY_SPEC), tmp_path / "noisy")
-    assert corpus_digest(tmp_path / "noisy") == (
-        "ac3eb3ee92eb366ccafefabf28a3946cdbfe6d8bbade6b5d7af8030212baea20"
-    )
+    pinned = {
+        "seed7": (
+            "99a67116d0cf876301abc5810bca781f7701b8238f6850de7378481a80c2b478",
+            "da79cc432a720828f960f1f693bdbe5f227bc85ad23d0da663de88bb13163d80",
+        ),
+        "noisy": (
+            "ceccf3a0c739970003427a2c3082f3fcbe4e1b69cb05de1fe94d4d0a07ada0ea",
+            "5bf4ecbf7c88f1b19f32112c5e2b9f1e698cdd135d137aa7ac9ba8041d935c4f",
+        ),
+    }
+    for name, (whole, logs_and_labels) in pinned.items():
+        assert corpus_digest(tmp_path / name) == whole
+        (tmp_path / name / "manifest.json").unlink()
+        assert corpus_digest(tmp_path / name) == logs_and_labels
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from ncchecker import ValidationError, build, load_corpus
 from ncchecker.abstraction import EventSequence
 from ncchecker.corpus import DEFAULT_TAXONOMY, CauseTaxonomy, Corpus, LabeledFailedLog
-from ncchecker.generator import default_spec, generate_synthetic, parse_manifest
+from ncchecker.generator import default_spec, generate_synthetic
 from ncchecker.table import (
     CountTable,
     ScoreTable,
@@ -243,10 +243,10 @@ def test_build_aborts_when_diff_empties_the_table(fig_corpus):
 
 def test_build_synthetic_markers_become_single_problem_rows(tmp_path):
     spec = default_spec(cause_counts=(10, 6, 4, 3), passed_count=8, seed=21)
-    manifest = parse_manifest(generate_synthetic(spec, tmp_path))
+    generate_synthetic(spec, tmp_path)
     corpus = load_corpus(tmp_path)
     miner, table = build(corpus)
-    signatures = manifest.marker_signatures()
+    signatures = spec.marker_signatures()
     seen_causes = set()
     for eid in table.rows:
         head = miner.template_text(eid).split()[0]
