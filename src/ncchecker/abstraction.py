@@ -9,12 +9,12 @@ holds the templates whose lines shared that route; a line merges into the
 most similar template at or above the similarity threshold (positions
 that disagree become wildcards) or registers a new template otherwise.
 
-Each built-in mask rule is compiled from a scan form that starts with a
-literal or a digit, so ``re`` jumps to where a match can begin rather
-than trying every character.  A scan form must match exactly the spans
-of the rule as written, and configs and models store only the written
-form, so models do not change.  Other rules compile as written.  A miner
-resolves its compiled rules and routing depth once, not per line.
+The mask rules are the four built-in ones, ``DEFAULT_MASK_RULES``; a
+config accepts no other.  Each is compiled once, at import, from a scan
+form that starts with a literal or a digit, so ``re`` jumps to where a
+match can begin rather than trying every character.  A scan form must
+match exactly the spans of the rule as written, and configs and models
+store only the written form, so models do not change.
 
 A scan form that starts with ``\d`` still enters the matcher at every
 digit, and log lines are full of digits that are no IPv4 address.  So
@@ -28,30 +28,27 @@ would.  It never runs a ``search`` from a dot: on a line of dotted
 numbers that are no address, each search would scan the rest of the
 text, which is quadratic.
 
-Each built-in rule also has an ASCII twin, compiled with ``re.ASCII``,
-which ``re`` runs faster.  Text that is ASCII, an O(1) check, masks
-through the twins.  This is exact because ``\d``, ``\w`` and ``\b`` mean
-the same in both modes on ASCII text.  A user rule keeps its one
-Unicode compile: under ``re.ASCII`` it could match differently even on
-ASCII text (``(?i)\u017f``, the long s, matches ``s`` only in Unicode
-mode).
+Each rule also has an ASCII twin, compiled with ``re.ASCII``, which
+``re`` runs faster.  Text that is ASCII, an O(1) check, masks through
+the twins.  This is exact because ``\d``, ``\w`` and ``\b`` mean the
+same in both modes on ASCII text, and one check serves every rule: the
+``<*>`` placeholder is ASCII, so ASCII text stays ASCII while it is
+masked.
 
 ``parse_log`` masks a whole log before matching any of it, and
 ``parse_logs``, which training uses, masks the lines of many logs at once,
 in chunks of at most ``MASK_CHUNK_LINES`` lines that may cut a log
-anywhere.  When every rule is a built-in one under ``<*>``, the lines of a
-log or chunk are joined with ``"\n"``, each rule runs once over that text,
-and the text is split back, which spares the per-call cost of ``re.sub``
-on each short line.  This is exact because no built-in rule can match
-``"\n"`` (their classes are digits, ``[\w.+-]`` and hex digits), their
-lookarounds (``[\w.]``, ``[\w/]``, ``\w``, ``\b``) treat ``"\n"`` as they
-treat the start or end of a string, and ``<*>`` holds no ``"\n"``; so a
-line masks the same whoever its neighbours are.  A user rule may not be
-line-local (``^`` or ``\s`` can see the join), and a line given through
-the API may hold ``"\n"`` itself; such a log or chunk masks line by line,
-as ``parse_line`` does.  The ASCII twins run only when the whole joined
-text is ASCII, so one non-ASCII line sends its whole chunk through the
-Unicode compiles: exact, but slower.
+anywhere.  The lines of a log or chunk are joined with ``"\n"``, each rule
+runs once over that text, and the text is split back, which spares the
+per-call cost of ``re.sub`` on each short line.  This is exact because no
+rule can match ``"\n"`` (their classes are digits, ``[\w.+-]`` and hex
+digits), their lookarounds (``[\w.]``, ``[\w/]``, ``\w``, ``\b``) treat
+``"\n"`` as they treat the start or end of a string, and ``<*>`` holds no
+``"\n"``; so a line masks the same whoever its neighbours are.  A line
+given through the API may hold ``"\n"`` itself; such a log or chunk masks
+line by line, as ``parse_line`` does.  The ASCII twins run only when the
+whole joined text is ASCII, so one non-ASCII line sends its whole chunk
+through the Unicode compiles: exact, but slower.
 
 Both modes look lines up in a per-leaf inverted index (token position ->
 literal token -> template slots), built lazily on the leaf's first lookup
@@ -117,7 +114,6 @@ counts and templates are those of parsing every line.
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, islice
 from numbers import Real
 from typing import Iterable, Iterator, Sequence
@@ -162,9 +158,9 @@ MASK_CHUNK_LINES = 1024
 # literal or ``\d``, so ``re`` skips ahead to where a match can begin: the
 # width-1 lookbehind moves to just after the first character matched, and
 # ``\b`` before the ``0`` becomes ``(?<!\w0)``.  Each scan form must match
-# exactly the spans its written form matches, with the same (no) groups;
-# only the written form is ever stored in a config or a model.  The IPv4
-# anchor is the dot after the first octet (see ``_DotAnchored``).
+# exactly the spans its written form matches; only the written form is
+# ever stored in a config or a model.  The IPv4 anchor is the dot after
+# the first octet (see ``_DotAnchored``).
 _BUILTIN_RULES: tuple[tuple[str, str, str | None], ...] = (
     (
         r"(?<![\w.])(?:\d{1,3}\.){3}\d{1,3}(?![\w.])",
@@ -187,9 +183,9 @@ _BUILTIN_RULES: tuple[tuple[str, str, str | None], ...] = (
         None,
     ),
 )
-_SCAN_FORMS = {written: (scan, anchor) for written, scan, anchor in _BUILTIN_RULES}
 
-# Ordered pre-tokenization rewrites, as written.
+# The mask rules, as written, each under the <*> placeholder; a config
+# accepts no other.
 DEFAULT_MASK_RULES: tuple[tuple[str, str], ...] = tuple(
     (written, WILDCARD) for written, _, _ in _BUILTIN_RULES
 )
@@ -203,7 +199,9 @@ class AbstractionConfig:
     token-count level plus ``tree_depth - 2`` token levels).  A line is
     routed by at most its first ``tree_depth - 2`` tokens.  ``tree_depth``
     and ``max_children`` must be ints and ``similarity_threshold`` a real
-    number; a bool is neither.
+    number; a bool is neither.  ``mask_rules`` must be ``DEFAULT_MASK_RULES``,
+    as tuples or as the JSON lists a model file holds; it is a field so
+    that a model's config line names the rules it masks with.
     """
 
     tree_depth: int = 4
@@ -212,11 +210,10 @@ class AbstractionConfig:
     mask_rules: tuple[tuple[str, str], ...] = DEFAULT_MASK_RULES
 
     def __post_init__(self):
-        rules = tuple((pattern, repl) for pattern, repl in self.mask_rules)
-        for rule in rules:
-            if not all(isinstance(part, str) for part in rule):
-                raise ValidationError(f"mask rule {rule!r}: pattern and placeholder must be text")
-        object.__setattr__(self, "mask_rules", rules)
+        rules = self.mask_rules
+        if rules != DEFAULT_MASK_RULES and rules != [list(rule) for rule in DEFAULT_MASK_RULES]:
+            raise ValidationError(f"mask_rules must be DEFAULT_MASK_RULES, got {rules!r}")
+        object.__setattr__(self, "mask_rules", DEFAULT_MASK_RULES)
         for name, kind, what in (
             ("tree_depth", int, "an integer"),
             ("max_children", int, "an integer"),
@@ -233,7 +230,6 @@ class AbstractionConfig:
             )
         if self.max_children < 1:
             raise ValidationError(f"max_children must be >= 1, got {self.max_children}")
-        _compiled_rules(self.mask_rules)
 
 
 class _DotAnchored:
@@ -254,7 +250,7 @@ class _DotAnchored:
         self._anchors = anchors
 
     def sub(self, repl: str, text: str) -> str:
-        match, literal = self._scan.match, "\\" not in repl
+        match = self._scan.match
         pieces: list[str] = []
         end = 0
         for anchor in self._anchors.finditer(text):
@@ -262,7 +258,7 @@ class _DotAnchored:
             for start in range(max(dot - 3, end), dot):
                 found = match(text, start)
                 if found is not None:
-                    pieces += (text[end:start], repl if literal else found.expand(repl))
+                    pieces += (text[end:start], repl)
                     end = found.end()
                     break
         if not pieces:
@@ -271,46 +267,41 @@ class _DotAnchored:
         return "".join(pieces)
 
 
-def _builtin_rule(written: str, flags: int):
-    """A built-in rule compiled from its scan form, anchored on its dots if it has any."""
-    scan, anchor = _SCAN_FORMS[written]
+def _compile(scan: str, anchor: str | None, flags: int):
+    """A rule compiled from its scan form, anchored on its dots if it has any."""
     rule = re.compile(scan, flags)
     return rule if anchor is None else _DotAnchored(rule, re.compile(anchor, flags))
 
 
-@lru_cache(maxsize=64)
-def _compiled_rules(mask_rules: tuple[tuple[str, str], ...]):
-    """Compile and validate each rule as ``(rule, ascii_rule, placeholder)``.
-
-    A built-in rule compiles from its scan form, with an ASCII twin; a
-    user rule compiles as written and is its own twin (module docstring).
-    """
-    compiled = []
-    for pattern, repl in mask_rules:
-        builtin = pattern in _SCAN_FORMS
-        try:
-            rule = re.compile(_SCAN_FORMS[pattern][0] if builtin else pattern)
-            # Rejects a bad group reference in repl, which an anchored rule
-            # would only expand at its first match.
-            rule.sub(repl, "")
-        except re.error as exc:
-            raise ValidationError(f"mask rule {pattern!r} -> {repl!r}: {exc}") from None
-        if builtin:
-            compiled.append((_builtin_rule(pattern, 0), _builtin_rule(pattern, re.ASCII), repl))
-        else:
-            compiled.append((rule, rule, repl))
-    return tuple(compiled)
+# The built-in rules compiled from their scan forms, in order, and their
+# ASCII twins (module docstring).
+_RULES = tuple(_compile(scan, anchor, 0) for _, scan, anchor in _BUILTIN_RULES)
+_ASCII_RULES = tuple(_compile(scan, anchor, re.ASCII) for _, scan, anchor in _BUILTIN_RULES)
 
 
-def _mask(text: str, rules) -> str:
-    """Apply already compiled mask rules in order, the ASCII twins to ASCII text.
-
-    Whether the text is ASCII is asked again before each rule, since a
-    placeholder need not be ASCII.
-    """
-    for rule, ascii_rule, placeholder in rules:
-        text = (ascii_rule if text.isascii() else rule).sub(placeholder, text)
+def _mask(text: str) -> str:
+    """Apply the mask rules in order, through the ASCII twins if the text is ASCII."""
+    for rule in _ASCII_RULES if text.isascii() else _RULES:
+        text = rule.sub(WILDCARD, text)
     return text
+
+
+def _mask_log(lines: tuple[str, ...]) -> list[str]:
+    r"""The lines after the mask rules, in one pass per rule over their join.
+
+    A line that holds a ``"\n"`` of its own would split in two, so then
+    the lines are masked one by one.
+    """
+    text = "\n".join(lines)
+    if text.count("\n") == len(lines) - 1:
+        return _mask(text).split("\n")
+    return list(map(_mask, lines))
+
+
+def _mask_chunks(lines: Iterator[str]) -> Iterator[list[str]]:
+    """``_mask_log`` of each run of at most ``MASK_CHUNK_LINES`` of ``lines``."""
+    while chunk := tuple(islice(lines, MASK_CHUNK_LINES)):
+        yield _mask_log(chunk)
 
 
 def preprocess(line: str, config: AbstractionConfig) -> list[str]:
@@ -318,9 +309,10 @@ def preprocess(line: str, config: AbstractionConfig) -> list[str]:
 
     Punctuation stays attached to its token, so ``cmd.pathinfo=/a/b:1``
     masks to the single token ``cmd.pathinfo=<*>``.  Empty or blank lines
-    yield an empty sequence.
+    yield an empty sequence.  Every config holds the same rules, so
+    ``config`` does not change the result.
     """
-    return _mask(line, _compiled_rules(config.mask_rules)).split()
+    return _mask(line).split()
 
 
 @dataclass(slots=True)
@@ -519,10 +511,6 @@ class TemplateMiner:
         self.config = config or AbstractionConfig()
         # Resolved once, as parse_line reads them for every line; a miner's
         # config does not change after construction.
-        self._rules = _compiled_rules(self.config.mask_rules)
-        # Built-in rules under their own placeholder are line-local, so
-        # parse_log may mask a whole log in one pass (module docstring).
-        self._log_pass = all(rule in DEFAULT_MASK_RULES for rule in self.config.mask_rules)
         self._route_depth = self.config.tree_depth - 2
         self._max_children = self.config.max_children
         self._threshold = self.config.similarity_threshold
@@ -628,7 +616,7 @@ class TemplateMiner:
         the registry.  The masked line goes through the parser that
         ``parse_log`` uses, so it reads and fills the same memo.
         """
-        return self._parser()(_mask(line, self._rules))
+        return self._parser()(_mask(line))
 
     def _parse_tokens(self, tokens: Sequence[str], masked: str) -> str | None:
         """``parse_line`` from the masked tokens on.
@@ -687,14 +675,13 @@ class TemplateMiner:
     def parse_log(self, lines: Iterable[str], source: str = "log") -> EventSequence:
         r"""Parse lines in order, skipping blanks; one event per non-blank line.
 
-        The log is masked before any line is matched: with line-local rules
-        (the built-in ones under ``<*>``) and no line that holds ``"\n"``,
-        by one pass per rule over the lines joined with ``"\n"`` (why that
-        is exact is in the module docstring), else line by line, as
-        ``parse_line`` masks.  Each masked line then goes through the
+        The log is masked before any line is matched: unless a line holds
+        ``"\n"``, by one pass per rule over the lines joined with ``"\n"``
+        (why that is exact is in the module docstring), else line by line,
+        as ``parse_line`` masks.  Each masked line then goes through the
         parser ``parse_line`` uses, so both read and fill one memo.
         """
-        return _sequence(self._parser(), self._mask_log(tuple(lines)), source)
+        return _sequence(self._parser(), _mask_log(tuple(lines)), source)
 
     def parse_logs(self, logs: Iterable[tuple[Sequence[str], str]]) -> list[EventSequence]:
         """``[self.parse_log(lines, source) for lines, source in logs]``, masked in bulk.
@@ -706,24 +693,11 @@ class TemplateMiner:
         """
         logs = list(logs)
         lines = (line for log_lines, _ in logs for line in log_lines)
-        masked = chain.from_iterable(self._mask_chunks(lines))
+        masked = chain.from_iterable(_mask_chunks(lines))
         parse = self._parser()
         return [
             _sequence(parse, islice(masked, len(log_lines)), source) for log_lines, source in logs
         ]
-
-    def _mask_chunks(self, lines: Iterator[str]) -> Iterator[list[str]]:
-        """``_mask_log`` of each run of at most ``MASK_CHUNK_LINES`` of ``lines``."""
-        while chunk := tuple(islice(lines, MASK_CHUNK_LINES)):
-            yield self._mask_log(chunk)
-
-    def _mask_log(self, lines: tuple[str, ...]) -> list[str]:
-        """The lines after the mask rules, in one pass per rule when exact."""
-        if self._log_pass:
-            text = "\n".join(lines)
-            if text.count("\n") == len(lines) - 1:  # no line holds a "\n" of its own
-                return _mask(text, self._rules).split("\n")
-        return [_mask(line, self._rules) for line in lines]
 
     def _parser(self):
         """The parser of a masked line for the miner's mode."""

@@ -178,7 +178,6 @@ def _prediction_record(log_id, table, prediction, flagged) -> dict:
 
 
 def _cmd_predict(args) -> int:
-    _load_config_file(args.config)  # validated; predict reads no settings
     miner, table = load_model(args.model)
     target = Path(args.path)
     if target.is_dir():
@@ -339,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("model", help="model file from train")
     predict.add_argument("path", help="log file or directory of *.log files")
     predict.add_argument("--json", action="store_true", help="machine-readable records")
-    predict.add_argument("--config", default=None, help="optional JSON config file")
     predict.set_defaults(func=_cmd_predict)
 
     evaluate = sub.add_parser("eval", help="evaluate the model and baselines on a test corpus")

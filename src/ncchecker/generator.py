@@ -28,6 +28,8 @@ _WORDS = (
     "golf", "hotel", "india", "juliet", "kilo", "lima",
 )
 _NOISE_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+# What generate_synthetic writes into its output directory.
+_CORPUS_ENTRIES = ("passed", "failed", "labels.csv", "manifest.json")
 
 BENIGN_TEMPLATES = (
     "INFO scheduler tick {int} completed",
@@ -267,8 +269,16 @@ def _failed_lines(spec: SyntheticSpec, rng: random.Random, cause: int, index: in
 
 
 def generate_synthetic(spec: SyntheticSpec, out_dir) -> Path:
-    """Write the corpus directory tree and return the manifest path."""
+    """Write the corpus directory tree and return the manifest path.
+
+    ``out_dir`` may exist, but not hold a corpus: logs of an earlier corpus
+    left next to the new ``labels.csv`` would be read as part of it.
+    Nothing is deleted.
+    """
     out = Path(out_dir)
+    found = [name for name in _CORPUS_ENTRIES if (out / name).exists()]
+    if found:
+        raise ValidationError(f"{out} already holds a corpus: {', '.join(found)}")
     passed_dir = out / "passed"
     failed_dir = out / "failed"
     passed_dir.mkdir(parents=True, exist_ok=True)

@@ -100,7 +100,7 @@ _mask_settings = settings(max_examples=400, derandomize=True, database=None, dea
 @given(line=_mask_lines)
 def test_builtin_rule_scan_form_masks_like_the_written_form(rule, line):
     written, placeholder = DEFAULT_MASK_RULES[rule]
-    compiled, ascii_compiled, _ = abstraction._compiled_rules(DEFAULT_MASK_RULES)[rule]
+    compiled, ascii_compiled = abstraction._RULES[rule], abstraction._ASCII_RULES[rule]
     assert compiled.pattern != written  # compiled from the scan form
     assert compiled.sub(placeholder, line) == re.sub(written, placeholder, line)
     # The ASCII twin only ever sees ASCII text.
@@ -108,39 +108,11 @@ def test_builtin_rule_scan_form_masks_like_the_written_form(rule, line):
     assert ascii_compiled.sub(placeholder, ascii_line) == re.sub(written, placeholder, ascii_line)
 
 
-@pytest.mark.parametrize("rule", range(len(DEFAULT_MASK_RULES)))
-def test_builtin_rule_rejects_a_bad_group_reference(rule):
-    # Checked on the scan form itself: the anchored IPv4 rule would only
-    # expand its placeholder at its first match.
-    with pytest.raises(ValidationError, match="invalid group reference"):
-        AbstractionConfig(mask_rules=((DEFAULT_MASK_RULES[rule][0], r"\1"),))
-
-
-def test_ipv4_rule_expands_a_placeholder_with_group_references():
-    written = DEFAULT_MASK_RULES[0][0]
-    config = AbstractionConfig(mask_rules=((written, r"[\g<0>]"),))
-    for line in ("peer 10.0.0.1 and 1.2.3.4:80 not 1.2.3.4.5", "1.2.3.4", "a.1.2.3.4 \u0663.1.2.3"):
-        assert preprocess(line, config) == re.sub(written, r"[\g<0>]", line).split()
-        assert TemplateMiner(config)._mask_log((line,)) == [re.sub(written, r"[\g<0>]", line)]
-
-
 def test_builtin_rules_mask_ascii_text_through_ascii_twins():
-    # A user pattern keeps its one Unicode compile: "(?i)\u017f" matches "s"
-    # only in Unicode mode, so it must not get an ASCII twin.
-    rules = ((r"(?i)\u017f", "S"), *DEFAULT_MASK_RULES)
-    (user, user_twin, _), *builtins = abstraction._compiled_rules(rules)
-    assert user_twin is user and not user.flags & re.ASCII
-    for rule, twin, _ in builtins:
+    for rule, twin in zip(abstraction._RULES, abstraction._ASCII_RULES, strict=True):
         assert twin is not rule and twin.pattern == rule.pattern
-    assert preprocess("s 12 ss", AbstractionConfig(mask_rules=rules)) == ["S", WILDCARD, "SS"]
     # Non-ASCII digits still mask, through the Unicode compiles.
     assert preprocess("\u0663.1.2.3 \u0664", AbstractionConfig()) == [WILDCARD, WILDCARD]
-    # A placeholder can make ASCII text non-ASCII for the rules after it:
-    # "\u00e9" is \w only in Unicode mode, so "\u00e91" keeps its digit.
-    config = AbstractionConfig(mask_rules=(("x", "\u00e9"), *DEFAULT_MASK_RULES))
-    for line in ("x1 x 2", "x1.2.3.4 x 5.6.7.8"):
-        assert preprocess(line, config) == written_preprocess(line, config)
-    assert preprocess("x1 x 2", config) == ["\u00e91", "\u00e9", WILDCARD]
 
 
 @_mask_settings
@@ -148,20 +120,6 @@ def test_builtin_rules_mask_ascii_text_through_ascii_twins():
 def test_preprocess_masks_like_the_written_rules_in_order(line):
     config = AbstractionConfig()
     assert preprocess(line, config) == written_preprocess(line, config)
-
-
-def test_only_builtin_patterns_compile_from_scan_forms():
-    # A built-in pattern keeps its scan form and its ASCII twin under another
-    # placeholder; a pattern of the user's own compiles as written.
-    rules = ((DEFAULT_MASK_RULES[3][0], "N"), (r"\bab\b", "AB"))
-    compiled = abstraction._compiled_rules(rules)
-    assert compiled[0][0].pattern != rules[0][0]
-    assert compiled[0][1].flags & re.ASCII
-    assert compiled[1][0].pattern == rules[1][0]
-    assert compiled[1][1] is compiled[1][0]
-    assert preprocess("ab 12 ab1 1.5", AbstractionConfig(mask_rules=rules)) == [
-        "AB", "N", "ab1", "1.5"
-    ]
 
 
 def test_mask_rules_apply_in_order(config):
@@ -219,15 +177,15 @@ def test_masked_paths_share_one_event(config):
 
 
 def test_unmasked_numbers_merge_to_wildcard():
-    # Even without the integer mask rule, digit tokens route through the
-    # wildcard child, the pair meets similarity 5/6 >= 0.4, and the
-    # differing slot becomes a wildcard.
-    miner = TemplateMiner(AbstractionConfig(mask_rules=()))
-    first = miner.parse_line("Took 10 seconds to build instances")
-    second = miner.parse_line("Took 20 seconds to build instances")
+    # No rule masks "10s" (a word character follows the digits), yet digit
+    # tokens route through the wildcard child, the pair meets similarity
+    # 4/5 >= 0.4, and the differing slot becomes a wildcard.
+    miner = TemplateMiner(AbstractionConfig())
+    first = miner.parse_line("Took 10s to build instances")
+    second = miner.parse_line("Took 20s to build instances")
     assert first == second
     template = miner.templates[first]
-    assert template.tokens == ("Took", WILDCARD, "seconds", "to", "build", "instances")
+    assert template.tokens == ("Took", WILDCARD, "to", "build", "instances")
     assert len(miner.templates) == 1
 
 
@@ -238,7 +196,7 @@ def test_blank_line_yields_no_event(config):
 
 
 def test_max_children_overflow_routes_to_catchall():
-    miner = TemplateMiner(AbstractionConfig(max_children=1, mask_rules=()))
+    miner = TemplateMiner(AbstractionConfig(max_children=1))
     a = miner.parse_line("evt alpha done")
     b = miner.parse_line("evt beta done")
     c = miner.parse_line("evt gamma done")
@@ -315,13 +273,12 @@ _WORD_POOL = ("a", "b", "c", "d", "e", "f")
 _vocabularies = st.lists(st.sampled_from(_WORD_POOL), min_size=2, max_size=6, unique=True)
 
 
-def _configs(mask_rules=st.just(DEFAULT_MASK_RULES)):
+def _configs():
     return st.builds(
         AbstractionConfig,
         tree_depth=st.sampled_from([2, 3, 4]),
         similarity_threshold=st.sampled_from([0.34, 0.4, 0.5, 0.6, 1.0]),
         max_children=st.sampled_from([1, 2, 100]),
-        mask_rules=mask_rules,
     )
 
 
@@ -354,7 +311,7 @@ def test_frozen_index_matches_linear_scan_and_reload(case):
 
 
 def test_frozen_zero_hit_tie_goes_to_earliest_template():
-    config = AbstractionConfig(tree_depth=2, similarity_threshold=0.5, mask_rules=())
+    config = AbstractionConfig(tree_depth=2, similarity_threshold=0.5)
     registry = f"{REGISTRY_HEADER}\ne1\t1\ta b <*> <*>\ne2\t1\te f <*> <*>\ne3\t1\tg h i <*>\n"
     miner = TemplateMiner.from_registry_text(registry, config).freeze()
     # No literal hit anywhere: both two-wildcard templates score 2/4.
@@ -364,7 +321,7 @@ def test_frozen_zero_hit_tie_goes_to_earliest_template():
 
 
 def test_training_merge_keeps_leaf_index_current():
-    config = AbstractionConfig(tree_depth=2, similarity_threshold=0.4, mask_rules=())
+    config = AbstractionConfig(tree_depth=2, similarity_threshold=0.4)
     # e2 is registered into e1's indexed leaf and shares its "b".  The
     # merge then makes e1 "a <*> <*> d e": "b" and "c" leave its columns,
     # and it ties e2 as widest at two wildcards, the earlier slot winning.
@@ -506,9 +463,6 @@ def test_shared_frozen_miner_gives_serial_logs_while_the_memo_clears(monkeypatch
 
 # Raw values that the built-in rules mask to the same string as the key.
 _SAME_WHEN_MASKED = {"1": ("1", "22", "305"), "0x1f": ("0x1f", "0XAB")}
-# A rule of the user's own, ahead of the built-in ones: "e" and "f" both
-# mask to "EF".
-_USER_RULE = (r"\b[ef]\b", "EF")
 # Longer than any trained line, so no leaf exists for it.
 _UNKNOWN_LINE = "u v w x y z q"
 
@@ -516,7 +470,7 @@ _UNKNOWN_LINE = "u v w x y z q"
 @st.composite
 def _memo_cases(draw):
     vocabulary = draw(_vocabularies)
-    config = draw(_configs(st.sampled_from([DEFAULT_MASK_RULES, (_USER_RULE, *DEFAULT_MASK_RULES)])))
+    config = draw(_configs())
     words = st.lists(st.sampled_from(vocabulary + list(_EXTRA_TOKENS)), min_size=1, max_size=6)
     train = draw(st.lists(words.map(" ".join), min_size=1, max_size=40))
 
@@ -635,8 +589,9 @@ def test_frozen_memo_lives_as_long_as_the_miner(monkeypatch):
 def test_frozen_memo_lookup_is_one_dict_operation():
     # Another thread's clear can fall between any two dict operations of a
     # lookup; this key clears the memo when it is hashed a second time.
-    # Without mask rules, parse_line hands the key to the memo as it is.
-    miner = TemplateMiner(AbstractionConfig(mask_rules=()))
+    # Masking returns a plain str, so the key goes straight to the parser
+    # of masked lines that parse_line uses.
+    miner = TemplateMiner(AbstractionConfig())
     miner.parse_line("a b c")
     miner.freeze()
     assert miner.parse_line("a b c") == "e1"
@@ -650,13 +605,13 @@ def test_frozen_memo_lookup_is_one_dict_operation():
                 miner._frozen_memo.clear()
             return str.__hash__(self)
 
-    assert miner.parse_line(ClearsOnSecondHash("a b c")) == "e1"
+    assert miner._parser()(ClearsOnSecondHash("a b c")) == "e1"
     assert ClearsOnSecondHash.hashes == 1
 
 
 def test_frozen_memo_never_holds_more_than_the_cap(monkeypatch):
     monkeypatch.setattr(abstraction, "FROZEN_MEMO_CAP", 3)
-    miner = TemplateMiner(AbstractionConfig(mask_rules=()))
+    miner = TemplateMiner(AbstractionConfig())
     for word in "abcd":
         miner.parse_line(f"job {word} done")
     miner.freeze()
@@ -715,7 +670,7 @@ def test_training_memo_equals_linear_scan_across_logs(case):
 def test_training_memo_entry_is_stale_after_an_earlier_slot_widens():
     # "c d" is recorded as e2.  Two merges widen e1 to "<*> <*>", which now
     # ties e2 on "c d" at full score and wins as the earlier slot.
-    config = AbstractionConfig(tree_depth=2, similarity_threshold=0.5, mask_rules=())
+    config = AbstractionConfig(tree_depth=2, similarity_threshold=0.5)
     lines = ["a b", "c d", "c d", "a d", "c b", "c d"]
     miner, scan_miner = TemplateMiner(config), TemplateMiner(config)
     events = miner.parse_log(lines).events
@@ -742,7 +697,7 @@ def test_training_memo_skips_a_fallback_at_an_uncapped_node(max_children):
 def test_training_memo_hits_in_an_overflow_lane(monkeypatch):
     # "x" takes the root's one literal child, so "y" and "z" fall back to
     # the <*> lane of a capped node: a stable route.
-    config = AbstractionConfig(tree_depth=3, max_children=1, mask_rules=())
+    config = AbstractionConfig(tree_depth=3, max_children=1)
     lines = ["x a b", "y a b"] + ["z a b"] * 5
     calls = _count_best_slot(monkeypatch)
     miner, scan_miner = TemplateMiner(config), TemplateMiner(config)
@@ -766,7 +721,7 @@ def test_training_memo_lives_across_logs_and_keys_the_masked_line(monkeypatch):
 
 
 def test_training_memo_stays_exact_when_parse_line_widens_between_logs():
-    config = AbstractionConfig(tree_depth=2, similarity_threshold=0.5, mask_rules=())
+    config = AbstractionConfig(tree_depth=2, similarity_threshold=0.5)
     miner = TemplateMiner(config)
     assert miner.parse_log(["a b", "c d", "c d"]).events == ("e1", "e2", "e2")
     assert miner.parse_line("a d") == "e1"
@@ -775,7 +730,7 @@ def test_training_memo_stays_exact_when_parse_line_widens_between_logs():
 
 
 def test_freeze_drops_training_memo():
-    miner = TemplateMiner(AbstractionConfig(mask_rules=()))
+    miner = TemplateMiner(AbstractionConfig())
     miner.parse_log(["a b c", "a b c"])
     assert "a b c" in miner._memo
     miner.freeze()
@@ -789,13 +744,6 @@ def test_freeze_drops_training_memo():
 # Short lines of mask pieces, with the line breaks other than "\n" that a
 # rule could see; a log rarely holds a line of the API's own with a "\n".
 _log_lines = st.lists(st.sampled_from([*_MASK_PIECES, "\r", "\x0c"]), max_size=12).map("".join)
-_rule_sets = st.one_of(
-    st.just(DEFAULT_MASK_RULES),
-    st.lists(st.sampled_from(DEFAULT_MASK_RULES), unique=True, max_size=4).map(tuple),
-    st.just(()),
-    st.just(((DEFAULT_MASK_RULES[3][0], "N"),)),
-    st.just((_USER_RULE, *DEFAULT_MASK_RULES)),
-)
 
 
 @st.composite
@@ -808,12 +756,11 @@ def _mask_logs(draw):
 
 
 @_mask_settings
-@given(rules=_rule_sets, log=_mask_logs())
-def test_log_masking_equals_per_line_masking(rules, log):
-    config = AbstractionConfig(mask_rules=rules)
-    masked = TemplateMiner(config)._mask_log(tuple(log))
-    compiled = abstraction._compiled_rules(rules)
-    assert masked == [abstraction._mask(line, compiled) for line in log]
+@given(log=_mask_logs())
+def test_log_masking_equals_per_line_masking(log):
+    masked = abstraction._mask_log(tuple(log))
+    assert masked == [abstraction._mask(line) for line in log]
+    config = AbstractionConfig()
     assert [line.split() for line in masked] == [written_preprocess(line, config) for line in log]
 
 
@@ -828,15 +775,7 @@ def _assert_parse_log_is_per_line(config, log, expected):
         per_line_miner = miner
 
 
-def test_rules_that_are_not_line_local_mask_line_by_line():
-    # An anchored rule sees the start of every line, not just of the log.
-    config = AbstractionConfig(mask_rules=((r"^retry", "R"), *DEFAULT_MASK_RULES))
-    log = ["retry 1 of job", "retry 2 of job", "retry 3 of job"]
-    _assert_parse_log_is_per_line(config, log, [(1, "e1"), (2, "e1"), (3, "e1")])
-    miner = TemplateMiner(config)
-    miner.parse_log(log)
-    assert miner.template_text("e1") == "R <*> of job"
-
+def test_a_line_holding_a_newline_masks_as_one_line():
     # A line given through the API that holds "\n" stays one line.
     log = ["x 1", "a 1\nb 2", "y 2"]
     _assert_parse_log_is_per_line(AbstractionConfig(), log, [(1, "e1"), (2, "e2"), (3, "e3")])
@@ -853,26 +792,20 @@ class _CountingRule:
         return self.pattern.sub(placeholder, text)
 
 
-@pytest.mark.parametrize(
-    "rules, calls",
-    [(DEFAULT_MASK_RULES, [1] * 4), ((_USER_RULE, *DEFAULT_MASK_RULES), [50] * 5)],
-)
-def test_parse_log_masks_in_one_pass_per_rule(rules, calls):
+def test_parse_log_masks_in_one_pass_per_rule():
     # An ASCII log masks through the ASCII twins, any other log through the
     # Unicode compiles; the counters wrap the ones the log must use.
     ascii_log = [f"retry {n} of job /srv/a.rb:{n} at 0x{n:x} on 10.0.0.{n}" for n in range(50)]
-    for log, twin in ((ascii_log, 1), ([line + " \u00e9t\u00e9" for line in ascii_log], 0)):
-        miner = TemplateMiner(AbstractionConfig(mask_rules=rules))
+    for log, rules in (
+        (ascii_log, "_ASCII_RULES"),
+        ([line + " \u00e9t\u00e9" for line in ascii_log], "_RULES"),
+    ):
+        miner = TemplateMiner()
         for _ in ("training", "frozen"):
-            compiled = miner._rules
-            counters = [_CountingRule(rule[twin]) for rule in compiled]
-            miner._rules = tuple(
-                (c, rule[1], rule[2]) if twin == 0 else (rule[0], c, rule[2])
-                for c, rule in zip(counters, compiled)
-            )
-            assert len(miner.parse_log(log)) == 50
-            assert [c.calls for c in counters] == calls
-            miner._rules = compiled
+            counters = [_CountingRule(rule) for rule in getattr(abstraction, rules)]
+            with mock.patch.object(abstraction, rules, tuple(counters)):
+                assert len(miner.parse_log(log)) == 50
+            assert [c.calls for c in counters] == [1] * 4
             miner.freeze()
 
 
@@ -886,12 +819,10 @@ def test_parse_logs_masks_in_one_pass_per_rule_per_chunk(monkeypatch):
     ]
     miner = TemplateMiner()
     for _ in ("training", "frozen"):
-        compiled = miner._rules
-        counters = [_CountingRule(rule[1]) for rule in compiled]
-        miner._rules = tuple((rule[0], c, rule[2]) for c, rule in zip(counters, compiled))
-        assert [len(seq) for seq in miner.parse_logs(logs)] == [50] * 3
+        counters = [_CountingRule(rule) for rule in abstraction._ASCII_RULES]
+        with mock.patch.object(abstraction, "_ASCII_RULES", tuple(counters)):
+            assert [len(seq) for seq in miner.parse_logs(logs)] == [50] * 3
         assert [c.calls for c in counters] == [3] * 4
-        miner._rules = compiled
         miner.freeze()
 
 
@@ -917,10 +848,9 @@ def _log_batches(draw):
     return [(tuple(lines), f"log{n}") for n, lines in enumerate(logs)]
 
 
-def _assert_parse_logs_is_parse_log(rules, chunk, train, probe):
+def _assert_parse_logs_is_parse_log(chunk, train, probe):
     """``parse_logs`` equals ``parse_log`` per log, training then frozen."""
-    config = AbstractionConfig(mask_rules=rules)
-    batched, per_log = TemplateMiner(config), TemplateMiner(config)
+    batched, per_log = TemplateMiner(), TemplateMiner()
     with mock.patch.object(abstraction, "MASK_CHUNK_LINES", chunk):
         for logs in (train, probe):
             assert batched.parse_logs(iter(logs)) == [per_log.parse_log(*log) for log in logs]
@@ -938,18 +868,12 @@ _BLANK_AND_EMPTY_LOGS = [(("a 1", "b /x", "a 2"), "l0"), ((), "l1"), (("", " \t"
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(
-    rules=st.sampled_from([DEFAULT_MASK_RULES, (_USER_RULE, *DEFAULT_MASK_RULES)]),
-    chunk=_chunks,
-    train=_log_batches(),
-    probe=_log_batches(),
-)
-@example(DEFAULT_MASK_RULES, 2, _BLANK_AND_EMPTY_LOGS, _BLANK_AND_EMPTY_LOGS)
-@example(DEFAULT_MASK_RULES, 3, [(("e 1", "e\u00e9 2", "e 3", "e 4"), "l0")], [])
-@example(DEFAULT_MASK_RULES, 2, [(("x 1", "a 1\nb 2", "y 2"), "l0"), (("a 1",), "l1")], [])
-@example((_USER_RULE, *DEFAULT_MASK_RULES), 2, [(("e 1", "f 2", "g 3"), "l0")], [])
-def test_parse_logs_equals_parse_log_per_log(rules, chunk, train, probe):
-    _assert_parse_logs_is_parse_log(rules, chunk, train, probe)
+@given(chunk=_chunks, train=_log_batches(), probe=_log_batches())
+@example(2, _BLANK_AND_EMPTY_LOGS, _BLANK_AND_EMPTY_LOGS)
+@example(3, [(("e 1", "e\u00e9 2", "e 3", "e 4"), "l0")], [])
+@example(2, [(("x 1", "a 1\nb 2", "y 2"), "l0"), (("a 1",), "l1")], [])
+def test_parse_logs_equals_parse_log_per_log(chunk, train, probe):
+    _assert_parse_logs_is_parse_log(chunk, train, probe)
 
 
 def test_parse_logs_equals_parse_log_on_a_log_longer_than_a_chunk():
@@ -961,7 +885,7 @@ def test_parse_logs_equals_parse_log_on_a_log_longer_than_a_chunk():
     )
     long_log = long_log[:100] + ("job 3 \u00e9t\u00e9 0x1f",) + long_log[101:]
     logs = [(("job 1 on 10.0.0.1", "", "retry 4"), "short"), (long_log, "long"), ((), "empty")]
-    _assert_parse_logs_is_parse_log(DEFAULT_MASK_RULES, abstraction.MASK_CHUNK_LINES, logs, logs)
+    _assert_parse_logs_is_parse_log(abstraction.MASK_CHUNK_LINES, logs, logs)
 
 
 class _CountingScan:
@@ -979,11 +903,14 @@ def test_ipv4_rule_matches_a_bounded_number_of_times_per_line(monkeypatch):
     # Dotted numbers that are no address: each of the two anchor dots of a
     # line gets at most 3 ``match`` calls, and nothing scans on from a dot.
     ascii_log = tuple(f"build 1.2.3.4.{n % 10} done" for n in range(4000))
-    for log, twin in ((ascii_log, 1), (tuple(line + " \u00e9" for line in ascii_log), 0)):
-        rule = TemplateMiner()._rules[0][twin]
+    for log, rules in (
+        (ascii_log, abstraction._ASCII_RULES),
+        (tuple(line + " \u00e9" for line in ascii_log), abstraction._RULES),
+    ):
+        rule = rules[0]
         counter = _CountingScan(rule._scan)
         monkeypatch.setattr(rule, "_scan", counter)
-        assert TemplateMiner()._mask_log(log) == list(log)
+        assert abstraction._mask_log(log) == list(log)
         assert 0 < counter.calls <= 6 * len(log)
         monkeypatch.undo()
 
@@ -1000,7 +927,7 @@ def test_log_masking_equals_the_written_rules(kind, data):
         log[at] += data.draw(st.sampled_from(["\u0663", "\u00b2", "\u00e9"]))
     assert "".join(log).isascii() == (kind == "ascii")
     config = AbstractionConfig()
-    masked = TemplateMiner(config)._mask_log(tuple(log))
+    masked = abstraction._mask_log(tuple(log))
     assert [line.split() for line in masked] == [written_preprocess(line, config) for line in log]
 
 
@@ -1130,11 +1057,27 @@ def test_registry_version_mismatch(config):
 
 
 @pytest.mark.parametrize(
-    "rule", [[1, 2], [None, WILDCARD], [r"\d+", None], [rb"\d+", b"N"], ["a", ["b"]]]
+    "mask_rules",
+    [
+        (),
+        DEFAULT_MASK_RULES[::-1],
+        DEFAULT_MASK_RULES[:3],
+        (*DEFAULT_MASK_RULES, (r"\bab\b", "AB")),
+        (*DEFAULT_MASK_RULES[:3], (DEFAULT_MASK_RULES[3][0], "N")),
+        [[1, 2]],
+        [["a"]],
+    ],
+    ids=["empty", "permuted", "subset", "extra", "other-placeholder", "not-text", "not-a-pair"],
 )
-def test_mask_rule_parts_must_be_text(rule):
-    with pytest.raises(ValidationError, match="must be text"):
-        AbstractionConfig(mask_rules=[rule])
+def test_mask_rules_other_than_the_defaults_are_rejected(mask_rules):
+    with pytest.raises(ValidationError, match="^mask_rules must be DEFAULT_MASK_RULES, got "):
+        AbstractionConfig(mask_rules=mask_rules)
+
+
+def test_default_mask_rules_are_accepted_as_json_lists():
+    json_rules = [list(rule) for rule in DEFAULT_MASK_RULES]
+    assert AbstractionConfig(mask_rules=json_rules) == AbstractionConfig()
+    assert AbstractionConfig(mask_rules=json_rules).mask_rules == DEFAULT_MASK_RULES
 
 
 def test_config_invariants():

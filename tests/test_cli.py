@@ -9,7 +9,7 @@ import pytest
 
 import ncchecker
 from ncchecker.cli import main
-from ncchecker.generator import default_spec, generate_synthetic, spec_from_dict
+from ncchecker.generator import corpus_digest, default_spec, generate_synthetic, spec_from_dict
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +41,28 @@ def test_gen_same_seed_identical_manifests(tmp_path):
     main(["gen", "--out", str(tmp_path / "b"), "--seed", "9"])
     digest = lambda p: hashlib.sha256(Path(p).read_bytes()).hexdigest()
     assert digest(tmp_path / "a" / "manifest.json") == digest(tmp_path / "b" / "manifest.json")
+
+
+def test_gen_over_an_existing_corpus_is_validation_error(tmp_path, capsys):
+    out = tmp_path / "g1"
+    assert main(["gen", "--out", str(out), "--seed", "7"]) == 0
+    before = corpus_digest(out)
+    spec_path = tmp_path / "small.json"
+    spec_path.write_text(json.dumps({"cause_counts": [3, 2], "passed_count": 2, "seed": 1}))
+    capsys.readouterr()
+    assert main(["gen", str(spec_path), "--out", str(out)]) == 1
+    entries = "passed, failed, labels.csv, manifest.json"
+    assert capsys.readouterr().err == f"error: {out} already holds a corpus: {entries}\n"
+    assert corpus_digest(out) == before
+    # Any one entry of a corpus is enough; an empty directory is not.
+    for name in ("passed", "failed", "labels.csv", "manifest.json"):
+        other = tmp_path / name.replace(".", "-")
+        other.mkdir()
+        (other / name).touch()
+        assert main(["gen", str(spec_path), "--out", str(other)]) == 1
+        assert [path.name for path in other.iterdir()] == [name]
+    (tmp_path / "empty").mkdir()
+    assert main(["gen", str(spec_path), "--out", str(tmp_path / "empty")]) == 0
 
 
 def test_gen_spec_file_and_validation_error(tmp_path):
@@ -189,6 +211,23 @@ def test_predict_non_utf8_model_is_validation_error(corpus_dir, model_path, tmp_
     assert result.returncode == 1
     assert result.stderr.startswith("error:")
     assert "Traceback" not in result.stderr
+
+
+def test_predict_on_a_model_with_other_mask_rules_is_bad_config(corpus_dir, model_path, tmp_path):
+    model = _edited_model(model_path, tmp_path, lambda c: c["mask_rules"].reverse())
+    result = _run_cli("predict", model, corpus_dir / "failed")
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: model line 2: bad config: mask_rules must be ")
+    assert "Traceback" not in result.stderr
+
+
+def test_predict_takes_no_config_file(corpus_dir, model_path, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    result = _run_cli("predict", model_path, corpus_dir / "failed", "--config", config)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: unrecognized arguments: --config ")
+    assert result.stdout == ""
 
 
 def test_predict_invalid_mask_regex_is_validation_error(corpus_dir, model_path, tmp_path):
