@@ -777,10 +777,10 @@ class TemplateMiner:
         Each line must be one ``registry_lines`` writes: three tab-separated
         fields, a ``match_count`` as ``str`` writes a non-negative int, and a
         template text of non-empty tokens joined by single spaces; a blank
-        line is rejected.  Templates are inserted in file order through
-        ``_insert_leaf``, the path training registers through, so the tree
-        is re-derived.  Messages number lines from the header, file line
-        ``first_line``.
+        line, and a line whose event id is ``UNKNOWN_EVENT_ID``, is rejected.
+        Templates are inserted in file order through ``_insert_leaf``, the
+        path training registers through, so the tree is re-derived.
+        Messages number lines from the header, file line ``first_line``.
         """
         if not lines or lines[0] != REGISTRY_HEADER:
             found = lines[0] if lines else "<empty>"
@@ -814,5 +814,14 @@ class TemplateMiner:
                 )
             templates[event_id] = LogTemplate(event_id, tokens, int(count_text))
             insert_leaf(tokens).template_ids.append(event_id)
+        if UNKNOWN_EVENT_ID in templates:
+            # A frozen parse returns this id for a line no template matches,
+            # and prediction drops it, so a template under it could never
+            # score.  Each row added one template, in file order.
+            row = list(templates).index(UNKNOWN_EVENT_ID)
+            raise ValidationError(
+                f"template registry line {first_line + 1 + row}: event id "
+                f"{UNKNOWN_EVENT_ID!r} is reserved for unmatched lines"
+            )
         miner._next_index = None
         return miner

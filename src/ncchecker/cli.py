@@ -2,8 +2,7 @@
 
 Exit codes are a stable scripting contract: 0 success, 1 validation
 error, 2 I/O error.  Every randomized step takes an explicit seed and
-all commands are deterministic for fixed seeds and inputs.  Settings may
-come from an optional JSON config file; flags override it.
+all commands are deterministic for fixed seeds and inputs.
 """
 
 import argparse
@@ -22,16 +21,8 @@ from .model import load_model, save_model
 from .predictor import flag_lines, predict_lines
 from .table import ABLATION_VARIANTS, build, majority_from_counts
 
-# Miner settings a flag or config file may set; unset ones take the
-# AbstractionConfig default.
-_MINER_KEYS = {"tree_depth": int, "similarity_threshold": float, "max_children": int}
-
-_DEFAULTS = {
-    "test_fraction": 0.1,
-    "seed": 0,
-    "k_neighbors": 5,
-    "rg_trials": 100,
-}
+# Miner settings a flag may set; unset ones take the AbstractionConfig default.
+_MINER_KEYS = ("tree_depth", "similarity_threshold", "max_children")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,58 +32,23 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _load_config_file(path) -> dict:
-    if path is None:
-        return {}
-    payload = _read_json(path, "config file")
-    if not isinstance(payload, dict):
-        raise ValidationError(f"config file {path}: expected a JSON object")
-    unknown = sorted(set(payload) - set(_MINER_KEYS) - set(_DEFAULTS))
-    if unknown:
-        raise ValidationError(f"config file {path}: unknown keys {', '.join(unknown)}")
-    return payload
-
-
-def _read_json(path, what: str):
+def _read_json(path):
     def unique_keys(pairs):
         payload = {}
         for key, value in pairs:
             if key in payload:
-                raise ValidationError(f"{what} {path}: duplicate key {key!r}")
+                raise ValidationError(f"spec file {path}: duplicate key {key!r}")
             payload[key] = value
         return payload
 
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as exc:  # a UnicodeDecodeError too
-        raise ValidationError(f"{what} {path}: invalid JSON ({exc})") from None
+        raise ValidationError(f"spec file {path}: invalid JSON ({exc})") from None
 
 
-def _setting(args, file_config: dict, key: str, kind):
-    """A flag if given, else the config file's value, else the default (or None).
-
-    Flags arrive typed by argparse.  A config file value must be a JSON
-    number of the key's ``kind``: an integer for ``int``, an integer or a
-    real for ``float``, never a bool (a JSON ``true`` is a Python ``int``).
-    Anything else is a validation error, never truncated or parsed.
-    """
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key not in file_config:
-        return _DEFAULTS.get(key)
-    value = file_config[key]
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, accepted) and not isinstance(value, bool):
-        try:
-            return kind(value)
-        except OverflowError:  # an integer too large for a float
-            pass
-    raise ValidationError(f"config key {key!r}: expected {kind.__name__}, got {value!r}")
-
-
-def _abstraction_config(args, file_config: dict) -> AbstractionConfig:
-    settings = {key: _setting(args, file_config, key, kind) for key, kind in _MINER_KEYS.items()}
+def _abstraction_config(args) -> AbstractionConfig:
+    settings = {key: getattr(args, key) for key in _MINER_KEYS}
     return AbstractionConfig(**{k: v for k, v in settings.items() if v is not None})
 
 
@@ -112,7 +68,7 @@ def _cmd_gen(args) -> int:
         spec_path = Path(args.spec)
         if not spec_path.exists():
             raise FileNotFoundError(f"spec file not found: {spec_path}")
-        spec = spec_from_dict(_read_json(spec_path, "spec file"))
+        spec = spec_from_dict(_read_json(spec_path))
     else:
         spec = default_spec(seed=0)
     if args.seed is not None:
@@ -128,10 +84,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    file_config = _load_config_file(args.config)
-    config = _abstraction_config(args, file_config)
     corpus = load_corpus(args.corpus, args.labels)
-    miner, table = build(corpus, config)
+    miner, table = build(corpus, _abstraction_config(args))
     save_model(args.out, miner, table)
     print(f"model: {args.out}")
     print(f"templates: {len(miner.templates)}")
@@ -204,8 +158,15 @@ def _cmd_predict(args) -> int:
 # -- eval ------------------------------------------------------------------
 
 
+def _print_reports(reports: dict) -> None:
+    print(ev.render_comparison(reports))
+    for name, report in reports.items():
+        print()
+        print(f"== {name} ==")
+        print(ev.render_report(report))
+
+
 def _cmd_eval(args) -> int:
-    file_config = _load_config_file(args.config)
     miner, table = load_model(args.model)
     test_corpus = load_corpus(args.corpus, args.labels, table.taxonomy)
     if not test_corpus.failed:
@@ -226,24 +187,20 @@ def _cmd_eval(args) -> int:
 
     reports = {"ncchecker": ev.predict_corpus(miner, table, test_corpus)}
 
-    k_neighbors = _setting(args, file_config, "k_neighbors", int)
-    rg_trials = _setting(args, file_config, "rg_trials", int)
-    seed = _setting(args, file_config, "seed", int)
-
     train_corpus = None
     if needs_train:
         train_corpus = load_corpus(args.train_dir, args.train_labels, table.taxonomy)
     for name in requested:
         if name == "rg":
             result = bl.rg_predict_from_counts(
-                table.n_per_cause, truth, rg_trials, seed, table.taxonomy
+                table.n_per_cause, truth, args.rg_trials, args.seed, table.taxonomy
             )
             reports["rg"] = result.median_report
         elif name == "mcc":
             majority = majority_from_counts(table.n_per_cause)
             reports["mcc"] = ev.evaluate(truth, [majority] * len(truth), table.taxonomy)
         elif name == "cam":
-            index = bl.cam_train(train_corpus.failed, k_neighbors)
+            index = bl.cam_train(train_corpus.failed, args.k_neighbors)
             cam_preds = [bl.cam_predict(index, log.lines) for log in test_corpus.failed]
             reports["cam"] = ev.evaluate(truth, cam_preds, table.taxonomy)
         elif name == "lff":
@@ -254,7 +211,7 @@ def _cmd_eval(args) -> int:
                 [log.cause for log in train_logs],
                 [log.log_id for log in train_logs],
                 frozenset(table.rows),
-                k_neighbors,
+                args.k_neighbors,
             )
             lff_preds = [
                 bl.lff_predict(index, miner.parse_log(log.lines, log.log_id))
@@ -270,11 +227,7 @@ def _cmd_eval(args) -> int:
             print(json.dumps(record))
         return 0
 
-    print(ev.render_comparison(reports))
-    for name, report in reports.items():
-        print()
-        print(f"== {name} ==")
-        print(ev.render_report(report))
+    _print_reports(reports)
     return 0
 
 
@@ -282,13 +235,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    file_config = _load_config_file(args.config)
-    config = _abstraction_config(args, file_config)
-    test_fraction = _setting(args, file_config, "test_fraction", float)
-    seed = _setting(args, file_config, "seed", int)
-
+    config = _abstraction_config(args)
     corpus = load_corpus(args.corpus, args.labels)
-    train_corpus, test_corpus = split(corpus, test_fraction, seed)
+    train_corpus, test_corpus = split(corpus, args.test_fraction, args.seed)
     if not test_corpus.failed:
         raise ValidationError("split produced an empty test set; corpus is too small")
 
@@ -302,11 +251,7 @@ def _cmd_ablate(args) -> int:
     for line in ev.ablation_identities(tables["full"], tables["drop1"], tables["drop3"]):
         print(f"check: {line}")
     print()
-    print(ev.render_comparison(reports))
-    for variant in ABLATION_VARIANTS:
-        print()
-        print(f"== {variant} ==")
-        print(ev.render_report(reports[variant]))
+    _print_reports(reports)
     return 0
 
 
@@ -330,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("corpus", help="corpus directory (passed/, failed/, labels.csv)")
     train.add_argument("--labels", default=None, help="labels CSV (default: corpus/labels.csv)")
     train.add_argument("--out", required=True, help="model file to write")
-    train.add_argument("--config", default=None, help="optional JSON config file")
     _add_abstraction_flags(train)
     train.set_defaults(func=_cmd_train)
 
@@ -349,19 +293,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     evaluate.add_argument("--train-dir", default=None, help="training corpus (cam/lff only)")
     evaluate.add_argument("--train-labels", default=None)
-    evaluate.add_argument("--rg-trials", dest="rg_trials", type=int, default=None)
-    evaluate.add_argument("--k-neighbors", dest="k_neighbors", type=int, default=None)
-    evaluate.add_argument("--seed", type=int, default=None)
+    evaluate.add_argument("--rg-trials", dest="rg_trials", type=int, default=100)
+    evaluate.add_argument("--k-neighbors", dest="k_neighbors", type=int, default=5)
+    evaluate.add_argument("--seed", type=int, default=0)
     evaluate.add_argument("--json", action="store_true")
-    evaluate.add_argument("--config", default=None)
     evaluate.set_defaults(func=_cmd_eval)
 
     ablate = sub.add_parser("ablate", help="run full, drop1, drop2, drop3 on one split")
     ablate.add_argument("corpus", help="corpus directory")
     ablate.add_argument("--labels", default=None)
-    ablate.add_argument("--test-fraction", dest="test_fraction", type=float, default=None)
-    ablate.add_argument("--seed", type=int, default=None)
-    ablate.add_argument("--config", default=None)
+    ablate.add_argument("--test-fraction", dest="test_fraction", type=float, default=0.1)
+    ablate.add_argument("--seed", type=int, default=0)
     _add_abstraction_flags(ablate)
     ablate.set_defaults(func=_cmd_ablate)
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import ncchecker
+from ncchecker.abstraction import AbstractionConfig
 from ncchecker.cli import main
 from ncchecker.generator import corpus_digest, default_spec, generate_synthetic, spec_from_dict
+from ncchecker.model import _config_to_json
 
 
 @pytest.fixture(scope="module")
@@ -221,12 +224,41 @@ def test_predict_on_a_model_with_other_mask_rules_is_bad_config(corpus_dir, mode
     assert "Traceback" not in result.stderr
 
 
-def test_predict_takes_no_config_file(corpus_dir, model_path, tmp_path):
+@pytest.mark.parametrize("command", ["train", "predict", "eval", "ablate"])
+def test_no_command_takes_a_config_file(command, corpus_dir, model_path, tmp_path):
+    # Each setting has one source, its flag.
     config = tmp_path / "config.json"
     config.write_text("{}")
-    result = _run_cli("predict", model_path, corpus_dir / "failed", "--config", config)
+    out = tmp_path / "out"
+    args = {
+        "train": (corpus_dir, "--out", out),
+        "predict": (model_path, corpus_dir / "failed"),
+        "eval": (model_path, corpus_dir),
+        "ablate": (corpus_dir,),
+    }[command]
+    result = _run_cli(command, *args, "--config", config)
     assert result.returncode == 1
     assert result.stderr.startswith("error: unrecognized arguments: --config ")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_predict_on_a_model_naming_a_template_unknown_is_validation_error(
+    corpus_dir, model_path, tmp_path
+):
+    # A frozen parse returns "<unknown>" for a line no template matches, so a
+    # template under that id could never score.
+    text = model_path.read_text()
+    event_id = text.split("\nrows\t", 1)[1].split("\n", 2)[1].partition("\t")[0]
+    model = tmp_path / "unknown.ncc"
+    model.write_text(text.replace(f"\n{event_id}\t", "\n<unknown>\t"))
+    result = _run_cli("predict", model, corpus_dir / "failed")
+    assert result.returncode == 1
+    assert re.match(
+        r"error: template registry line \d+: event id '<unknown>' is reserved", result.stderr
+    )
+    assert "Traceback" not in result.stderr
     assert result.stdout == ""
 
 
@@ -261,10 +293,10 @@ def test_predict_invalid_mask_regex_is_validation_error(corpus_dir, model_path, 
                 }
             ),
         ),
-        ("train", json.dumps({"tree_depth": "abc"})),
-        ("eval", json.dumps({"seed": "abc"})),
-        ("eval", json.dumps({"k_neighbors": 0})),
-        ("ablate", json.dumps({"seed": "abc"})),
+        ("train", ("--tree-depth", "abc")),
+        ("eval", ("--seed", "abc")),
+        ("eval", ("--k-neighbors", "0")),
+        ("ablate", ("--seed", "abc")),
     ],
     ids=[
         "gen-invalid-json",
@@ -280,22 +312,25 @@ def test_predict_invalid_mask_regex_is_validation_error(corpus_dir, model_path, 
 def test_malformed_spec_or_config_value_is_validation_error(
     command, content, corpus_dir, model_path, tmp_path
 ):
+    # A gen case's content is a spec file; any other case's is its flags.
     path = tmp_path / "input.json"
-    path.write_text(content)
     args = {
         "gen": (path, "--out", tmp_path / "out"),
-        "train": (corpus_dir, "--out", tmp_path / "m.ncc", "--config", path),
-        "eval": (model_path, corpus_dir, "--config", path)
-        + ("--baselines", "cam,lff", "--train-dir", corpus_dir),
-        "ablate": (corpus_dir, "--config", path),
+        "train": (corpus_dir, "--out", tmp_path / "m.ncc"),
+        "eval": (model_path, corpus_dir, "--baselines", "cam,lff", "--train-dir", corpus_dir),
+        "ablate": (corpus_dir,),
     }[command]
+    if command == "gen":
+        path.write_text(content)
+    else:
+        args += content
     result = _run_cli(command, *args)
     assert result.returncode == 1
     assert result.stderr.startswith("error:")
     assert "Traceback" not in result.stderr
 
 
-@pytest.mark.parametrize("target", ["model", "config", "spec"])
+@pytest.mark.parametrize("target", ["model", "spec"])
 @pytest.mark.parametrize(
     "payload", ["[" * 200_000, "1" * 5_000], ids=["deeply-nested", "int-over-4300-digits"]
 )
@@ -311,10 +346,7 @@ def test_json_too_deep_or_long_is_validation_error(
     else:
         path = tmp_path / "bad.json"
         path.write_text(payload)
-        args = {
-            "config": ("train", corpus_dir, "--out", tmp_path / "m.ncc", "--config", path),
-            "spec": ("gen", path, "--out", tmp_path / "out"),
-        }[target]
+        args = ("gen", path, "--out", tmp_path / "out")
     result = _run_cli(*args)
     assert result.returncode == 1
     assert result.stderr.startswith("error:")
@@ -336,7 +368,7 @@ def test_json_too_deep_or_long_is_validation_error(
     ],
 )
 def test_gen_spec_value_of_wrong_type_rejected(key, value, tmp_path, capsys):
-    # A spec file is as strict as a config file: nothing is truncated or parsed.
+    # Nothing is truncated or parsed.
     spec = {"cause_counts": [3, 2], "passed_count": 2, "seed": 1, key: value}
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -358,23 +390,16 @@ def test_gen_spec_integer_noise_rate_accepted(tmp_path):
     [
         ("gen", '{"cause_counts": [3, 2], "passed_count": 1, "seed": 1, "seed": 2}', "seed"),
         ("gen", '{"cause_counts": [3, 2], "passed_count": 1, "benign": [{"a": 1, "a": 2}]}', "a"),
-        ("train", '{"tree_depth": 4, "tree_depth": 5}', "tree_depth"),
     ],
-    ids=["spec", "spec-nested", "config"],
+    ids=["spec", "spec-nested"],
 )
-def test_duplicate_json_key_is_validation_error(
-    command, content, key, corpus_dir, tmp_path, capsys
-):
+def test_duplicate_json_key_is_validation_error(command, content, key, tmp_path, capsys):
     # Found at any depth, before a missing "seed" or a benign template that is no text.
     path = tmp_path / "input.json"
     path.write_text(content)
     out = tmp_path / "out"
-    what, args = {
-        "gen": ("spec file", [str(path), "--out", str(out)]),
-        "train": ("config file", [str(corpus_dir), "--out", str(out), "--config", str(path)]),
-    }[command]
-    assert main([command, *args]) == 1
-    assert capsys.readouterr().err == f"error: {what} {path}: duplicate key {key!r}\n"
+    assert main([command, str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: spec file {path}: duplicate key {key!r}\n"
     assert not out.exists()
 
 
@@ -603,66 +628,13 @@ def test_usage_error_exits_one(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_config_file_supplies_defaults(corpus_dir, tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"similarity_threshold": 0.5, "tree_depth": 5}))
-    out_a = tmp_path / "a.ncc"
-    out_b = tmp_path / "b.ncc"
-    assert main(["train", str(corpus_dir), "--out", str(out_a), "--config", str(config)]) == 0
-    # A flag overrides the file; 0.4 matches the built-in default tree too.
-    assert (
-        main(
-            [
-                "train",
-                str(corpus_dir),
-                "--out",
-                str(out_b),
-                "--config",
-                str(config),
-                "--sim-threshold",
-                "0.4",
-            ]
-        )
-        == 0
-    )
-    assert '"similarity_threshold":0.5' in out_a.read_text().splitlines()[1]
-    assert '"similarity_threshold":0.4' in out_b.read_text().splitlines()[1]
-
-
-@pytest.mark.parametrize(
-    "command, key, value",
-    [
-        ("train", "tree_depth", 3.9),
-        ("train", "max_children", True),
-        ("train", "tree_depth", "4"),
-        ("train", "similarity_threshold", True),
-        ("train", "similarity_threshold", "0.5"),
-        ("ablate", "seed", 2.7),
-        ("ablate", "test_fraction", False),
-    ],
-)
-def test_config_file_value_of_wrong_type_rejected(command, key, value, corpus_dir, tmp_path, capsys):
-    # A float or a bool for an int key is rejected, not truncated.
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({key: value}))
-    out = ["--out", str(tmp_path / "m.ncc")] if command == "train" else []
-    assert main([command, str(corpus_dir), *out, "--config", str(config)]) == 1
-    assert f"config key {key!r}: expected" in capsys.readouterr().err
-    assert not (tmp_path / "m.ncc").exists()
-
-
-def test_config_file_integer_for_float_key_accepted(corpus_dir, tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"similarity_threshold": 1}))
+def test_miner_flags_set_the_model_config(corpus_dir, tmp_path):
     out = tmp_path / "m.ncc"
-    assert main(["train", str(corpus_dir), "--out", str(out), "--config", str(config)]) == 0
-    assert '"similarity_threshold":1.0' in out.read_text().splitlines()[1]
-
-
-def test_config_file_unknown_key_rejected(corpus_dir, tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"similarity": 0.5}))
-    assert (
-        main(["train", str(corpus_dir), "--out", str(tmp_path / "m.ncc"), "--config", str(config)])
-        == 1
-    )
+    flags = ["--sim-threshold", "0.5", "--tree-depth", "5"]
+    assert main(["train", str(corpus_dir), "--out", str(out), *flags]) == 0
+    config_line = out.read_text().splitlines()[1]
+    assert '"similarity_threshold":0.5' in config_line
+    assert '"tree_depth":5' in config_line
+    # Without miner flags every setting takes the AbstractionConfig default.
+    assert main(["train", str(corpus_dir), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == f"config\t{_config_to_json(AbstractionConfig())}"

@@ -1,9 +1,9 @@
 """Fuzz the CLI exit contract with mutated input files.
 
-Each example takes a valid model, spec, config or labels file, applies a
-few byte-level mutations (deletions, insertions of tokens the parsers
-care about, dropped or repeated lines) and runs the commands that read
-that file through ``ncchecker.cli.main`` in process.  Whatever the bytes,
+Each example takes a valid model, spec or labels file, applies a few
+byte-level mutations (deletions, insertions of tokens the parsers care
+about, dropped or repeated lines) and runs the commands that read that
+file through ``ncchecker.cli.main`` in process.  Whatever the bytes,
 ``main`` must return 0, 1 or 2; any exception escaping it fails the test.
 The run is derandomized with a bounded example count, so every run of
 the suite tries the same inputs.
@@ -26,15 +26,6 @@ SPEC = {
     "noise_rate": 0.1,
     "lines_range": [3, 6],
     "markers_per_cause": 2,
-}
-CONFIG = {
-    "tree_depth": 4,
-    "similarity_threshold": 0.4,
-    "max_children": 100,
-    "test_fraction": 0.3,
-    "seed": 2,
-    "k_neighbors": 3,
-    "rg_trials": 5,
 }
 TOKENS = [
     b"\t", b"\n", b"\r", b" ", b"-", b"0", b"7", b"-1", b".5", b"1e999", b"nan", b"inf",
@@ -104,7 +95,6 @@ def workspace(tmp_path_factory) -> Path:
     )
     assert main(["train", str(corpus), "--out", str(root / "model.ncc")]) == 0
     (root / "spec.json").write_text(json.dumps(SPEC))
-    (root / "config.json").write_text(json.dumps(CONFIG))
     return root
 
 
@@ -117,19 +107,12 @@ def _commands(kind: str, root: Path, path: Path) -> list[list[str]]:
         ]
     if kind == "spec":
         return [["gen", str(path), "--out", str(out / "corpus")]]
-    if kind == "config":
-        return [
-            ["ablate", str(corpus), "--config", str(path)],
-            ["eval", str(root / "model.ncc"), str(corpus), "--config", str(path),
-             "--baselines", "mcc,cam,lff", "--train-dir", str(corpus)],
-        ]
     return [["train", str(corpus), "--labels", str(path), "--out", str(out / "m.ncc")]]
 
 
 _ORIGINALS = {
     "model": "model.ncc",
     "spec": "spec.json",
-    "config": "config.json",
     "labels": "corpus/labels.csv",
 }
 

@@ -173,6 +173,8 @@ _MUTANTS = [
      "template registry line 9: template '' is not tokens joined by single spaces"),
     ("registry-empty-tokens", "e1\t6\tsystem-view", "e1\t6\t a  b ",
      "template registry line 5: template ' a  b ' is not tokens joined by single spaces"),
+    ("registry-unknown-id", "e8\t1\t", "<unknown>\t1\t",
+     "template registry line 12: event id '<unknown>' is reserved for unmatched lines"),
     ("table-header", "ncc-table v1", "ncc-table v2",
      "table line 14: expected header 'ncc-table v1', found 'ncc-table v2'"),
     ("k-not-an-integer", "k\t4", "k\tfour",
