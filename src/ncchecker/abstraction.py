@@ -9,12 +9,11 @@ holds the templates whose lines shared that route; a line merges into the
 most similar template at or above the similarity threshold (positions
 that disagree become wildcards) or registers a new template otherwise.
 
-The mask rules are the four built-in ones, ``DEFAULT_MASK_RULES``; a
-config accepts no other.  Each is compiled once, at import, from a scan
+The mask rules are the four built-in ones, ``DEFAULT_MASK_RULES``; no
+config or model names any.  Each is compiled once, at import, from a scan
 form that starts with a literal or a digit, so ``re`` jumps to where a
 match can begin rather than trying every character.  A scan form must
-match exactly the spans of the rule as written, and configs and models
-store only the written form, so models do not change.
+match exactly the spans of the rule as written.
 
 A scan form that starts with ``\d`` still enters the matcher at every
 digit, and log lines are full of digits that are no IPv4 address.  So
@@ -61,9 +60,8 @@ the earliest on ties.
 
 A frozen miner maps lines that match no known template to the reserved
 UNKNOWN event instead of creating one, so prediction never changes the
-registry.  It may be shared across threads: a leaf index is published by
-one attribute assignment once complete, so two threads racing on a cold
-leaf at worst both build it.
+registry.  A miner, training or frozen, is used by one thread at a time:
+a frozen parse still builds leaf indexes and fills a memo.
 
 A frozen parse is a pure function of the masked line, and a frozen miner
 never changes its tree or registry.  Logs repeat masked lines far more
@@ -80,10 +78,7 @@ of ASCII text, up to four per character otherwise).  Measured on the
 bench's seed-7 test corpora, an entry takes 111 bytes on ``clean``, 118 on
 ``short`` and 173 on ``noisy`` (masked lines of 28, 32 and 81 characters
 on average).  So the worst case is the cap times the longest masked line,
-plus about 2.6 MB of table and string headers.  Threads that share the
-miner share the memo: a lookup is one ``dict.get``, so another thread's
-clear can cost a repeat match but never a wrong id, and racing threads may
-each insert one entry past the cap.
+plus about 2.6 MB of table and string headers.
 
 A training parse may change the tree, yet most training lines repeat a
 masked line already seen, and such a repeat usually only counts one more
@@ -158,9 +153,9 @@ MASK_CHUNK_LINES = 1024
 # literal or ``\d``, so ``re`` skips ahead to where a match can begin: the
 # width-1 lookbehind moves to just after the first character matched, and
 # ``\b`` before the ``0`` becomes ``(?<!\w0)``.  Each scan form must match
-# exactly the spans its written form matches; only the written form is
-# ever stored in a config or a model.  The IPv4 anchor is the dot after
-# the first octet (see ``_DotAnchored``).
+# exactly the spans its written form matches (``DEFAULT_MASK_RULES``
+# holds the written forms).  The IPv4 anchor is the dot after the first
+# octet (see ``_DotAnchored``).
 _BUILTIN_RULES: tuple[tuple[str, str, str | None], ...] = (
     (
         r"(?<![\w.])(?:\d{1,3}\.){3}\d{1,3}(?![\w.])",
@@ -184,8 +179,7 @@ _BUILTIN_RULES: tuple[tuple[str, str, str | None], ...] = (
     ),
 )
 
-# The mask rules, as written, each under the <*> placeholder; a config
-# accepts no other.
+# The mask rules, as written, each under the <*> placeholder.
 DEFAULT_MASK_RULES: tuple[tuple[str, str], ...] = tuple(
     (written, WILDCARD) for written, _, _ in _BUILTIN_RULES
 )
@@ -199,21 +193,15 @@ class AbstractionConfig:
     token-count level plus ``tree_depth - 2`` token levels).  A line is
     routed by at most its first ``tree_depth - 2`` tokens.  ``tree_depth``
     and ``max_children`` must be ints and ``similarity_threshold`` a real
-    number; a bool is neither.  ``mask_rules`` must be ``DEFAULT_MASK_RULES``,
-    as tuples or as the JSON lists a model file holds; it is a field so
-    that a model's config line names the rules it masks with.
+    number; a bool is neither.  Every miner masks with ``DEFAULT_MASK_RULES``,
+    so a config names no rules.
     """
 
     tree_depth: int = 4
     similarity_threshold: float = 0.4
     max_children: int = 100
-    mask_rules: tuple[tuple[str, str], ...] = DEFAULT_MASK_RULES
 
     def __post_init__(self):
-        rules = self.mask_rules
-        if rules != DEFAULT_MASK_RULES and rules != [list(rule) for rule in DEFAULT_MASK_RULES]:
-            raise ValidationError(f"mask_rules must be DEFAULT_MASK_RULES, got {rules!r}")
-        object.__setattr__(self, "mask_rules", DEFAULT_MASK_RULES)
         for name, kind, what in (
             ("tree_depth", int, "an integer"),
             ("max_children", int, "an integer"),
@@ -309,7 +297,7 @@ def preprocess(line: str, config: AbstractionConfig) -> list[str]:
 
     Punctuation stays attached to its token, so ``cmd.pathinfo=/a/b:1``
     masks to the single token ``cmd.pathinfo=<*>``.  Empty or blank lines
-    yield an empty sequence.  Every config holds the same rules, so
+    yield an empty sequence.  Every miner masks with the same rules, so
     ``config`` does not change the result.
     """
     return _mask(line).split()
@@ -500,11 +488,10 @@ class TemplateMiner:
     """Online Drain-style miner; owns the parse tree and template registry.
 
     Both modes match through per-leaf indexes built on a leaf's first
-    lookup.  Training (mutating) mode requires exclusive access and keeps
-    the built indexes current as templates are registered and merged.
-    After ``freeze()`` the tree and registry are immutable, only the
-    frozen memo of matched lines changes, and the miner may be shared
-    across threads (see the module docstring).
+    lookup.  Training mode keeps the built indexes current as templates
+    are registered and merged.  After ``freeze()`` the tree and registry
+    are immutable; only the leaf indexes and the frozen memo of matched
+    lines change.  One thread uses a miner at a time.
     """
 
     def __init__(self, config: AbstractionConfig | None = None):
@@ -730,9 +717,7 @@ class TemplateMiner:
         A repeat in any log skips the split, the routing and the leaf
         lookup.  The memo, started empty by ``freeze()``, holds at most
         ``FROZEN_MEMO_CAP`` entries (a miss clears a full one; its memory is
-        in the module docstring).  A lookup is one ``dict.get``: with ``in``
-        and then ``[]``, another thread's clear between the two would raise
-        ``KeyError``.
+        in the module docstring).
         """
         parse_tokens, memo = self._parse_tokens, self._frozen_memo
 

@@ -47,6 +47,17 @@ def _read_json(path):
         raise ValidationError(f"spec file {path}: invalid JSON ({exc})") from None
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an int >= 1, checked before the command does any work."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an int >= 1, got {text!r}")
+    return value
+
+
 def _abstraction_config(args) -> AbstractionConfig:
     settings = {key: getattr(args, key) for key in _MINER_KEYS}
     return AbstractionConfig(**{k: v for k, v in settings.items() if v is not None})
@@ -293,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     evaluate.add_argument("--train-dir", default=None, help="training corpus (cam/lff only)")
     evaluate.add_argument("--train-labels", default=None)
-    evaluate.add_argument("--rg-trials", dest="rg_trials", type=int, default=100)
-    evaluate.add_argument("--k-neighbors", dest="k_neighbors", type=int, default=5)
+    evaluate.add_argument("--rg-trials", dest="rg_trials", type=_positive_int, default=100)
+    evaluate.add_argument("--k-neighbors", dest="k_neighbors", type=_positive_int, default=5)
     evaluate.add_argument("--seed", type=int, default=0)
     evaluate.add_argument("--json", action="store_true")
     evaluate.set_defaults(func=_cmd_eval)

@@ -1,9 +1,11 @@
 """Single-file model artifact: miner config + template registry + table.
 
-``ncc-model v1`` is the one persisted format.  It holds the miner config
+``ncc-model v2`` is the one persisted format.  It holds the miner config
 as JSON, then the ``ncc-templates v1`` registry block
-(``TemplateMiner.registry_lines``) and the ``ncc-table v1`` block
-(``table.table_lines``); neither block is written as a file of its own.
+(``TemplateMiner.registry_lines``) and the ``ncc-table v2`` block of
+count rows (``table.table_lines``); neither block is written as a file of
+its own.  An ``ncc-model v1`` file, which held scores instead of counts,
+is rejected with a message to retrain it.
 The artifact is self-describing; prediction and evaluation never need the
 original training corpus.  Sections carry explicit line counts so raw
 template text can never be mistaken for a section marker.
@@ -29,7 +31,7 @@ from .abstraction import AbstractionConfig, TemplateMiner, _is_count
 from .errors import ValidationError
 from .table import ScoreTable, table_from_lines, table_lines
 
-MODEL_HEADER = "ncc-model v1"
+MODEL_HEADER = "ncc-model v2"
 
 # Built once: every load writes the config it read, to compare the lines.
 _CONFIG_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -64,11 +66,14 @@ def model_to_text(miner: TemplateMiner, table: ScoreTable) -> str:
 
 
 def model_from_text(text: str) -> tuple[TemplateMiner, ScoreTable]:
-    """Read an ``ncc-model v1`` file; the module docstring says what it rejects."""
+    """Read an ``ncc-model v2`` file; the module docstring says what it rejects."""
     lines = text.splitlines()
     if not lines or lines[0] != MODEL_HEADER:
         found = lines[0] if lines else "<empty>"
-        raise ValidationError(f"model line 1: expected header {MODEL_HEADER!r}, found {found!r}")
+        hint = "; retrain it with `ncchecker train`" if found == "ncc-model v1" else ""
+        raise ValidationError(
+            f"model line 1: expected header {MODEL_HEADER!r}, found {found!r}{hint}"
+        )
 
     cursor = 1  # index of the next line to read
 

@@ -4,12 +4,13 @@ Four steps, run in this order by ``build``: diff the failed event pool
 against the passed pool, count per-cause presence of each surviving
 event, reweight rows (multi-problem rows normalize to sum 1;
 single-problem counts map through 0 / 1.0 / log2(1 + c)), then scale each
-column by the inverse class frequency N / N_j.  The resulting table is the
-whole trained model besides the frozen template registry.  A table holds
-only what it cannot derive: its rows, taxonomy and class sizes; ``n_total``,
-``icf`` and each row's kind (``row_kind``) follow from them.
+column by the inverse class frequency N / N_j.  The counts are the whole
+trained table: a ``ScoreTable`` is built from them, the class sizes and
+which of the last two steps apply, and derives ``n_total``, ``icf`` and
+its score rows once, at construction, through the same ``reweight`` and
+icf product for every table, built or loaded.
 
-It is stored only as the ``ncc-table v1`` block of an ``ncc-model v1``
+It is stored only as the ``ncc-table v2`` block of an ``ncc-model v2``
 file (see ``model``).  ``table_lines`` writes that block and owns its
 layout; ``table_from_lines`` reads the values it cannot derive and checks
 every line against the line ``table_lines`` writes for them.  What a
@@ -19,7 +20,6 @@ table it accepts saves to a block that reads back equal.
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .abstraction import (
@@ -31,7 +31,7 @@ from .abstraction import (
 from .corpus import CauseTaxonomy, Corpus
 from .errors import ValidationError
 
-TABLE_HEADER = "ncc-table v1"
+TABLE_HEADER = "ncc-table v2"
 
 SINGLE = "single"
 MULTI = "multi"
@@ -77,7 +77,8 @@ def init_counts(
     """Count, for each event, in how many failed logs of each cause it occurs.
 
     Presence counting: an event contributes at most 1 per log no matter how
-    many lines repeat it.
+    many lines repeat it.  Events with equal counts share one row tuple, so
+    a ``ScoreTable`` checks and scores it once.
     """
     rows = {eid: [0] * k for eid in sorted(vocabulary, key=event_sort_key)}
     n_per_cause = [0] * k
@@ -87,24 +88,21 @@ def init_counts(
             row = rows.get(eid)
             if row is not None:
                 row[cause] += 1
-    frozen_rows = {eid: tuple(row) for eid, row in rows.items()}
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    frozen_rows = {}
+    for eid, row in rows.items():
+        counts = tuple(row)
+        frozen_rows[eid] = shared.setdefault(counts, counts)
     return CountTable(frozen_rows, tuple(n_per_cause))
-
-
-def _single_problem_weight(count: int) -> float:
-    if count == 0:
-        return 0.0
-    if count == 1:
-        return 1.0
-    return math.log2(1 + count)
 
 
 def reweight(row: Sequence[int]) -> list[float]:
     """Reweight one count row.
 
     Multi-problem rows (two or more nonzero cells) normalize to fractions
-    of the row total; single-problem rows go through the piecewise map,
-    whose branches agree at count 1 since log2(1 + 1) == 1.0.
+    of the row total; single-problem rows map a count through 0 / 1.0 /
+    log2(1 + c), whose last two branches agree at count 1 since
+    log2(1 + 1) == 1.0.
     """
     kind = row_kind(row)
     if kind == NONE:
@@ -112,7 +110,7 @@ def reweight(row: Sequence[int]) -> list[float]:
     if kind == MULTI:
         total = sum(row)
         return [c / total for c in row]
-    return [_single_problem_weight(c) for c in row]
+    return [math.log2(1 + c) if c > 1 else float(c) for c in row]
 
 
 def compute_icf(n_total: int, n_per_cause: Sequence[int]) -> tuple[float, ...]:
@@ -139,48 +137,79 @@ def _class_sizes(n_per_cause: Sequence[int], k: int) -> tuple[tuple[int, ...], t
     if len(counts) != k or not all(type(n) is int and n >= 0 for n in counts) or not any(counts):
         raise ValidationError(f"n_per_cause must hold {k} int counts >= 0, not all zero")
     try:
+        float(sum(counts))  # so is every count cell, which is at most its class size
         return counts, compute_icf(sum(counts), counts)
     except OverflowError:
         raise ValidationError("n_per_cause counts are too large for a float icf") from None
 
 
-def _cells_ok(cells: Iterable[float]) -> bool:
-    """Whether every cell is a float, finite and >= 0; nan fails ``0.0 <= v``."""
-    return all(type(v) is float and 0.0 <= v < math.inf for v in cells)
+def _counts_ok(row: tuple[int, ...], n_per_cause: tuple[int, ...]) -> bool:
+    """Whether ``row`` is a tuple of an int count per cause, each at most its class, not all 0."""
+    return (
+        type(row) is tuple
+        and len(row) == len(n_per_cause)
+        and all(type(c) is int and 0 <= c <= n for c, n in zip(row, n_per_cause))
+        and any(row)
+    )
 
 
 @dataclass(frozen=True)
 class ScoreTable:
-    """Event score rows by cause, with the training class sizes.
+    """Event count rows by cause, the training class sizes, and the scores they give.
+
+    It is given only what it cannot derive: ``counts``, in how many failed
+    logs of each cause an event occurs; the taxonomy; ``n_per_cause``; and
+    which of ``build``'s two scoring steps to skip.  ``n_total``, ``icf``
+    and the score ``rows`` are computed once, here.  Each distinct count
+    row is scored once: ``reweight``, or with ``skip_reweight`` its counts
+    as floats, then each cell times its column's icf unless ``skip_icf``.
+    Events with equal counts share that score tuple.
 
     The constructor owns what a table may hold, so that every table saves
-    to a file that loads: each distinct row object holds ``k`` floats, each
-    finite and >= 0; no event id holds a tab or a line break (as
-    ``str.splitlines`` sees one); ``n_per_cause`` holds ``k`` int counts
-    >= 0, not all zero.  ``n_total`` and ``icf`` are computed once, from it.
+    to a file that loads: ``n_per_cause`` holds ``k`` int counts >= 0, not
+    all zero; each count row is a tuple of ``k`` ints, the ``j``-th from 0
+    to ``n_per_cause[j]``, not all 0; no event id holds a tab or a line
+    break (as ``str.splitlines`` sees one).
     """
 
-    rows: dict[str, tuple[float, ...]]
+    counts: dict[str, tuple[int, ...]]
     taxonomy: CauseTaxonomy
     n_per_cause: tuple[int, ...]
+    skip_reweight: bool = False
+    skip_icf: bool = False
     n_total: int = field(init=False)
     icf: tuple[float, ...] = field(init=False)
+    rows: dict[str, tuple[float, ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
         k = self.taxonomy.k
-        counts, icf = _class_sizes(self.n_per_cause, k)
-        object.__setattr__(self, "n_per_cause", counts)
-        object.__setattr__(self, "n_total", sum(counts))
+        n_per_cause, icf = _class_sizes(self.n_per_cause, k)
+        object.__setattr__(self, "n_per_cause", n_per_cause)
+        object.__setattr__(self, "n_total", sum(n_per_cause))
         object.__setattr__(self, "icf", icf)
-        distinct = {id(row): row for row in self.rows.values()}.values()  # as the writer keys them
-        if {*map(len, distinct)} - {k} or not _cells_ok(chain.from_iterable(distinct)):
-            eid = next(e for e, row in self.rows.items() if len(row) != k or not _cells_ok(row))
-            raise ValidationError(
-                f"row for event {eid!r}: cells must be {k} floats, each finite and >= 0"
-            )
-        ids = "".join(self.rows)  # holds a break if and only if some id does
+        # Every row object is checked, once: by object and not by value, since
+        # (True,) == (1,) but only one of them is counts.  Then each distinct
+        # value is scored once.
+        values = self.counts.values()
+        objects = dict(zip(map(id, values), values)).values()
+        for counts in objects:
+            if not _counts_ok(counts, n_per_cause):
+                eid = next(e for e, row in self.counts.items() if row is counts)
+                raise ValidationError(
+                    f"row for event {eid!r}: counts must be a tuple of {k} ints, "
+                    "each from 0 to its cause's n_per_cause, not all 0"
+                )
+        scored: dict[tuple[int, ...], tuple[float, ...]] = dict.fromkeys(objects)
+        for counts in scored:
+            row = [float(c) for c in counts] if self.skip_reweight else reweight(counts)
+            if not self.skip_icf:
+                row = [v * w for v, w in zip(row, icf)]
+            scored[counts] = tuple(row)
+        rows = dict(zip(self.counts, map(scored.__getitem__, values)))
+        object.__setattr__(self, "rows", rows)
+        ids = "".join(rows)  # holds a break if and only if some id does
         if "\t" in ids or "".join(ids.splitlines()) != ids:
-            eid = next(e for e in self.rows if "\t" in e or "".join(e.splitlines()) != e)
+            eid = next(e for e in rows if "\t" in e or "".join(e.splitlines()) != e)
             raise ValidationError(f"event id {eid!r} holds a tab or a line break")
 
     @property
@@ -190,45 +219,21 @@ class ScoreTable:
     @property
     def kinds(self) -> dict[str, str]:
         """Each row's ``row_kind``."""
-        return {eid: row_kind(row) for eid, row in self.rows.items()}
+        return {eid: row_kind(counts) for eid, counts in self.counts.items()}
 
 
 def scores_from_counts(
     counts: CountTable, taxonomy: CauseTaxonomy, *, skip_reweight: bool = False
 ) -> ScoreTable:
-    """Reweight every count row; with skip_reweight the raw counts pass through.
-
-    Rows with equal counts share one score tuple, reweighted once.
-    """
-    rows: dict[str, tuple[float, ...]] = {}
-    scored: dict[tuple[int, ...], tuple[float, ...]] = {}
-    for eid, count_row in counts.rows.items():
-        row = scored.get(count_row)
-        if row is None:
-            if skip_reweight:
-                row = tuple(float(c) for c in count_row)
-            else:
-                row = tuple(reweight(count_row))
-            scored[count_row] = row
-        rows[eid] = row
-    return ScoreTable(rows, taxonomy, counts.n_per_cause)
+    """The table of ``counts`` before the icf step; with skip_reweight, also before the reweight."""
+    return ScoreTable(
+        counts.rows, taxonomy, counts.n_per_cause, skip_reweight=skip_reweight, skip_icf=True
+    )
 
 
 def apply_icf(table: ScoreTable) -> ScoreTable:
-    """Multiply every cell of a reweighted table by its column's icf.
-
-    A row object shared by several events is scaled once and stays shared.
-    Sharing follows the object, not tuple equality: ``0.0 == -0.0``.
-    """
-    icf = table.icf
-    scaled: dict[int, tuple[float, ...]] = {}
-    rows: dict[str, tuple[float, ...]] = {}
-    for eid, row in table.rows.items():
-        new = scaled.get(id(row))
-        if new is None:
-            new = scaled[id(row)] = tuple(value * icf[j] for j, value in enumerate(row))
-        rows[eid] = new
-    return replace(table, rows=rows)
+    """``table`` with the icf step: each score cell times its column's icf."""
+    return replace(table, skip_icf=False)
 
 
 ABLATION_VARIANTS = ("full", "drop1", "drop2", "drop3")
@@ -268,10 +273,13 @@ def build(
         vocabulary = diff_with_pass(failed_pool, passed_pool)
 
     counts = init_counts(vocabulary, labeled_seqs, train_corpus.taxonomy.k)
-    reweighted = scores_from_counts(
-        counts, train_corpus.taxonomy, skip_reweight=name == "drop2"
+    table = ScoreTable(
+        counts.rows,
+        train_corpus.taxonomy,
+        counts.n_per_cause,
+        skip_reweight=name == "drop2",
+        skip_icf=name == "drop3",
     )
-    table = reweighted if name == "drop3" else apply_icf(reweighted)
     return miner, table
 
 
@@ -279,66 +287,56 @@ def build(
 
 
 def _head_lines(
-    taxonomy: CauseTaxonomy, n_per_cause: tuple[int, ...], icf: tuple[float, ...], n_rows: int
+    taxonomy: CauseTaxonomy, n_per_cause: tuple[int, ...], skip_reweight: bool, skip_icf: bool
 ) -> list[str]:
-    """The block's lines from its header through ``rows``.
+    """The block's lines from its header through ``steps``.
 
-    The ``stage`` and ``registry`` lines are fixed: they keep the block's
-    layout of ``ncc-table v1``.
+    ``steps`` names the scoring steps that apply, ``reweight,icf``, ``icf``
+    or ``reweight``, or is ``none``.
     """
     lines = [TABLE_HEADER, f"k\t{taxonomy.k}"]
     lines.extend(f"cause\t{j}\t{name}" for j, name in enumerate(taxonomy.names))
-    lines.append(f"n_total\t{sum(n_per_cause)}")
     lines.append("n_per_cause\t" + "\t".join(map(str, n_per_cause)))
-    lines.append("icf\t" + "\t".join(map(repr, icf)))
-    lines.extend(("stage\tfinal", "registry\t-", f"rows\t{n_rows}"))
+    steps = [step for step, skip in (("reweight", skip_reweight), ("icf", skip_icf)) if not skip]
+    lines.append("steps\t" + (",".join(steps) or "none"))
     return lines
 
 
-def _row_text(row: tuple[float, ...]) -> str:
-    """A row line after its event id: the cells by ``repr``, then the kind."""
-    return "\t".join(map(repr, row)) + "\t" + row_kind(row)
-
-
 def table_lines(table: ScoreTable) -> list[str]:
-    """The ``ncc-table v1`` block as lines; float cells use repr and round-trip exactly.
+    """The ``ncc-table v2`` block as lines: the head, then each event's counts.
 
-    Each distinct row object is formatted once; the key is the object,
-    since equal rows can differ in ``repr`` (``0.0 == -0.0``).
+    A count row is ``id<TAB>c1<TAB>...<TAB>ck``, each count as ``str``
+    writes it; equal rows are formatted once.
     """
-    lines = _head_lines(table.taxonomy, table.n_per_cause, table.icf, len(table.rows))
-    formatted: dict[int, str] = {}
-    for eid, row in table.rows.items():
-        text = formatted.get(id(row))
+    lines = _head_lines(table.taxonomy, table.n_per_cause, table.skip_reweight, table.skip_icf)
+    formatted: dict[tuple[int, ...], str] = {}
+    for eid, counts in table.counts.items():
+        text = formatted.get(counts)
         if text is None:
-            text = formatted[id(row)] = _row_text(row)
+            text = formatted[counts] = "\t".join(map(str, counts))
         lines.append(f"{eid}\t{text}")
     return lines
 
 
 def table_from_text(text: str) -> ScoreTable:
-    """Read an ``ncc-table v1`` block (see ``table_from_lines``)."""
+    """Read an ``ncc-table v2`` block (see ``table_from_lines``)."""
     return table_from_lines(text.splitlines())
 
 
-_BAD_CELLS = "cells must be finite and >= 0"
-
-
 def table_from_lines(lines: Sequence[str], first_line: int = 1) -> ScoreTable:
-    """Read the lines of an ``ncc-table v1`` block whose header is file line ``first_line``.
+    """Read the lines of an ``ncc-table v2`` block whose header is file line ``first_line``.
 
-    Only ``k``, the cause names, ``n_per_cause`` and the cells are read;
-    every line must then be the one ``table_lines`` writes for them, with
-    ``rows`` counting the lines after the head.  The head's values are
-    checked by the rules ``ScoreTable`` runs, where their lines are read;
-    the cells are checked once, by the ``ScoreTable`` built last, and a
-    row it rejects is named by its first line.  So a message names a
-    line, and a file with several faults reports its first fault other
-    than a bad cell in a row written as the writer would write it.  Rows
-    with the same text after the event id are parsed once and share one
-    tuple.
+    Only ``k``, the cause names, ``n_per_cause``, the steps and the counts
+    are read; every line must then be the one ``table_lines`` writes for
+    them, and each line after the head is a count row.  ``n_per_cause`` is
+    checked by the rules ``ScoreTable`` runs where its line is read; the
+    counts are checked by the ``ScoreTable`` built last, and a row it
+    rejects is named by its first line.  So a message names a line, and a
+    file with several faults reports its first fault other than a count
+    out of range in a row written as the writer would write it.  Rows with
+    the same text after the event id are parsed once and share one tuple.
     """
-    rows: dict[str, tuple[float, ...]] = {}
+    counts: dict[str, tuple[int, ...]] = {}
     at = 0  # index of the line being read
     try:
         if lines[0] != TABLE_HEADER:
@@ -346,35 +344,37 @@ def table_from_lines(lines: Sequence[str], first_line: int = 1) -> ScoreTable:
         at = 1
         k = max(0, int(lines[1].partition("\t")[2]))  # no negative index below
         taxonomy = CauseTaxonomy(tuple(line.split("\t", 2)[-1] for line in lines[2 : 2 + k]))
+        at = 2 + k
+        n_per_cause, _ = _class_sizes(tuple(map(int, lines[at].split("\t")[1:])), k)
         at = 3 + k
-        counts, icf = _class_sizes(tuple(map(int, lines[at].split("\t")[1:])), k)
-        head = _head_lines(taxonomy, counts, icf, len(lines) - 8 - k)
+        steps = lines[at].partition("\t")[2].split(",")
+        skips = ("reweight" not in steps, "icf" not in steps)
+        head = _head_lines(taxonomy, n_per_cause, *skips)
         for at, want in enumerate(head):
             if lines[at] != want:
                 raise ValidationError(f"expected {want!r}, found {lines[at]!r}")
-        parsed: dict[str, tuple[float, ...]] = {}
+        parsed: dict[str, tuple[int, ...]] = {}
         for at in range(len(head), len(lines)):
             eid, _, text = lines[at].partition("\t")
             row = parsed.get(text)
             if row is None:
-                row = tuple(map(float, text.split("\t", k)[:k]))
-                if _row_text(row) != text:
-                    if not _cells_ok(row):
-                        raise ValidationError(_BAD_CELLS)
-                    want = f"{eid}\t{_row_text(row)}"
+                row = tuple(map(int, text.split("\t")))
+                if "\t".join(map(str, row)) != text:
+                    want = f"{eid}\t" + "\t".join(map(str, row))
                     raise ValidationError(f"expected {want!r}, found {lines[at]!r}")
                 parsed[text] = row
-            if eid in rows:
+            if eid in counts:
                 raise ValidationError(f"duplicate row for event {eid!r}")
-            rows[eid] = row
+            counts[eid] = row
     except IndexError:
         raise ValidationError(f"table line {first_line + at}: missing, block truncated") from None
     except (ValueError, ValidationError) as exc:
         raise ValidationError(f"table line {first_line + at}: {exc}") from None
     try:
-        return ScoreTable(rows, taxonomy, counts)
-    except ValidationError:
-        # Each row read holds k cells and no id holds a tab or a line break,
-        # so the constructor can only have rejected some row's cells.
-        at = next(at for at, row in enumerate(rows.values(), len(head)) if not _cells_ok(row))
-        raise ValidationError(f"table line {first_line + at}: {_BAD_CELLS}") from None
+        return ScoreTable(counts, taxonomy, n_per_cause, *skips)
+    except ValidationError as exc:
+        # Each row read is a tuple of ints and no id holds a tab or a line
+        # break, so the constructor can only have rejected some row's counts.
+        rows = enumerate(counts.values(), first_line + len(head))
+        at = next(at for at, row in rows if not _counts_ok(row, n_per_cause))
+        raise ValidationError(f"table line {at}: {exc}") from None

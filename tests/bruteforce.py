@@ -26,12 +26,18 @@ import math
 import re
 from pathlib import Path
 
-from ncchecker.abstraction import UNKNOWN_EVENT_ID, WILDCARD, TemplateMiner, preprocess
+from ncchecker.abstraction import (
+    DEFAULT_MASK_RULES,
+    UNKNOWN_EVENT_ID,
+    WILDCARD,
+    TemplateMiner,
+    preprocess,
+)
 
 
-def written_preprocess(line, config):
-    """Tokens of ``line`` after applying ``config.mask_rules`` as written."""
-    for pattern, placeholder in config.mask_rules:
+def written_preprocess(line):
+    """Tokens of ``line`` after applying ``DEFAULT_MASK_RULES`` as written."""
+    for pattern, placeholder in DEFAULT_MASK_RULES:
         line = re.sub(pattern, placeholder, line)
     return line.split()
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ncchecker
-from ncchecker.abstraction import AbstractionConfig
+from ncchecker.abstraction import DEFAULT_MASK_RULES, AbstractionConfig
 from ncchecker.cli import main
 from ncchecker.generator import corpus_digest, default_spec, generate_synthetic, spec_from_dict
 from ncchecker.model import _config_to_json
@@ -170,7 +170,7 @@ def _run_cli(*args) -> subprocess.CompletedProcess:
     """Run the CLI in a fresh interpreter so an escaped traceback shows on stderr."""
     src = str(Path(ncchecker.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    command = [sys.executable, "-m", "ncchecker.cli", *map(str, args)]
+    command = [sys.executable, "-m", "ncchecker", *map(str, args)]
     return subprocess.run(command, env=env, capture_output=True, text=True)
 
 
@@ -217,11 +217,28 @@ def test_predict_non_utf8_model_is_validation_error(corpus_dir, model_path, tmp_
 
 
 def test_predict_on_a_model_with_other_mask_rules_is_bad_config(corpus_dir, model_path, tmp_path):
-    model = _edited_model(model_path, tmp_path, lambda c: c["mask_rules"].reverse())
+    # A config names no mask rules: every miner masks with the defaults.
+    rules = [list(rule) for rule in reversed(DEFAULT_MASK_RULES)]
+    model = _edited_model(model_path, tmp_path, lambda c: c.__setitem__("mask_rules", rules))
     result = _run_cli("predict", model, corpus_dir / "failed")
     assert result.returncode == 1
-    assert result.stderr.startswith("error: model line 2: bad config: mask_rules must be ")
-    assert "Traceback" not in result.stderr
+    assert result.stderr == (
+        "error: model line 2: bad config: "
+        "AbstractionConfig.__init__() got an unexpected keyword argument 'mask_rules'\n"
+    )
+
+
+def test_predict_on_a_v1_model_says_to_retrain(corpus_dir, model_path, tmp_path):
+    # v1 stored scores, not the counts v2 derives them from: no reader for it.
+    model = tmp_path / "v1.ncc"
+    model.write_text(model_path.read_text().replace("ncc-model v2\n", "ncc-model v1\n", 1))
+    result = _run_cli("predict", model, corpus_dir / "failed")
+    assert result.returncode == 1
+    assert result.stderr == (
+        "error: model line 1: expected header 'ncc-model v2', found 'ncc-model v1'; "
+        "retrain it with `ncchecker train`\n"
+    )
+    assert result.stdout == ""
 
 
 @pytest.mark.parametrize("command", ["train", "predict", "eval", "ablate"])
@@ -250,7 +267,7 @@ def test_predict_on_a_model_naming_a_template_unknown_is_validation_error(
     # A frozen parse returns "<unknown>" for a line no template matches, so a
     # template under that id could never score.
     text = model_path.read_text()
-    event_id = text.split("\nrows\t", 1)[1].split("\n", 2)[1].partition("\t")[0]
+    event_id = text.split("\nsteps\t", 1)[1].split("\n", 2)[1].partition("\t")[0]
     model = tmp_path / "unknown.ncc"
     model.write_text(text.replace(f"\n{event_id}\t", "\n<unknown>\t"))
     result = _run_cli("predict", model, corpus_dir / "failed")
@@ -266,7 +283,7 @@ def test_predict_invalid_mask_regex_is_validation_error(corpus_dir, model_path, 
     header, config_line, rest = model_path.read_text().split("\n", 2)
     key, _, payload = config_line.partition("\t")
     config = json.loads(payload)
-    config["mask_rules"][0][0] = "(unclosed"
+    config["mask_rules"] = [["(unclosed", "<*>"]]
     bad = tmp_path / "regex.ncc"
     bad.write_text(f"{header}\n{key}\t{json.dumps(config)}\n{rest}")
     result = _run_cli("predict", bad, corpus_dir / "failed")
@@ -295,7 +312,10 @@ def test_predict_invalid_mask_regex_is_validation_error(corpus_dir, model_path, 
         ),
         ("train", ("--tree-depth", "abc")),
         ("eval", ("--seed", "abc")),
-        ("eval", ("--k-neighbors", "0")),
+        ("eval", ("--k-neighbors", "0", "--baselines", "cam,lff")),
+        ("eval", ("--k-neighbors", "0", "--baselines", "rg")),
+        ("eval", ("--rg-trials", "0", "--baselines", "mcc")),
+        ("eval", ("--rg-trials", "-3", "--baselines", "rg")),
         ("ablate", ("--seed", "abc")),
     ],
     ids=[
@@ -306,6 +326,9 @@ def test_predict_invalid_mask_regex_is_validation_error(corpus_dir, model_path, 
         "train-tree-depth",
         "eval-seed",
         "eval-k-neighbors-zero",
+        "eval-k-neighbors-zero-rg",
+        "eval-rg-trials-zero-mcc",
+        "eval-rg-trials-negative-rg",
         "ablate-seed",
     ],
 )
@@ -313,11 +336,13 @@ def test_malformed_spec_or_config_value_is_validation_error(
     command, content, corpus_dir, model_path, tmp_path
 ):
     # A gen case's content is a spec file; any other case's is its flags.
+    # eval's model is missing, so exit 1 rather than 2 shows that a bad
+    # flag is rejected before the model is read.
     path = tmp_path / "input.json"
     args = {
         "gen": (path, "--out", tmp_path / "out"),
         "train": (corpus_dir, "--out", tmp_path / "m.ncc"),
-        "eval": (model_path, corpus_dir, "--baselines", "cam,lff", "--train-dir", corpus_dir),
+        "eval": (tmp_path / "missing.ncc", corpus_dir, "--train-dir", corpus_dir),
         "ablate": (corpus_dir,),
     }[command]
     if command == "gen":
@@ -419,23 +444,19 @@ def _edited_model(model_path, tmp_path, edit_config=None, old="", new=""):
 
 # Cases that replace the model line starting with a field name.
 _MODEL_TABLE_EDITS = {
-    "model-row-count-zero": ("rows\t", "rows\t0"),
-    "model-row-count-negative": ("rows\t", "rows\t-1"),
     "model-templates-count-negative": ("templates\t", "templates\t-1"),
-    "model-n-total-not-the-sum": ("n_total\t", "n_total\t57"),
-    "model-icf-not-n-over-nj": ("icf\t", "icf\t2.0\t4.0\t7.0\t9.0"),
+    "model-class-count-missing": ("n_per_cause\t", "n_per_cause\t30\t14\t8"),
+    "model-steps-unknown": ("steps\t", "steps\tfinal"),
 }
 
 
 def _malformed_input_args(case, corpus_dir, model_path, tmp_path):
     if case == "model-mask-rule-not-a-pair":
-        model = _edited_model(
-            model_path, tmp_path, lambda c: c["mask_rules"].__setitem__(0, ["a"])
-        )
+        model = _edited_model(model_path, tmp_path, lambda c: c.__setitem__("mask_rules", [["a"]]))
         return "predict", model, corpus_dir / "failed"
     if case == "model-config-mask-rule-not-text":
         model = _edited_model(
-            model_path, tmp_path, lambda c: c["mask_rules"].__setitem__(0, [1, 2])
+            model_path, tmp_path, lambda c: c.__setitem__("mask_rules", [[1, 2]])
         )
         return "predict", model, corpus_dir / "failed"
     if case == "model-config-missing-max-children":
@@ -450,10 +471,10 @@ def _malformed_input_args(case, corpus_dir, model_path, tmp_path):
         )
         return "eval", model, corpus_dir, "--baselines", "rg"
     if case == "model-row-without-template":
-        count, first_row = model_path.read_text().split("\nrows\t", 1)[1].split("\n", 2)[:2]
+        steps, first_row = model_path.read_text().split("\nsteps\t", 1)[1].split("\n", 2)[:2]
         event_id = first_row.partition("\t")[0]
         model = _edited_model(
-            model_path, tmp_path, old=f"rows\t{count}\n{event_id}\t", new=f"rows\t{count}\ne99999\t"
+            model_path, tmp_path, old=f"{steps}\n{event_id}\t", new=f"{steps}\ne99999\t"
         )
         return "predict", model, corpus_dir / "failed"
     if case in _MODEL_TABLE_EDITS:
@@ -464,15 +485,19 @@ def _malformed_input_args(case, corpus_dir, model_path, tmp_path):
         return "predict", model, corpus_dir / "failed"
     if case == "model-line-after-table":
         model = tmp_path / "edited.ncc"
-        model.write_text(model_path.read_text() + "e99999\t0.0\t1.0\t0.0\t0.0\tsingle\n")
+        model.write_text(model_path.read_text() + "e99999\t0\t1\t0\t0\n")
         return "predict", model, corpus_dir / "failed"
-    if case == "model-single-row-with-two-cells":
-        model = _edited_model(
-            model_path, tmp_path, old="\t0.0\t0.0\tsingle", new="\t1.0\t0.0\tsingle"
-        )
-        return "predict", model, corpus_dir / "failed"
-    if case == "model-non-finite-cell":
-        model = _edited_model(model_path, tmp_path, old="\t0.0\t", new="\tnan\t")
+    if case in ("model-count-above-class-size", "model-all-zero-row", "model-non-finite-cell"):
+        # The first row holds one count of C1, of which there are 30 logs.
+        first_row = model_path.read_text().split("\nsteps\t", 1)[1].split("\n", 2)[1]
+        eid, _, cells = first_row.partition("\t")
+        assert cells.endswith("\t0\t0\t0")
+        new = {
+            "model-count-above-class-size": "31\t0\t0\t0",
+            "model-all-zero-row": "0\t0\t0\t0",
+            "model-non-finite-cell": "nan\t0\t0\t0",
+        }[case]
+        model = _edited_model(model_path, tmp_path, old=first_row, new=f"{eid}\t{new}")
         return "predict", model, corpus_dir / "failed"
     if case == "spec-no-benign-template":
         spec = tmp_path / "spec.json"
@@ -501,7 +526,8 @@ def _malformed_input_args(case, corpus_dir, model_path, tmp_path):
         "model-row-without-template",
         *_MODEL_TABLE_EDITS,
         "model-line-after-table",
-        "model-single-row-with-two-cells",
+        "model-count-above-class-size",
+        "model-all-zero-row",
         "labels-not-utf8",
         "labels-field-over-csv-limit",
         "spec-no-benign-template",
@@ -517,10 +543,10 @@ def test_malformed_model_labels_or_spec_is_validation_error(
 
 
 def test_predict_on_a_bad_model_names_the_file_line(corpus_dir, model_path, tmp_path):
-    # A cell the writer would spell otherwise: 0.0 written as 0e0.
+    # A count the writer would spell otherwise: 0 written as 00.
     lines = model_path.read_text().splitlines()
-    at = next(i for i, line in enumerate(lines) if line.endswith("\tsingle"))
-    found = lines[at].replace("\t0.0\t", "\t0e0\t", 1)
+    at = lines.index("steps\treweight,icf") + 1
+    found = lines[at].replace("\t0\t", "\t00\t", 1)
     lines[at] = found
     model = tmp_path / "bad.ncc"
     model.write_text("\n".join(lines) + "\n")
@@ -534,7 +560,7 @@ def test_predict_with_an_event_id_past_the_int_digit_limit(corpus_dir, model_pat
     # Python's int() refuses more than 4,300 digits; contributors are
     # sorted by event id, so a log that hits this row must still sort.
     lines = model_path.read_text().splitlines()
-    event_id = lines[lines.index("registry\t-") + 2].partition("\t")[0]
+    event_id = lines[lines.index("steps\treweight,icf") + 1].partition("\t")[0]
     renamed = "e" + "1" * 5000
     for at, line in enumerate(lines):
         if line.startswith(f"{event_id}\t"):
@@ -626,6 +652,15 @@ def test_ablate_deterministic(corpus_dir, capsys):
 def test_usage_error_exits_one(capsys):
     assert main(["train"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_python_dash_m_ncchecker_runs_the_cli():
+    shown = _run_cli("--help")
+    assert shown.returncode == 0
+    assert shown.stdout.startswith("usage: ncchecker ")
+    refused = _run_cli("train")
+    assert refused.returncode == 1
+    assert refused.stderr == "error: the following arguments are required: corpus, --out\n"
 
 
 def test_miner_flags_set_the_model_config(corpus_dir, tmp_path):

@@ -30,7 +30,7 @@ SPEC = {
 TOKENS = [
     b"\t", b"\n", b"\r", b" ", b"-", b"0", b"7", b"-1", b".5", b"1e999", b"nan", b"inf",
     b"\xff", b"\xe9", b"\x00", b'"', b",", b"[", b"]", b"{", b"}", b"null", b"true",
-    b"<*>", b"e1", b"final", b"single", b"multi",
+    b"<*>", b"e1", b"reweight,icf", b"icf", b"none",
 ]
 
 _mutation = st.one_of(

@@ -107,29 +107,36 @@ def test_table_row_without_registry_template_rejected(fig_corpus, event_id):
     # A row whose event the registry lacks could never score: no parse
     # yields that id.
     text = model_to_text(*build(fig_corpus))
-    head, rows = text.split("\nrows\t", 1)
-    count, first_row, rest = rows.split("\n", 2)
+    head, rows = text.split("\nsteps\t", 1)
+    steps, first_row, rest = rows.split("\n", 2)
     cells = first_row.partition("\t")[2]
-    edited = f"{head}\nrows\t{count}\n{event_id}\t{cells}\n{rest}"
+    edited = f"{head}\nsteps\t{steps}\n{event_id}\t{cells}\n{rest}"
     with pytest.raises(ValidationError, match=f"row for event '{re.escape(event_id)}'"):
         model_from_text(edited)
 
 
 # -- the one-pass reader ---------------------------------------------------------
 
-# Each mutant edits the fig corpus's model (8 templates, 3 rows, 28 lines)
+# Each mutant edits the fig corpus's model (8 templates, 3 rows, 24 lines)
 # by replacing the first ``old`` with ``new``.  Every message numbers file
 # lines: the registry block starts on line 4 and the table block on line 14.
 _CONFIG = _config_to_json(AbstractionConfig())
 _IN_ORDER = '"max_children":100,"similarity_threshold":0.4'
 _MAX_CHILDREN = '"max_children":100,'
 _REORDERED = '"similarity_threshold":0.4,"max_children":100'
+_BAD_ROW = "counts must be a tuple of 4 ints, each from 0 to its cause's n_per_cause, not all 0"
 _MUTANTS = [
-    ("header", "ncc-model v1\n", "ncc-model v2\n",
-     "model line 1: expected header 'ncc-model v1', found 'ncc-model v2'"),
+    ("header", "ncc-model v2\n", "ncc-model v3\n",
+     "model line 1: expected header 'ncc-model v2', found 'ncc-model v3'"),
+    ("header-v1", "ncc-model v2\n", "ncc-model v1\n",
+     "model line 1: expected header 'ncc-model v2', found 'ncc-model v1'; "
+     "retrain it with `ncchecker train`"),
     ("config-extra-key", '"tree_depth":4}', '"tree_depth":4,"x":1}',
      "model line 2: bad config: "
      "AbstractionConfig.__init__() got an unexpected keyword argument 'x'"),
+    ("config-mask-rules", '"tree_depth":4}', '"tree_depth":4,"mask_rules":[]}',
+     "model line 2: bad config: "
+     "AbstractionConfig.__init__() got an unexpected keyword argument 'mask_rules'"),
     ("config-reordered-keys", _IN_ORDER, _REORDERED,
      f"model line 2: expected config {_CONFIG!r}, "
      f"found {_CONFIG.replace(_IN_ORDER, _REORDERED)!r}"),
@@ -145,15 +152,14 @@ _MUTANTS = [
      "model line 3: bad line count '+9'"),
     ("templates-count-zero-padded", "templates\t9", "templates\t09",
      "model line 3: bad line count '09'"),
-    ("table-count-negative", "table\t15", "table\t-1",
+    ("table-count-negative", "table\t11", "table\t-1",
      "model line 13: bad line count '-1'"),
-    ("table-count-past-the-end", "table\t15", "table\t16",
+    ("table-count-past-the-end", "table\t11", "table\t12",
      "model line 13: block 'table' is truncated"),
-    ("table-count-short-of-the-end", "table\t15", "table\t14",
-     "model line 28: unexpected line after the table block"),
-    ("line-after-the-table", "\t2.2\t0.0\t0.0\tsingle\n",
-     "\t2.2\t0.0\t0.0\tsingle\nextra\n",
-     "model line 29: unexpected line after the table block"),
+    ("table-count-short-of-the-end", "table\t11", "table\t10",
+     "model line 24: unexpected line after the table block"),
+    ("line-after-the-table", "e8\t0\t1\t0\t0\n", "e8\t0\t1\t0\t0\nextra\n",
+     "model line 25: unexpected line after the table block"),
     ("registry-header", "ncc-templates v1", "ncc-templates v2",
      "template registry line 4: expected header 'ncc-templates v1', found 'ncc-templates v2'"),
     ("registry-duplicate-id", "e2\t5\t", "e1\t5\t",
@@ -175,88 +181,67 @@ _MUTANTS = [
      "template registry line 5: template ' a  b ' is not tokens joined by single spaces"),
     ("registry-unknown-id", "e8\t1\t", "<unknown>\t1\t",
      "template registry line 12: event id '<unknown>' is reserved for unmatched lines"),
-    ("table-header", "ncc-table v1", "ncc-table v2",
-     "table line 14: expected header 'ncc-table v1', found 'ncc-table v2'"),
+    ("table-header", "ncc-table v2", "ncc-table v1",
+     "table line 14: expected header 'ncc-table v2', found 'ncc-table v1'"),
     ("k-not-an-integer", "k\t4", "k\tfour",
      "table line 15: invalid literal for int() with base 10: 'four'"),
     # With k off by one the reader takes a neighbouring line for n_per_cause.
     ("k-smaller", "k\t4", "k\t3",
-     "table line 20: n_per_cause must hold 3 int counts >= 0, not all zero"),
+     "table line 19: invalid literal for int() with base 10: 'third-party-library'"),
     ("k-larger", "k\t4", "k\t5",
-     "table line 22: invalid literal for int() with base 10: '5.5'"),
+     "table line 21: invalid literal for int() with base 10: 'reweight,icf'"),
     ("k-signed", "k\t4", "k\t+4", "table line 15: expected 'k\\t4', found 'k\\t+4'"),
     ("k-negative", "k\t4", "k\t-4", "table line 15: taxonomy needs at least 2 causes"),
     ("cause-out-of-order", "cause\t1\t", "cause\t2\t",
      "table line 17: expected 'cause\\t1\\tenvironmental', found 'cause\\t2\\tenvironmental'"),
-    ("field-renamed", "n_total\t11", "total\t11",
-     "table line 20: expected 'n_total\\t11', found 'total\\t11'"),
-    ("stage-not-final", "stage\tfinal", "stage\traw",
-     "table line 23: expected 'stage\\tfinal', found 'stage\\traw'"),
+    ("field-renamed", "n_per_cause\t2", "class_sizes\t2",
+     "table line 20: expected 'n_per_cause\\t2\\t5\\t1\\t3', found 'class_sizes\\t2\\t5\\t1\\t3'"),
     ("class-count-negative", "n_per_cause\t2\t5\t1\t3", "n_per_cause\t-1\t8\t1\t3",
-     "table line 21: n_per_cause must hold 4 int counts >= 0, not all zero"),
+     "table line 20: n_per_cause must hold 4 int counts >= 0, not all zero"),
     ("class-count-missing", "n_per_cause\t2\t5\t1\t3", "n_per_cause\t2\t5\t1",
-     "table line 21: n_per_cause must hold 4 int counts >= 0, not all zero"),
-    ("n-total-not-the-sum", "n_total\t11", "n_total\t12",
-     "table line 20: expected 'n_total\\t11', found 'n_total\\t12'"),
-    ("icf-not-finite", "icf\t5.5\t", "icf\tnan\t",
-     "table line 22: expected 'icf\\t5.5\\t2.2\\t11.0\\t3.6666666666666665', "
-     "found 'icf\\tnan\\t2.2\\t11.0\\t3.6666666666666665'"),
-    ("icf-not-n-over-nj", "icf\t5.5\t", "icf\t5.6\t",
-     "table line 22: expected 'icf\\t5.5\\t2.2\\t11.0\\t3.6666666666666665', "
-     "found 'icf\\t5.6\\t2.2\\t11.0\\t3.6666666666666665'"),
-    ("row-count-zero", "rows\t3", "rows\t0",
-     "table line 25: expected 'rows\\t3', found 'rows\\t0'"),
-    ("row-count-short", "rows\t3", "rows\t2",
-     "table line 25: expected 'rows\\t3', found 'rows\\t2'"),
-    ("row-count-negative", "rows\t3", "rows\t-1",
-     "table line 25: expected 'rows\\t3', found 'rows\\t-1'"),
-    ("row-count-past-the-block", "rows\t3", "rows\t4",
-     "table line 25: expected 'rows\\t3', found 'rows\\t4'"),
-    ("row-fields", "e8\t0.0\t2.2\t0.0\t0.0\t", "e8\t0.0\t2.2\t0.0\t",
-     "table line 28: could not convert string to float: 'single'"),
-    ("row-kind-unknown", "0.0\tsingle\ne8", "0.0\tdouble\ne8",
-     "table line 27: expected 'e7\\t0.0\\t5.686917501586544\\t0.0\\t0.0\\tsingle', "
-     "found 'e7\\t0.0\\t5.686917501586544\\t0.0\\t0.0\\tdouble'"),
-    ("row-duplicate", "e8\t0.0\t2.2", "e7\t0.0\t2.2",
-     "table line 28: duplicate row for event 'e7'"),
-    ("cell-not-a-number", "e8\t0.0\t2.2", "e8\tzero\t2.2",
-     "table line 28: could not convert string to float: 'zero'"),
-    ("cell-not-finite", "e8\t0.0\t2.2", "e8\tinf\t2.2",
-     "table line 28: cells must be finite and >= 0"),
-    ("cell-negative", "e8\t0.0\t2.2", "e8\t-1.0\t2.2",
-     "table line 28: cells must be finite and >= 0"),
-    # Written as the writer would write the cells: the constructor rejects
+     "table line 20: n_per_cause must hold 4 int counts >= 0, not all zero"),
+    ("class-count-zero-padded", "n_per_cause\t2\t5\t1\t3", "n_per_cause\t02\t5\t1\t3",
+     "table line 20: expected 'n_per_cause\\t2\\t5\\t1\\t3', "
+     "found 'n_per_cause\\t02\\t5\\t1\\t3'"),
+    # Steps are read as the names they hold, so an unknown one reads as none.
+    ("steps-unknown", "steps\treweight,icf", "steps\tfinal",
+     "table line 21: expected 'steps\\tnone', found 'steps\\tfinal'"),
+    ("steps-reordered", "steps\treweight,icf", "steps\ticf,reweight",
+     "table line 21: expected 'steps\\treweight,icf', found 'steps\\ticf,reweight'"),
+    ("steps-field-renamed", "steps\treweight,icf", "stage\treweight,icf",
+     "table line 21: expected 'steps\\treweight,icf', found 'stage\\treweight,icf'"),
+    ("row-fields", "e8\t0\t1\t0\t0", "e8\t0\t1\t0",
+     f"table line 24: row for event 'e8': {_BAD_ROW}"),
+    ("row-too-long", "e8\t0\t1\t0\t0", "e8\t0\t1\t0\t0\t0",
+     f"table line 24: row for event 'e8': {_BAD_ROW}"),
+    ("row-no-cells", "e8\t0\t1\t0\t0", "e8",
+     "table line 24: invalid literal for int() with base 10: ''"),
+    ("row-duplicate", "e8\t0\t1", "e7\t0\t1",
+     "table line 24: duplicate row for event 'e7'"),
+    ("cell-not-a-number", "e8\t0\t1", "e8\tzero\t1",
+     "table line 24: invalid literal for int() with base 10: 'zero'"),
+    ("cell-not-finite", "e8\t0\t1", "e8\tinf\t1",
+     "table line 24: invalid literal for int() with base 10: 'inf'"),
+    ("cell-float", "e8\t0\t1", "e8\t0.0\t1",
+     "table line 24: invalid literal for int() with base 10: '0.0'"),
+    ("cell-negative", "e8\t0\t1", "e8\t-01\t1",
+     "table line 24: expected 'e8\\t-1\\t1\\t0\\t0', found 'e8\\t-01\\t1\\t0\\t0'"),
+    # Written as the writer would write the counts: the constructor rejects
     # them, and the reader names their line.
-    ("cell-not-finite-as-written", "e8\t0.0\t2.2", "e8\t0.0\tinf",
-     "table line 28: cells must be finite and >= 0"),
-    ("cell-nan-as-written", "e8\t0.0\t2.2", "e8\t0.0\tnan",
-     "table line 28: cells must be finite and >= 0"),
-    ("cell-negative-as-written", "e7\t0.0\t5.686917501586544", "e7\t0.0\t-5.686917501586544",
-     "table line 27: cells must be finite and >= 0"),
-    ("cell-not-repr", "e8\t0.0\t2.2\t", "e8\t0.0\t2.20\t",
-     "table line 28: expected 'e8\\t0.0\\t2.2\\t0.0\\t0.0\\tsingle', "
-     "found 'e8\\t0.0\\t2.20\\t0.0\\t0.0\\tsingle'"),
-    ("cell-exponent", "e8\t0.0\t2.2", "e8\t0e0\t2.2",
-     "table line 28: expected 'e8\\t0.0\\t2.2\\t0.0\\t0.0\\tsingle', "
-     "found 'e8\\t0e0\\t2.2\\t0.0\\t0.0\\tsingle'"),
-    ("single-row-two-cells", "e8\t0.0\t2.2", "e8\t1.0\t2.2",
-     "table line 28: expected 'e8\\t1.0\\t2.2\\t0.0\\t0.0\\tmulti', "
-     "found 'e8\\t1.0\\t2.2\\t0.0\\t0.0\\tsingle'"),
-    ("single-row-no-cell", "e8\t0.0\t2.2", "e8\t0.0\t0.0",
-     "table line 28: expected 'e8\\t0.0\\t0.0\\t0.0\\t0.0\\tnone', "
-     "found 'e8\\t0.0\\t0.0\\t0.0\\t0.0\\tsingle'"),
-    ("multi-row-one-cell", "e6\t1.1\t0.8800000000000001\t1.1\t1.0999999999999999",
-     "e6\t1.1\t0.0\t0.0\t0.0",
-     "table line 26: expected 'e6\\t1.1\\t0.0\\t0.0\\t0.0\\tsingle', "
-     "found 'e6\\t1.1\\t0.0\\t0.0\\t0.0\\tmulti'"),
-    # e8's cells repeat e7's, but its text after the id differs in the
-    # kind, so it is read and compared on its own.
-    ("repeated-cells-wrong-kind", "e8\t0.0\t2.2\t0.0\t0.0\tsingle",
-     "e8\t0.0\t5.686917501586544\t0.0\t0.0\tmulti",
-     "table line 28: expected 'e8\\t0.0\\t5.686917501586544\\t0.0\\t0.0\\tsingle', "
-     "found 'e8\\t0.0\\t5.686917501586544\\t0.0\\t0.0\\tmulti'"),
-    ("row-without-template", "e8\t0.0\t2.2", "e99\t0.0\t2.2",
-     "table line 28: row for event 'e99', which the template registry lacks"),
+    ("cell-negative-as-written", "e7\t0\t5", "e7\t-1\t5",
+     f"table line 23: row for event 'e7': {_BAD_ROW}"),
+    ("cell-above-class-size", "e7\t0\t5", "e7\t0\t6",
+     f"table line 23: row for event 'e7': {_BAD_ROW}"),
+    ("cell-not-repr", "e8\t0\t1\t", "e8\t0\t01\t",
+     "table line 24: expected 'e8\\t0\\t1\\t0\\t0', found 'e8\\t0\\t01\\t0\\t0'"),
+    ("cell-spaced", "e8\t0\t1\t", "e8\t0\t 1\t",
+     "table line 24: expected 'e8\\t0\\t1\\t0\\t0', found 'e8\\t0\\t 1\\t0\\t0'"),
+    ("cell-exponent", "e8\t0\t1", "e8\t0e0\t1",
+     "table line 24: invalid literal for int() with base 10: '0e0'"),
+    ("single-row-no-cell", "e8\t0\t1", "e8\t0\t0",
+     f"table line 24: row for event 'e8': {_BAD_ROW}"),
+    ("row-without-template", "e8\t0\t1", "e99\t0\t1",
+     "table line 24: row for event 'e99', which the template registry lacks"),
 ]
 
 
@@ -265,34 +250,37 @@ _MUTANTS = [
 )
 def test_malformed_model_mutant_names_its_fault(fig_corpus, old, new, message):
     text = model_to_text(*build(fig_corpus))
-    assert len(text.splitlines()) == 28 and old in text
+    assert len(text.splitlines()) == 24 and old in text
     with pytest.raises(ValidationError) as raised:
         model_from_text(text.replace(old, new, 1))
     assert str(raised.value) == message
 
 
 def test_a_bad_cell_written_as_the_writer_writes_it_is_reported_after_other_faults(fig_corpus):
-    # Line 27's cells are checked only once every row is read, by the
-    # table's constructor, so the duplicate on line 28 is reported first.
+    # Line 23's counts are checked only once every row is read, by the
+    # table's constructor, so the duplicate on line 24 is reported first.
     text = model_to_text(*build(fig_corpus))
-    text = text.replace("e7\t0.0\t5.686917501586544", "e7\t0.0\tinf", 1)
-    text = text.replace("e8\t0.0\t2.2", "e7\t0.0\t2.2", 1)
-    with pytest.raises(ValidationError, match="^table line 28: duplicate row for event 'e7'$"):
+    text = text.replace("e7\t0\t5", "e7\t-1\t5", 1)
+    text = text.replace("e8\t0\t1", "e7\t0\t1", 1)
+    with pytest.raises(ValidationError, match="^table line 24: duplicate row for event 'e7'$"):
         model_from_text(text)
 
 
 def test_loading_checks_each_distinct_row_once(fig_corpus):
-    text = model_to_text(*build(fig_corpus))
-    with mock.patch.object(table_module, "_cells_ok", wraps=table_module._cells_ok) as cells_ok:
-        model_from_text(text)
-    # The constructor's one call over the cells of every distinct row; the
-    # reader calls it only to name a faulty line.
-    assert cells_ok.call_count == 1
+    # e8 gets e7's counts: three rows, two distinct texts.
+    text = model_to_text(*build(fig_corpus)).replace("e8\t0\t1\t", "e8\t0\t5\t", 1)
+    with mock.patch.object(table_module, "_counts_ok", wraps=table_module._counts_ok) as counts_ok:
+        _, table = model_from_text(text)
+    # The constructor checks each distinct row object once; the reader
+    # calls the check only to name a faulty line.
+    assert counts_ok.call_count == 2
+    assert table.counts["e7"] is table.counts["e8"]
+    assert table.rows["e7"] is table.rows["e8"]
 
 
 def test_trailing_blank_line_rejected(fig_corpus):
     text = model_to_text(*build(fig_corpus))
-    with pytest.raises(ValidationError, match="^model line 29: unexpected line after"):
+    with pytest.raises(ValidationError, match="^model line 25: unexpected line after"):
         model_from_text(text + "\n")
 
 
@@ -373,15 +361,21 @@ def test_reloaded_model_is_the_trained_one(case):
     logs = [log.lines for log in corpus.passed + corpus.failed] + [tuple(probes)]
     for lines in logs:
         assert loaded_miner.parse_log(lines).events == miner.parse_log(lines).events
-    # Rows with the same text are one tuple.
-    shared = {}
-    for row in loaded_table.rows.values():
-        assert shared.setdefault("\t".join(map(repr, row)), row) is row
+    # The counts are the trained ones, and so are the scores derived from
+    # them, to the last bit.
+    assert loaded_table.counts == table.counts
+    assert repr(loaded_table.rows) == repr(table.rows)
+    # Events with the same counts share one count tuple and one score tuple.
+    first = {}
+    for eid, counts in loaded_table.counts.items():
+        seen = first.setdefault(counts, eid)
+        assert loaded_table.counts[seen] is counts
+        assert loaded_table.rows[seen] is loaded_table.rows[eid]
 
 
 # What a one-line edit may insert: digits, signs, separators and letters of
-# the saved fields and kinds, but no line break.
-_EDIT_CHARS = "0123456789.-+ \tefinaslgmuto<*>\"[],:"
+# the saved fields and steps, but no line break.
+_EDIT_CHARS = "0123456789.-+ \t_efinaslgmutorwhpc<*>\"[],:"
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,28 +16,33 @@ def _seq(events, source="f"):
     return EventSequence(source, tuple(events), tuple(range(1, len(events) + 1)))
 
 
-def _table(rows, n_per_cause=(1, 1, 1, 1)):
-    """A table over the default taxonomy; equal class sizes give every cause the same icf."""
-    return ScoreTable(
-        {eid: tuple(row) for eid, row in rows.items()}, DEFAULT_TAXONOMY, tuple(n_per_cause)
-    )
+def _table(counts, n_per_cause=(10, 10, 10, 10), skip_reweight=False, skip_icf=True):
+    """A table of count rows over the default taxonomy, by default scored without the icf.
+
+    The default's equal class sizes give every cause the same icf, which
+    breaks score ties.  Reweighted, a count row (2, 4, 1, 3) scores
+    (0.2, 0.4, 0.1, 0.3), (1, 1, 0, 0) scores (0.5, 0.5, 0.0, 0.0), and a
+    lone count c scores 1.0 for c = 1, else log2(1 + c).
+    """
+    return ScoreTable(counts, DEFAULT_TAXONOMY, tuple(n_per_cause), skip_reweight, skip_icf)
 
 
 # -- scores ---------------------------------------------------------------------
 
 
 def test_score_single_event_row():
-    table = _table({"e1": (0.0, 0.0, 0.0, 62.75)})
+    # A lone C4 count scaled by icf_4 = 251 / 4 = 62.75.
+    table = _table({"e1": (0, 0, 0, 1)}, (100, 100, 47, 4), skip_icf=False)
     assert predict(table, _seq(["e1"])).scores == (0.0, 0.0, 0.0, 62.75)
 
 
 def test_score_out_of_table_events_contribute_nothing():
-    table = _table({"e1": (1.0, 0.0, 0.0, 0.0)})
+    table = _table({"e1": (1, 0, 0, 0)})
     assert predict(table, _seq(["e9", "<unknown>"])).scores == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_score_presence_not_multiplicity():
-    table = _table({"ea": (1.0, 0.0, 0.0, 0.0), "eb": (0.2, 0.4, 0.1, 0.3)})
+    table = _table({"ea": (1, 0, 0, 0), "eb": (2, 4, 1, 3)})
     events = _seq(["ea", "eb", "eb", "eb"])
     scores = list(predict(table, events).scores)
     assert scores == [1.2, 0.4, 0.1, 0.3]
@@ -52,10 +59,10 @@ def test_score_presence_not_multiplicity():
 def test_score_additivity_over_partitions(event_set):
     table = _table(
         {
-            "e1": (1.0, 0.0, 0.0, 0.0),
-            "e2": (0.25, 0.25, 0.25, 0.25),
-            "e3": (0.0, 2.0, 0.0, 0.0),
-            "e4": (0.0, 0.0, 3.5, 0.0),
+            "e1": (1, 0, 0, 0),
+            "e2": (1, 1, 1, 1),
+            "e3": (0, 3, 0, 0),
+            "e4": (0, 0, 7, 0),
         }
     )
     events = sorted(event_set)
@@ -71,7 +78,7 @@ def test_score_additivity_over_partitions(event_set):
 
 
 def test_predict_argmax():
-    table = _table({"ea": (1.0, 0.0, 0.0, 0.0), "eb": (0.2, 0.4, 0.1, 0.3)})
+    table = _table({"ea": (1, 0, 0, 0), "eb": (2, 4, 1, 3)})
     prediction = predict(table, _seq(["ea", "eb"]))
     assert prediction.cause == 0
     assert prediction.scores == (1.2, 0.4, 0.1, 0.3)
@@ -79,7 +86,7 @@ def test_predict_argmax():
 
 
 def test_predict_all_zero_falls_back_to_majority():
-    table = _table({"e1": (1.0, 0.0, 0.0, 0.0)}, n_per_cause=(2600, 885, 470, 65))
+    table = _table({"e1": (1, 0, 0, 0)}, n_per_cause=(2600, 885, 470, 65))
     prediction = predict(table, _seq(["e9"]))
     assert prediction.fallback_used
     assert prediction.cause == 0
@@ -87,19 +94,20 @@ def test_predict_all_zero_falls_back_to_majority():
 
 
 def test_predict_fallback_majority_tie_takes_lower_id():
-    table = _table({"e1": (1.0, 0.0, 0.0, 0.0)}, n_per_cause=(5, 5, 2, 1))
+    table = _table({"e1": (1, 0, 0, 0)}, n_per_cause=(5, 5, 2, 1))
     prediction = predict(table, _seq(["e9"]))
     assert prediction.cause == 0
 
 
 def test_predict_score_tie_prefers_rarer_class():
-    table = _table({"ea": (0.5, 0.5, 0.0, 0.0)}, n_per_cause=(2600, 885, 470, 65))
+    table = _table({"ea": (1, 1, 0, 0)}, n_per_cause=(2600, 885, 470, 65))
+    assert table.rows["ea"] == (0.5, 0.5, 0.0, 0.0)
     prediction = predict(table, _seq(["ea"]))
     assert prediction.cause == 1
 
 
 def test_predict_score_and_icf_tie_takes_lower_id():
-    table = _table({"ea": (0.5, 0.5, 0.0, 0.0)})
+    table = _table({"ea": (1, 1, 0, 0)})
     assert predict(table, _seq(["ea"])).cause == 0
 
 
@@ -107,11 +115,9 @@ def test_contributors_ranked_by_row_max_then_id():
     # Contributors rank by their cell in the predicted column (C4 here); on
     # this table that is the same order as by row maximum.
     table = _table(
-        {
-            "e1": (0.0, 0.0, 0.0, 62.75),
-            "e2": (0.3, 0.1, 0.0, 0.0),
-            "e3": (0.3, 0.0, 0.0, 0.0),
-        }
+        {"e1": (0, 0, 0, 1), "e2": (3, 1, 0, 0), "e3": (1, 0, 0, 0)},
+        (100, 100, 47, 4),
+        skip_icf=False,
     )
     prediction = predict(table, _seq(["e2", "e1", "e3"]))
     assert [c.event_id for c in prediction.contributors] == ["e1", "e2", "e3"]
@@ -119,25 +125,25 @@ def test_contributors_ranked_by_row_max_then_id():
 
 
 def test_contributors_ranked_by_predicted_column_cell():
-    table = _table(
-        {
-            "e1": (0.0, 3.0, 1.0, 0.0),
-            "e2": (0.0, 0.0, 2.0, 0.0),
-            "e3": (0.0, 0.0, 2.5, 0.0),
-        }
-    )
+    table = _table({"e1": (0, 3, 1, 0), "e2": (0, 0, 3, 0), "e3": (0, 0, 5, 0)})
     prediction = predict(table, _seq(["e1", "e2", "e3", "e1"]))
     assert prediction.cause == 2
     assert [c.event_id for c in prediction.contributors] == ["e3", "e2", "e1"]
-    assert [c.score for c in prediction.contributors] == [2.5, 2.0, 1.0]
+    assert [c.score for c in prediction.contributors] == [math.log2(6), 2.0, 0.25]
     assert prediction.contributors[2].line_numbers == (1, 4)
 
 
-@given(st.floats(min_value=0.001, max_value=1000.0, allow_nan=False))
+@given(st.integers(min_value=1, max_value=1000))
 def test_argmax_invariant_under_positive_scaling(factor):
-    rows = {"ea": (1.0, 0.0, 0.0, 0.0), "eb": (0.2, 0.4, 0.1, 0.3), "ec": (0.0, 0.0, 2.0, 2.0)}
-    base = _table(rows)
-    scaled = _table({eid: tuple(v * factor for v in row) for eid, row in rows.items()})
+    # Without either scoring step the scores are the counts themselves.
+    rows = {"ea": (1, 0, 0, 0), "eb": (2, 4, 1, 3), "ec": (0, 0, 2, 2)}
+    sizes = (4000, 4000, 4000, 4000)
+    base = _table(rows, sizes, skip_reweight=True)
+    scaled = _table(
+        {eid: tuple(c * factor for c in row) for eid, row in rows.items()},
+        sizes,
+        skip_reweight=True,
+    )
     for events in (["ea"], ["eb"], ["ea", "eb"], ["ec"], ["ea", "eb", "ec"]):
         assert predict(base, _seq(events)).cause == predict(scaled, _seq(events)).cause
 

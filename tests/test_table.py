@@ -186,8 +186,8 @@ def test_apply_icf_multiplies_columns():
 def test_apply_icf_single_problem_example():
     # A lone C4 row [0, 0, 0, 1.0] scaled by icf_4 = 251 / 4 = 62.75.
     counts = init_counts(frozenset({"e11"}), [(_seq("f0", ["e11"]), 3)], 4)
-    rows = scores_from_counts(counts, DEFAULT_TAXONOMY).rows
-    reweighted = ScoreTable(rows, DEFAULT_TAXONOMY, (100, 100, 47, 4))
+    reweighted = ScoreTable(counts.rows, DEFAULT_TAXONOMY, (100, 100, 47, 4), skip_icf=True)
+    assert reweighted.rows["e11"] == (0.0, 0.0, 0.0, 1.0)
     assert reweighted.icf[3] == 62.75
     final = apply_icf(reweighted)
     assert final.rows["e11"] == (0.0, 0.0, 0.0, 62.75)
@@ -314,6 +314,7 @@ def test_pipeline_matches_brute_force_on_small_synthetic(tmp_path, seed):
 def test_save_load_round_trip(fig_corpus):
     _, table = build(fig_corpus)
     loaded = table_from_text(_table_text(table))
+    assert loaded.counts == table.counts
     assert loaded.rows == table.rows
     assert loaded.kinds == table.kinds
     assert loaded.icf == table.icf
@@ -328,17 +329,27 @@ def test_load_version_mismatch():
 
 
 def test_load_corrupt_field_names_it():
-    text = "ncc-table v1\nk\tfour\n"
+    text = "ncc-table v2\nk\tfour\n"
     with pytest.raises(ValidationError, match="^table line 2: invalid literal for int"):
         table_from_text(text)
 
 
-def test_load_rejects_a_stage_other_than_final(fig_corpus):
-    _, table = build(fig_corpus)
+@pytest.mark.parametrize(
+    "variant, steps",
+    [("full", "reweight,icf"), ("drop1", "reweight,icf"), ("drop2", "icf"), ("drop3", "reweight")],
+)
+def test_the_steps_line_names_the_scoring_steps_of_the_variant(fig_corpus, variant, steps):
+    _, table = build(fig_corpus, variant=variant)
     text = _table_text(table)
-    assert "\nstage\tfinal\nregistry\t-\n" in text
-    with pytest.raises(ValidationError, match="stage"):
-        table_from_text(text.replace("stage\tfinal", "stage\treweighted"))
+    assert f"\nsteps\t{steps}\n" in text
+    assert table_from_text(text) == table
+
+
+def test_load_rejects_a_steps_line_it_does_not_know(fig_corpus):
+    _, table = build(fig_corpus)
+    text = _table_text(table).replace("steps\treweight,icf", "steps\tfinal")
+    with pytest.raises(ValidationError, match=r"^table line 8: expected 'steps\\tnone', found "):
+        table_from_text(text)
 
 
 @pytest.mark.parametrize("counts", ["-5\t25\t10\t5", "0\t0\t0\t0"])
@@ -350,18 +361,17 @@ def test_load_rejects_corrupt_class_counts(fig_corpus, counts):
         table_from_text(text)
 
 
-@pytest.mark.parametrize("field", ["icf", "cell"])
+@pytest.mark.parametrize("field", ["n_per_cause", "cell"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_load_rejects_non_finite_values(fig_corpus, field, value):
     _, table = build(fig_corpus)
     lines = _table_text(table).splitlines()
-    prefix = "icf\t" if field == "icf" else "e"
+    prefix = "n_per_cause\t" if field == "n_per_cause" else "e"
     at = next(i for i, line in enumerate(lines) if line.startswith(prefix))
     parts = lines[at].split("\t")
     parts[1] = value
     lines[at] = "\t".join(parts)
-    # An icf line is derived, so it must be the one the writer writes.
-    message = "cells must be finite" if field == "cell" else "^table line 9: expected 'icf"
+    message = f"^table line {at + 1}: invalid literal for int\\(\\) with base 10: '{value}'$"
     with pytest.raises(ValidationError, match=message):
         table_from_text("\n".join(lines))
 
@@ -369,8 +379,10 @@ def test_load_rejects_non_finite_values(fig_corpus, field, value):
 def test_load_truncated_rows_detected(fig_corpus):
     _, table = build(fig_corpus)
     lines = _table_text(table).splitlines()
-    with pytest.raises(ValidationError, match=r"^table line 12: expected 'rows\\t2', found 'rows"):
-        table_from_text("\n".join(lines[:-1]))
+    assert lines[-1] == "e8\t0\t1\t0\t0"
+    lines[-1] = "e8\t0\t1"
+    with pytest.raises(ValidationError, match=r"^table line 11: row for event 'e8': counts must"):
+        table_from_text("\n".join(lines))
 
 
 def test_serialized_size_scales_with_rows(tmp_path):
@@ -379,16 +391,27 @@ def test_serialized_size_scales_with_rows(tmp_path):
     corpus = load_corpus(tmp_path)
     _, table = build(corpus)
     text = _table_text(table)
-    overhead = 8 + table.k  # header and metadata lines
+    overhead = 4 + table.k  # header and metadata lines
     assert len(text.splitlines()) == len(table.rows) + overhead
     assert len(text.encode()) < 200 * (len(table.rows) + overhead)
 
 
 def test_equal_count_rows_share_one_score_row_through_icf():
-    counts = CountTable(
+    logs = [
+        (["e1", "e3", "e5"], 0),
+        (["e1", "e3"], 0),
+        (["e1", "e2", "e3", "e4", "e5"], 1),
+        (["e1", "e2", "e3", "e4"], 1),
+        (["e2", "e4"], 1),
+    ]
+    labeled = [(_seq(f"f{i}", events), cause) for i, (events, cause) in enumerate(logs)]
+    counts = init_counts(frozenset({"e1", "e2", "e3", "e4", "e5"}), labeled, 2)
+    assert counts == CountTable(
         rows={"e1": (2, 2), "e2": (0, 3), "e3": (2, 2), "e4": (0, 3), "e5": (1, 1)},
         n_per_cause=(2, 3),
     )
+    # Equal counts are one tuple, so a table checks and scores them once.
+    assert counts.rows["e1"] is counts.rows["e3"] and counts.rows["e2"] is counts.rows["e4"]
     for skip_reweight in (False, True):
         reweighted = scores_from_counts(
             counts, CauseTaxonomy(("x", "y")), skip_reweight=skip_reweight
@@ -403,46 +426,33 @@ def test_equal_count_rows_share_one_score_row_through_icf():
         assert list(reweighted.kinds.values()) == ["multi", "single", "multi", "single", "multi"]
 
 
-def test_rows_differing_only_in_the_sign_of_a_zero_keep_their_text():
-    # (2.0, 0.0) == (2.0, -0.0), but their repr differs: the writer keys
-    # its formatting on the row object, so each row keeps its own text.
-    shared = (2.0, 0.0)
-    table = ScoreTable(
-        rows={"e1": shared, "e2": (2.0, -0.0), "e3": shared, "e4": (2.0, 0.0)},
-        taxonomy=CauseTaxonomy(("x", "y")),
-        n_per_cause=(1, 1),
-    )
-    text = _table_text(table)
-    assert text.splitlines()[-4:] == [
-        "e1\t2.0\t0.0\tsingle",
-        "e2\t2.0\t-0.0\tsingle",
-        "e3\t2.0\t0.0\tsingle",
-        "e4\t2.0\t0.0\tsingle",
-    ]
-    loaded = table_from_text(text)
-    assert _table_text(loaded) == text
-    assert loaded.rows["e1"] is loaded.rows["e3"] is loaded.rows["e4"]
-    assert loaded.rows["e2"] is not loaded.rows["e1"]
-
-
 def test_load_rejects_a_line_after_the_rows(fig_corpus):
+    # Every line after the head is read as a count row, so one that is no
+    # row is named by its line.
     _, table = build(fig_corpus)
-    with pytest.raises(ValidationError, match=r"^table line 12: expected 'rows\\t4', found 'rows"):
-        table_from_text(_table_text(table) + "e9\t0.0\t1.0\t0.0\t0.0\tsingle\n")
+    text = _table_text(table)
+    with pytest.raises(ValidationError, match=r"^table line 12: row for event 'rows': counts"):
+        table_from_text(text + "rows\t3\n")
+    with pytest.raises(ValidationError, match=r"^table line 12: invalid literal for int"):
+        table_from_text(text + "\n")
 
 
 def test_load_rejects_class_counts_too_large_for_an_icf(fig_corpus):
     _, table = build(fig_corpus)
     huge = 10**400
-    text = _table_text(table).replace("n_total\t11", f"n_total\t{huge + 9}")
-    text = text.replace("n_per_cause\t2\t", f"n_per_cause\t{huge}\t")
-    with pytest.raises(ValidationError, match="^table line 8: .*too large"):
+    text = _table_text(table).replace("n_per_cause\t2\t", f"n_per_cause\t{huge}\t")
+    with pytest.raises(ValidationError, match="^table line 7: .*too large"):
         table_from_text(text)
 
 
 def test_a_table_whose_class_sizes_overflow_the_icf_cannot_be_built():
     with pytest.raises(ValidationError, match="too large for a float icf"):
         ScoreTable({}, CauseTaxonomy(("x", "y")), (10**400, 1))
+    # The icf fits, but a count as large as its class would not be a float.
+    with pytest.raises(ValidationError, match="too large for a float icf"):
+        ScoreTable(
+            {"e1": (10**400, 0)}, CauseTaxonomy(("x", "y")), (10**400, 10**400), True, True
+        )
 
 
 @pytest.mark.parametrize("name", ["a\nb", "a\r", "\u2028"])
@@ -456,24 +466,30 @@ _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _NAME = st.text(
     st.characters(blacklist_categories=("Cs",), blacklist_characters=_LINE_BREAKS), max_size=6
 )
-_CELL = st.one_of(
-    st.just(0.0), st.just(-0.0), st.floats(min_value=0.0, allow_infinity=False)
-)
 _EVENT_ID = _NAME.filter(lambda e: "\t" not in e)
+
+
+def _count_rows(n_per_cause):
+    """Count rows a table over these class sizes may hold: not all zero."""
+    return st.tuples(*[st.integers(0, n) for n in n_per_cause]).filter(any)
 
 
 @st.composite
 def _table_parts(draw):
-    """Random valid table arguments: some rows share one tuple, some are all zero."""
+    """Random valid table arguments: some rows share one tuple, some equal counts do not."""
     k = draw(st.integers(2, 5))
     names = draw(st.lists(_NAME, min_size=k, max_size=k))
-    n_per_cause = draw(
-        st.lists(st.integers(0, 10**6), min_size=k, max_size=k).filter(any)
+    n_per_cause = tuple(
+        draw(st.lists(st.integers(0, 10**6), min_size=k, max_size=k).filter(any))
     )
-    pool = draw(st.lists(st.tuples(*[_CELL] * k), min_size=1, max_size=4))
+    pool = draw(st.lists(_count_rows(n_per_cause), min_size=1, max_size=4))
     eids = draw(st.lists(_EVENT_ID, max_size=8, unique=True))
-    rows = {eid: draw(st.sampled_from(pool)) for eid in eids}
-    return rows, CauseTaxonomy(tuple(names)), tuple(n_per_cause)
+    rows = {}
+    for eid in eids:
+        row = draw(st.sampled_from(pool))
+        rows[eid] = row if draw(st.booleans()) else tuple(list(row))  # an equal other object
+    skips = draw(st.tuples(st.booleans(), st.booleans()))
+    return rows, CauseTaxonomy(tuple(names)), n_per_cause, *skips
 
 
 def _tables():
@@ -481,38 +497,40 @@ def _tables():
     return _table_parts().map(lambda parts: ScoreTable(*parts))
 
 
-# A cell no written row can hold: an int or a bool, a negative float,
-# or one that is not finite.
-_BAD_CELL = st.one_of(
-    st.integers(0, 10),
-    st.booleans(),
-    st.floats(max_value=-5e-324, allow_nan=False),
-    st.sampled_from([math.inf, math.nan]),
-)
-
-
 @st.composite
 def _faulty_table_parts(draw):
     """Valid table arguments plus one row the writer could not write.
 
-    The row has a bad cell, or too few or too many cells, or its event id
+    The row has a cell that is no int count of its cause (a float, a bool,
+    a negative int or one above the class size), or all its cells are 0,
+    or it has too few or too many cells, or it is a list, or its event id
     holds a tab or a line break.
     """
-    rows, taxonomy, n_per_cause = draw(_table_parts())
+    rows, taxonomy, n_per_cause, *skips = draw(_table_parts())
     k = taxonomy.k
-    fault = draw(st.sampled_from(["cell", "length", "id"]))
-    row = list(draw(st.tuples(*[_CELL] * k)))
+    fault = draw(st.sampled_from(["cell", "zero", "length", "list", "id"]))
+    row = list(draw(_count_rows(n_per_cause)))
     eid = draw(_EVENT_ID.filter(lambda e: e not in rows))
     if fault == "cell":
-        row[draw(st.integers(0, k - 1))] = draw(_BAD_CELL)
+        j = draw(st.integers(0, k - 1))
+        row[j] = draw(
+            st.one_of(
+                st.floats(),
+                st.booleans(),
+                st.integers(max_value=-1),
+                st.integers(n_per_cause[j] + 1, n_per_cause[j] + 10),
+            )
+        )
+    elif fault == "zero":
+        row = [0] * k
     elif fault == "length":
-        row = row[1:] if draw(st.booleans()) else row + [0.0]
-    else:
+        row = row[1:] if draw(st.booleans()) else row + [0]
+    elif fault == "id":
         breaker = draw(st.sampled_from("\t" + _LINE_BREAKS))
         eid = draw(_NAME) + breaker + draw(_NAME)
     items = list(rows.items())
-    items.insert(draw(st.integers(0, len(items))), (eid, tuple(row)))
-    return dict(items), taxonomy, n_per_cause
+    items.insert(draw(st.integers(0, len(items))), (eid, row if fault == "list" else tuple(row)))
+    return dict(items), taxonomy, n_per_cause, *skips
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -522,6 +540,7 @@ def test_every_table_that_can_be_built_saves_and_reloads_equal(table):
     loaded = table_from_text("\n".join(lines) + "\n")
     assert table_lines(loaded) == lines
     assert loaded == table
+    assert repr(loaded.rows) == repr(table.rows)
     assert loaded.kinds == table.kinds
 
 
@@ -532,16 +551,24 @@ def test_a_row_the_writer_could_not_write_is_rejected_at_construction(parts):
         ScoreTable(*parts)
 
 
+_BAD_ROW = "counts must be a tuple of 2 ints, each from 0 to its cause's n_per_cause, not all 0"
+
+
 @pytest.mark.parametrize(
     "rows, message",
     [
-        ({"e1": (1, 0)}, "row for event 'e1': cells must be 2 floats, each finite and >= 0"),
-        ({"e1": (1.0,)}, "row for event 'e1': cells must be 2 floats, each finite and >= 0"),
-        ({"e1": (1.0, -1.0)}, "row for event 'e1': cells must be 2 floats, each finite and >= 0"),
-        ({"e0": (1.0, 0.0), "e1": (math.nan, 1.0)},
-         "row for event 'e1': cells must be 2 floats, each finite and >= 0"),
-        ({"e1": (1.0, 0.0), "e\t2": (1.0, 0.0)}, "event id 'e\\t2' holds a tab or a line break"),
-        ({"e\u20282": (1.0, 0.0)}, "event id 'e\\u20282' holds a tab or a line break"),
+        ({"e1": (True, 0)}, f"row for event 'e1': {_BAD_ROW}"),
+        ({"e1": (1,)}, f"row for event 'e1': {_BAD_ROW}"),
+        ({"e1": (1, -1)}, f"row for event 'e1': {_BAD_ROW}"),
+        ({"e0": (1, 0), "e1": (2, 1)}, f"row for event 'e1': {_BAD_ROW}"),
+        ({"e1": (1, 0), "e\t2": (1, 0)}, "event id 'e\\t2' holds a tab or a line break"),
+        ({"e\u20282": (1, 0)}, "event id 'e\\u20282' holds a tab or a line break"),
+        ({"e0": (1, 0), "e1": (0, 0)}, f"row for event 'e1': {_BAD_ROW}"),
+        ({"e1": (1.0, 0)}, f"row for event 'e1': {_BAD_ROW}"),
+        ({"e1": (1, 0, 0)}, f"row for event 'e1': {_BAD_ROW}"),
+        ({"e1": [1, 0]}, f"row for event 'e1': {_BAD_ROW}"),
+        # Equal to e0's valid row, yet a bool: checked as an object of its own.
+        ({"e0": (1, 0), "e1": (True, 0)}, f"row for event 'e1': {_BAD_ROW}"),
     ],
 )
 def test_a_hand_built_table_that_would_not_reload_cannot_be_built(rows, message):
