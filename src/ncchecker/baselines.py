@@ -1,21 +1,22 @@
-"""Reference classifiers: random guess and two simplified retrieval
-baselines.  The majority class baseline is ``table.majority_from_counts``.
+"""Reference classifiers: random guess and one KNN retrieval baseline.
+The majority class baseline is ``table.majority_from_counts``.
 
-The retrieval pair follows the mechanisms the cited tools are known for,
-deliberately without their extra machinery: a TF-IDF vectorizer over raw
-log terms with cosine KNN, and an event-level IDF vectorizer over the
-failed-only vocabulary with the same KNN.  Indices are rebuilt per run;
-there is no persisted format.
+The two retrieval baselines are one KNN, two document kinds.  Each
+follows the mechanism its cited tool is known for, deliberately without
+the extra machinery: a log's document maps a term to its count, the
+index weighs it by IDF and votes among the cosine-nearest training logs.
+``cam`` counts the whitespace terms of the raw lines; ``lff`` takes the
+log's distinct events in the failed-only vocabulary, each counted once.
+Indices are rebuilt per run; there is no persisted format.
 """
 
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
-from .abstraction import EventSequence
-from .corpus import CauseTaxonomy, LabeledFailedLog
+from .corpus import CauseTaxonomy
 from .errors import ValidationError
 from .evaluation import MacroReport, evaluate
 from .table import majority_from_counts
@@ -63,7 +64,7 @@ def rg_predict_from_counts(
     )
 
 
-# -- shared KNN machinery --------------------------------------------------
+# -- KNN retrieval: one index, two document kinds --------------------------
 
 
 @dataclass(frozen=True)
@@ -87,12 +88,12 @@ def _majority_label(labels: Sequence[int]) -> int:
     return majority_from_counts([counts[j] for j in range(max(counts) + 1)])
 
 
-def _idf(doc_term_sets: Sequence[frozenset], n_docs: int) -> dict:
+def _idf(docs: Sequence[Mapping[str, int]]) -> dict:
     df = Counter()
-    for terms in doc_term_sets:
-        df.update(terms)
+    for doc in docs:
+        df.update(doc.keys())
     # A term occurring in every document carries no information: weight 0.
-    return {term: math.log(n_docs / count) for term, count in df.items()}
+    return {term: math.log(len(docs) / count) for term, count in df.items()}
 
 
 def _normalize(vector: dict) -> dict:
@@ -124,77 +125,32 @@ def _knn_vote(index: RetrievalIndex, query: dict) -> int:
     return index.labels[top[0]]  # vote tie: the nearest neighbor decides
 
 
-# -- CAM-style: TF-IDF over raw log terms ----------------------------------
+def _weights(doc: Mapping[str, int], idf: dict) -> dict:
+    return _normalize({t: n * idf[t] for t, n in doc.items() if idf.get(t, 0.0) > 0.0})
 
 
-def _terms(lines: Iterable[str]) -> list[str]:
-    terms: list[str] = []
-    for line in lines:
-        terms.extend(line.split())
-    return terms
-
-
-def cam_train(failed_logs: Sequence[LabeledFailedLog], k_neighbors: int = 5) -> RetrievalIndex:
-    if not failed_logs:
-        raise ValidationError("cam_train needs at least one failed training log")
-    docs = [_terms(log.lines) for log in failed_logs]
-    idf = _idf([frozenset(d) for d in docs], len(docs))
-    vectors = []
-    for doc in docs:
-        tf = Counter(doc)
-        vectors.append(
-            _normalize({t: n * idf[t] for t, n in tf.items() if idf[t] > 0.0})
-        )
-    return RetrievalIndex(
-        log_ids=tuple(log.log_id for log in failed_logs),
-        labels=tuple(log.cause for log in failed_logs),
-        vectors=tuple(vectors),
-        idf=idf,
-        k_neighbors=k_neighbors,
-        fallback=_majority_label([log.cause for log in failed_logs]),
-    )
-
-
-def cam_predict(index: RetrievalIndex, lines: Iterable[str]) -> int:
-    tf = Counter(_terms(lines))
-    query = _normalize(
-        {t: n * index.idf[t] for t, n in tf.items() if index.idf.get(t, 0.0) > 0.0}
-    )
-    return _knn_vote(index, query)
-
-
-# -- LFF-style: event IDF over the failed-only vocabulary ------------------
-
-
-def lff_train(
-    sequences: Sequence[EventSequence],
+def knn_train(
+    docs: Sequence[Mapping[str, int]],
     labels: Sequence[int],
     log_ids: Sequence[str],
-    vocabulary: frozenset,
     k_neighbors: int = 5,
 ) -> RetrievalIndex:
-    if not sequences:
-        raise ValidationError("lff_train needs at least one failed training log")
-    if not (len(sequences) == len(labels) == len(log_ids)):
-        raise ValidationError("sequences, labels, and log_ids must have equal length")
-    doc_sets = [seq.distinct_events() & vocabulary for seq in sequences]
-    idf = _idf(doc_sets, len(doc_sets))
-    vectors = [
-        _normalize({e: idf[e] for e in doc if idf[e] > 0.0}) for doc in doc_sets
-    ]
+    """Index one document per failed training log: a map from a term to its
+    count in the log.  Terms absent from the index's ``idf`` weigh 0."""
+    if not docs:
+        raise ValidationError("knn_train needs at least one failed training log")
+    if not (len(docs) == len(labels) == len(log_ids)):
+        raise ValidationError("docs, labels, and log_ids must have equal length")
+    idf = _idf(docs)
     return RetrievalIndex(
         log_ids=tuple(log_ids),
         labels=tuple(labels),
-        vectors=tuple(vectors),
+        vectors=tuple(_weights(doc, idf) for doc in docs),
         idf=idf,
         k_neighbors=k_neighbors,
         fallback=_majority_label(labels),
     )
 
 
-def lff_predict(index: RetrievalIndex, events: EventSequence) -> int:
-    present = events.distinct_events()
-    query = _normalize(
-        {e: index.idf[e] for e in present if index.idf.get(e, 0.0) > 0.0}
-    )
-    return _knn_vote(index, query)
+def knn_predict(index: RetrievalIndex, doc: Mapping[str, int]) -> int:
+    return _knn_vote(index, _weights(doc, index.idf))

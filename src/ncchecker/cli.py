@@ -8,6 +8,7 @@ all commands are deterministic for fixed seeds and inputs.
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -45,6 +46,15 @@ def _read_json(path):
         return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as exc:  # a UnicodeDecodeError too
         raise ValidationError(f"spec file {path}: invalid JSON ({exc})") from None
+
+
+def _baseline_names(text: str) -> tuple[str, ...]:
+    """An argparse type: a comma list of known baselines, in order, without repeats."""
+    names = dict.fromkeys(name.strip() for name in text.split(",") if name.strip())
+    unknown = sorted(set(names) - {"rg", "mcc", "cam", "lff"})
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown baselines: {', '.join(unknown)}")
+    return tuple(names)
 
 
 def _positive_int(text: str) -> int:
@@ -177,31 +187,31 @@ def _print_reports(reports: dict) -> None:
         print(ev.render_report(report))
 
 
+def _knn_docs(name, logs, miner, vocabulary):
+    """One document per log for the ``cam`` or ``lff`` KNN: the counts of
+    its raw whitespace terms, or its distinct events in ``vocabulary``."""
+    if name == "cam":
+        return [Counter(term for line in log.lines for term in line.split()) for log in logs]
+    sequences = miner.parse_logs((log.lines, log.log_id) for log in logs)
+    return [dict.fromkeys(seq.distinct_events() & vocabulary, 1) for seq in sequences]
+
+
 def _cmd_eval(args) -> int:
+    needs_train = [name for name in args.baselines if name in ("cam", "lff")]
+    if needs_train and args.train_dir is None:
+        raise ValidationError(f"--train-dir is required for baselines: {', '.join(needs_train)}")
     miner, table = load_model(args.model)
     test_corpus = load_corpus(args.corpus, args.labels, table.taxonomy)
     if not test_corpus.failed:
         raise ValidationError(f"test corpus {args.corpus} has no failed logs to evaluate")
     truth = [log.cause for log in test_corpus.failed]
 
-    requested = []
-    if args.baselines:
-        requested = [name.strip() for name in args.baselines.split(",") if name.strip()]
-        unknown = sorted(set(requested) - {"rg", "mcc", "cam", "lff"})
-        if unknown:
-            raise ValidationError(f"unknown baselines: {', '.join(unknown)}")
-    needs_train = {"cam", "lff"} & set(requested)
-    if needs_train and args.train_dir is None:
-        raise ValidationError(
-            f"--train-dir is required for baselines: {', '.join(sorted(needs_train))}"
-        )
-
     reports = {"ncchecker": ev.predict_corpus(miner, table, test_corpus)}
 
     train_corpus = None
     if needs_train:
         train_corpus = load_corpus(args.train_dir, args.train_labels, table.taxonomy)
-    for name in requested:
+    for name in args.baselines:
         if name == "rg":
             result = bl.rg_predict_from_counts(
                 table.n_per_cause, truth, args.rg_trials, args.seed, table.taxonomy
@@ -210,25 +220,18 @@ def _cmd_eval(args) -> int:
         elif name == "mcc":
             majority = majority_from_counts(table.n_per_cause)
             reports["mcc"] = ev.evaluate(truth, [majority] * len(truth), table.taxonomy)
-        elif name == "cam":
-            index = bl.cam_train(train_corpus.failed, args.k_neighbors)
-            cam_preds = [bl.cam_predict(index, log.lines) for log in test_corpus.failed]
-            reports["cam"] = ev.evaluate(truth, cam_preds, table.taxonomy)
-        elif name == "lff":
+        else:
+            vocabulary = frozenset(table.rows)
             train_logs = train_corpus.failed
-            sequences = miner.parse_logs((log.lines, log.log_id) for log in train_logs)
-            index = bl.lff_train(
-                sequences,
+            index = bl.knn_train(
+                _knn_docs(name, train_logs, miner, vocabulary),
                 [log.cause for log in train_logs],
                 [log.log_id for log in train_logs],
-                frozenset(table.rows),
                 args.k_neighbors,
             )
-            lff_preds = [
-                bl.lff_predict(index, miner.parse_log(log.lines, log.log_id))
-                for log in test_corpus.failed
-            ]
-            reports["lff"] = ev.evaluate(truth, lff_preds, table.taxonomy)
+            test_docs = _knn_docs(name, test_corpus.failed, miner, vocabulary)
+            preds = [bl.knn_predict(index, doc) for doc in test_docs]
+            reports[name] = ev.evaluate(truth, preds, table.taxonomy)
 
     if args.json:
         records = []
@@ -300,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("corpus", help="test corpus directory")
     evaluate.add_argument("--labels", default=None)
     evaluate.add_argument(
-        "--baselines", default="", help="comma list from: rg,mcc,cam,lff"
+        "--baselines", type=_baseline_names, default=(), help="comma list from: rg,mcc,cam,lff"
     )
     evaluate.add_argument("--train-dir", default=None, help="training corpus (cam/lff only)")
     evaluate.add_argument("--train-labels", default=None)

@@ -4,22 +4,15 @@ from collections import Counter
 import pytest
 
 from ncchecker import ValidationError
-from ncchecker.abstraction import EventSequence
 from ncchecker.baselines import (
     _cosine,
-    cam_predict,
-    cam_train,
-    lff_predict,
-    lff_train,
+    knn_predict,
+    knn_train,
     rg_predict_from_counts,
     rg_trials,
 )
-from ncchecker.corpus import DEFAULT_TAXONOMY, LabeledFailedLog
+from ncchecker.corpus import DEFAULT_TAXONOMY
 from ncchecker.table import majority_from_counts
-
-
-def _seq(events, source="f"):
-    return EventSequence(source, tuple(events), tuple(range(1, len(events) + 1)))
 
 
 # -- random guess -------------------------------------------------------------
@@ -84,16 +77,22 @@ def test_mcc_needs_labels():
         majority_from_counts([0, 0, 0, 0])
 
 
-# -- CAM-style TF-IDF KNN -------------------------------------------------------
+# -- KNN retrieval: cam documents count raw terms --------------------------------
+
+
+def _terms(*lines):
+    """A cam document: the counts of the whitespace terms of the lines."""
+    return Counter(term for line in lines for term in line.split())
+
+
+def _events(*events):
+    """An lff document: distinct in-vocabulary events, each counted once."""
+    return dict.fromkeys(events, 1)
 
 
 def _cam_toy_index(k_neighbors=1):
-    logs = (
-        LabeledFailedLog("d0", ("alpha beta beta",), 0),
-        LabeledFailedLog("d1", ("alpha gamma",), 1),
-        LabeledFailedLog("d2", ("delta delta gamma",), 1),
-    )
-    return cam_train(logs, k_neighbors=k_neighbors)
+    docs = [_terms("alpha beta beta"), _terms("alpha gamma"), _terms("delta delta gamma")]
+    return knn_train(docs, [0, 1, 1], ["d0", "d1", "d2"], k_neighbors)
 
 
 def test_cam_hand_computed_tfidf_cosines():
@@ -120,57 +119,53 @@ def test_cam_hand_computed_tfidf_cosines():
 
 def test_cam_identical_log_is_rank_one_neighbor():
     index = _cam_toy_index(k_neighbors=1)
-    assert cam_predict(index, ("alpha beta beta",)) == 0
+    assert knn_predict(index, _terms("alpha beta beta")) == 0
 
 
 def test_cam_k1_returns_nearest_label():
     index = _cam_toy_index(k_neighbors=1)
-    assert cam_predict(index, ("alpha beta",)) == 0
-    assert cam_predict(index, ("delta gamma",)) == 1
+    assert knn_predict(index, _terms("alpha beta")) == 0
+    assert knn_predict(index, _terms("delta gamma")) == 1
 
 
 def test_cam_k3_majority_vote():
     index = _cam_toy_index(k_neighbors=3)
     # Neighbors are all three docs; labels (0, 1, 1) -> majority 1.
-    assert cam_predict(index, ("alpha beta gamma delta",)) == 1
+    assert knn_predict(index, _terms("alpha beta gamma delta")) == 1
 
 
 def test_cam_empty_test_log_falls_back_to_majority():
     index = _cam_toy_index()
-    assert cam_predict(index, ()) == 1  # majority label of (0, 1, 1)
+    assert knn_predict(index, _terms()) == 1  # majority label of (0, 1, 1)
 
 
 def test_cam_no_shared_terms_falls_back_to_majority():
     index = _cam_toy_index()
-    assert cam_predict(index, ("zeta eta theta",)) == 1
+    assert knn_predict(index, _terms("zeta eta theta")) == 1
 
 
 def test_cam_training_order_permutation_invariant():
-    logs = [
-        LabeledFailedLog("d0", ("alpha beta beta",), 0),
-        LabeledFailedLog("d1", ("alpha gamma",), 1),
-        LabeledFailedLog("d2", ("delta delta gamma",), 1),
-        LabeledFailedLog("d3", ("alpha beta gamma",), 2),
+    docs = [
+        _terms("alpha beta beta"),
+        _terms("alpha gamma"),
+        _terms("delta delta gamma"),
+        _terms("alpha beta gamma"),
     ]
-    queries = [("alpha beta",), ("gamma delta",), ("alpha gamma beta",)]
-    forward = cam_train(logs, k_neighbors=2)
-    backward = cam_train(list(reversed(logs)), k_neighbors=2)
+    labels = [0, 1, 1, 2]
+    ids = ["d0", "d1", "d2", "d3"]
+    queries = [_terms("alpha beta"), _terms("gamma delta"), _terms("alpha gamma beta")]
+    forward = knn_train(docs, labels, ids, 2)
+    backward = knn_train(docs[::-1], labels[::-1], ids[::-1], 2)
     for query in queries:
-        assert cam_predict(forward, query) == cam_predict(backward, query)
+        assert knn_predict(forward, query) == knn_predict(backward, query)
 
 
-# -- LFF-style event IDF KNN ------------------------------------------------------
+# -- KNN retrieval: lff documents hold events once -------------------------------
 
 
 def _lff_toy_index(k_neighbors=1):
-    sequences = [
-        _seq(["x"], "L0"),
-        _seq(["x", "y"], "L1"),
-        _seq(["y", "z"], "L2"),
-        _seq(["z"], "L3"),
-    ]
-    labels = [0, 0, 1, 1]
-    return lff_train(sequences, labels, ["L0", "L1", "L2", "L3"], frozenset({"x", "y", "z"}), k_neighbors)
+    docs = [_events("x"), _events("x", "y"), _events("y", "z"), _events("z")]
+    return knn_train(docs, [0, 0, 1, 1], ["L0", "L1", "L2", "L3"], k_neighbors)
 
 
 def test_lff_hand_computed_neighbor_ranking():
@@ -184,42 +179,61 @@ def test_lff_hand_computed_neighbor_ranking():
 
 def test_lff_full_overlap_wins():
     index = _lff_toy_index(k_neighbors=1)
-    assert lff_predict(index, _seq(["y", "z"])) == 1
+    assert knn_predict(index, _events("y", "z")) == 1
 
 
 def test_lff_ubiquitous_event_has_no_influence():
-    sequences = [
-        _seq(["w", "x"], "L0"),
-        _seq(["w", "x", "y"], "L1"),
-        _seq(["w", "y", "z"], "L2"),
-        _seq(["w", "z"], "L3"),
-    ]
-    index = lff_train(
-        sequences, [0, 0, 1, 1], ["L0", "L1", "L2", "L3"], frozenset({"w", "x", "y", "z"}), 1
-    )
+    docs = [_events("w", "x"), _events("w", "x", "y"), _events("w", "y", "z"), _events("w", "z")]
+    index = knn_train(docs, [0, 0, 1, 1], ["L0", "L1", "L2", "L3"], 1)
     # w occurs in every failed log: idf 0, dropped from all vectors.
+    assert index.idf["w"] == 0.0
     assert all("w" not in vec for vec in index.vectors)
-    assert lff_predict(index, _seq(["w", "y", "z"])) == 1
+    assert knn_predict(index, _events("w", "y", "z")) == 1
 
 
 def test_lff_events_outside_vocabulary_are_ignored():
+    # An event outside the training documents has no idf, so it weighs 0.
     index = _lff_toy_index()
-    assert lff_predict(index, _seq(["x", "benign-event"])) == 0
+    assert "benign-event" not in index.idf
+    assert knn_predict(index, _events("x", "benign-event")) == 0
+    assert knn_predict(index, _events("x", "benign-event")) == knn_predict(index, _events("x"))
 
 
 def test_lff_no_signal_falls_back_to_majority():
     index = _lff_toy_index()
-    assert lff_predict(index, _seq(["benign-event"])) == index.fallback
+    assert knn_predict(index, _events("benign-event")) == index.fallback
 
 
 def test_lff_training_order_permutation_invariant():
-    sequences = [_seq(["x"], "L0"), _seq(["x", "y"], "L1"), _seq(["y", "z"], "L2"), _seq(["z"], "L3")]
+    docs = [_events("x"), _events("x", "y"), _events("y", "z"), _events("z")]
     labels = [0, 0, 1, 1]
     ids = ["L0", "L1", "L2", "L3"]
-    vocab = frozenset({"x", "y", "z"})
-    forward = lff_train(sequences, labels, ids, vocab, 2)
-    backward = lff_train(
-        list(reversed(sequences)), list(reversed(labels)), list(reversed(ids)), vocab, 2
-    )
+    forward = knn_train(docs, labels, ids, 2)
+    backward = knn_train(docs[::-1], labels[::-1], ids[::-1], 2)
     for events in (["x"], ["y"], ["z"], ["x", "z"]):
-        assert lff_predict(forward, _seq(events)) == lff_predict(backward, _seq(events))
+        assert knn_predict(forward, _events(*events)) == knn_predict(backward, _events(*events))
+
+
+def test_a_document_of_ones_weighs_each_term_by_its_idf_alone():
+    # All counts 1: each vector is, bit for bit, its terms' idf values
+    # normalized, since 1 * idf == idf exactly.  Skewed document
+    # frequencies give idf values that are no round numbers.
+    docs = [_events("x", "y"), _events("y", "z"), _events("z"), _events("x", "y", "z")]
+    index = knn_train(docs, [0, 1, 1, 0], ["L0", "L1", "L2", "L3"])
+    assert index.idf == {"x": math.log(4 / 2), "y": math.log(4 / 3), "z": math.log(4 / 3)}
+    for doc, vector in zip(docs, index.vectors):
+        weights = {e: index.idf[e] for e in doc}
+        norm = math.sqrt(sum(weights[e] * weights[e] for e in sorted(weights)))
+        expected = {e: w / norm for e, w in weights.items()}
+        assert {e: v.hex() for e, v in vector.items()} == {
+            e: v.hex() for e, v in expected.items()
+        }
+
+
+def test_knn_train_rejects_no_documents_and_unequal_lengths():
+    with pytest.raises(ValidationError):
+        knn_train([], [], [])
+    with pytest.raises(ValidationError):
+        knn_train([_events("x")], [0, 1], ["L0"])
+    with pytest.raises(ValidationError):
+        knn_train([_events("x")], [0], ["L0"], k_neighbors=0)

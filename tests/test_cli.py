@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import ncchecker
+from ncchecker import baselines as bl
 from ncchecker.abstraction import DEFAULT_MASK_RULES, AbstractionConfig
 from ncchecker.cli import main
 from ncchecker.generator import corpus_digest, default_spec, generate_synthetic, spec_from_dict
@@ -312,10 +313,12 @@ def test_predict_invalid_mask_regex_is_validation_error(corpus_dir, model_path, 
         ),
         ("train", ("--tree-depth", "abc")),
         ("eval", ("--seed", "abc")),
-        ("eval", ("--k-neighbors", "0", "--baselines", "cam,lff")),
+        ("eval", ("--k-neighbors", "0", "--baselines", "cam,lff", "--train-dir", "missing-train")),
         ("eval", ("--k-neighbors", "0", "--baselines", "rg")),
         ("eval", ("--rg-trials", "0", "--baselines", "mcc")),
         ("eval", ("--rg-trials", "-3", "--baselines", "rg")),
+        ("eval", ("--baselines", "zz")),
+        ("eval", ("--baselines", "cam")),
         ("ablate", ("--seed", "abc")),
     ],
     ids=[
@@ -329,6 +332,8 @@ def test_predict_invalid_mask_regex_is_validation_error(corpus_dir, model_path, 
         "eval-k-neighbors-zero-rg",
         "eval-rg-trials-zero-mcc",
         "eval-rg-trials-negative-rg",
+        "eval-baselines-unknown",
+        "eval-baselines-cam-without-train-dir",
         "ablate-seed",
     ],
 )
@@ -336,13 +341,13 @@ def test_malformed_spec_or_config_value_is_validation_error(
     command, content, corpus_dir, model_path, tmp_path
 ):
     # A gen case's content is a spec file; any other case's is its flags.
-    # eval's model is missing, so exit 1 rather than 2 shows that a bad
-    # flag is rejected before the model is read.
+    # eval's model is missing, and so is a --train-dir it names, so exit 1
+    # rather than 2 shows that a bad flag is rejected before any file is read.
     path = tmp_path / "input.json"
     args = {
         "gen": (path, "--out", tmp_path / "out"),
         "train": (corpus_dir, "--out", tmp_path / "m.ncc"),
-        "eval": (tmp_path / "missing.ncc", corpus_dir, "--train-dir", corpus_dir),
+        "eval": (tmp_path / "missing.ncc", corpus_dir),
         "ablate": (corpus_dir,),
     }[command]
     if command == "gen":
@@ -631,6 +636,18 @@ def test_eval_all_baselines_json(corpus_dir, model_path, capsys):
 
 def test_eval_unknown_baseline_rejected(corpus_dir, model_path):
     assert main(["eval", str(model_path), str(corpus_dir), "--baselines", "zz"]) == 1
+
+
+def test_eval_runs_a_repeated_baseline_once(corpus_dir, model_path, capsys, monkeypatch):
+    trained = []
+    knn_train = bl.knn_train
+    monkeypatch.setattr(bl, "knn_train", lambda *a: trained.append(a) or knn_train(*a))
+    args = ["eval", str(model_path), str(corpus_dir), "--train-dir", str(corpus_dir), "--json"]
+    assert main([*args, "--baselines", "cam, lff,cam,,lff"]) == 0
+    repeated = capsys.readouterr().out
+    assert len(trained) == 2
+    assert main([*args, "--baselines", "cam,lff"]) == 0
+    assert capsys.readouterr().out == repeated
 
 
 def test_ablate_prints_checks_and_four_variants(corpus_dir, capsys):
