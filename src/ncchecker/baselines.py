@@ -136,7 +136,7 @@ def knn_train(
     k_neighbors: int = 5,
 ) -> RetrievalIndex:
     """Index one document per failed training log: a map from a term to its
-    count in the log.  Terms absent from the index's ``idf`` weigh 0."""
+    count in that log."""
     if not docs:
         raise ValidationError("knn_train needs at least one failed training log")
     if not (len(docs) == len(labels) == len(log_ids)):
@@ -153,4 +153,6 @@ def knn_train(
 
 
 def knn_predict(index: RetrievalIndex, doc: Mapping[str, int]) -> int:
+    """The cause the nearest training logs vote for; a term that no
+    training document holds weighs 0."""
     return _knn_vote(index, _weights(doc, index.idf))

@@ -4,6 +4,8 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,9 +13,10 @@ import pytest
 import ncchecker
 from ncchecker import baselines as bl
 from ncchecker.abstraction import DEFAULT_MASK_RULES, AbstractionConfig
-from ncchecker.cli import main
+from ncchecker.cli import _knn_docs, main
+from ncchecker.corpus import load_corpus
 from ncchecker.generator import corpus_digest, default_spec, generate_synthetic, spec_from_dict
-from ncchecker.model import _config_to_json
+from ncchecker.model import _config_to_json, load_model
 
 
 @pytest.fixture(scope="module")
@@ -648,6 +651,26 @@ def test_eval_runs_a_repeated_baseline_once(corpus_dir, model_path, capsys, monk
     assert len(trained) == 2
     assert main([*args, "--baselines", "cam,lff"]) == 0
     assert capsys.readouterr().out == repeated
+
+
+def test_knn_documents_count_raw_terms_for_cam_and_known_events_once_for_lff(
+    corpus_dir, model_path
+):
+    # Each log twice over: cam's term counts double, lff's events stay at 1.
+    miner, table = load_model(model_path)
+    logs = load_corpus(corpus_dir).failed[:5]
+    doubled = [replace(log, lines=log.lines + log.lines) for log in logs]
+    vocabulary = frozenset(table.rows)
+    cam_once = _knn_docs("cam", logs, miner, vocabulary)
+    cam_twice = _knn_docs("cam", doubled, miner, vocabulary)
+    assert cam_once[0] == Counter(" ".join(logs[0].lines).split())
+    assert cam_twice == [doc + doc for doc in cam_once]
+    sequences = miner.parse_logs((log.lines, log.log_id) for log in logs)
+    lff_docs = _knn_docs("lff", doubled, miner, vocabulary)
+    for sequence, doc in zip(sequences, lff_docs):
+        assert set(doc) == {event for event in sequence.events if event in table.rows}
+        assert set(doc.values()) <= {1}
+    assert any(lff_docs)
 
 
 def test_ablate_prints_checks_and_four_variants(corpus_dir, capsys):
