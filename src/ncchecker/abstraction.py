@@ -35,7 +35,7 @@ same in both modes on ASCII text, and one check serves every rule: the
 masked.
 
 ``parse_log`` masks a whole log before matching any of it, and
-``parse_logs``, which training uses, masks the lines of many logs at once,
+``event_sets``, which training uses, masks the lines of many logs at once,
 in chunks of at most ``MASK_CHUNK_LINES`` lines that may cut a log
 anywhere.  The lines of a log or chunk are joined with ``"\n"``, each rule
 runs once over that text, and the text is split back, which spares the
@@ -48,6 +48,12 @@ given through the API may hold ``"\n"`` itself; such a log or chunk masks
 line by line, as ``parse_line`` does.  The ASCII twins run only when the
 whole joined text is ASCII, so one non-ASCII line sends its whole chunk
 through the Unicode compiles: exact, but slower.
+
+``parse_log`` gives a log's event per line, with line numbers, which
+prediction needs to flag lines.  Training needs only which events each
+log holds, so ``event_sets`` gives each log as the set of its distinct
+event ids, built from its masked lines in one ``frozenset`` call, and
+holds no per-line event.
 
 Both modes look lines up in a per-leaf inverted index (token position ->
 literal token -> template slots), built lazily on the leaf's first lookup
@@ -70,11 +76,12 @@ a frozen miner keeps one memo from a masked line (before the split) to its
 event id, or None for a blank line, and matches each distinct one once for
 as long as the miner lives: ``freeze()`` starts it empty, and so does a
 reload, which freezes a new miner.  ``parse_line``, ``parse_log`` and
-``parse_logs`` all read and fill it.  Its memory is bounded by ``FROZEN_MEMO_CAP`` entries: a
-miss that finds the memo full clears it first.  An entry costs its dict
-slot (29-43 bytes; 961,280 bytes for the table of a full memo) and the
-masked line, which the memo keeps alive (49 bytes plus one per character
-of ASCII text, up to four per character otherwise).  Measured on the
+``event_sets`` all read and fill it.  Its memory is bounded by
+``FROZEN_MEMO_CAP`` entries: a miss that finds the memo full clears it
+first.  An entry costs its dict slot (29-43 bytes; 961,280 bytes for the
+table of a full memo) and the masked line, which the memo keeps alive
+(49 bytes plus one per character of ASCII text, up to four per character
+otherwise).  Measured on the
 bench's seed-7 test corpora, an entry takes 111 bytes on ``clean``, 118 on
 ``short`` and 173 on ``noisy`` (masked lines of 28, 32 and 81 characters
 on average).  So the worst case is the cap times the longest masked line,
@@ -87,8 +94,8 @@ construction until ``freeze()`` drops it, mapping a masked line to the
 result of its last full match: the leaf's index, that index's widen count
 after the merge, and the template.  A hit adds one to the template's
 ``match_count`` and skips the split, the routing, the lookup and the
-merge; ``parse_line``, ``parse_log`` and ``parse_logs`` all read and fill
-it.  It is exact when both of these hold:
+merge; ``parse_line``, ``parse_log`` and ``event_sets`` all read and
+fill it.  It is exact when both of these hold:
 
 * The entry was recorded after a match on a stable route.  A route is
   stable when each step finds its key child, or falls back to ``<*>`` at
@@ -131,7 +138,7 @@ _MINER_INDEX_LIMIT = 10**_MAX_COUNT_DIGITS
 FROZEN_MEMO_CAP = 1 << 15
 _MISSING = object()
 
-# Lines ``parse_logs`` masks in one pass per rule.  It bounds what is held
+# Lines ``event_sets`` masks in one pass per rule.  It bounds what is held
 # at once, the chunk, its joined and masked text and its masked lines, to
 # about 300 KB on lines of 80 characters; a 10K-log corpus of 1.3M lines
 # joined whole would hold over 100 MB.  Timed with ``build`` on the bench's
@@ -140,8 +147,13 @@ _MISSING = object()
 # other, and 1,024 was never slower than 4,096: ``short`` 87.7 vs 89.4 ms,
 # ``clean`` 134.1 vs 138.9, ``noisy`` 182.5 vs 185.2.  The memory that
 # ``build`` traced at its peak on ``short`` grew by 0.12 MB over masking
-# one log at a time with 1,024 lines, and by 0.47 MB with 4,096.
+# one log at a time with 1,024 lines, and by 0.47 MB with 4,096.  (These
+# were measured while training still kept an event per line.)
 MASK_CHUNK_LINES = 1024
+
+# What a masked line parses to that is no event of a log's set: None for a
+# blank line, and the frozen miner's id for an unmatched one.
+_NOT_EVENTS = frozenset({None, UNKNOWN_EVENT_ID})
 
 # The built-in rules, each as written, in its scan form, and with the
 # pattern of the dots it is anchored on, if any.  Order matters: IPv4
@@ -318,7 +330,10 @@ class LogTemplate:
 
 @dataclass(frozen=True)
 class EventSequence:
-    """Per-line event ids for one log, with the 1-based source line numbers."""
+    """Per-line event ids for one log, with the 1-based source line numbers.
+
+    It iterates and measures as its ``events``.
+    """
 
     source: str
     events: tuple[str, ...]
@@ -330,6 +345,9 @@ class EventSequence:
 
     def __len__(self) -> int:
         return len(self.events)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.events)
 
     def distinct_events(self) -> frozenset[str]:
         return frozenset(self.events) - {UNKNOWN_EVENT_ID}
@@ -670,21 +688,22 @@ class TemplateMiner:
         """
         return _sequence(self._parser(), _mask_log(tuple(lines)), source)
 
-    def parse_logs(self, logs: Iterable[tuple[Sequence[str], str]]) -> list[EventSequence]:
-        """``[self.parse_log(lines, source) for lines, source in logs]``, masked in bulk.
+    def event_sets(self, logs: Iterable[Sequence[str]]) -> Iterator[frozenset[str]]:
+        """Each log's ``self.parse_log(lines).distinct_events()``, parsed when asked for.
 
         The lines of consecutive logs are masked together, in chunks of at
         most ``MASK_CHUNK_LINES`` lines, each as ``parse_log`` masks one
-        log; masking is a function of each line alone (module docstring),
-        so every sequence, template and count is ``parse_log``'s.
+        log; masking is a function of each line alone (module docstring).
+        A log's masked lines are then parsed in order, as ``parse_log``
+        parses them, so every set, template and count is ``parse_log``'s.
+        The parser is the one of the miner's mode when the first set is
+        asked for: do not freeze the miner before the last.
         """
         logs = list(logs)
-        lines = (line for log_lines, _ in logs for line in log_lines)
-        masked = chain.from_iterable(_mask_chunks(lines))
+        masked = chain.from_iterable(_mask_chunks(chain.from_iterable(logs)))
         parse = self._parser()
-        return [
-            _sequence(parse, islice(masked, len(log_lines)), source) for log_lines, source in logs
-        ]
+        for lines in logs:
+            yield frozenset(map(parse, islice(masked, len(lines)))) - _NOT_EVENTS
 
     def _parser(self):
         """The parser of a masked line for the miner's mode."""

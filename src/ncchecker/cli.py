@@ -192,14 +192,17 @@ def _knn_docs(name, logs, miner, vocabulary):
     its raw whitespace terms, or its distinct events in ``vocabulary``."""
     if name == "cam":
         return [Counter(term for line in log.lines for term in line.split()) for log in logs]
-    sequences = miner.parse_logs((log.lines, log.log_id) for log in logs)
-    return [dict.fromkeys(seq.distinct_events() & vocabulary, 1) for seq in sequences]
+    event_sets = miner.event_sets(log.lines for log in logs)
+    return [dict.fromkeys(events & vocabulary, 1) for events in event_sets]
 
 
 def _cmd_eval(args) -> int:
     needs_train = [name for name in args.baselines if name in ("cam", "lff")]
     if needs_train and args.train_dir is None:
         raise ValidationError(f"--train-dir is required for baselines: {', '.join(needs_train)}")
+    if not needs_train and (args.train_dir, args.train_labels) != (None, None):
+        flag = "--train-dir" if args.train_dir is not None else "--train-labels"
+        raise ValidationError(f"{flag} is only read by baselines cam and lff; neither is given")
     miner, table = load_model(args.model)
     test_corpus = load_corpus(args.corpus, args.labels, table.taxonomy)
     if not test_corpus.failed:

@@ -1,14 +1,17 @@
 """Event-by-cause lookup table construction.
 
-Four steps, run in this order by ``build``: diff the failed event pool
-against the passed pool, count per-cause presence of each surviving
-event, reweight rows (multi-problem rows normalize to sum 1;
-single-problem counts map through 0 / 1.0 / log2(1 + c)), then scale each
-column by the inverse class frequency N / N_j.  The counts are the whole
-trained table: a ``ScoreTable`` is built from them, the class sizes and
-which of the last two steps apply, and derives ``n_total``, ``icf`` and
-its score rows once, at construction, through the same ``reweight`` and
-icf product for every table, built or loaded.
+Training reduces each log to the set of its distinct events: the table
+counts presence, so a log adds at most 1 to an event however many of its
+lines the event matches.  Four steps, run in this order by ``build``:
+diff the failed event pool against the passed pool, count per-cause
+presence of each surviving event, reweight rows (multi-problem rows
+normalize to sum 1; single-problem counts map through 0 / 1.0 /
+log2(1 + c)), then scale each column by the inverse class frequency
+N / N_j.  The counts are the whole trained table: a ``ScoreTable`` is
+built from them, the class sizes and which of the last two steps apply,
+and derives ``n_total``, ``icf`` and its score rows once, at
+construction, through the same ``reweight`` and icf product for every
+table, built or loaded.
 
 It is stored only as the ``ncc-table v2`` block of an ``ncc-model v2``
 file (see ``model``).  ``table_lines`` writes that block and owns its
@@ -20,7 +23,8 @@ table it accepts saves to a block that reads back equal.
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from itertools import chain, islice
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .abstraction import (
     AbstractionConfig,
@@ -51,7 +55,7 @@ def collect_pools(
     return frozenset(passed), frozenset(failed)
 
 
-def diff_with_pass(failed: frozenset[str], passed: frozenset[str]) -> frozenset[str]:
+def diff_with_pass(failed: frozenset[str], passed: AbstractSet[str]) -> frozenset[str]:
     """Failed-only vocabulary; events shared with passed logs cannot indicate a fault."""
     remaining = failed - passed
     if not remaining:
@@ -71,23 +75,24 @@ class CountTable:
 
 def init_counts(
     vocabulary: frozenset[str],
-    labeled_seqs: Sequence[tuple[EventSequence, int]],
+    labeled_events: Iterable[tuple[Iterable[str], int]],
     k: int,
 ) -> CountTable:
     """Count, for each event, in how many failed logs of each cause it occurs.
 
-    Presence counting: an event contributes at most 1 per log no matter how
-    many lines repeat it.  Events with equal counts share one row tuple, so
-    a ``ScoreTable`` checks and scores it once.
+    Each failed log comes as its event ids and its cause: a set of ids, or
+    any iterable of them, such as an ``EventSequence``.  Presence counting:
+    an event contributes at most 1 per log no matter how many times the
+    log holds it, and ids outside ``vocabulary`` are not counted.  Events
+    with equal counts share one row tuple, so a ``ScoreTable`` checks and
+    scores it once.
     """
     rows = {eid: [0] * k for eid in sorted(vocabulary, key=event_sort_key)}
     n_per_cause = [0] * k
-    for seq, cause in labeled_seqs:
+    for events, cause in labeled_events:
         n_per_cause[cause] += 1
-        for eid in seq.distinct_events():
-            row = rows.get(eid)
-            if row is not None:
-                row[cause] += 1
+        for eid in vocabulary.intersection(events):
+            rows[eid][cause] += 1
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     frozen_rows = {}
     for eid, row in rows.items():
@@ -245,7 +250,10 @@ def build(
     """Run the whole construction pipeline over a training corpus.
 
     Mines templates over all passed then all failed logs, in the corpus's
-    log-id order, freezes the miner, and builds the score table.
+    log-id order, freezes the miner, and builds the score table.  Each log
+    is parsed to the set of its distinct events (``event_sets``), and no
+    per-line event is kept: a passed log's set joins the passed pool as it
+    is parsed, and a failed log keeps only its events outside that pool.
     ``variant`` names one of ``ABLATION_VARIANTS`` (case-insensitive):
     ``full`` runs every step, ``drop1`` keeps events shared with passed
     logs, ``drop2`` passes raw counts to the icf scaling, and ``drop3``
@@ -256,15 +264,19 @@ def build(
         raise ValidationError(
             f"unknown ablation variant {variant!r}; choose from {', '.join(ABLATION_VARIANTS)}"
         )
-    if not train_corpus.failed:
+    passed, failed = train_corpus.passed, train_corpus.failed
+    if not failed:
         raise ValidationError("training corpus has no failed logs; nothing to learn from")
     miner = TemplateMiner(config)
-    passed_seqs = miner.parse_logs((log.lines, log.log_id) for log in train_corpus.passed)
-    failed_seqs = miner.parse_logs((log.lines, log.log_id) for log in train_corpus.failed)
-    labeled_seqs = [(seq, log.cause) for seq, log in zip(failed_seqs, train_corpus.failed)]
+    event_sets = miner.event_sets(log.lines for log in chain(passed, failed))
+    passed_pool: set[str] = set()
+    for events in islice(event_sets, len(passed)):
+        passed_pool |= events
+    shared = frozenset() if name == "drop1" else passed_pool
+    labeled_events = [(events - shared, log.cause) for events, log in zip(event_sets, failed)]
     miner.freeze()
 
-    passed_pool, failed_pool = collect_pools(passed_seqs, (seq for seq, _ in labeled_seqs))
+    failed_pool = frozenset().union(*(events for events, _ in labeled_events))
     if name == "drop1":
         vocabulary = failed_pool
         if not vocabulary:
@@ -272,7 +284,7 @@ def build(
     else:
         vocabulary = diff_with_pass(failed_pool, passed_pool)
 
-    counts = init_counts(vocabulary, labeled_seqs, train_corpus.taxonomy.k)
+    counts = init_counts(vocabulary, labeled_events, train_corpus.taxonomy.k)
     table = ScoreTable(
         counts.rows,
         train_corpus.taxonomy,

@@ -710,24 +710,26 @@ def test_parse_log_masks_in_one_pass_per_rule():
             miner.freeze()
 
 
-def test_parse_logs_masks_in_one_pass_per_rule_per_chunk(monkeypatch):
+def test_event_sets_mask_in_one_pass_per_rule_per_chunk(monkeypatch):
     # Three logs of 50 lines in chunks of 64 lines: three passes per rule,
-    # the last chunk 22 lines; the logs' own bounds do not matter.
+    # the last chunk 22 lines; the logs' own bounds do not matter.  Every
+    # line masks to one template.
     monkeypatch.setattr(abstraction, "MASK_CHUNK_LINES", 64)
     logs = [
-        ([f"retry {n} of job /srv/a.rb:{n} at 0x{n:x} on 10.0.{log}.{n}" for n in range(50)], "l")
+        [f"retry {n} of job /srv/a.rb:{n} at 0x{n:x} on 10.0.{log}.{n}" for n in range(50)]
         for log in range(3)
     ]
     miner = TemplateMiner()
     for _ in ("training", "frozen"):
         counters = [_CountingRule(rule) for rule in abstraction._ASCII_RULES]
         with mock.patch.object(abstraction, "_ASCII_RULES", tuple(counters)):
-            assert [len(seq) for seq in miner.parse_logs(logs)] == [50] * 3
+            assert list(miner.event_sets(logs)) == [frozenset({"e1"})] * 3
         assert [c.calls for c in counters] == [3] * 4
+        assert miner.templates["e1"].match_count == 150
         miner.freeze()
 
 
-# -- parse_logs: parse_log over many logs, masked in chunks -------------------
+# -- event_sets: parse_log's distinct events over many logs, masked in chunks --
 
 _ascii_log_lines = st.lists(
     st.sampled_from([*_ASCII_MASK_PIECES, "\r", "\x0c"]), max_size=12
@@ -746,15 +748,16 @@ def _log_batches(draw):
     if at and draw(st.integers(0, 3)) == 0:
         i, j = draw(st.sampled_from(at))
         logs[i][j] += "\n" + draw(_ascii_log_lines)
-    return [(tuple(lines), f"log{n}") for n, lines in enumerate(logs)]
+    return [tuple(lines) for lines in logs]
 
 
-def _assert_parse_logs_is_parse_log(chunk, train, probe):
-    """``parse_logs`` equals ``parse_log`` per log, training then frozen."""
+def _assert_event_sets_are_parse_log(chunk, train, probe):
+    """Each set of ``event_sets`` is ``parse_log``'s distinct events, training then frozen."""
     batched, per_log = TemplateMiner(), TemplateMiner()
     with mock.patch.object(abstraction, "MASK_CHUNK_LINES", chunk):
         for logs in (train, probe):
-            assert batched.parse_logs(iter(logs)) == [per_log.parse_log(*log) for log in logs]
+            sets = batched.event_sets(iter(logs))
+            assert list(sets) == [per_log.parse_log(lines).distinct_events() for lines in logs]
             assert batched.export_registry() == per_log.export_registry()
             assert {e: t.match_count for e, t in batched.templates.items()} == {
                 e: t.match_count for e, t in per_log.templates.items()
@@ -765,19 +768,21 @@ def _assert_parse_logs_is_parse_log(chunk, train, probe):
 
 # Chunk bounds that cut most logs, one that never does, and the real one.
 _chunks = st.sampled_from([1, 2, 3, 5, 64, abstraction.MASK_CHUNK_LINES])
-_BLANK_AND_EMPTY_LOGS = [(("a 1", "b /x", "a 2"), "l0"), ((), "l1"), (("", " \t"), "l2")]
+_BLANK_AND_EMPTY_LOGS = [("a 1", "b /x", "a 2"), (), ("", " \t")]
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(chunk=_chunks, train=_log_batches(), probe=_log_batches())
 @example(2, _BLANK_AND_EMPTY_LOGS, _BLANK_AND_EMPTY_LOGS)
-@example(3, [(("e 1", "e\u00e9 2", "e 3", "e 4"), "l0")], [])
-@example(2, [(("x 1", "a 1\nb 2", "y 2"), "l0"), (("a 1",), "l1")], [])
-def test_parse_logs_equals_parse_log_per_log(chunk, train, probe):
-    _assert_parse_logs_is_parse_log(chunk, train, probe)
+@example(3, [("e 1", "e\u00e9 2", "e 3", "e 4")], [])
+@example(2, [("x 1", "a 1\nb 2", "y 2"), ("a 1",)], [])
+# A frozen probe line that matches no template is left out of its set.
+@example(2, [("a 1", "b 2")], [("a 1", "never seen before here", "b 2"), ("zz",)])
+def test_event_sets_equal_parse_log_per_log(chunk, train, probe):
+    _assert_event_sets_are_parse_log(chunk, train, probe)
 
 
-def test_parse_logs_equals_parse_log_on_a_log_longer_than_a_chunk():
+def test_event_sets_equal_parse_log_on_a_log_longer_than_a_chunk():
     # The real bound: a log of 3 lines, then one 2 lines past a chunk that
     # holds one non-ASCII line and blank lines, then an empty log.
     long_log = tuple(
@@ -785,8 +790,8 @@ def test_parse_logs_equals_parse_log_on_a_log_longer_than_a_chunk():
         for n in range(abstraction.MASK_CHUNK_LINES + 2)
     )
     long_log = long_log[:100] + ("job 3 \u00e9t\u00e9 0x1f",) + long_log[101:]
-    logs = [(("job 1 on 10.0.0.1", "", "retry 4"), "short"), (long_log, "long"), ((), "empty")]
-    _assert_parse_logs_is_parse_log(abstraction.MASK_CHUNK_LINES, logs, logs)
+    logs = [("job 1 on 10.0.0.1", "", "retry 4"), long_log, ()]
+    _assert_event_sets_are_parse_log(abstraction.MASK_CHUNK_LINES, logs, logs)
 
 
 class _CountingScan:

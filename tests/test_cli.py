@@ -322,6 +322,9 @@ def test_predict_invalid_mask_regex_is_validation_error(corpus_dir, model_path, 
         ("eval", ("--rg-trials", "-3", "--baselines", "rg")),
         ("eval", ("--baselines", "zz")),
         ("eval", ("--baselines", "cam")),
+        ("eval", ("--baselines", "rg", "--train-dir", "missing-train")),
+        ("eval", ("--baselines", "rg,mcc", "--train-labels", "missing.csv")),
+        ("eval", ("--train-dir", "missing-train", "--train-labels", "missing.csv")),
         ("ablate", ("--seed", "abc")),
     ],
     ids=[
@@ -337,6 +340,9 @@ def test_predict_invalid_mask_regex_is_validation_error(corpus_dir, model_path, 
         "eval-rg-trials-negative-rg",
         "eval-baselines-unknown",
         "eval-baselines-cam-without-train-dir",
+        "eval-train-dir-without-cam-or-lff",
+        "eval-train-labels-without-cam-or-lff",
+        "eval-train-flags-without-baselines",
         "ablate-seed",
     ],
 )
@@ -665,9 +671,10 @@ def test_knn_documents_count_raw_terms_for_cam_and_known_events_once_for_lff(
     cam_twice = _knn_docs("cam", doubled, miner, vocabulary)
     assert cam_once[0] == Counter(" ".join(logs[0].lines).split())
     assert cam_twice == [doc + doc for doc in cam_once]
-    sequences = miner.parse_logs((log.lines, log.log_id) for log in logs)
     lff_docs = _knn_docs("lff", doubled, miner, vocabulary)
-    for sequence, doc in zip(sequences, lff_docs):
+    assert len(lff_docs) == len(logs)
+    for log, doc in zip(logs, lff_docs):
+        sequence = miner.parse_log(log.lines, log.log_id)
         assert set(doc) == {event for event in sequence.events if event in table.rows}
         assert set(doc.values()) <= {1}
     assert any(lff_docs)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncchecker import ValidationError, build, load_corpus
-from ncchecker.abstraction import EventSequence
+from ncchecker.abstraction import EventSequence, TemplateMiner
 from ncchecker.corpus import DEFAULT_TAXONOMY, CauseTaxonomy, Corpus, LabeledFailedLog
 from ncchecker.generator import default_spec, generate_synthetic
 from ncchecker.table import (
@@ -99,6 +99,28 @@ def test_init_counts_presence_not_multiplicity():
 def test_init_counts_ignores_out_of_vocabulary_events():
     counts = init_counts(frozenset({"e1"}), [(_seq("f1", ["e1", "e9"]), 0)], 4)
     assert set(counts.rows) == {"e1"}
+
+
+@pytest.mark.parametrize("seed", [31, 32])
+def test_init_counts_equal_from_event_sets_and_from_replayed_sequences(tmp_path, seed):
+    # Training passes each failed log's set of events; the traced bench
+    # replays ``build`` and passes each log's ``parse_log`` sequence.
+    spec = default_spec(cause_counts=(6, 4, 3, 2), passed_count=5, seed=seed, noise_rate=0.2)
+    generate_synthetic(spec, tmp_path)
+    corpus = load_corpus(tmp_path)
+    replay = TemplateMiner()
+    passed_seqs = [replay.parse_log(log.lines, log.log_id) for log in corpus.passed]
+    failed_seqs = [replay.parse_log(log.lines, log.log_id) for log in corpus.failed]
+    passed_pool, failed_pool = collect_pools(passed_seqs, failed_seqs)
+    vocabulary = diff_with_pass(failed_pool, passed_pool)
+    causes = [log.cause for log in corpus.failed]
+    sets = list(TemplateMiner().event_sets(log.lines for log in (*corpus.passed, *corpus.failed)))
+    failed_sets = sets[len(corpus.passed) :]
+    assert failed_sets == [seq.distinct_events() for seq in failed_seqs]
+    from_seqs = init_counts(vocabulary, list(zip(failed_seqs, causes)), 4)
+    from_sets = init_counts(vocabulary, list(zip(failed_sets, causes)), 4)
+    assert from_sets == from_seqs
+    assert from_sets.rows == build(corpus)[1].counts
 
 
 # -- reweight ----------------------------------------------------------------
@@ -264,6 +286,24 @@ def test_build_deterministic(fig_corpus):
     second = build(fig_corpus)
     assert first[0].export_registry() == second[0].export_registry()
     assert first[1].rows == second[1].rows
+
+
+@pytest.mark.parametrize("variant", ["full", "drop1", "drop2", "drop3"])
+def test_build_constructs_no_event_sequence(tmp_path, monkeypatch, variant):
+    spec = default_spec(cause_counts=(6, 4, 3, 2), passed_count=5, seed=41, noise_rate=0.2)
+    generate_synthetic(spec, tmp_path)
+    corpus = load_corpus(tmp_path)
+    miner, table = build(corpus, variant=variant)
+
+    def refuse(self):
+        raise AssertionError("build made an EventSequence")
+
+    monkeypatch.setattr(EventSequence, "__post_init__", refuse)
+    with pytest.raises(AssertionError, match="made an EventSequence"):
+        _seq("probe", ["e1"])
+    again, table_again = build(corpus, variant=variant)
+    assert again.export_registry() == miner.export_registry()
+    assert table_lines(table_again) == table_lines(table)
 
 
 def test_no_table_event_occurs_in_passed_logs(fig_corpus):
