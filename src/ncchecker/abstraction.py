@@ -8,6 +8,9 @@ leading tokens.  Tokens containing digits route through the catch-all
 holds the templates whose lines shared that route; a line merges into the
 most similar template at or above the similarity threshold (positions
 that disagree become wildcards) or registers a new template otherwise.
+A template's event id is ``e<n>``, its 1-based row in the registry, so
+the registry block stores no ids and a rebuilt miner goes on from its
+last row.
 
 The mask rules are the four built-in ones, ``DEFAULT_MASK_RULES``; no
 config or model names any.  Each is compiled once, at import, from a scan
@@ -124,13 +127,10 @@ from .errors import ValidationError
 
 WILDCARD = "<*>"
 UNKNOWN_EVENT_ID = "<unknown>"
-REGISTRY_HEADER = "ncc-templates v1"
+REGISTRY_HEADER = "ncc-templates v2"
 # By default int() and str() refuse ints with more digits than this
 # (sys.int_info.default_max_str_digits).
 _MAX_COUNT_DIGITS = 4300
-# The first miner id index with more digits than that: no id at or past
-# it is one the miner may write.
-_MINER_INDEX_LIMIT = 10**_MAX_COUNT_DIGITS
 
 # Entries a frozen miner's memo holds before a miss clears it: above the
 # 22,277 distinct masked lines of the bench's noisy test corpus, and one
@@ -363,20 +363,12 @@ def _is_count(text: str) -> bool:
     )
 
 
-def _is_miner_id(event_id: str) -> bool:
-    """Whether ``event_id`` is ``e<n>`` as the miner writes it: ``_is_count(n)``."""
-    return event_id[:1] == "e" and _is_count(event_id[1:])
+def event_sort_key(event_id: str) -> tuple[int, str]:
+    """Deterministic ordering by length, then text: for the miner's ids ``e<n>``, by ``n``.
 
-
-def event_sort_key(event_id: str):
-    """Deterministic ordering: miner ids ``e<n>`` by ``n``, every other id after, by text.
-
-    ``n`` orders by its length and then its text, which for a count
-    without leading zeros is its numeric order; no ``int`` is built.
+    No ``int`` is built, so an id of any length sorts.
     """
-    if _is_miner_id(event_id):
-        return (0, len(event_id), event_id)
-    return (1, 0, event_id)
+    return (len(event_id), event_id)
 
 
 def _route_key(token: str) -> str:
@@ -522,8 +514,6 @@ class TemplateMiner:
         self._root: dict[int, _Node] = {}
         self._templates: dict[str, LogTemplate] = {}
         self._frozen = False
-        # None after a registry rebuild: the first registration works it out.
-        self._next_index: int | None = 1
         # Training memo: masked line -> (leaf index, its widens, template).
         self._memo: dict[str, tuple[_LeafIndex, int, LogTemplate]] | None = {}
         # Frozen memo, started by freeze(): masked line -> event id, or
@@ -659,16 +649,7 @@ class TemplateMiner:
         return template
 
     def _register(self, tokens: Sequence[str]) -> LogTemplate:
-        if self._next_index is None:  # continue after the highest e<n> id
-            self._next_index = 1 + max(
-                (int(e[1:]) for e in self._templates if _is_miner_id(e)), default=0
-            )
-        if self._next_index >= _MINER_INDEX_LIMIT:
-            raise ValidationError(
-                f"no event id left: the next would have more than {_MAX_COUNT_DIGITS} digits"
-            )
-        event_id = f"e{self._next_index}"
-        self._next_index += 1
+        event_id = f"e{len(self._templates) + 1}"  # its row in the registry
         template = LogTemplate(event_id, tuple(tokens), 1)
         self._templates[event_id] = template
         leaf = self._insert_leaf(tokens)
@@ -751,14 +732,17 @@ class TemplateMiner:
 
         return parse
 
-    # -- registry text: the ncc-templates v1 block of a model -----------
+    # -- registry text: the ncc-templates v2 block of a model -----------
 
     def registry_lines(self) -> list[str]:
-        """The ``ncc-templates v1`` block as lines: the header, then one per template."""
+        """The ``ncc-templates v2`` block as lines: the header, then one per template.
+
+        A template's row is ``match_count<TAB>template``, in id order; its
+        event id is not written, since ``e<n>`` is the ``n``-th row.
+        """
         lines = [REGISTRY_HEADER]
         lines.extend(
-            f"{template.event_id}\t{template.match_count}\t{template.text}"
-            for template in self._templates.values()
+            f"{template.match_count}\t{template.text}" for template in self._templates.values()
         )
         return lines
 
@@ -778,13 +762,14 @@ class TemplateMiner:
     ) -> "TemplateMiner":
         """Rebuild a miner from the lines of an exported registry.
 
-        Each line must be one ``registry_lines`` writes: three tab-separated
+        Each line must be one ``registry_lines`` writes: two tab-separated
         fields, a ``match_count`` as ``str`` writes a non-negative int, and a
         template text of non-empty tokens joined by single spaces; a blank
-        line, and a line whose event id is ``UNKNOWN_EVENT_ID``, is rejected.
-        Templates are inserted in file order through ``_insert_leaf``, the
-        path training registers through, so the tree is re-derived.
-        Messages number lines from the header, file line ``first_line``.
+        line is rejected.  The ``n``-th row is event ``e<n>``, so a template
+        the miner registers next is ``e<rows + 1>``.  Templates are inserted
+        in file order through ``_insert_leaf``, the path training registers
+        through, so the tree is re-derived.  Messages number lines from the
+        header, file line ``first_line``.
         """
         if not lines or lines[0] != REGISTRY_HEADER:
             found = lines[0] if lines else "<empty>"
@@ -796,15 +781,10 @@ class TemplateMiner:
         templates = miner._templates
         insert_leaf = miner._insert_leaf
         for lineno, row in enumerate(islice(lines, 1, None), first_line + 1):
-            parts = row.split("\t", 2)
-            if len(parts) != 3:
+            count_text, tab, template_text = row.partition("\t")
+            if not tab:
                 raise ValidationError(
-                    f"template registry line {lineno}: expected 3 fields, found {row!r}"
-                )
-            event_id, count_text, template_text = parts
-            if event_id in templates:
-                raise ValidationError(
-                    f"template registry line {lineno}: duplicate event id {event_id!r}"
+                    f"template registry line {lineno}: expected 2 fields, found {row!r}"
                 )
             if not _is_count(count_text):
                 raise ValidationError(
@@ -816,16 +796,7 @@ class TemplateMiner:
                     f"template registry line {lineno}: template {template_text!r} is not tokens "
                     "joined by single spaces"
                 )
+            event_id = f"e{lineno - first_line}"
             templates[event_id] = LogTemplate(event_id, tokens, int(count_text))
             insert_leaf(tokens).template_ids.append(event_id)
-        if UNKNOWN_EVENT_ID in templates:
-            # A frozen parse returns this id for a line no template matches,
-            # and prediction drops it, so a template under it could never
-            # score.  Each row added one template, in file order.
-            row = list(templates).index(UNKNOWN_EVENT_ID)
-            raise ValidationError(
-                f"template registry line {first_line + 1 + row}: event id "
-                f"{UNKNOWN_EVENT_ID!r} is reserved for unmatched lines"
-            )
-        miner._next_index = None
         return miner

@@ -170,7 +170,8 @@ def load_labels(path, taxonomy: CauseTaxonomy) -> dict[str, int]:
 def _read_labels(path: Path, taxonomy: CauseTaxonomy) -> dict[str, int]:
     labels: dict[str, int] = {}
     problems: list[str] = []
-    with path.open(newline="", encoding="utf-8") as handle:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports write.
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

@@ -1,11 +1,13 @@
 """Single-file model artifact: miner config + template registry + table.
 
-``ncc-model v2`` is the one persisted format.  It holds the miner config
-as JSON, then the ``ncc-templates v1`` registry block
+``ncc-model v3`` is the one persisted format.  It holds the miner config
+as JSON, then the ``ncc-templates v2`` registry block
 (``TemplateMiner.registry_lines``) and the ``ncc-table v2`` block of
 count rows (``table.table_lines``); neither block is written as a file of
-its own.  An ``ncc-model v1`` file, which held scores instead of counts,
-is rejected with a message to retrain it.
+its own.  A template's event id is ``e<n>``, its row in the registry
+block, which stores no ids; the table block names each row's event id.
+An ``ncc-model v1`` file (scores instead of counts) or ``v2`` file (an id
+stored on each registry row) is rejected with a message to retrain it.
 The artifact is self-describing; prediction and evaluation never need the
 original training corpus.  Sections carry explicit line counts so raw
 template text can never be mistaken for a section marker.
@@ -31,7 +33,9 @@ from .abstraction import AbstractionConfig, TemplateMiner, _is_count
 from .errors import ValidationError
 from .table import ScoreTable, table_from_lines, table_lines
 
-MODEL_HEADER = "ncc-model v2"
+MODEL_HEADER = "ncc-model v3"
+# Older headers, each read only to say that the file needs retraining.
+_RETRAIN_HEADERS = ("ncc-model v1", "ncc-model v2")
 
 # Built once: every load writes the config it read, to compare the lines.
 _CONFIG_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -66,11 +70,11 @@ def model_to_text(miner: TemplateMiner, table: ScoreTable) -> str:
 
 
 def model_from_text(text: str) -> tuple[TemplateMiner, ScoreTable]:
-    """Read an ``ncc-model v2`` file; the module docstring says what it rejects."""
+    """Read an ``ncc-model v3`` file; the module docstring says what it rejects."""
     lines = text.splitlines()
     if not lines or lines[0] != MODEL_HEADER:
         found = lines[0] if lines else "<empty>"
-        hint = "; retrain it with `ncchecker train`" if found == "ncc-model v1" else ""
+        hint = "; retrain it with `ncchecker train`" if found in _RETRAIN_HEADERS else ""
         raise ValidationError(
             f"model line 1: expected header {MODEL_HEADER!r}, found {found!r}{hint}"
         )

@@ -13,7 +13,7 @@ and derives ``n_total``, ``icf`` and its score rows once, at
 construction, through the same ``reweight`` and icf product for every
 table, built or loaded.
 
-It is stored only as the ``ncc-table v2`` block of an ``ncc-model v2``
+It is stored only as the ``ncc-table v2`` block of an ``ncc-model v3``
 file (see ``model``).  ``table_lines`` writes that block and owns its
 layout; ``table_from_lines`` reads the values it cannot derive and checks
 every line against the line ``table_lines`` writes for them.  What a

@@ -309,7 +309,7 @@ def test_frozen_index_matches_linear_scan_and_reload(case):
 
 def test_frozen_zero_hit_tie_goes_to_earliest_template():
     config = AbstractionConfig(tree_depth=2, similarity_threshold=0.5)
-    registry = f"{REGISTRY_HEADER}\ne1\t1\ta b <*> <*>\ne2\t1\te f <*> <*>\ne3\t1\tg h i <*>\n"
+    registry = f"{REGISTRY_HEADER}\n1\ta b <*> <*>\n1\te f <*> <*>\n1\tg h i <*>\n"
     miner = TemplateMiner.from_registry_text(registry, config).freeze()
     # No literal hit anywhere: both two-wildcard templates score 2/4.
     assert miner.parse_line("q r s t") == "e1" == scan_parse_line(miner, "q r s t")
@@ -900,10 +900,11 @@ def test_registry_export_format(config):
     text = miner.export_registry()
     header, row = text.splitlines()
     assert header == REGISTRY_HEADER
-    event_id, count, template = row.split("\t")
-    assert event_id == "e1"
+    # No id is written: the first row is e1.
+    count, template = row.split("\t")
     assert count == "1"
     assert template == "alpha beta <*>"
+    assert list(TemplateMiner.from_registry_text(text, config).templates) == ["e1"]
 
 
 def test_registry_round_trip(config):
@@ -918,41 +919,23 @@ def test_registry_round_trip(config):
 
 
 def test_rebuilt_miner_continues_after_its_highest_id(config):
-    # Ids out of order and one not of the e<n> form: fresh ids follow e5.
-    registry = f"{REGISTRY_HEADER}\ne5\t1\talpha <*>\ne2\t1\tbeta <*>\nx9\t1\tgamma <*>\n"
+    # The n-th row is e<n>, so fresh ids follow the last row.
+    registry = f"{REGISTRY_HEADER}\n1\talpha <*>\n1\tbeta <*>\n1\tgamma <*>\n"
     miner = TemplateMiner.from_registry_text(registry, config)
-    assert miner.parse_line("zz yy xx ww vv uu tt ss rr") == "e6"
-    assert miner.parse_line("qq pp oo nn mm ll kk jj ii hh") == "e7"
-
-
-def test_only_miner_ids_count_toward_the_next_id(config):
-    # e01, 5,000 digits and a non-ASCII digit are ids the miner never
-    # writes: they neither count nor raise.
-    odd = ("e01", "e" + "9" * 5000, "e\u00b2")
-    rows = "".join(f"{eid}\t1\tt{i} <*>\n" for i, eid in enumerate((*odd, "e7")))
-    miner = TemplateMiner.from_registry_text(f"{REGISTRY_HEADER}\n{rows}", config)
-    assert miner.parse_line("zz yy xx ww vv uu tt ss rr") == "e8"
-
-
-def test_a_miner_with_no_event_id_left_raises_validation_error(config):
-    # The next id after 4,300 nines would have 4,301 digits: an id that
-    # _is_miner_id rejects, and that str() of an int refuses to write.
-    full = TemplateMiner.from_registry_text(f"{REGISTRY_HEADER}\ne{'9' * 4300}\t1\ta b\n", config)
-    for _ in range(2):
-        with pytest.raises(ValidationError, match="^no event id left: .* more than 4300 digits$"):
-            full.parse_line("x y z w")
-    assert list(full.templates) == ["e" + "9" * 4300]
-    # One id short of the limit still registers, with 4,300 digits.
-    last = TemplateMiner.from_registry_text(f"{REGISTRY_HEADER}\ne{'9' * 4299}8\t1\ta b\n", config)
-    assert last.parse_line("x y z w") == "e" + "9" * 4300
+    assert list(miner.templates) == ["e1", "e2", "e3"]
+    assert [t.text for t in miner.templates.values()] == ["alpha <*>", "beta <*>", "gamma <*>"]
+    assert miner.parse_line("zz yy xx ww vv uu tt ss rr") == "e4"
+    assert miner.parse_line("qq pp oo nn mm ll kk jj ii hh") == "e5"
+    assert miner.parse_line("alpha 7") == "e1"
 
 
 def test_event_sort_key_orders_miner_ids_by_value_then_other_ids_by_text():
-    longest = "e" + "9" * 4300  # the most digits _is_count accepts
-    too_long = "e" + "1" * 4301
-    ids = ["x1", "e\u00b2", too_long, "e01", longest, "e10", "e2", "e0"]
+    # Miner ids e<n> sort by n, with no int() built however long n is.  An
+    # id of another form, which no model holds, sorts by length, then text.
+    longest = "e" + "9" * 5000
+    ids = ["e10", longest, "e2", "e1", "e9", "e100", "x1", "e²"]
     assert sorted(ids, key=event_sort_key) == [
-        "e0", "e2", "e10", longest, "e01", too_long, "e\u00b2", "x1"
+        "e1", "e2", "e9", "e²", "x1", "e10", "e100", longest
     ]
 
 

@@ -232,17 +232,26 @@ def test_predict_on_a_model_with_other_mask_rules_is_bad_config(corpus_dir, mode
     )
 
 
-def test_predict_on_a_v1_model_says_to_retrain(corpus_dir, model_path, tmp_path):
-    # v1 stored scores, not the counts v2 derives them from: no reader for it.
-    model = tmp_path / "v1.ncc"
-    model.write_text(model_path.read_text().replace("ncc-model v2\n", "ncc-model v1\n", 1))
+def _assert_predict_says_to_retrain(version, corpus_dir, model_path, tmp_path):
+    model = tmp_path / f"{version}.ncc"
+    model.write_text(model_path.read_text().replace("ncc-model v3\n", f"ncc-model {version}\n", 1))
     result = _run_cli("predict", model, corpus_dir / "failed")
     assert result.returncode == 1
     assert result.stderr == (
-        "error: model line 1: expected header 'ncc-model v2', found 'ncc-model v1'; "
+        f"error: model line 1: expected header 'ncc-model v3', found 'ncc-model {version}'; "
         "retrain it with `ncchecker train`\n"
     )
     assert result.stdout == ""
+
+
+def test_predict_on_a_v1_model_says_to_retrain(corpus_dir, model_path, tmp_path):
+    # v1 stored scores, not the counts they are derived from: no reader for it.
+    _assert_predict_says_to_retrain("v1", corpus_dir, model_path, tmp_path)
+
+
+def test_predict_on_a_v2_model_says_to_retrain(corpus_dir, model_path, tmp_path):
+    # v2 stored an id on each registry row; v3 names a template by its row.
+    _assert_predict_says_to_retrain("v2", corpus_dir, model_path, tmp_path)
 
 
 @pytest.mark.parametrize("command", ["train", "predict", "eval", "ablate"])
@@ -268,16 +277,18 @@ def test_no_command_takes_a_config_file(command, corpus_dir, model_path, tmp_pat
 def test_predict_on_a_model_naming_a_template_unknown_is_validation_error(
     corpus_dir, model_path, tmp_path
 ):
-    # A frozen parse returns "<unknown>" for a line no template matches, so a
-    # template under that id could never score.
+    # A frozen parse returns "<unknown>" for a line no template matches, and
+    # templates are named e<n> by their registry row, so a table row under
+    # that id could never score.
     text = model_path.read_text()
     event_id = text.split("\nsteps\t", 1)[1].split("\n", 2)[1].partition("\t")[0]
     model = tmp_path / "unknown.ncc"
     model.write_text(text.replace(f"\n{event_id}\t", "\n<unknown>\t"))
     result = _run_cli("predict", model, corpus_dir / "failed")
     assert result.returncode == 1
-    assert re.match(
-        r"error: template registry line \d+: event id '<unknown>' is reserved", result.stderr
+    assert re.fullmatch(
+        r"error: table line \d+: row for event '<unknown>', which the template registry lacks\n",
+        result.stderr,
     )
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
@@ -571,20 +582,22 @@ def test_predict_on_a_bad_model_names_the_file_line(corpus_dir, model_path, tmp_
 
 
 def test_predict_with_an_event_id_past_the_int_digit_limit(corpus_dir, model_path, tmp_path):
-    # Python's int() refuses more than 4,300 digits; contributors are
-    # sorted by event id, so a log that hits this row must still sort.
+    # Python's int() refuses more than 4,300 digits.  No registry has that
+    # many rows, so the renamed table row names no template.
     lines = model_path.read_text().splitlines()
-    event_id = lines[lines.index("steps\treweight,icf") + 1].partition("\t")[0]
+    at = lines.index("steps\treweight,icf") + 1
+    event_id = lines[at].partition("\t")[0]
     renamed = "e" + "1" * 5000
-    for at, line in enumerate(lines):
-        if line.startswith(f"{event_id}\t"):
-            lines[at] = renamed + line[len(event_id) :]
+    lines[at] = renamed + lines[at][len(event_id) :]
     model = tmp_path / "long-id.ncc"
     model.write_text("\n".join(lines) + "\n")
     result = _run_cli("predict", model, corpus_dir / "failed", "--json")
-    assert result.returncode == 0
-    assert "Traceback" not in result.stderr
-    assert renamed in result.stdout
+    assert result.returncode == 1
+    assert result.stderr == (
+        f"error: table line {at + 1}: row for event {renamed!r}, "
+        "which the template registry lacks\n"
+    )
+    assert result.stdout == ""
 
 
 def test_eval_with_rg_and_mcc(corpus_dir, model_path, capsys):

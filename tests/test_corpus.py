@@ -66,6 +66,19 @@ def test_bad_header_rejected(tmp_path):
         load_corpus(tmp_path)
 
 
+def test_labels_may_start_with_a_byte_order_mark(tmp_path):
+    # Spreadsheets export CSV as UTF-8 with a byte-order mark.
+    _write_corpus(tmp_path, {}, {"f1": "x\n", "f2": "x\n"}, [])
+    labels = tmp_path / "labels.csv"
+    labels.write_bytes(b"\xef\xbb\xbflog_id,cause_id\nf1,0\nf2,3\n")
+    corpus = load_corpus(tmp_path)
+    assert [(log.log_id, log.cause) for log in corpus.failed] == [("f1", 0), ("f2", 3)]
+    # A mark before a wrong header does not show in the message.
+    labels.write_bytes(b"\xef\xbb\xbfid,cause\nf1,0\n")
+    with pytest.raises(ValidationError, match="expected header log_id,cause_id, found id,cause$"):
+        load_corpus(tmp_path)
+
+
 def test_load_keeps_logs_in_id_order_not_path_order(tmp_path):
     # As paths, "a-b.log" sorts before "a.log"; as ids, "a" comes first.
     _write_corpus(tmp_path, {}, {"a": "x\n", "a-b": "y\n"}, ["a,0", "a-b,1"])

@@ -25,7 +25,7 @@ NOISY_SPEC = {
 
 GOLDEN = {
     "default-seed7": {
-        "model": "0cc6572d73adbfcaeb3c45abb33e8d63426d011c3feaafa0e61981701fed1c82",
+        "model": "aeafb6379bec119a80c997d5494fff196480f0e29f84f147ac1a59cc1fc4e8eb",
         "predict": "0fa09ae922d57ba31ab8add39880af0549b5c0f2fe0612bda4f0dafa37a065a9",
         "predict_json": "3b2d8c4ac1df9e5bd3e6c6608f161d9edc9e9809384d9786ac6f15e9dd0f77bf",
         "predict_passed": "6e004aac40bdb96fc383962e095c204940898d4141b5be9a33a7f11e45fede6f",
@@ -34,7 +34,7 @@ GOLDEN = {
         "ablate": "12cf8d796abddbbe4c912aed63ac86e8555986f1ec4babc696f9b813330d7cc4",
     },
     "noisy-seed11": {
-        "model": "1244adfe94d4f4938ee0ec3cdc61534c4472ec64a8142ffc635af9e6c2b4a914",
+        "model": "7482d294332b2b026efbab99f8a255e6c753106dad1ab80c4c5694c587139ce4",
         "predict": "f063a1af3827ff840b4904bcc11bacb8f7ce91038a3865e55c70f69557d21bdb",
         "predict_json": "6d2c12aa03ad8c42ad79cbe911ea5ffecf0b03d2a1d1bf302bd9680b223657ad",
         "predict_passed": "9ba41e08045118fc1a078bea6830c3d0c284b4e849af98f2c29c20009f0780d1",
