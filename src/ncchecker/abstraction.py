@@ -52,11 +52,13 @@ line by line, as ``parse_line`` does.  The ASCII twins run only when the
 whole joined text is ASCII, so one non-ASCII line sends its whole chunk
 through the Unicode compiles: exact, but slower.
 
-``parse_log`` gives a log's event per line, with line numbers, which
-prediction needs to flag lines.  Training needs only which events each
-log holds, so ``event_sets`` gives each log as the set of its distinct
-event ids, built from its masked lines in one ``frozenset`` call, and
-holds no per-line event.
+``parse_log`` gives a log one event slot per source line, None for a
+blank line, so line ``n`` is ``events[n - 1]``: nothing stores a line
+number, and only flagging (``predictor.flag_lines``) finds one.
+Prediction and training need only which events a log holds.  So
+``event_sets`` gives each log as the set of its distinct event ids, built
+from its masked lines in one ``frozenset`` call, and holds no per-line
+event.
 
 Both modes look lines up in a per-leaf inverted index (token position ->
 literal token -> template slots), built lazily on the leaf's first lookup
@@ -330,27 +332,23 @@ class LogTemplate:
 
 @dataclass(frozen=True)
 class EventSequence:
-    """Per-line event ids for one log, with the 1-based source line numbers.
+    """One log's event ids, one slot per source line: line ``n`` is ``events[n - 1]``.
 
-    It iterates and measures as its ``events``.
+    A blank line's slot is None.  It iterates as its ``events`` and
+    measures as its non-blank lines.
     """
 
     source: str
-    events: tuple[str, ...]
-    line_numbers: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.events) != len(self.line_numbers):
-            raise ValueError("events and line_numbers must have equal length")
+    events: tuple[str | None, ...]
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.events) - self.events.count(None)
 
-    def __iter__(self) -> Iterator[str]:
+    def __iter__(self) -> Iterator[str | None]:
         return iter(self.events)
 
     def distinct_events(self) -> frozenset[str]:
-        return frozenset(self.events) - {UNKNOWN_EVENT_ID}
+        return frozenset(self.events) - _NOT_EVENTS
 
 
 def _is_count(text: str) -> bool:
@@ -481,19 +479,6 @@ class _LeafIndex:
             self.widest = slot
 
 
-def _sequence(parse, masked_lines: Iterable[str], source: str) -> EventSequence:
-    """The events ``parse`` gives the masked lines of one log, and their line numbers."""
-    events: list[str] = []
-    numbers: list[int] = []
-    for lineno, masked in enumerate(masked_lines, start=1):
-        event_id = parse(masked)
-        if event_id is None:
-            continue
-        events.append(event_id)
-        numbers.append(lineno)
-    return EventSequence(source, tuple(events), tuple(numbers))
-
-
 class TemplateMiner:
     """Online Drain-style miner; owns the parse tree and template registry.
 
@@ -536,8 +521,6 @@ class TemplateMiner:
         return self._templates
 
     def template_text(self, event_id: str) -> str:
-        if event_id == UNKNOWN_EVENT_ID:
-            return UNKNOWN_EVENT_ID
         return self._templates[event_id].text
 
     # -- tree routing -------------------------------------------------
@@ -659,7 +642,7 @@ class TemplateMiner:
         return template
 
     def parse_log(self, lines: Iterable[str], source: str = "log") -> EventSequence:
-        r"""Parse lines in order, skipping blanks; one event per non-blank line.
+        r"""Parse lines in order into one slot per line: its event id, or None if blank.
 
         The log is masked before any line is matched: unless a line holds
         ``"\n"``, by one pass per rule over the lines joined with ``"\n"``
@@ -667,7 +650,7 @@ class TemplateMiner:
         as ``parse_line`` masks.  Each masked line then goes through the
         parser ``parse_line`` uses, so both read and fill one memo.
         """
-        return _sequence(self._parser(), _mask_log(tuple(lines)), source)
+        return EventSequence(source, tuple(map(self._parser(), _mask_log(tuple(lines)))))
 
     def event_sets(self, logs: Iterable[Sequence[str]]) -> Iterator[frozenset[str]]:
         """Each log's ``self.parse_log(lines).distinct_events()``, parsed when asked for.

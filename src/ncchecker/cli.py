@@ -1,12 +1,16 @@
 """Command line interface: gen, train, predict, eval, ablate.
 
 Exit codes are a stable scripting contract: 0 success, 1 validation
-error, 2 I/O error.  Every randomized step takes an explicit seed and
-all commands are deterministic for fixed seeds and inputs.
+error, 2 I/O error.  A reader that closes stdout early (``| head``) has
+what it wanted, so a broken pipe on stdout ends the command quietly with
+0; a failed write to any other file is an I/O error.  Every randomized
+step takes an explicit seed and all commands are deterministic for fixed
+seeds and inputs.
 """
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -24,6 +28,29 @@ from .table import ABLATION_VARIANTS, build, majority_from_counts
 
 # Miner settings a flag may set; unset ones take the AbstractionConfig default.
 _MINER_KEYS = ("tree_depth", "similarity_threshold", "max_children")
+
+
+class _ReaderGone(Exception):
+    """The reader of stdout closed it."""
+
+
+class _Stdout:
+    """A command's stdout, which tells a closed reader from other write failures."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def write(self, text):
+        try:
+            return self._stream.write(text)
+        except BrokenPipeError:
+            raise _ReaderGone from None
+
+    def flush(self):
+        try:
+            self._stream.flush()
+        except BrokenPipeError:
+            raise _ReaderGone from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -329,15 +356,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    stdout = sys.stdout
+    sys.stdout = _Stdout(stdout)
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except _ReaderGone:
+        # Send what is still buffered to devnull, so the flush at exit is quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stdout.fileno())
+        os.close(devnull)
+        return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.stdout = stdout
 
 
 if __name__ == "__main__":

@@ -4,9 +4,11 @@ A new failed log is parsed in frozen mode, the rows of its distinct
 in-table events are summed, and the cause with the highest total wins;
 score ties break toward the rarer class (larger icf), then the lower
 cause id.  When no event of the log is in the table the majority training
-class is returned with an explicit fallback flag.  The events that
-contributed are ranked once, by their cell in the predicted cause's
-column, and that ranking is the order in which their lines are flagged.
+class is returned with an explicit fallback flag.  Scoring reads only
+which events the log holds, so ``predict`` takes any iterable of event
+ids.  The events that contributed are ranked once, by their cell in the
+predicted cause's column.  Only ``flag_lines`` finds their line numbers,
+in one pass over the log's per-line events, and flags them in that rank.
 """
 
 from dataclasses import dataclass
@@ -23,7 +25,6 @@ class Contributor:
 
     event_id: str
     score: float  # the event's cell in the predicted cause's column
-    line_numbers: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -42,20 +43,18 @@ class FlaggedLine:
     score: float
 
 
-def predict(table: ScoreTable, events: EventSequence) -> Prediction:
+def predict(table: ScoreTable, events: Iterable[str | None]) -> Prediction:
     """Sum the rows of the log's distinct in-table events and pick a cause.
 
-    Presence, not multiplicity: an event adds its row once however many
-    lines it is on.  Events absent from the table, including UNKNOWN,
-    contribute nothing.
+    ``events`` is any iterable of a log's event ids: an ``EventSequence``,
+    or a set such as one of ``TemplateMiner.event_sets``.  Presence, not
+    multiplicity: an event adds its row once however many lines it is on.
+    Events absent from the table, including UNKNOWN, contribute nothing.
     """
     rows = table.rows
-    lines_by_event: dict[str, list[int]] = {}
-    for line_number, eid in zip(events.line_numbers, events.events):
-        if eid in rows:
-            lines_by_event.setdefault(eid, []).append(line_number)
-    lines_by_event.pop(UNKNOWN_EVENT_ID, None)  # scores nothing, even if a row names it
-    present = sorted(lines_by_event, key=event_sort_key)
+    in_table = rows.keys() & events
+    in_table.discard(UNKNOWN_EVENT_ID)  # scores nothing, even if a row names it
+    present = sorted(in_table, key=event_sort_key)
 
     scores = [0.0] * table.k
     for eid in present:
@@ -68,7 +67,7 @@ def predict(table: ScoreTable, events: EventSequence) -> Prediction:
     cause = max(range(table.k), key=lambda j: (scores[j], table.icf[j], -j))
     # A stable sort of the id-ordered events: score ties stay in id order.
     contributors = sorted(
-        (Contributor(eid, rows[eid][cause], tuple(lines_by_event[eid])) for eid in present),
+        (Contributor(eid, rows[eid][cause]) for eid in present),
         key=lambda c: -c.score,
     )
     return Prediction(cause, tuple(scores), tuple(contributors), False)
@@ -89,20 +88,25 @@ def flag_lines(
 ) -> list[FlaggedLine]:
     """Line references of contributing events, strongest evidence first.
 
-    Follows the contributors' order (their cell in the predicted cause's
-    column, descending, ties by event id), with the template text for
-    display.  Fallback predictions have no contributors and flag nothing.
+    The one place line numbers are found: line ``n`` of the log is
+    ``events.events[n - 1]``, read in one pass.  Lines follow the
+    contributors' order (their cell in the predicted cause's column,
+    descending, ties by event id), then ascending line number, with the
+    template text for display.  Fallback predictions have no contributors
+    and flag nothing.
     """
-    if prediction.fallback_used:
-        return []
-    present = events.distinct_events()
-    if any(c.event_id not in present for c in prediction.contributors):
+    contributors = prediction.contributors
+    rank = {c.event_id: r for r, c in enumerate(contributors)}
+    numbers: list[list[int]] = [[] for _ in contributors]
+    for line_number, eid in enumerate(events.events, 1):
+        if eid in rank:
+            numbers[rank[eid]].append(line_number)
+    if not all(numbers):
         raise ValidationError("prediction was not produced from this log")
     flagged = []
-    for contributor in prediction.contributors:
+    for contributor, lines in zip(contributors, numbers):
         template = miner.template_text(contributor.event_id)
         flagged.extend(
-            FlaggedLine(ln, contributor.event_id, template, contributor.score)
-            for ln in contributor.line_numbers
+            FlaggedLine(ln, contributor.event_id, template, contributor.score) for ln in lines
         )
     return flagged

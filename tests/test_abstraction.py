@@ -216,9 +216,10 @@ def test_parse_log_preserves_order_and_line_numbers(config):
         "The slave board is not in position",
     ]
     seq = miner.parse_log(lines, "f1")
-    assert len(seq) == 3  # blank line skipped
-    assert seq.line_numbers == (1, 2, 4)
-    assert len(set(seq.events)) == 3
+    assert len(seq.events) == 4  # line n is events[n - 1]
+    assert seq.events[2] is None  # the blank line
+    assert len(seq) == 3  # non-blank lines
+    assert len(seq.distinct_events()) == 3
 
 
 def test_parse_log_distinct_shapes_distinct_events(config):
@@ -437,10 +438,7 @@ def test_frozen_parse_log_memo_equals_per_line_parse(case):
     def cold():
         return TemplateMiner.from_registry_text(registry, config).freeze()
 
-    expected = []
-    for log in logs:
-        per_line = [(n, cold().parse_line(line)) for n, line in enumerate(log, start=1)]
-        expected.append([(n, event_id) for n, event_id in per_line if event_id is not None])
+    expected = [tuple(cold().parse_line(line) for line in log) for log in logs]
     # Caps of 1 and 3 clear the memo in the middle of a log.
     for cap in (abstraction.FROZEN_MEMO_CAP, 1, 3):
         with mock.patch.object(abstraction, "FROZEN_MEMO_CAP", cap):
@@ -448,12 +446,11 @@ def test_frozen_parse_log_memo_equals_per_line_parse(case):
             for frozen in (cold(), miner):  # a reloaded miner's leaves start cold
                 for log, want in zip(logs, expected):
                     seq = frozen.parse_log(log, "log")
-                    assert list(zip(seq.line_numbers, seq.events)) == want
+                    assert seq.events == want
                     assert UNKNOWN_EVENT_ID in seq.events
                     assert len(frozen._frozen_memo) <= cap
                 # parse_line reads the memo that parse_log filled.
-                per_line = enumerate(map(frozen.parse_line, logs[0]), start=1)
-                assert [pair for pair in per_line if pair[1] is not None] == expected[0]
+                assert tuple(map(frozen.parse_line, logs[0])) == expected[0]
 
 
 def test_training_parse_log_counts_every_repeated_line():
@@ -464,7 +461,8 @@ def test_training_parse_log_counts_every_repeated_line():
     lines = _fuzz_lines(9, 150)
     log = lines + lines[:60]
     miner, scan_miner = TemplateMiner(AbstractionConfig()), TemplateMiner(AbstractionConfig())
-    assert list(miner.parse_log(log).events) == scan_train_log(scan_miner, log)
+    events = [e for e in miner.parse_log(log).events if e is not None]
+    assert events == scan_train_log(scan_miner, log)
     assert miner.export_registry() == scan_miner.export_registry()
 
 
@@ -562,7 +560,7 @@ def test_training_memo_equals_linear_scan_across_logs(case):
     miner, scan_miner = TemplateMiner(config), TemplateMiner(config)
     for whole_log, lines in logs:
         if whole_log:
-            events = list(miner.parse_log(lines).events)
+            events = [e for e in miner.parse_log(lines).events if e is not None]
         else:
             events = [e for e in map(miner.parse_line, lines) if e is not None]
         assert events == scan_train_log(scan_miner, lines)
@@ -669,9 +667,8 @@ def _assert_parse_log_is_per_line(config, log, expected):
     """``parse_log`` gives ``parse_line``'s events per line, training and frozen."""
     miner, per_line_miner = TemplateMiner(config), TemplateMiner(config)
     for _ in ("training", "frozen"):
-        seq = miner.parse_log(log)
-        per_line = [(n, per_line_miner.parse_line(line)) for n, line in enumerate(log, start=1)]
-        assert list(zip(seq.line_numbers, seq.events)) == per_line == expected
+        per_line = tuple(map(per_line_miner.parse_line, log))
+        assert miner.parse_log(log).events == per_line == expected
         miner.freeze()
         per_line_miner = miner
 
@@ -679,7 +676,7 @@ def _assert_parse_log_is_per_line(config, log, expected):
 def test_a_line_holding_a_newline_masks_as_one_line():
     # A line given through the API that holds "\n" stays one line.
     log = ["x 1", "a 1\nb 2", "y 2"]
-    _assert_parse_log_is_per_line(AbstractionConfig(), log, [(1, "e1"), (2, "e2"), (3, "e3")])
+    _assert_parse_log_is_per_line(AbstractionConfig(), log, ("e1", "e2", "e3"))
 
 
 class _CountingRule:

@@ -178,6 +178,62 @@ def _run_cli(*args) -> subprocess.CompletedProcess:
     return subprocess.run(command, env=env, capture_output=True, text=True)
 
 
+def _run_cli_into_closed_pipe(*args, unbuffered=False) -> subprocess.CompletedProcess:
+    """``_run_cli`` with stdout a pipe whose read end closed before the CLI started.
+
+    Buffered, a short report first meets the closed pipe in the final
+    flush; unbuffered, in its first write.
+    """
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(ncchecker.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        command = [sys.executable, "-m", "ncchecker", *map(str, args)]
+        return subprocess.run(
+            command,
+            env=env,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_stdout_ends_the_command_quietly(corpus_dir, model_path, tmp_path, unbuffered):
+    failed = corpus_dir / "failed"
+    for args in (
+        ("predict", model_path, failed),
+        ("predict", model_path, failed, "--json"),
+        ("predict", model_path, sorted(failed.glob("*.log"))[0]),
+        ("eval", model_path, corpus_dir),
+        ("train", corpus_dir, "--out", tmp_path / "m.ncc"),
+    ):
+        result = _run_cli_into_closed_pipe(*args, unbuffered=unbuffered)
+        assert (result.returncode, result.stderr) == (0, ""), args
+    assert (tmp_path / "m.ncc").read_bytes() == model_path.read_bytes()
+
+
+def test_a_failed_write_to_another_file_is_io_error_with_stdout_closed(corpus_dir, tmp_path):
+    result = _run_cli_into_closed_pipe("train", corpus_dir, "--out", tmp_path / "no" / "m.ncc")
+    assert result.returncode == 2
+    assert result.stderr.startswith("i/o error:")
+    assert "Traceback" not in result.stderr
+
+
+def test_a_broken_pipe_on_another_file_is_io_error(corpus_dir, tmp_path, monkeypatch, capsys):
+    def broken(*args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("ncchecker.cli.save_model", broken)
+    assert main(["train", str(corpus_dir), "--out", str(tmp_path / "m.ncc")]) == 2
+    assert capsys.readouterr().err == "i/o error: [Errno 32] Broken pipe\n"
+
+
 def test_train_on_a_directory_named_like_a_log_is_io_error(tmp_path):
     for group in ("passed", "failed"):
         (tmp_path / group).mkdir()

@@ -1,19 +1,19 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ncchecker import ValidationError, build, flag_lines, predict_lines
-from ncchecker.abstraction import EventSequence
+from ncchecker.abstraction import REGISTRY_HEADER, UNKNOWN_EVENT_ID, EventSequence, TemplateMiner
 from ncchecker.corpus import DEFAULT_TAXONOMY
-from ncchecker.predictor import predict
-from ncchecker.table import ScoreTable
+from ncchecker.predictor import FlaggedLine, predict
+from ncchecker.table import ABLATION_VARIANTS, ScoreTable
 
-from conftest import MULTI_LINE, SINGLE1_LINE, SINGLE5_LINE
+from conftest import MULTI_LINE, SINGLE1_LINE, SINGLE5_LINE, make_fig_corpus
 
 
 def _seq(events, source="f"):
-    return EventSequence(source, tuple(events), tuple(range(1, len(events) + 1)))
+    return EventSequence(source, tuple(events))
 
 
 def _table(counts, n_per_cause=(10, 10, 10, 10), skip_reweight=False, skip_icf=True):
@@ -38,7 +38,10 @@ def test_score_single_event_row():
 
 def test_score_out_of_table_events_contribute_nothing():
     table = _table({"e1": (1, 0, 0, 0)})
-    assert predict(table, _seq(["e9", "<unknown>"])).scores == (0.0, 0.0, 0.0, 0.0)
+    assert predict(table, _seq(["e9", "<unknown>", None])).scores == (0.0, 0.0, 0.0, 0.0)
+    # UNKNOWN scores nothing even if a row names it.
+    named = predict(_table({"<unknown>": (1, 0, 0, 0)}), _seq(["<unknown>"]))
+    assert named.fallback_used
 
 
 def test_score_presence_not_multiplicity():
@@ -126,11 +129,20 @@ def test_contributors_ranked_by_row_max_then_id():
 
 def test_contributors_ranked_by_predicted_column_cell():
     table = _table({"e1": (0, 3, 1, 0), "e2": (0, 0, 3, 0), "e3": (0, 0, 5, 0)})
-    prediction = predict(table, _seq(["e1", "e2", "e3", "e1"]))
+    events = _seq(["e1", "e2", None, "e3", "e1"])
+    prediction = predict(table, events)
     assert prediction.cause == 2
     assert [c.event_id for c in prediction.contributors] == ["e3", "e2", "e1"]
     assert [c.score for c in prediction.contributors] == [math.log2(6), 2.0, 0.25]
-    assert prediction.contributors[2].line_numbers == (1, 4)
+    # Line n is events[n - 1]; flag_lines finds the lines, in contributor rank.
+    miner = TemplateMiner.from_registry_lines([REGISTRY_HEADER, "1\ta", "1\tb", "1\tc"])
+    flagged = flag_lines(prediction, events, miner)
+    assert [(f.line_number, f.event_id) for f in flagged] == [
+        (4, "e3"),
+        (2, "e2"),
+        (1, "e1"),
+        (5, "e1"),
+    ]
 
 
 @given(st.integers(min_value=1, max_value=1000))
@@ -205,3 +217,47 @@ def test_flag_lines_rejects_mismatched_log(fig_corpus):
     _, other_events = predict_lines(miner, table, ["system-view"], "b")
     with pytest.raises(ValidationError, match="not produced from this log"):
         flag_lines(prediction, other_events, miner)
+
+
+# -- predict and flag_lines against per-line parses ------------------------------------
+
+# The fig corpus trained as each variant; drop1 keeps the benign events too.
+_FIG_MODELS = {}
+
+
+def _fig_model(variant):
+    if variant not in _FIG_MODELS:
+        miner, table = build(make_fig_corpus(), variant=variant)
+        _FIG_MODELS[variant] = miner.freeze(), table
+    return _FIG_MODELS[variant]
+
+
+_FIG_LINES = st.one_of(
+    st.sampled_from(
+        [MULTI_LINE, SINGLE5_LINE, SINGLE1_LINE, "system-view", "", "   ", "never seen gibberish"]
+    ),
+    st.integers(0, 999).map("return user view {}".format),
+    st.integers(0, 999).map("Took {} seconds to build instances".format),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(ABLATION_VARIANTS), st.lists(_FIG_LINES, max_size=12))
+def test_flag_lines_and_predict_equal_per_line_references(variant, log):
+    # Logs with blank lines, unknown lines and repeated events.
+    miner, table = _fig_model(variant)
+    prediction, events = predict_lines(miner, table, log, "log")
+    ids = [miner.parse_line(line) for line in log]
+    assert events.events == tuple(ids)
+    # In contributor order, then by ascending line number.
+    expected = [
+        FlaggedLine(n, c.event_id, miner.template_text(c.event_id), c.score)
+        for c in prediction.contributors
+        for n, event_id in enumerate(ids, 1)
+        if event_id == c.event_id
+    ]
+    assert flag_lines(prediction, events, miner) == expected
+    in_table = set(ids) & table.rows.keys() - {UNKNOWN_EVENT_ID}
+    assert {c.event_id for c in prediction.contributors} == in_table
+    # Scoring reads only the log's event set.
+    assert predict(table, next(miner.event_sets([log]))) == prediction

@@ -26,7 +26,7 @@ from conftest import MULTI_LINE, SINGLE1_LINE, SINGLE5_LINE
 
 
 def _seq(source, events):
-    return EventSequence(source, tuple(events), tuple(range(1, len(events) + 1)))
+    return EventSequence(source, tuple(events))
 
 
 def _table_text(table):
@@ -295,10 +295,10 @@ def test_build_constructs_no_event_sequence(tmp_path, monkeypatch, variant):
     corpus = load_corpus(tmp_path)
     miner, table = build(corpus, variant=variant)
 
-    def refuse(self):
+    def refuse(self, *args):
         raise AssertionError("build made an EventSequence")
 
-    monkeypatch.setattr(EventSequence, "__post_init__", refuse)
+    monkeypatch.setattr(EventSequence, "__init__", refuse)
     with pytest.raises(AssertionError, match="made an EventSequence"):
         _seq("probe", ["e1"])
     again, table_again = build(corpus, variant=variant)
