@@ -8,6 +8,15 @@ index weighs it by IDF and votes among the cosine-nearest training logs.
 ``cam`` counts the whitespace terms of the raw lines; ``lff`` takes the
 log's distinct events in the failed-only vocabulary, each counted once.
 Indices are rebuilt per run; there is no persisted format.
+
+The index keeps postings, ``term -> [(training log, weight)]``, of each
+training log's unit vector, not the vectors.  A query adds
+``query[term] * weight`` to each posted log's similarity, term by term in
+sorted order, so each similarity is the cosine summed left to right over
+the sorted shared terms; a log that shares no term scores 0.  Norms sum
+left to right too (``evaluation.left_sum``), so a similarity has the
+same bits on every Python version.  All training logs are then ranked by
+``(-similarity, log id)``.
 """
 
 import math
@@ -18,7 +27,7 @@ from typing import Mapping, Sequence
 
 from .corpus import CauseTaxonomy
 from .errors import ValidationError
-from .evaluation import MacroReport, evaluate
+from .evaluation import MacroReport, evaluate, left_sum
 from .table import majority_from_counts
 
 
@@ -36,32 +45,22 @@ def rg_trials(
     return [rng.choices(population, weights=weights, k=test_size) for _ in range(trials)]
 
 
-@dataclass(frozen=True)
-class RandomGuessResult:
-    trial_predictions: tuple[tuple[int, ...], ...]
-    median_trial: int
-    median_report: MacroReport
-
-
 def rg_predict_from_counts(
     n_per_cause: Sequence[int],
     test_truth: Sequence[int],
     trials: int,
     seed: int,
     taxonomy: CauseTaxonomy,
-) -> RandomGuessResult:
-    """Run the trials and report the median-macro-F1 one.
+) -> MacroReport:
+    """Run the trials and return the report of the median-macro-F1 one.
 
     The reported trial is the lower median (index (trials - 1) // 2 of the
-    F1-sorted order), so an even trial count still names one real trial.
+    F1-sorted order, equal F1s in trial order), so an even trial count
+    still names one real trial.
     """
     predictions = rg_trials(n_per_cause, len(test_truth), trials, seed)
     reports = [evaluate(test_truth, p, taxonomy) for p in predictions]
-    order = sorted(range(trials), key=lambda i: (reports[i].f1, i))
-    median_trial = order[(trials - 1) // 2]
-    return RandomGuessResult(
-        tuple(tuple(p) for p in predictions), median_trial, reports[median_trial]
-    )
+    return sorted(reports, key=lambda r: r.f1)[(trials - 1) // 2]
 
 
 # -- KNN retrieval: one index, two document kinds --------------------------
@@ -69,11 +68,11 @@ def rg_predict_from_counts(
 
 @dataclass(frozen=True)
 class RetrievalIndex:
-    """Length-normalized training vectors with a fixed vocabulary."""
+    """Postings of the training logs' length-normalized vectors."""
 
     log_ids: tuple[str, ...]
     labels: tuple[int, ...]
-    vectors: tuple[dict, ...]
+    postings: dict  # term -> [(training log, its weight in that log's vector)]
     idf: dict
     k_neighbors: int
     fallback: int  # majority class, used when similarity gives no signal
@@ -81,11 +80,6 @@ class RetrievalIndex:
     def __post_init__(self):
         if self.k_neighbors < 1:
             raise ValidationError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
-
-
-def _majority_label(labels: Sequence[int]) -> int:
-    counts = Counter(labels)
-    return majority_from_counts([counts[j] for j in range(max(counts) + 1)])
 
 
 def _idf(docs: Sequence[Mapping[str, int]]) -> dict:
@@ -96,37 +90,11 @@ def _idf(docs: Sequence[Mapping[str, int]]) -> dict:
     return {term: math.log(len(docs) / count) for term, count in df.items()}
 
 
-def _normalize(vector: dict) -> dict:
-    norm = math.sqrt(sum(vector[t] * vector[t] for t in sorted(vector)))
-    if norm == 0.0:
-        return {}
-    return {t: v / norm for t, v in vector.items()}
-
-
-def _cosine(a: dict, b: dict) -> float:
-    if len(b) < len(a):
-        a, b = b, a
-    return sum(a[t] * b[t] for t in sorted(a) if t in b)
-
-
-def _knn_vote(index: RetrievalIndex, query: dict) -> int:
-    if not query:
-        return index.fallback
-    sims = [_cosine(query, v) for v in index.vectors]
-    if not sims or max(sims) <= 0.0:
-        return index.fallback
-    # Ties in similarity break by log id so training order never matters.
-    order = sorted(range(len(sims)), key=lambda i: (-sims[i], index.log_ids[i]))
-    top = order[: index.k_neighbors]
-    votes = Counter(index.labels[i] for i in top)
-    winners = [c for c, n in votes.items() if n == max(votes.values())]
-    if len(winners) == 1:
-        return winners[0]
-    return index.labels[top[0]]  # vote tie: the nearest neighbor decides
-
-
 def _weights(doc: Mapping[str, int], idf: dict) -> dict:
-    return _normalize({t: n * idf[t] for t, n in doc.items() if idf.get(t, 0.0) > 0.0})
+    """The document's counts times idf, scaled to unit length; empty if all weigh 0."""
+    vector = {t: n * idf[t] for t, n in doc.items() if idf.get(t, 0.0) > 0.0}
+    norm = math.sqrt(left_sum(vector[t] * vector[t] for t in sorted(vector)))
+    return {t: v / norm for t, v in vector.items()} if norm else {}
 
 
 def knn_train(
@@ -142,17 +110,36 @@ def knn_train(
     if not (len(docs) == len(labels) == len(log_ids)):
         raise ValidationError("docs, labels, and log_ids must have equal length")
     idf = _idf(docs)
+    postings = {}
+    for i, doc in enumerate(docs):
+        for term, weight in _weights(doc, idf).items():
+            postings.setdefault(term, []).append((i, weight))
     return RetrievalIndex(
         log_ids=tuple(log_ids),
         labels=tuple(labels),
-        vectors=tuple(_weights(doc, idf) for doc in docs),
+        postings=postings,
         idf=idf,
         k_neighbors=k_neighbors,
-        fallback=_majority_label(labels),
+        fallback=majority_from_counts([labels.count(j) for j in range(max(labels) + 1)]),
     )
 
 
 def knn_predict(index: RetrievalIndex, doc: Mapping[str, int]) -> int:
     """The cause the nearest training logs vote for; a term that no
     training document holds weighs 0."""
-    return _knn_vote(index, _weights(doc, index.idf))
+    query = _weights(doc, index.idf)
+    sims = [0.0] * len(index.log_ids)
+    for term in sorted(query):
+        weight = query[term]
+        for i, w in index.postings[term]:
+            sims[i] += weight * w
+    if max(sims) <= 0.0:
+        return index.fallback
+    # Ties in similarity break by log id so training order never matters.
+    order = sorted(range(len(sims)), key=lambda i: (-sims[i], index.log_ids[i]))
+    top = order[: index.k_neighbors]
+    votes = Counter(index.labels[i] for i in top)
+    winners = [c for c, n in votes.items() if n == max(votes.values())]
+    if len(winners) == 1:
+        return winners[0]
+    return index.labels[top[0]]  # vote tie: the nearest neighbor decides

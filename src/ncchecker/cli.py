@@ -243,10 +243,9 @@ def _cmd_eval(args) -> int:
         train_corpus = load_corpus(args.train_dir, args.train_labels, table.taxonomy)
     for name in args.baselines:
         if name == "rg":
-            result = bl.rg_predict_from_counts(
+            reports["rg"] = bl.rg_predict_from_counts(
                 table.n_per_cause, truth, args.rg_trials, args.seed, table.taxonomy
             )
-            reports["rg"] = result.median_report
         elif name == "mcc":
             majority = majority_from_counts(table.n_per_cause)
             reports["mcc"] = ev.evaluate(truth, [majority] * len(truth), table.taxonomy)

@@ -4,7 +4,9 @@ Zero-denominator cases yield 0 (a class never predicted has precision 0,
 one with no true logs has recall 0), which keeps macro averages defined
 on degenerate classifiers like the majority-class baseline.  Macro F1 is
 the unweighted mean of the per-class F1 values, not the harmonic mean of
-macro precision and recall.
+macro precision and recall.  Every float sum behind a report goes
+through ``left_sum``, which adds left to right as ``sum()`` did up to
+Python 3.11, so a report prints the same bytes on every Python version.
 
 ``predict_corpus`` predicts a corpus's failed logs in the corpus's log-id
 order; ``run_ablation`` trains a variant that ``table.build`` names and
@@ -12,13 +14,23 @@ scores it the same way.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .abstraction import AbstractionConfig, TemplateMiner
 from .corpus import CauseTaxonomy, Corpus
 from .errors import ValidationError
 from .predictor import predict_lines
 from .table import ScoreTable, build
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """The floats added left to right from 0.0, as ``sum()`` adds them up
+    to Python 3.11; from 3.12 ``sum()`` compensates, and its last digit
+    can differ."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass(frozen=True)
@@ -99,9 +111,9 @@ def macro(
     return MacroReport(
         class_names=names,
         per_class=tuple(per_class),
-        precision=sum(m.precision for m in per_class) / k,
-        recall=sum(m.recall for m in per_class) / k,
-        f1=sum(m.f1 for m in per_class) / k,
+        precision=left_sum(m.precision for m in per_class) / k,
+        recall=left_sum(m.recall for m in per_class) / k,
+        f1=left_sum(m.f1 for m in per_class) / k,
         support=supports,
         total=sum(supports),
     )

@@ -20,6 +20,14 @@ decoder and newline translation are the reference for the byte-level
 scans: no pooling sets, no shared table code.  It mines templates with
 ``scan_train_line`` in the order the pipeline uses (passed then failed,
 sorted by log id).
+
+``scan_knn_predict`` is the KNN vote of the ``cam`` and ``lff`` baselines
+by a scan over every training log, the reference for the baselines'
+postings index.  It weighs each document's counts by idf and scales them
+to unit length, takes each training log's cosine over the sorted shared
+terms, ranks the logs by ``(-similarity, log id)`` and lets the top k
+vote.  Its sums are plain loops from 0.0, and it imports nothing from
+``ncchecker.baselines``.
 """
 
 import math
@@ -176,3 +184,47 @@ def brute_force_rows(
             ]
         rows[eid] = weights
     return rows
+
+
+def _knn_vector(doc, idf):
+    """``doc``'s counts times idf, scaled to unit length; empty if all weigh 0."""
+    vector = {t: n * idf[t] for t, n in doc.items() if idf.get(t, 0.0) > 0.0}
+    squares = 0.0
+    for t in sorted(vector):
+        squares += vector[t] * vector[t]
+    norm = math.sqrt(squares)
+    if norm == 0.0:
+        return {}
+    return {t: v / norm for t, v in vector.items()}
+
+
+def _knn_cosine(a, b):
+    total = 0.0
+    for t in sorted(a):
+        if t in b:
+            total += a[t] * b[t]
+    return total
+
+
+def scan_knn_predict(docs, labels, log_ids, k_neighbors, doc):
+    """The cause that the ``k_neighbors`` training logs nearest ``doc`` vote for.
+
+    With no similarity above 0 it is the most common training label,
+    lowest on ties.  A vote tie goes to the nearest neighbor's label.
+    """
+    df = {}
+    for train_doc in docs:
+        for t in train_doc:
+            df[t] = df.get(t, 0) + 1
+    idf = {t: math.log(len(docs) / n) for t, n in df.items()}
+    query = _knn_vector(doc, idf)
+    sims = [_knn_cosine(query, _knn_vector(train_doc, idf)) for train_doc in docs]
+    if max(sims) <= 0.0:
+        return min(set(labels), key=lambda c: (-labels.count(c), c))
+    order = sorted(range(len(docs)), key=lambda i: (-sims[i], log_ids[i]))
+    top = [labels[i] for i in order[:k_neighbors]]
+    most = max(top.count(c) for c in top)
+    winners = [c for c in top if top.count(c) == most]
+    if len(set(winners)) == 1:
+        return winners[0]
+    return top[0]

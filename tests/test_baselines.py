@@ -2,16 +2,14 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bruteforce import scan_knn_predict
 from ncchecker import ValidationError
-from ncchecker.baselines import (
-    _cosine,
-    knn_predict,
-    knn_train,
-    rg_predict_from_counts,
-    rg_trials,
-)
+from ncchecker.baselines import knn_predict, knn_train, rg_predict_from_counts, rg_trials
 from ncchecker.corpus import DEFAULT_TAXONOMY
+from ncchecker.evaluation import evaluate
 from ncchecker.table import majority_from_counts
 
 
@@ -45,15 +43,24 @@ def test_rg_median_report_is_reproducible():
     truth = [0] * 12 + [1] * 6 + [2] * 3 + [3] * 2
     first = rg_predict_from_counts([12, 6, 3, 2], truth, 9, 5, DEFAULT_TAXONOMY)
     second = rg_predict_from_counts([12, 6, 3, 2], truth, 9, 5, DEFAULT_TAXONOMY)
-    assert first.median_trial == second.median_trial
-    assert first.median_report.f1 == second.median_report.f1
+    assert first == second
     # The median trial sits in the middle of the per-trial F1 ordering.
-    import ncchecker.evaluation as ev
+    reports = [
+        evaluate(truth, p, DEFAULT_TAXONOMY) for p in rg_trials([12, 6, 3, 2], len(truth), 9, 5)
+    ]
+    assert first in reports
+    assert first.f1 == sorted(r.f1 for r in reports)[4]
 
-    f1s = sorted(
-        ev.evaluate(truth, list(p), DEFAULT_TAXONOMY).f1 for p in first.trial_predictions
-    )
-    assert first.median_report.f1 == f1s[4]
+
+def test_rg_even_trial_count_reports_the_lower_median_trial():
+    truth = [0] * 12 + [1] * 6 + [2] * 3 + [3] * 2
+    reports = [
+        evaluate(truth, p, DEFAULT_TAXONOMY) for p in rg_trials([12, 6, 3, 2], len(truth), 8, 5)
+    ]
+    median = rg_predict_from_counts([12, 6, 3, 2], truth, 8, 5, DEFAULT_TAXONOMY)
+    # Equal F1s keep trial order, so the report is the lower median trial's.
+    order = sorted(range(8), key=lambda i: (reports[i].f1, i))
+    assert median == reports[order[3]]
 
 
 def test_rg_rejects_zero_trials():
@@ -90,6 +97,23 @@ def _events(*events):
     return dict.fromkeys(events, 1)
 
 
+def _vectors(index):
+    """Each training log's normalized vector, rebuilt from the postings."""
+    vectors = [{} for _ in index.log_ids]
+    for term, postings in index.postings.items():
+        for i, weight in postings:
+            vectors[i][term] = weight
+    return vectors
+
+
+def _cosine(a, b):
+    """The sum over the sorted shared terms, left to right."""
+    total = 0.0
+    for term in sorted(a.keys() & b.keys()):
+        total += a[term] * b[term]
+    return total
+
+
 def _cam_toy_index(k_neighbors=1):
     docs = [_terms("alpha beta beta"), _terms("alpha gamma"), _terms("delta delta gamma")]
     return knn_train(docs, [0, 1, 1], ["d0", "d1", "d2"], k_neighbors)
@@ -110,7 +134,7 @@ def test_cam_hand_computed_tfidf_cosines():
     expected_d1 = (q["alpha"] * idf_a) / (q_norm * d1_norm)
 
     query_vec = {"alpha": q["alpha"] / q_norm, "beta": q["beta"] / q_norm}
-    sims = [_cosine(query_vec, v) for v in index.vectors]
+    sims = [_cosine(query_vec, v) for v in _vectors(index)]
     assert sims[0] == pytest.approx(expected_d0, abs=1e-12)
     assert sims[1] == pytest.approx(expected_d1, abs=1e-12)
     assert sims[2] == 0.0
@@ -173,7 +197,7 @@ def test_lff_hand_computed_neighbor_ranking():
     # cosines (0, 0.5, 1.0, 1/sqrt(2)) against L0..L3.
     index = _lff_toy_index()
     query = {"y": 1 / math.sqrt(2), "z": 1 / math.sqrt(2)}
-    sims = [_cosine(query, v) for v in index.vectors]
+    sims = [_cosine(query, v) for v in _vectors(index)]
     assert sims == pytest.approx([0.0, 0.5, 1.0, 1 / math.sqrt(2)], abs=1e-12)
 
 
@@ -187,7 +211,8 @@ def test_lff_ubiquitous_event_has_no_influence():
     index = knn_train(docs, [0, 0, 1, 1], ["L0", "L1", "L2", "L3"], 1)
     # w occurs in every failed log: idf 0, dropped from all vectors.
     assert index.idf["w"] == 0.0
-    assert all("w" not in vec for vec in index.vectors)
+    assert "w" not in index.postings
+    assert all("w" not in vec for vec in _vectors(index))
     assert knn_predict(index, _events("w", "y", "z")) == 1
 
 
@@ -221,7 +246,7 @@ def test_a_document_of_ones_weighs_each_term_by_its_idf_alone():
     docs = [_events("x", "y"), _events("y", "z"), _events("z"), _events("x", "y", "z")]
     index = knn_train(docs, [0, 1, 1, 0], ["L0", "L1", "L2", "L3"])
     assert index.idf == {"x": math.log(4 / 2), "y": math.log(4 / 3), "z": math.log(4 / 3)}
-    for doc, vector in zip(docs, index.vectors):
+    for doc, vector in zip(docs, _vectors(index)):
         weights = {e: index.idf[e] for e in doc}
         norm = math.sqrt(sum(weights[e] * weights[e] for e in sorted(weights)))
         expected = {e: w / norm for e, w in weights.items()}
@@ -237,3 +262,52 @@ def test_knn_train_rejects_no_documents_and_unequal_lengths():
         knn_train([_events("x")], [0, 1], ["L0"])
     with pytest.raises(ValidationError):
         knn_train([_events("x")], [0], ["L0"], k_neighbors=0)
+
+
+# -- KNN retrieval: the postings index equals the scan --------------------------
+
+
+def _knn_agrees_with_the_scan(docs, labels, log_ids, k_neighbors, query):
+    index = knn_train(docs, labels, log_ids, k_neighbors)
+    expected = scan_knn_predict(docs, labels, log_ids, k_neighbors, query)
+    assert knn_predict(index, query) == expected
+    return expected
+
+
+_KNN_TERMS = ("a", "b", "c", "d", "e", "f")
+
+
+@st.composite
+def _knn_cases(draw):
+    """Small vocabularies, so logs share terms and similarities tie often."""
+    n = draw(st.integers(1, 10))
+    vocabulary = _KNN_TERMS[: draw(st.integers(2, len(_KNN_TERMS)))]
+    doc = st.dictionaries(st.sampled_from(vocabulary), st.integers(1, 3), max_size=4)
+    docs = [draw(doc) for _ in range(n)]
+    labels = [draw(st.integers(0, 3)) for _ in range(n)]
+    log_ids = draw(st.permutations([f"L{i}" for i in range(n)]))
+    k_neighbors = draw(st.integers(1, n + 2))  # above the log count too
+    query_terms = st.sampled_from(vocabulary + ("out-of-vocabulary",))
+    empty = draw(st.integers(0, 7)) == 0  # else half the queries come out empty
+    query = draw(st.dictionaries(query_terms, st.integers(1, 3), min_size=not empty, max_size=5))
+    return docs, labels, log_ids, k_neighbors, query
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(_knn_cases())
+def test_knn_predict_equals_the_scan(case):
+    _knn_agrees_with_the_scan(*case)
+
+
+def test_knn_predict_equals_the_scan_on_each_edge_case():
+    docs = [_events("x", "y"), _events("x", "y"), _events("z"), _events("w"), _events("v")]
+    labels, ids = [1, 0, 2, 3, 3], ["L1", "L0", "L2", "L3", "L4"]
+    # Equal similarity: L0 and L1 tie, and L0 ranks first by log id.
+    assert _knn_agrees_with_the_scan(docs, labels, ids, 1, _events("x")) == 0
+    # No shared term and an empty query: the majority label.
+    assert _knn_agrees_with_the_scan(docs, labels, ids, 1, _events("u")) == 3
+    assert _knn_agrees_with_the_scan(docs, labels, ids, 1, {}) == 3
+    # Fewer than k logs score above 0, and k above the log count: logs
+    # that share no term fill the top k in log-id order.
+    assert _knn_agrees_with_the_scan(docs, labels, ids, 4, _events("z")) == 2
+    assert _knn_agrees_with_the_scan(docs, labels, ids, 9, _events("z", "x")) == 3

@@ -10,6 +10,7 @@ from ncchecker.evaluation import (
     ablation_identities,
     confusion,
     evaluate,
+    left_sum,
     macro,
     per_class_metrics,
     predict_corpus,
@@ -143,6 +144,20 @@ def test_macro_includes_zero_support_classes():
     report = evaluate(truth, predicted, DEFAULT_TAXONOMY)
     assert report.support == (2, 1, 0, 0)
     assert report.f1 == pytest.approx(0.5, abs=1e-12)
+
+
+def test_left_sum_adds_left_to_right_from_zero():
+    # Compensated sums (math.fsum, and sum() from Python 3.12) give 1.0 and 1.0.
+    assert left_sum([0.1] * 10) == 0.9999999999999999
+    assert left_sum(iter([1e16, 1.0, -1e16])) == 0.0
+    assert left_sum([]) == 0.0 and isinstance(left_sum([]), float)
+
+
+def test_macro_means_sum_left_to_right():
+    # 0.1 + 0.1 + 0.1 + 0.3 is 0.6000000000000001 left to right, 0.6 compensated.
+    per_class = [ClassMetrics(v, v, v) for v in (0.1, 0.1, 0.1, 0.3)]
+    report = macro(per_class)
+    assert (report.precision, report.recall, report.f1) == (0.15000000000000002,) * 3
 
 
 def test_macro_needs_two_classes():
