@@ -16,7 +16,9 @@ sorted order, so each similarity is the cosine summed left to right over
 the sorted shared terms; a log that shares no term scores 0.  Norms sum
 left to right too (``evaluation.left_sum``), so a similarity has the
 same bits on every Python version.  All training logs are then ranked by
-``(-similarity, log id)``.
+``(-similarity, log id)``, and the top k vote.  A vote tie goes to the
+tied class whose member ranks nearest, not to the nearest neighbor's
+class, which may have lost the vote.
 """
 
 import math
@@ -137,9 +139,7 @@ def knn_predict(index: RetrievalIndex, doc: Mapping[str, int]) -> int:
         return index.fallback
     # Ties in similarity break by log id so training order never matters.
     order = sorted(range(len(sims)), key=lambda i: (-sims[i], index.log_ids[i]))
-    top = order[: index.k_neighbors]
-    votes = Counter(index.labels[i] for i in top)
-    winners = [c for c, n in votes.items() if n == max(votes.values())]
-    if len(winners) == 1:
-        return winners[0]
-    return index.labels[top[0]]  # vote tie: the nearest neighbor decides
+    # A Counter lists the classes in the order they first occur, and
+    # most_common keeps that order among equal counts: a vote tie goes to
+    # the tied class whose member ranks nearest.
+    return Counter(index.labels[i] for i in order[: index.k_neighbors]).most_common(1)[0][0]

@@ -210,7 +210,7 @@ def scan_knn_predict(docs, labels, log_ids, k_neighbors, doc):
     """The cause that the ``k_neighbors`` training logs nearest ``doc`` vote for.
 
     With no similarity above 0 it is the most common training label,
-    lowest on ties.  A vote tie goes to the nearest neighbor's label.
+    lowest on ties.  A vote tie goes to the tied label that ranks nearest.
     """
     df = {}
     for train_doc in docs:
@@ -224,7 +224,6 @@ def scan_knn_predict(docs, labels, log_ids, k_neighbors, doc):
     order = sorted(range(len(docs)), key=lambda i: (-sims[i], log_ids[i]))
     top = [labels[i] for i in order[:k_neighbors]]
     most = max(top.count(c) for c in top)
-    winners = [c for c in top if top.count(c) == most]
-    if len(set(winners)) == 1:
-        return winners[0]
-    return top[0]
+    for c in top:
+        if top.count(c) == most:
+            return c

@@ -168,6 +168,17 @@ def test_cam_no_shared_terms_falls_back_to_majority():
     assert knn_predict(index, _terms("zeta eta theta")) == 1
 
 
+def test_a_vote_tie_goes_to_the_tied_class_that_ranks_nearest():
+    # Five logs at similarity 1.0 rank by log id: their labels vote
+    # [0, 1, 1, 2, 2], so classes 1 and 2 tie and class 0 lost the vote.
+    docs = [_events("x")] * 5 + [_events("y")]
+    ids = ["L0", "L1", "L2", "L3", "L4", "L5"]
+    index = knn_train(docs, [0, 1, 1, 2, 2, 3], ids, 5)
+    assert knn_predict(index, _events("x")) == 1
+    index = knn_train(docs, [0, 2, 1, 1, 2, 3], ids, 5)
+    assert knn_predict(index, _events("x")) == 2
+
+
 def test_cam_training_order_permutation_invariant():
     docs = [
         _terms("alpha beta beta"),
