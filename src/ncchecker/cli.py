@@ -3,7 +3,9 @@
 Exit codes are a stable scripting contract: 0 success, 1 validation
 error, 2 I/O error.  A reader that closes stdout early (``| head``) has
 what it wanted, so a broken pipe on stdout ends the command quietly with
-0; a failed write to any other file is an I/O error.  Every randomized
+0; a failed write to any other file is an I/O error.  ``predict`` prints
+each report as soon as its log is scored, so a log it cannot read ends
+it with the reports of the logs before it printed.  Every randomized
 step takes an explicit seed and all commands are deterministic for fixed
 seeds and inputs.
 """
@@ -189,12 +191,9 @@ def _cmd_predict(args) -> int:
     else:
         raise FileNotFoundError(f"log path not found: {target}")
 
-    results = []
     for log_id, path in files:
         prediction, events = predict_lines(miner, table, read_log_lines(path), log_id)
-        results.append((log_id, prediction, flag_lines(prediction, events, miner)))
-
-    for log_id, prediction, flagged in results:
+        flagged = flag_lines(prediction, events, miner)
         if args.json:
             print(json.dumps(_prediction_record(log_id, table, prediction, flagged)))
         else:

@@ -128,6 +128,9 @@ def read_log_lines(path) -> tuple[str, ...]:
         while chunk := os.read(fd, size):
             chunks.append(chunk)
             size = _READ_BYTES
+    except OSError as exc:
+        exc.filename = os.fspath(path)  # os.read names no file, say for a directory
+        raise
     finally:
         os.close(fd)
     text = b"".join(chunks).decode("utf-8", "replace")

@@ -267,6 +267,24 @@ def test_predict_on_a_directory_named_like_a_log_is_io_error(model_path, tmp_pat
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_predict_prints_the_reports_before_an_unreadable_log_then_exits_2(
+    corpus_dir, model_path, tmp_path, flags
+):
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    for log in sorted((corpus_dir / "failed").glob("*.log"))[:3]:
+        (logs / log.name).write_bytes(log.read_bytes())
+    readable = _run_cli("predict", model_path, logs, *flags)
+    assert (readable.returncode, readable.stderr) == (0, "")
+    (logs / "zzz.log").mkdir()
+    result = _run_cli("predict", model_path, logs, *flags)
+    assert result.returncode == 2
+    assert result.stdout == readable.stdout
+    assert result.stderr.startswith("i/o error:")
+    assert result.stderr.rstrip().endswith(repr(str(logs / "zzz.log")))
+
+
 def test_predict_non_utf8_model_is_validation_error(corpus_dir, model_path, tmp_path):
     bad = tmp_path / "latin1.ncc"
     bad.write_bytes(model_path.read_bytes().replace(b"templates\t", b"templates\xff\t", 1))

@@ -169,6 +169,16 @@ def test_read_log_lines_reads_on_to_the_end_of_what_fstat_gives_no_size(tmp_path
         writer.join(timeout=10)
 
 
+def test_a_read_error_names_the_log(tmp_path):
+    # Opening a directory succeeds; the read that then fails names no file.
+    (tmp_path / "x.log").mkdir()
+    for path in (tmp_path / "x.log", str(tmp_path / "x.log")):
+        with pytest.raises(OSError) as info:
+            read_log_lines(path)
+        assert info.value.filename == str(tmp_path / "x.log")
+        assert str(tmp_path / "x.log") in str(info.value)
+
+
 def _open_fds() -> int:
     return len(os.listdir("/proc/self/fd"))
 
