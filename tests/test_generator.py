@@ -2,7 +2,7 @@ import json
 from dataclasses import fields, replace
 
 import pytest
-from test_golden import NOISY_SPEC
+from golden_cases import NOISY_SPEC
 
 from ncchecker import ValidationError, load_corpus
 from ncchecker.cli import main
