@@ -131,8 +131,7 @@ def knn_predict(index: RetrievalIndex, doc: Mapping[str, int]) -> int:
     training document holds weighs 0."""
     query = _weights(doc, index.idf)
     sims = [0.0] * len(index.log_ids)
-    for term in sorted(query):
-        weight = query[term]
+    for term, weight in sorted(query.items()):
         for i, w in index.postings[term]:
             sims[i] += weight * w
     if max(sims) <= 0.0:
@@ -142,4 +141,5 @@ def knn_predict(index: RetrievalIndex, doc: Mapping[str, int]) -> int:
     # A Counter lists the classes in the order they first occur, and
     # most_common keeps that order among equal counts: a vote tie goes to
     # the tied class whose member ranks nearest.
-    return Counter(index.labels[i] for i in order[: index.k_neighbors]).most_common(1)[0][0]
+    votes = Counter(index.labels[i] for i in order[: index.k_neighbors])
+    return votes.most_common(1)[0][0]
