@@ -250,20 +250,60 @@ def test_lff_training_order_permutation_invariant():
         assert knn_predict(forward, _events(*events)) == knn_predict(backward, _events(*events))
 
 
-def test_a_document_of_ones_weighs_each_term_by_its_idf_alone():
+def _left_sum(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _unit(weights):
+    """``weights`` scaled by the norm of its squares summed left to right in term order."""
+    norm = math.sqrt(_left_sum(weights[t] * weights[t] for t in sorted(weights)))
+    return {t: w / norm for t, w in weights.items()}
+
+
+@pytest.mark.parametrize(
+    "docs",
+    [
+        [("x", "y"), ("y", "z"), ("z",), ("x", "y", "z")],
+        # The squares of ("x", "y", "z") sum to 0.7654385283991451 left to
+        # right and 0.7654385283991452 compensated (math.fsum, and sum()
+        # from Python 3.12), and their square roots differ too.
+        [("w", "x", "y", "z"), ("w", "z"), ("x", "y", "z"), ("w", "x", "y", "z")]
+        + [("y", "z"), ("y",), ("y", "z")],
+    ],
+)
+def test_a_document_of_ones_weighs_each_term_by_its_idf_alone(docs):
     # All counts 1: each vector is, bit for bit, its terms' idf values
     # normalized, since 1 * idf == idf exactly.  Skewed document
     # frequencies give idf values that are no round numbers.
-    docs = [_events("x", "y"), _events("y", "z"), _events("z"), _events("x", "y", "z")]
-    index = knn_train(docs, [0, 1, 1, 0], ["L0", "L1", "L2", "L3"])
-    assert index.idf == {"x": math.log(4 / 2), "y": math.log(4 / 3), "z": math.log(4 / 3)}
+    docs = [_events(*events) for events in docs]
+    index = knn_train(docs, list(range(len(docs))), [f"L{i}" for i in range(len(docs))])
+    df = Counter(e for doc in docs for e in doc)
+    assert index.idf == {e: math.log(len(docs) / n) for e, n in df.items()}
     for doc, vector in zip(docs, _vectors(index)):
-        weights = {e: index.idf[e] for e in doc}
-        norm = math.sqrt(sum(weights[e] * weights[e] for e in sorted(weights)))
-        expected = {e: w / norm for e, w in weights.items()}
+        expected = _unit({e: index.idf[e] for e in doc})
         assert {e: v.hex() for e, v in vector.items()} == {
             e: v.hex() for e, v in expected.items()
         }
+
+
+def test_a_similarity_sums_the_query_terms_in_sorted_order():
+    # L0 and L1 hold mirrored terms, so in sorted term order their cosines
+    # add the same three products in the same order and tie exactly: L0
+    # wins by log id.  In the query's own order (a, b, c, f, e, d), L1's
+    # products come reversed and its sum differs in the last bit.
+    docs = [_events("a", "b", "c"), _events("d", "e", "f")]
+    docs += [_events("a", "d"), _events("b", "e"), _events("g"), _events("g")]
+    labels, ids = [0, 1, 2, 2, 3, 3], ["L0", "L1", "L2", "L3", "L4", "L5"]
+    query = {"a": 1, "b": 1, "c": 3, "f": 3, "e": 1, "d": 1}
+    index = knn_train(docs, labels, ids, 1)
+    q = _unit({t: n * index.idf[t] for t, n in query.items()})
+    l0, l1 = _vectors(index)[:2]
+    assert _left_sum(q[t] * l1[t] for t in "fed") != _left_sum(q[t] * l1[t] for t in "def")
+    assert _left_sum(q[t] * l0[t] for t in "abc") == _left_sum(q[t] * l1[t] for t in "def")
+    assert _knn_agrees_with_the_scan(docs, labels, ids, 1, query) == 0
 
 
 def test_knn_train_rejects_no_documents_and_unequal_lengths():

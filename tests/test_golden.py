@@ -40,3 +40,23 @@ def test_the_interpreter_script_fails_on_a_missing_interpreter(tmp_path):
     result = _run_script(tmp_path / "python")
     assert result.returncode == 1
     assert result.stdout == f"MISSING   {tmp_path / 'python'}\n"
+
+
+@pytest.mark.parametrize(
+    "child, line",
+    [
+        (
+            'print(\'{"version": "3.x", "checked": 14, "differ": ["case/eval_json"]}\')',
+            "MISMATCH  {python} (Python 3.x): case/eval_json\n",
+        ),
+        ("import sys; sys.exit('boom')", "FAILED    {python}: exit 1: boom\n"),
+    ],
+)
+def test_the_interpreter_script_fails_on_a_digest_that_differs_or_a_failed_run(
+    child, line, monkeypatch, capsys
+):
+    import golden_interpreters
+
+    monkeypatch.setattr(golden_interpreters, "CHILD", child)
+    assert golden_interpreters.main([sys.executable]) == 1
+    assert capsys.readouterr().out == line.format(python=sys.executable)
