@@ -15,12 +15,14 @@ training log's unit vector, not the vectors.  A query adds
 sorted order, so each similarity is the cosine summed left to right over
 the sorted shared terms; a log that shares no term scores 0.  Norms sum
 left to right too (``evaluation.left_sum``), so a similarity has the
-same bits on every Python version.  All training logs are then ranked by
-``(-similarity, log id)``, and the top k vote.  A vote tie goes to the
-tied class whose member ranks nearest, not to the nearest neighbor's
-class, which may have lost the vote.
+same bits on every Python version.  The k training logs first in the
+order ``(-similarity, log id)`` then vote; ``heapq.nsmallest`` picks them
+without sorting the rest, and is documented to equal ``sorted(...)[:k]``.
+A vote tie goes to the tied class whose member ranks nearest, not to the
+nearest neighbor's class, which may have lost the vote.
 """
 
+import heapq
 import math
 import random
 from collections import Counter
@@ -137,9 +139,11 @@ def knn_predict(index: RetrievalIndex, doc: Mapping[str, int]) -> int:
     if max(sims) <= 0.0:
         return index.fallback
     # Ties in similarity break by log id so training order never matters.
-    order = sorted(range(len(sims)), key=lambda i: (-sims[i], index.log_ids[i]))
+    nearest = heapq.nsmallest(
+        index.k_neighbors, range(len(sims)), key=lambda i: (-sims[i], index.log_ids[i])
+    )
     # A Counter lists the classes in the order they first occur, and
     # most_common keeps that order among equal counts: a vote tie goes to
     # the tied class whose member ranks nearest.
-    votes = Counter(index.labels[i] for i in order[: index.k_neighbors])
+    votes = Counter(index.labels[i] for i in nearest)
     return votes.most_common(1)[0][0]

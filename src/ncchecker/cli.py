@@ -26,7 +26,7 @@ from .errors import ValidationError
 from .generator import default_spec, generate_synthetic, spec_from_dict
 from .model import load_model, save_model
 from .predictor import flag_lines, predict_lines
-from .table import ABLATION_VARIANTS, build, majority_from_counts
+from .table import ablation_tables, build, majority_from_counts
 
 # Miner settings a flag may set; unset ones take the AbstractionConfig default.
 _MINER_KEYS = ("tree_depth", "similarity_threshold", "max_children")
@@ -235,7 +235,7 @@ def _cmd_eval(args) -> int:
         raise ValidationError(f"test corpus {args.corpus} has no failed logs to evaluate")
     truth = [log.cause for log in test_corpus.failed]
 
-    reports = {"ncchecker": ev.predict_corpus(miner, table, test_corpus)}
+    reports = ev.score_tables(miner, {"ncchecker": table}, test_corpus)
 
     train_corpus = None
     if needs_train:
@@ -283,13 +283,8 @@ def _cmd_ablate(args) -> int:
     if not test_corpus.failed:
         raise ValidationError("split produced an empty test set; corpus is too small")
 
-    tables = {}
-    reports = {}
-    for variant in ABLATION_VARIANTS:
-        tables[variant], reports[variant] = ev.run_ablation(
-            train_corpus, test_corpus, variant, config
-        )
-
+    miner, tables = ablation_tables(train_corpus, config)
+    reports = ev.score_tables(miner, tables, test_corpus)
     for line in ev.ablation_identities(tables["full"], tables["drop1"], tables["drop3"]):
         print(f"check: {line}")
     print()

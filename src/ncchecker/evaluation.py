@@ -8,19 +8,19 @@ macro precision and recall.  Every float sum behind a report goes
 through ``left_sum``, which adds left to right as ``sum()`` did up to
 Python 3.11, so a report prints the same bytes on every Python version.
 
-``predict_corpus`` predicts a corpus's failed logs in the corpus's log-id
-order; ``run_ablation`` trains a variant that ``table.build`` names and
-scores it the same way.
+``score_tables`` parses a corpus's failed logs once, in the corpus's
+log-id order, and scores each table it is given on them: the trained
+model's for ``eval``, and ``table.ablation_tables``'s four for ``ablate``.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .abstraction import AbstractionConfig, TemplateMiner
+from .abstraction import TemplateMiner
 from .corpus import CauseTaxonomy, Corpus
 from .errors import ValidationError
-from .predictor import predict_lines
-from .table import ScoreTable, build
+from .predictor import predict
+from .table import ScoreTable
 
 
 def left_sum(values: Iterable[float]) -> float:
@@ -130,29 +130,26 @@ def evaluate(
     )
 
 
-def predict_corpus(miner: TemplateMiner, table: ScoreTable, corpus: Corpus) -> MacroReport:
-    """Predict the corpus's failed logs, in its log-id order, and score them."""
-    truth = []
-    predicted = []
-    for log in corpus.failed:
-        prediction, _ = predict_lines(miner, table, log.lines, log.log_id)
-        truth.append(log.cause)
-        predicted.append(prediction.cause)
-    return evaluate(truth, predicted, corpus.taxonomy)
+def score_tables(
+    miner: TemplateMiner, tables: Mapping[str, ScoreTable], corpus: Corpus
+) -> dict[str, MacroReport]:
+    """Predict the corpus's failed logs with each table, and score each table's predictions.
+
+    The logs are parsed once, in the corpus's log-id order, through the
+    frozen miner's ``event_sets``, and each log's set is predicted with
+    every table (``predict``).  The reports keep the order of ``tables``.
+    """
+    if not miner.frozen:
+        raise ValidationError("prediction requires a frozen miner")
+    predicted: dict[str, list[int]] = {name: [] for name in tables}
+    for events in miner.event_sets(log.lines for log in corpus.failed):
+        for name, table in tables.items():
+            predicted[name].append(predict(table, events).cause)
+    truth = [log.cause for log in corpus.failed]
+    return {name: evaluate(truth, causes, corpus.taxonomy) for name, causes in predicted.items()}
 
 
 # -- ablation variants ---------------------------------------------------
-
-
-def run_ablation(
-    train_corpus: Corpus,
-    test_corpus: Corpus,
-    variant: str,
-    config: AbstractionConfig | None = None,
-) -> tuple[ScoreTable, MacroReport]:
-    """Train one pipeline variant and evaluate it on the test corpus."""
-    miner, table = build(train_corpus, config, variant)
-    return table, predict_corpus(miner, table, test_corpus)
 
 
 def ablation_identities(

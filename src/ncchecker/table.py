@@ -7,7 +7,10 @@ diff the failed event pool against the passed pool, count per-cause
 presence of each surviving event, reweight rows (multi-problem rows
 normalize to sum 1; single-problem counts map through 0 / 1.0 /
 log2(1 + c)), then scale each column by the inverse class frequency
-N / N_j.  The counts are the whole trained table: a ``ScoreTable`` is
+N / N_j.  ``ablation_tables`` mines the corpus once and builds
+``build``'s table and the three tables that each leave out one step
+(the paper's ablations drop1, drop2 and drop3), all over the same
+miner.  The counts are the whole trained table: a ``ScoreTable`` is
 built from them, the class sizes and which of the last two steps apply,
 and derives ``n_total``, ``icf`` and its score rows once, at
 construction, through the same ``reweight`` and icf product for every
@@ -244,26 +247,19 @@ def apply_icf(table: ScoreTable) -> ScoreTable:
 ABLATION_VARIANTS = ("full", "drop1", "drop2", "drop3")
 
 
-def build(
-    train_corpus: Corpus, config: AbstractionConfig | None = None, variant: str = "full"
-) -> tuple[TemplateMiner, ScoreTable]:
-    """Run the whole construction pipeline over a training corpus.
+def _mine(
+    train_corpus: Corpus, config: AbstractionConfig | None, diff: bool
+) -> tuple[TemplateMiner, ScoreTable, frozenset[str], list[tuple[frozenset[str], int]]]:
+    """Mine templates over the corpus, freeze the miner and build the table of every step.
 
-    Mines templates over all passed then all failed logs, in the corpus's
-    log-id order, freezes the miner, and builds the score table.  Each log
-    is parsed to the set of its distinct events (``event_sets``), and no
-    per-line event is kept: a passed log's set joins the passed pool as it
-    is parsed, and a failed log keeps only its events outside that pool.
-    ``variant`` names one of ``ABLATION_VARIANTS`` (case-insensitive):
-    ``full`` runs every step, ``drop1`` keeps events shared with passed
-    logs, ``drop2`` passes raw counts to the icf scaling, and ``drop3``
-    leaves out the icf scaling; everything else stays identical.
+    The miner parses all passed then all failed logs, in the corpus's
+    log-id order, each to the set of its distinct events (``event_sets``);
+    no per-line event is kept.  A passed log's set joins the passed pool
+    as it is parsed, and with ``diff`` a failed log keeps only its events
+    outside that pool.  Returns the frozen miner, the table, the failed
+    pool (the union of the kept sets) and each kept set with its log's
+    cause.
     """
-    name = variant.lower()
-    if name not in ABLATION_VARIANTS:
-        raise ValidationError(
-            f"unknown ablation variant {variant!r}; choose from {', '.join(ABLATION_VARIANTS)}"
-        )
     passed, failed = train_corpus.passed, train_corpus.failed
     if not failed:
         raise ValidationError("training corpus has no failed logs; nothing to learn from")
@@ -272,27 +268,53 @@ def build(
     passed_pool: set[str] = set()
     for events in islice(event_sets, len(passed)):
         passed_pool |= events
-    shared = frozenset() if name == "drop1" else passed_pool
+    shared = passed_pool if diff else frozenset()
     labeled_events = [(events - shared, log.cause) for events, log in zip(event_sets, failed)]
     miner.freeze()
 
     failed_pool = frozenset().union(*(events for events, _ in labeled_events))
-    if name == "drop1":
-        vocabulary = failed_pool
-        if not vocabulary:
-            raise ValidationError("failed logs produced no events")
-    else:
-        vocabulary = diff_with_pass(failed_pool, passed_pool)
-
+    # Counting intersects each set with the failed-only vocabulary, so a
+    # whole set counts as its diffed set does.
+    vocabulary = diff_with_pass(failed_pool, passed_pool)
     counts = init_counts(vocabulary, labeled_events, train_corpus.taxonomy.k)
-    table = ScoreTable(
-        counts.rows,
-        train_corpus.taxonomy,
-        counts.n_per_cause,
-        skip_reweight=name == "drop2",
-        skip_icf=name == "drop3",
-    )
+    table = ScoreTable(counts.rows, train_corpus.taxonomy, counts.n_per_cause)
+    return miner, table, failed_pool, labeled_events
+
+
+def build(
+    train_corpus: Corpus, config: AbstractionConfig | None = None
+) -> tuple[TemplateMiner, ScoreTable]:
+    """Run the whole construction pipeline over a training corpus.
+
+    Mines templates over all passed then all failed logs, in the corpus's
+    log-id order, freezes the miner, and builds the score table.  A failed
+    log's event set is diffed against the passed pool as it is parsed, so
+    no shared event of a failed log is held.
+    """
+    miner, table, _, _ = _mine(train_corpus, config, diff=True)
     return miner, table
+
+
+def ablation_tables(
+    train_corpus: Corpus, config: AbstractionConfig | None = None
+) -> tuple[TemplateMiner, dict[str, ScoreTable]]:
+    """The frozen miner and a table per name in ``ABLATION_VARIANTS``, from one mining pass.
+
+    The ablations change only the table's steps, never the abstraction,
+    so the corpus is mined once, as ``build`` mines it, and each failed
+    log keeps its whole event set.  ``full`` is ``build``'s table; ``drop1``
+    keeps events shared with passed logs (its sets are diffed against an
+    empty pool); ``drop2`` passes raw counts to the icf scaling; ``drop3``
+    leaves out the icf scaling.
+    """
+    miner, full, failed_pool, labeled_events = _mine(train_corpus, config, diff=False)
+    drop1 = init_counts(failed_pool, labeled_events, full.k)
+    return miner, {
+        "full": full,
+        "drop1": ScoreTable(drop1.rows, full.taxonomy, drop1.n_per_cause),
+        "drop2": replace(full, skip_reweight=True),
+        "drop3": replace(full, skip_icf=True),
+    }
 
 
 # -- persistence -------------------------------------------------------

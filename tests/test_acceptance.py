@@ -25,11 +25,12 @@ from ncchecker.evaluation import (
     evaluate,
     macro,
     per_class_metrics,
-    run_ablation,
+    score_tables,
 )
 from ncchecker.generator import default_spec, generate_synthetic
 from ncchecker.table import (
     ABLATION_VARIANTS,
+    ablation_tables,
     collect_pools,
     compute_icf,
     diff_with_pass,
@@ -169,16 +170,14 @@ def test_criterion_5_minority_recall_and_column_scaling(tmp_path):
     corpus = load_corpus(tmp_path)
     train, test = split(corpus, 0.10, seed=11)
 
-    reports = {}
-    for variant in ("full", "drop3"):
-        _, reports[variant] = run_ablation(train, test, variant)
+    miner, tables = ablation_tables(train)
+    reports = score_tables(miner, tables, test)
     c4 = corpus.taxonomy.k - 1
     full_recall = reports["full"].per_class[c4].recall
     drop3_recall = reports["drop3"].per_class[c4].recall
     assert full_recall == 1.0
     assert full_recall >= drop3_recall
 
-    tables = {v: build(train, variant=v)[1] for v in ("full", "drop1", "drop3")}
     messages = ablation_identities(tables["full"], tables["drop1"], tables["drop3"])
     assert len(messages) == 2
     _passed(
@@ -194,7 +193,7 @@ def test_criterion_6_ablation_structure(tmp_path, capsys):
     corpus = load_corpus(tmp_path)
     train, _ = split(corpus, 0.2, seed=2)
 
-    tables = {v: build(train, variant=v)[1] for v in ABLATION_VARIANTS}
+    _, tables = ablation_tables(train)
     # Drop1 keeps events that also occur in passed logs: a strict superset here.
     assert set(tables["drop1"].rows) > set(tables["full"].rows)
     # Drop2 rows bypass the reweighting equations: cells are raw presence

@@ -12,9 +12,9 @@ import pytest
 
 import ncchecker
 from ncchecker import baselines as bl
-from ncchecker.abstraction import DEFAULT_MASK_RULES, AbstractionConfig
+from ncchecker.abstraction import DEFAULT_MASK_RULES, AbstractionConfig, EventSequence, TemplateMiner
 from ncchecker.cli import _knn_docs, main
-from ncchecker.corpus import load_corpus
+from ncchecker.corpus import load_corpus, split
 from ncchecker.generator import corpus_digest, default_spec, generate_synthetic, spec_from_dict
 from ncchecker.model import _config_to_json, load_model
 
@@ -773,6 +773,37 @@ def test_ablate_prints_checks_and_four_variants(corpus_dir, capsys):
     assert "check:" in stdout
     for variant in ("full", "drop1", "drop2", "drop3"):
         assert f"== {variant} ==" in stdout
+
+
+def test_ablate_mines_once_and_parses_the_test_logs_once(corpus_dir, capsys, monkeypatch):
+    # One miner; one event_sets pass over the training logs and one over the
+    # failed test logs; no log parsed to an EventSequence.
+    miners, passes = [], []
+    init, event_sets = TemplateMiner.__init__, TemplateMiner.event_sets
+
+    def counted_init(self, *args, **kwargs):
+        miners.append(self)
+        init(self, *args, **kwargs)
+
+    def counted_event_sets(self, logs):
+        logs = list(logs)
+        passes.append((self, len(logs)))
+        return event_sets(self, logs)
+
+    def refuse(self, *args):
+        raise AssertionError("ablate made an EventSequence")
+
+    monkeypatch.setattr(TemplateMiner, "__init__", counted_init)
+    monkeypatch.setattr(TemplateMiner, "event_sets", counted_event_sets)
+    monkeypatch.setattr(EventSequence, "__init__", refuse)
+    assert main(["ablate", str(corpus_dir), "--test-fraction", "0.2", "--seed", "4"]) == 0
+    assert "== drop3 ==" in capsys.readouterr().out
+    train, test = split(load_corpus(corpus_dir), 0.2, 4)
+    assert len(miners) == 1
+    assert passes == [
+        (miners[0], len(train.passed) + len(train.failed)),
+        (miners[0], len(test.failed)),
+    ]
 
 
 def test_ablate_deterministic(corpus_dir, capsys):

@@ -1,10 +1,13 @@
-import re
+from dataclasses import replace
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ncchecker import ValidationError, build, load_corpus, split
+from ncchecker import ValidationError, build, load_corpus, predict_lines, split
+from ncchecker.abstraction import MASK_CHUNK_LINES, TemplateMiner
 from ncchecker.corpus import DEFAULT_TAXONOMY
+from ncchecker import evaluation
 from ncchecker.evaluation import (
     ClassMetrics,
     ablation_identities,
@@ -13,14 +16,13 @@ from ncchecker.evaluation import (
     left_sum,
     macro,
     per_class_metrics,
-    predict_corpus,
     render_comparison,
     render_report,
     report_records,
-    run_ablation,
+    score_tables,
 )
 from ncchecker.generator import default_spec, generate_synthetic
-from ncchecker.table import ABLATION_VARIANTS
+from ncchecker.table import ABLATION_VARIANTS, ablation_tables
 
 
 # -- confusion -----------------------------------------------------------------
@@ -203,23 +205,40 @@ def planted_split(tmp_path_factory):
     return split(corpus, 0.2, seed=3)
 
 
+def _ablation_reports(train, test):
+    miner, tables = ablation_tables(train)
+    return tables, score_tables(miner, tables, test)
+
+
 def test_full_pipeline_is_perfect_on_planted_corpus(planted_split):
     train, test = planted_split
-    _, report = run_ablation(train, test, "full")
-    assert report.f1 == 1.0
+    _, reports = _ablation_reports(train, test)
+    assert reports["full"].f1 == 1.0
 
 
 def test_run_ablation_returns_the_variant_table_and_its_report(planted_split):
+    # The one-pass tables and scores stand for the per-variant run: the
+    # drop2 table is build's table without the reweighting, and each
+    # table's report is the one it gets scored alone.
     train, test = planted_split
-    miner, built = build(train, variant="drop2")
-    table, report = run_ablation(train, test, "drop2")
-    assert table == built
-    assert report == predict_corpus(miner, built, test)
+    miner, tables = ablation_tables(train)
+    assert tables["drop2"] == replace(build(train)[1], skip_reweight=True)
+    reports = score_tables(miner, tables, test)
+    assert list(reports) == list(ABLATION_VARIANTS)
+    for name in ("drop2", "full"):
+        assert score_tables(miner, {name: tables[name]}, test) == {name: reports[name]}
+
+
+def test_score_tables_requires_a_frozen_miner(planted_split):
+    train, test = planted_split
+    _, tables = ablation_tables(train)
+    with pytest.raises(ValidationError, match="requires a frozen miner"):
+        score_tables(TemplateMiner(), tables, test)
 
 
 def test_drop1_table_is_superset_and_drop3_scales(planted_split):
     train, _ = planted_split
-    tables = {v: build(train, variant=v)[1] for v in ABLATION_VARIANTS}
+    _, tables = ablation_tables(train)
     messages = ablation_identities(tables["full"], tables["drop1"], tables["drop3"])
     assert len(messages) == 2
     assert set(tables["drop1"].rows) > set(tables["full"].rows)
@@ -227,9 +246,8 @@ def test_drop1_table_is_superset_and_drop3_scales(planted_split):
 
 def test_drop2_rows_are_counts_times_icf(planted_split):
     train, _ = planted_split
-    full = build(train, variant="full")[1]
-    drop2 = build(train, variant="drop2")[1]
-    drop3 = build(train, variant="drop3")[1]
+    _, tables = ablation_tables(train)
+    full, drop2, drop3 = tables["full"], tables["drop2"], tables["drop3"]
     assert set(drop2.rows) == set(full.rows)
     for eid, row in drop2.rows.items():
         # Undo the icf scaling: the remaining values must be raw integer
@@ -240,23 +258,47 @@ def test_drop2_rows_are_counts_times_icf(planted_split):
         assert eid in drop3.rows
 
 
-def test_unknown_variant_rejected(planted_split):
-    train, test = planted_split
-    with pytest.raises(ValidationError, match="unknown ablation variant"):
-        run_ablation(train, test, "drop9")
-    message = "unknown ablation variant 'drop4'; choose from full, drop1, drop2, drop3"
-    with pytest.raises(ValidationError, match=re.escape(message)):
-        build(train, variant="drop4")
-
-
-def test_variant_names_are_case_insensitive(planted_split):
-    train, test = planted_split
-    assert run_ablation(train, test, "Full")[1].f1 == run_ablation(train, test, "full")[1].f1
-    assert build(train, variant="DROP1")[1] == build(train, variant="drop1")[1]
-
-
 def test_variants_disagree_in_the_expected_direction(planted_split):
     train, test = planted_split
-    reports = {v: run_ablation(train, test, v)[1] for v in ABLATION_VARIANTS}
+    _, reports = _ablation_reports(train, test)
     assert reports["full"].f1 >= reports["drop3"].f1
     assert all(0.0 <= r.f1 <= 1.0 for r in reports.values())
+
+
+def test_scores_from_event_sets_equal_per_log_predictions(tmp_path, monkeypatch):
+    # Short logs, more test lines than one masking chunk holds, and a chunk
+    # boundary inside a log; contamination makes the variants disagree, and
+    # some logs fall back to the majority class.
+    spec = default_spec(
+        cause_counts=(120, 40, 25, 10),
+        passed_count=12,
+        markers_per_cause=5,
+        noise_rate=0.0,
+        seed=90_210,
+        last_cause_contamination=5,
+    )
+    generate_synthetic(spec, tmp_path)
+    train, test = split(load_corpus(tmp_path), 0.7, seed=1)
+    ends = list(accumulate(len(log.lines) for log in test.failed))
+    assert ends[-1] > MASK_CHUNK_LINES and MASK_CHUNK_LINES not in ends
+    miner, tables = ablation_tables(train)
+
+    scored = []  # each table's causes, in the order the reports are made
+
+    def record(truth, predicted, taxonomy):
+        scored.append(list(predicted))
+        return evaluate(truth, predicted, taxonomy)
+
+    monkeypatch.setattr(evaluation, "evaluate", record)
+    reports = score_tables(miner, tables, test)
+    monkeypatch.undo()
+    truth = [log.cause for log in test.failed]
+    fallbacks = 0
+    for (name, table), causes in zip(tables.items(), scored, strict=True):
+        per_log = [predict_lines(miner, table, log.lines, log.log_id)[0] for log in test.failed]
+        assert causes == [prediction.cause for prediction in per_log], name
+        assert reports[name] == evaluate(truth, causes, test.taxonomy)
+        fallbacks += sum(prediction.fallback_used for prediction in per_log)
+    # The variants do not all predict alike, so the check tells them apart.
+    assert len({tuple(causes) for causes in scored}) > 1
+    assert fallbacks

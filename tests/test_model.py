@@ -10,7 +10,7 @@ from ncchecker.abstraction import AbstractionConfig, TemplateMiner
 from ncchecker.corpus import DEFAULT_TAXONOMY, Corpus, LabeledFailedLog, PassedLog
 from ncchecker.model import _config_to_json, model_from_text, model_to_text
 from ncchecker import table as table_module
-from ncchecker.table import ABLATION_VARIANTS
+from ncchecker.table import ABLATION_VARIANTS, ablation_tables
 
 from conftest import MULTI_LINE, SINGLE5_LINE
 
@@ -338,11 +338,17 @@ def _tree_shape(node):
     )
 
 
+def _train(corpus, config, variant):
+    """The miner and the named variant's table, from one mining pass."""
+    miner, tables = ablation_tables(corpus, config)
+    return miner, tables[variant]
+
+
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(_trained_models())
 def test_reloaded_model_is_the_trained_one(case):
     corpus, config, variant, probes = case
-    miner, table = build(corpus, config, variant)
+    miner, table = _train(corpus, config, variant)
     text = model_to_text(miner, table)
     loaded_miner, loaded_table = model_from_text(text)
 
@@ -365,6 +371,13 @@ def test_reloaded_model_is_the_trained_one(case):
         assert loaded_table.rows[seen] is loaded_table.rows[eid]
 
 
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_trained_models())
+def test_the_one_pass_full_model_is_the_built_one(case):
+    corpus, config, _, _ = case
+    assert model_to_text(*_train(corpus, config, "full")) == model_to_text(*build(corpus, config))
+
+
 # What a one-line edit may insert: digits, signs, separators and letters of
 # the saved fields and steps, but no line break.
 _EDIT_CHARS = "0123456789.-+ \t_efinaslgmutorwhpc<*>\"[],:"
@@ -374,7 +387,7 @@ _EDIT_CHARS = "0123456789.-+ \t_efinaslgmutorwhpc<*>\"[],:"
 @given(_trained_models(), st.data())
 def test_a_one_line_edit_is_rejected_or_loads_as_written(case, data):
     corpus, config, variant, _ = case
-    lines = model_to_text(*build(corpus, config, variant)).splitlines()
+    lines = model_to_text(*_train(corpus, config, variant)).splitlines()
     at = data.draw(st.integers(0, len(lines) - 1))
     line = lines[at]
     start = data.draw(st.integers(0, len(line)))
@@ -397,7 +410,7 @@ def test_event_ids_are_the_registry_rows(case):
     # The n-th registry row is e<n>, trained and reloaded, and a miner
     # rebuilt from the registry registers next after its last row.
     corpus, config, variant, _ = case
-    miner, table = build(corpus, config, variant)
+    miner, table = _train(corpus, config, variant)
     loaded_miner, _ = model_from_text(model_to_text(miner, table))
     ids = [f"e{n}" for n in range(1, len(miner.templates) + 1)]
     for each in (miner, loaded_miner):

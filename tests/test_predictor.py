@@ -7,7 +7,7 @@ from ncchecker import ValidationError, build, flag_lines, predict_lines
 from ncchecker.abstraction import REGISTRY_HEADER, UNKNOWN_EVENT_ID, EventSequence, TemplateMiner
 from ncchecker.corpus import DEFAULT_TAXONOMY
 from ncchecker.predictor import FlaggedLine, predict
-from ncchecker.table import ABLATION_VARIANTS, ScoreTable
+from ncchecker.table import ABLATION_VARIANTS, ScoreTable, ablation_tables
 
 from conftest import MULTI_LINE, SINGLE1_LINE, SINGLE5_LINE, make_fig_corpus
 
@@ -221,15 +221,16 @@ def test_flag_lines_rejects_mismatched_log(fig_corpus):
 
 # -- predict and flag_lines against per-line parses ------------------------------------
 
-# The fig corpus trained as each variant; drop1 keeps the benign events too.
-_FIG_MODELS = {}
+# The fig corpus's miner and its table for each variant; drop1 keeps the
+# benign events too.
+_FIG_MODELS = []
 
 
 def _fig_model(variant):
-    if variant not in _FIG_MODELS:
-        miner, table = build(make_fig_corpus(), variant=variant)
-        _FIG_MODELS[variant] = miner.freeze(), table
-    return _FIG_MODELS[variant]
+    if not _FIG_MODELS:
+        _FIG_MODELS.extend(ablation_tables(make_fig_corpus()))
+    miner, tables = _FIG_MODELS
+    return miner, tables[variant]
 
 
 _FIG_LINES = st.one_of(

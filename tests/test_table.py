@@ -7,9 +7,12 @@ from ncchecker import ValidationError, build, load_corpus
 from ncchecker.abstraction import EventSequence, TemplateMiner
 from ncchecker.corpus import DEFAULT_TAXONOMY, CauseTaxonomy, Corpus, LabeledFailedLog
 from ncchecker.generator import default_spec, generate_synthetic
+from ncchecker import table as table_module
 from ncchecker.table import (
+    ABLATION_VARIANTS,
     CountTable,
     ScoreTable,
+    ablation_tables,
     apply_icf,
     collect_pools,
     compute_icf,
@@ -263,6 +266,19 @@ def test_build_aborts_when_diff_empties_the_table(fig_corpus):
         build(benign_only)
 
 
+def test_ablation_tables_reject_what_build_rejects(fig_corpus):
+    # drop1 would keep the benign events, but full needs a table too.
+    benign_only = Corpus(
+        fig_corpus.passed,
+        (LabeledFailedLog("f1", fig_corpus.passed[0].lines, 0),),
+        DEFAULT_TAXONOMY,
+    )
+    with pytest.raises(ValidationError, match="no discriminative events"):
+        ablation_tables(benign_only)
+    with pytest.raises(ValidationError, match="no failed logs"):
+        ablation_tables(Corpus(fig_corpus.passed, (), DEFAULT_TAXONOMY))
+
+
 def test_build_synthetic_markers_become_single_problem_rows(tmp_path):
     spec = default_spec(cause_counts=(10, 6, 4, 3), passed_count=8, seed=21)
     generate_synthetic(spec, tmp_path)
@@ -290,20 +306,73 @@ def test_build_deterministic(fig_corpus):
 
 @pytest.mark.parametrize("variant", ["full", "drop1", "drop2", "drop3"])
 def test_build_constructs_no_event_sequence(tmp_path, monkeypatch, variant):
+    # Neither build nor the one-pass ablation tables make an EventSequence.
     spec = default_spec(cause_counts=(6, 4, 3, 2), passed_count=5, seed=41, noise_rate=0.2)
     generate_synthetic(spec, tmp_path)
     corpus = load_corpus(tmp_path)
-    miner, table = build(corpus, variant=variant)
+    miner, _ = build(corpus)
+    table = ablation_tables(corpus)[1][variant]
 
     def refuse(self, *args):
-        raise AssertionError("build made an EventSequence")
+        raise AssertionError("training made an EventSequence")
 
     monkeypatch.setattr(EventSequence, "__init__", refuse)
     with pytest.raises(AssertionError, match="made an EventSequence"):
         _seq("probe", ["e1"])
-    again, table_again = build(corpus, variant=variant)
+    again, _ = build(corpus)
+    ablation_miner, tables_again = ablation_tables(corpus)
     assert again.export_registry() == miner.export_registry()
-    assert table_lines(table_again) == table_lines(table)
+    assert ablation_miner.export_registry() == miner.export_registry()
+    assert table_lines(tables_again[variant]) == table_lines(table)
+
+
+@pytest.mark.parametrize("seed", [41, 42])
+def test_ablation_tables_mine_as_build_and_hold_its_table(tmp_path, seed):
+    spec = default_spec(cause_counts=(6, 4, 3, 2), passed_count=5, seed=seed, noise_rate=0.2)
+    generate_synthetic(spec, tmp_path)
+    corpus = load_corpus(tmp_path)
+    miner, table = build(corpus)
+    ablation_miner, tables = ablation_tables(corpus)
+    assert ablation_miner.frozen
+    assert ablation_miner.export_registry() == miner.export_registry()
+    assert tuple(tables) == ABLATION_VARIANTS
+    assert table_lines(tables["full"]) == table_lines(table)
+    assert repr(tables["full"].rows) == repr(table.rows)
+
+
+def test_build_counts_diffed_sets_and_ablation_tables_whole_ones(tmp_path, monkeypatch):
+    # build holds no failed log's events shared with the passed pool, diffed
+    # as the log is parsed; ablation_tables keep each whole set for drop1.
+    spec = default_spec(cause_counts=(6, 4, 3, 2), passed_count=5, seed=41, noise_rate=0.2)
+    generate_synthetic(spec, tmp_path)
+    corpus = load_corpus(tmp_path)
+    parsed, counted = [], []
+    event_sets, init_counts = TemplateMiner.event_sets, table_module.init_counts
+
+    def recorded_event_sets(self, logs):
+        for events in event_sets(self, logs):
+            parsed.append(events)
+            yield events
+
+    def recorded_init_counts(vocabulary, labeled_events, k):
+        counted.append([events for events, _ in labeled_events])
+        return init_counts(vocabulary, labeled_events, k)
+
+    monkeypatch.setattr(TemplateMiner, "event_sets", recorded_event_sets)
+    monkeypatch.setattr(table_module, "init_counts", recorded_init_counts)
+    n_passed = len(corpus.passed)
+    for train, whole in ((build, False), (ablation_tables, True)):
+        parsed.clear()
+        counted.clear()
+        train(corpus)
+        pool = frozenset().union(*parsed[:n_passed])
+        failed_sets = parsed[n_passed:]
+        assert len(failed_sets) == len(corpus.failed)
+        if whole:
+            assert counted == [failed_sets, failed_sets]  # full, then drop1
+        else:
+            assert counted == [[events - pool for events in failed_sets]]
+            assert any(events & pool for events in failed_sets)
 
 
 def test_no_table_event_occurs_in_passed_logs(fig_corpus):
@@ -334,13 +403,14 @@ def test_pipeline_matches_brute_force_on_small_synthetic(tmp_path, seed):
     generate_synthetic(spec, tmp_path / str(seed))
     corpus = load_corpus(tmp_path / str(seed))
     # The oracle keeps its own switches for the steps each variant drops.
+    _, tables = ablation_tables(corpus)
     for variant, switches in (
         ("full", {}),
         ("drop1", {"skip_diff": True}),
         ("drop2", {"skip_reweight": True}),
         ("drop3", {"skip_icf": True}),
     ):
-        _, table = build(corpus, variant=variant)
+        table = tables[variant]
         oracle = brute_force_rows(corpus, **switches)
         assert set(oracle) == set(table.rows)
         for eid, row in oracle.items():
@@ -379,7 +449,7 @@ def test_load_corrupt_field_names_it():
     [("full", "reweight,icf"), ("drop1", "reweight,icf"), ("drop2", "icf"), ("drop3", "reweight")],
 )
 def test_the_steps_line_names_the_scoring_steps_of_the_variant(fig_corpus, variant, steps):
-    _, table = build(fig_corpus, variant=variant)
+    table = ablation_tables(fig_corpus)[1][variant]
     text = _table_text(table)
     assert f"\nsteps\t{steps}\n" in text
     assert table_from_text(text) == table
