@@ -39,18 +39,19 @@ masked.
 
 ``parse_log`` masks a whole log before matching any of it, and
 ``event_sets``, which training uses, masks the lines of many logs at once,
-in chunks of at most ``MASK_CHUNK_LINES`` lines that may cut a log
-anywhere.  The lines of a log or chunk are joined with ``"\n"``, each rule
-runs once over that text, and the text is split back, which spares the
-per-call cost of ``re.sub`` on each short line.  This is exact because no
-rule can match ``"\n"`` (their classes are digits, ``[\w.+-]`` and hex
-digits), their lookarounds (``[\w.]``, ``[\w/]``, ``\w``, ``\b``) treat
-``"\n"`` as they treat the start or end of a string, and ``<*>`` holds no
-``"\n"``; so a line masks the same whoever its neighbours are.  A line
-given through the API may hold ``"\n"`` itself; such a log or chunk masks
-line by line, as ``parse_line`` does.  The ASCII twins run only when the
-whole joined text is ASCII, so one non-ASCII line sends its whole chunk
-through the Unicode compiles: exact, but slower.
+in chunks of whole logs, each closed by the log that brings it to at least
+``MASK_CHUNK_LINES`` lines.  The lines of a log or chunk are joined with
+``"\n"``, each rule runs once over that text, and the text is split back,
+which spares the per-call cost of ``re.sub`` on each short line.  This is
+exact because no rule can match ``"\n"`` (their classes are digits,
+``[\w.+-]`` and hex digits), their lookarounds (``[\w.]``, ``[\w/]``,
+``\w``, ``\b``) treat ``"\n"`` as they treat the start or end of a
+string, and ``<*>`` holds no ``"\n"``; so a line masks the same whoever
+its neighbours are, and where a chunk ends changes nothing.  A line given
+through the API may hold ``"\n"`` itself; such a log or chunk masks line
+by line, as ``parse_line`` does.  The ASCII twins run only when the whole
+joined text is ASCII, so one non-ASCII line sends its whole chunk through
+the Unicode compiles: exact, but slower.
 
 ``parse_log`` gives a log one event slot per source line, None for a
 blank line, so line ``n`` is ``events[n - 1]``: nothing stores a line
@@ -121,7 +122,7 @@ counts and templates are those of parsing every line.
 
 import re
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from numbers import Real
 from typing import Iterable, Iterator, Sequence
 
@@ -140,17 +141,20 @@ _MAX_COUNT_DIGITS = 4300
 FROZEN_MEMO_CAP = 1 << 15
 _MISSING = object()
 
-# Lines ``event_sets`` masks in one pass per rule.  It bounds what is held
-# at once, the chunk, its joined and masked text and its masked lines, to
-# about 300 KB on lines of 80 characters; a 10K-log corpus of 1.3M lines
-# joined whole would hold over 100 MB.  Timed with ``build`` on the bench's
-# seed-7 training corpora (median of 30 to 40 interleaved runs, 2 CPUs,
-# Python 3.11.7), chunks of 256 to 4,096 lines were within 7% of each
+# Lines after which ``event_sets`` closes a chunk of whole logs and masks it
+# in one pass per rule.  A chunk holds fewer lines than this before its last
+# log, and that log whole.  While it is masked, its lines, their joined and
+# masked texts and the masked lines peak at about 700 KB per 1,024 lines of
+# 80 characters (``tracemalloc``, Python 3.11.7); a 10K-log corpus of 1.3M
+# lines joined whole would hold over 100 MB.  Timed with ``build`` on the
+# bench's seed-7 training corpora (median of 30 to 40 interleaved runs, 2
+# CPUs, Python 3.11.7), chunks of 256 to 4,096 lines were within 7% of each
 # other, and 1,024 was never slower than 4,096: ``short`` 87.7 vs 89.4 ms,
 # ``clean`` 134.1 vs 138.9, ``noisy`` 182.5 vs 185.2.  The memory that
 # ``build`` traced at its peak on ``short`` grew by 0.12 MB over masking
 # one log at a time with 1,024 lines, and by 0.47 MB with 4,096.  (These
-# were measured while training still kept an event per line.)
+# were measured while chunks could cut a log, and while training still kept
+# an event per line.)
 MASK_CHUNK_LINES = 1024
 
 # What a masked line parses to that is no event of a log's set: None for a
@@ -288,7 +292,7 @@ def _mask(text: str) -> str:
     return text
 
 
-def _mask_log(lines: tuple[str, ...]) -> list[str]:
+def _mask_log(lines: Sequence[str]) -> list[str]:
     r"""The lines after the mask rules, in one pass per rule over their join.
 
     A line that holds a ``"\n"`` of its own would split in two, so then
@@ -298,12 +302,6 @@ def _mask_log(lines: tuple[str, ...]) -> list[str]:
     if text.count("\n") == len(lines) - 1:
         return _mask(text).split("\n")
     return list(map(_mask, lines))
-
-
-def _mask_chunks(lines: Iterator[str]) -> Iterator[list[str]]:
-    """``_mask_log`` of each run of at most ``MASK_CHUNK_LINES`` of ``lines``."""
-    while chunk := tuple(islice(lines, MASK_CHUNK_LINES)):
-        yield _mask_log(chunk)
 
 
 def preprocess(line: str, config: AbstractionConfig) -> list[str]:
@@ -655,19 +653,30 @@ class TemplateMiner:
     def event_sets(self, logs: Iterable[Sequence[str]]) -> Iterator[frozenset[str]]:
         """Each log's ``self.parse_log(lines).distinct_events()``, parsed when asked for.
 
-        The lines of consecutive logs are masked together, in chunks of at
-        most ``MASK_CHUNK_LINES`` lines, each as ``parse_log`` masks one
-        log; masking is a function of each line alone (module docstring).
-        A log's masked lines are then parsed in order, as ``parse_log``
-        parses them, so every set, template and count is ``parse_log``'s.
-        The parser is the one of the miner's mode when the first set is
-        asked for: do not freeze the miner before the last.
+        Logs are pulled one at a time into a chunk of whole logs, which is
+        closed once it holds at least ``MASK_CHUNK_LINES`` lines and masked
+        as ``parse_log`` masks one log; masking is a function of each line
+        alone (module docstring).  Each log's masked lines are then parsed
+        in order, as ``parse_log`` parses them, so every set, template and
+        count is ``parse_log``'s.  No log is pulled past the chunk of the
+        set asked for.  The parser is the one of the miner's mode when the
+        first set is asked for: do not freeze the miner before the last.
         """
-        logs = list(logs)
-        masked = chain.from_iterable(_mask_chunks(chain.from_iterable(logs)))
+        logs = iter(logs)
         parse = self._parser()
-        for lines in logs:
-            yield frozenset(map(parse, islice(masked, len(lines)))) - _NOT_EVENTS
+        while True:
+            chunk: list[str] = []
+            sizes = []
+            for lines in logs:
+                chunk += lines
+                sizes.append(len(lines))
+                if len(chunk) >= MASK_CHUNK_LINES:
+                    break
+            if not sizes:
+                return
+            masked = iter(_mask_log(chunk))
+            for size in sizes:
+                yield frozenset(map(parse, islice(masked, size))) - _NOT_EVENTS
 
     def _parser(self):
         """The parser of a masked line for the miner's mode."""

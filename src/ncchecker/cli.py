@@ -218,7 +218,11 @@ def _knn_docs(name, logs, miner, vocabulary):
     its raw whitespace terms, or its distinct events in ``vocabulary``."""
     if name == "cam":
         return [Counter(term for line in log.lines for term in line.split()) for log in logs]
-    event_sets = miner.event_sets(log.lines for log in logs)
+    return _lff_docs(miner.event_sets(log.lines for log in logs), vocabulary)
+
+
+def _lff_docs(event_sets, vocabulary):
+    """The ``lff`` documents of logs given as their event sets."""
     return [dict.fromkeys(events & vocabulary, 1) for events in event_sets]
 
 
@@ -235,7 +239,9 @@ def _cmd_eval(args) -> int:
         raise ValidationError(f"test corpus {args.corpus} has no failed logs to evaluate")
     truth = [log.cause for log in test_corpus.failed]
 
-    reports = ev.score_tables(miner, {"ncchecker": table}, test_corpus)
+    # One parse of the test logs serves the ncchecker row and lff's documents.
+    test_sets = list(miner.event_sets(log.lines for log in test_corpus.failed))
+    reports = ev.score_event_sets({"ncchecker": table}, test_sets, test_corpus)
 
     train_corpus = None
     if needs_train:
@@ -257,7 +263,10 @@ def _cmd_eval(args) -> int:
                 [log.log_id for log in train_logs],
                 args.k_neighbors,
             )
-            test_docs = _knn_docs(name, test_corpus.failed, miner, vocabulary)
+            if name == "lff":
+                test_docs = _lff_docs(test_sets, vocabulary)
+            else:
+                test_docs = _knn_docs(name, test_corpus.failed, miner, vocabulary)
             preds = [bl.knn_predict(index, doc) for doc in test_docs]
             reports[name] = ev.evaluate(truth, preds, table.taxonomy)
 

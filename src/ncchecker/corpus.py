@@ -5,6 +5,15 @@ A corpus directory holds ``passed/*.log`` and ``failed/*.log`` plus a
 Passed logs carry no labels.  A ``Corpus`` keeps each group in log-id
 order, which is the order every later stage reads it in.
 
+``load_corpus`` lists the files and reads the labels, but reads no log: a
+loaded log holds its id, its path and, if failed, its cause, and its
+``lines`` read the file each time they are asked for, so a log is read
+when it is parsed and its text is not kept.  Training and evaluation read
+each log once per pass over it and hold no whole corpus; a log that
+cannot be read fails the pass that reads it.  A log built with its lines,
+as tests build them, keeps that tuple, and ``split`` regroups the logs it
+is given as they are.
+
 A log file is read as bytes and decoded as UTF-8, with undecodable bytes
 replaced; ``"\\r\\n"`` and a lone ``"\\r"`` are read as ``"\\n"``, and only
 ``"\\n"`` ends a line.
@@ -14,7 +23,7 @@ import csv
 import math
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -63,17 +72,34 @@ DEFAULT_TAXONOMY = CauseTaxonomy(
 )
 
 
+class _Lines:
+    """A log's ``lines`` field: the tuple it was built with or, if it was
+    built with None, the lines of its ``path``, read each time they are asked
+    for and never kept."""
+
+    def __get__(self, log, owner=None) -> tuple[str, ...]:
+        if log is None:
+            raise AttributeError("lines")  # so the field has no default
+        lines = log.__dict__["lines"]
+        return read_log_lines(log.path) if lines is None else lines
+
+    def __set__(self, log, lines) -> None:
+        log.__dict__["lines"] = lines
+
+
 @dataclass(frozen=True)
 class PassedLog:
     log_id: str
-    lines: tuple[str, ...]
+    lines: tuple[str, ...] = _Lines()
+    path: str | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class LabeledFailedLog:
     log_id: str
-    lines: tuple[str, ...]
+    lines: tuple[str, ...] = _Lines()
     cause: int
+    path: str | None = field(default=None, compare=False)
 
 
 def _log_id(log) -> str:
@@ -213,7 +239,8 @@ def load_corpus(root, labels_path=None, taxonomy: CauseTaxonomy = DEFAULT_TAXONO
 
     Every failed file must have exactly one label row; labels pointing at
     absent files are rejected.  Missing passed/ or failed/ directories are
-    treated as empty.
+    treated as empty.  No log is read here: each keeps its path, and its
+    ``lines`` read the file whenever they are asked for.
     """
     root = Path(root)
     passed_files = log_files(root / "passed") if (root / "passed").is_dir() else []
@@ -236,10 +263,9 @@ def load_corpus(root, labels_path=None, taxonomy: CauseTaxonomy = DEFAULT_TAXONO
     if problems:
         raise ValidationError("; ".join(problems))
 
-    passed = tuple(PassedLog(log_id, read_log_lines(path)) for log_id, path in passed_files)
+    passed = tuple(PassedLog(log_id, None, path) for log_id, path in passed_files)
     failed = tuple(
-        LabeledFailedLog(log_id, read_log_lines(path), labels[log_id])
-        for log_id, path in failed_files
+        LabeledFailedLog(log_id, None, labels[log_id], path) for log_id, path in failed_files
     )
     return Corpus(passed, failed, taxonomy)
 

@@ -9,8 +9,10 @@ through ``left_sum``, which adds left to right as ``sum()`` did up to
 Python 3.11, so a report prints the same bytes on every Python version.
 
 ``score_tables`` parses a corpus's failed logs once, in the corpus's
-log-id order, and scores each table it is given on them: the trained
-model's for ``eval``, and ``table.ablation_tables``'s four for ``ablate``.
+log-id order, and scores each table it is given on them:
+``table.ablation_tables``'s four for ``ablate``.  ``eval`` parses its
+test logs itself, since ``lff`` reads the same sets, and scores the
+trained model's table on them through ``score_event_sets``.
 """
 
 from dataclasses import dataclass
@@ -141,8 +143,18 @@ def score_tables(
     """
     if not miner.frozen:
         raise ValidationError("prediction requires a frozen miner")
+    return score_event_sets(tables, miner.event_sets(log.lines for log in corpus.failed), corpus)
+
+
+def score_event_sets(
+    tables: Mapping[str, ScoreTable], event_sets: Iterable[frozenset[str]], corpus: Corpus
+) -> dict[str, MacroReport]:
+    """``score_tables`` from the frozen miner's event sets of the corpus's failed logs.
+
+    The sets come in the corpus's log-id order, one per failed log.
+    """
     predicted: dict[str, list[int]] = {name: [] for name in tables}
-    for events in miner.event_sets(log.lines for log in corpus.failed):
+    for events in event_sets:
         for name, table in tables.items():
             predicted[name].append(predict(table, events).cause)
     truth = [log.cause for log in corpus.failed]

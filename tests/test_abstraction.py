@@ -680,13 +680,14 @@ def test_a_line_holding_a_newline_masks_as_one_line():
 
 
 class _CountingRule:
-    """A compiled mask rule that counts its ``sub`` calls."""
+    """A compiled mask rule that counts its ``sub`` calls and the lines of each text."""
 
     def __init__(self, pattern):
-        self.pattern, self.calls = pattern, 0
+        self.pattern, self.calls, self.lines = pattern, 0, []
 
     def sub(self, placeholder, text):
         self.calls += 1
+        self.lines.append(text.count("\n") + 1)
         return self.pattern.sub(placeholder, text)
 
 
@@ -708,22 +709,43 @@ def test_parse_log_masks_in_one_pass_per_rule():
 
 
 def test_event_sets_mask_in_one_pass_per_rule_per_chunk(monkeypatch):
-    # Three logs of 50 lines in chunks of 64 lines: three passes per rule,
-    # the last chunk 22 lines; the logs' own bounds do not matter.  Every
+    # Logs of 30, 30, 10, 70 and 5 lines in chunks of whole logs closed at
+    # 64 lines: the third log closes the first chunk at 70 lines, the fourth
+    # is a chunk of its own, and the last one is the 5-line tail.  Every
     # line masks to one template.
     monkeypatch.setattr(abstraction, "MASK_CHUNK_LINES", 64)
+    sizes = (30, 30, 10, 70, 5)
     logs = [
-        [f"retry {n} of job /srv/a.rb:{n} at 0x{n:x} on 10.0.{log}.{n}" for n in range(50)]
-        for log in range(3)
+        [f"retry {n} of job /srv/a.rb:{n} at 0x{n:x} on 10.0.{log}.{n}" for n in range(size)]
+        for log, size in enumerate(sizes)
     ]
     miner = TemplateMiner()
     for _ in ("training", "frozen"):
         counters = [_CountingRule(rule) for rule in abstraction._ASCII_RULES]
         with mock.patch.object(abstraction, "_ASCII_RULES", tuple(counters)):
-            assert list(miner.event_sets(logs)) == [frozenset({"e1"})] * 3
-        assert [c.calls for c in counters] == [3] * 4
-        assert miner.templates["e1"].match_count == 150
+            assert list(miner.event_sets(logs)) == [frozenset({"e1"})] * 5
+        assert [c.lines for c in counters] == [[70, 70, 5]] * 4
+        assert miner.templates["e1"].match_count == sum(sizes)
         miner.freeze()
+
+
+def test_event_sets_pull_no_log_past_the_chunk_of_the_set_asked_for(monkeypatch):
+    # Chunks close at 4 lines: logs 0-2 (1 + 2 + 3 lines) fill the first,
+    # logs 3-4 (1 + 5) the second.
+    monkeypatch.setattr(abstraction, "MASK_CHUNK_LINES", 4)
+    pulled = []
+
+    def logs():
+        for log, size in enumerate((1, 2, 3, 1, 5)):
+            pulled.append(log)
+            yield tuple(f"job {log} step {n}" for n in range(size))
+
+    sets = TemplateMiner().event_sets(logs())
+    assert pulled == []
+    for expected in ([0, 1, 2], [0, 1, 2], [0, 1, 2], [0, 1, 2, 3, 4], [0, 1, 2, 3, 4]):
+        assert next(sets)
+        assert pulled == expected
+    assert next(sets, None) is None
 
 
 # -- event_sets: parse_log's distinct events over many logs, masked in chunks --

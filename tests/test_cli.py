@@ -244,6 +244,34 @@ def test_train_on_a_directory_named_like_a_log_is_io_error(tmp_path):
     assert result.returncode == 2
     assert result.stderr.startswith("i/o error:")
     assert "Traceback" not in result.stderr
+    assert not (tmp_path / "m.ncc").exists()
+
+
+def _corpus_with_an_unreadable_failed_log(root):
+    """Failed logs f1-f3 of cause 0, and ``failed/x.log``, a directory, labelled 1."""
+    (root / "failed").mkdir(parents=True)
+    for name in ("f1", "f2", "f3"):
+        (root / "failed" / f"{name}.log").write_text(f"step {name} failed\n")
+    (root / "failed" / "x.log").mkdir()
+    (root / "labels.csv").write_text("log_id,cause_id\nf1,0\nf2,0\nf3,0\nx,1\n")
+    return root
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+def test_a_failed_log_that_is_a_directory_is_io_error(model_path, tmp_path, command):
+    # The log is listed when the corpus loads and read when it is parsed.
+    corpus = _corpus_with_an_unreadable_failed_log(tmp_path / "corpus")
+    args = {
+        "train": ("train", corpus, "--out", tmp_path / "m.ncc"),
+        "eval": ("eval", model_path, corpus),
+        "ablate": ("ablate", corpus, "--test-fraction", "0.5"),
+    }[command]
+    result = _run_cli(*args)
+    assert result.returncode == 2
+    assert result.stderr.startswith("i/o error:")
+    assert result.stderr.rstrip().endswith(repr(str(corpus / "failed" / "x.log")))
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "m.ncc").exists()
 
 
 def test_train_on_a_log_that_cannot_be_opened_is_io_error(tmp_path):

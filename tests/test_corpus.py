@@ -1,5 +1,6 @@
 import os
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,18 @@ def test_corpus_sorts_each_group_by_log_id():
     corpus = Corpus(passed, failed, DEFAULT_TAXONOMY)
     assert [log.log_id for log in corpus.passed] == ["p1", "p2"]
     assert [log.log_id for log in corpus.failed] == ["f1", "f2"]
+
+
+def test_a_loaded_log_reads_its_file_each_time_its_lines_are_asked_for(tmp_path):
+    _write_corpus(tmp_path, {"p1": "ok\n"}, {"f1": "bad\n"}, ["f1,2"])
+    corpus = load_corpus(tmp_path)
+    (tmp_path / "passed" / "p1.log").write_text("ok\nstill ok\n")
+    (tmp_path / "failed" / "f1.log").unlink()
+    assert corpus.passed[0].lines == ("ok", "still ok")
+    with pytest.raises(FileNotFoundError):
+        corpus.failed[0].lines
+    # A log rebuilt with lines keeps them.
+    assert replace(corpus.failed[0], lines=("x",)) == LabeledFailedLog("f1", ("x",), 2)
 
 
 def test_undecodable_bytes_are_replaced(tmp_path):

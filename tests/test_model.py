@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ncchecker import ValidationError, build, load_model, predict_lines, save_model
-from ncchecker.abstraction import AbstractionConfig, TemplateMiner
-from ncchecker.corpus import DEFAULT_TAXONOMY, Corpus, LabeledFailedLog, PassedLog
+from ncchecker.abstraction import MASK_CHUNK_LINES, AbstractionConfig, TemplateMiner
+from ncchecker.corpus import DEFAULT_TAXONOMY, Corpus, LabeledFailedLog, PassedLog, load_corpus
+from ncchecker.generator import default_spec, generate_synthetic
 from ncchecker.model import _config_to_json, model_from_text, model_to_text
 from ncchecker import table as table_module
 from ncchecker.table import ABLATION_VARIANTS, ablation_tables
@@ -46,6 +47,20 @@ def test_model_text_is_deterministic(fig_corpus):
     first = model_to_text(*build(fig_corpus))
     second = model_to_text(*build(fig_corpus))
     assert first == second
+
+
+def test_a_corpus_read_from_disk_trains_the_model_of_its_lines_in_memory(tmp_path):
+    root = tmp_path / "corpus"
+    spec = default_spec(cause_counts=(12, 8, 5, 3), passed_count=6, lines_range=(30, 80), seed=3)
+    generate_synthetic(spec, root)
+    on_disk = load_corpus(root)
+    in_memory = Corpus(
+        tuple(PassedLog(log.log_id, log.lines) for log in on_disk.passed),
+        tuple(LabeledFailedLog(log.log_id, log.lines, log.cause) for log in on_disk.failed),
+        on_disk.taxonomy,
+    )
+    assert sum(len(log.lines) for log in on_disk.failed) > MASK_CHUNK_LINES
+    assert model_to_text(*build(on_disk)) == model_to_text(*build(in_memory))
 
 
 def test_model_header_version_check():
