@@ -2,19 +2,21 @@
 
 Training reduces each log to the set of its distinct events: the table
 counts presence, so a log adds at most 1 to an event however many of its
-lines the event matches.  Four steps, run in this order by ``build``:
-diff the failed event pool against the passed pool, count per-cause
-presence of each surviving event, reweight rows (multi-problem rows
-normalize to sum 1; single-problem counts map through 0 / 1.0 /
-log2(1 + c)), then scale each column by the inverse class frequency
-N / N_j.  ``ablation_tables`` mines the corpus once and builds
-``build``'s table and the three tables that each leave out one step
-(the paper's ablations drop1, drop2 and drop3), all over the same
-miner.  The counts are the whole trained table: a ``ScoreTable`` is
-built from them, the class sizes and which of the last two steps apply,
-and derives ``n_total``, ``icf`` and its score rows once, at
-construction, through the same ``reweight`` and icf product for every
-table, built or loaded.
+lines the event matches.  ``build`` counts as the logs are parsed, then
+selects, reweights and applies the icf: each passed log's set joins the
+passed pool and each failed log's set is added to its cause's counts as
+the miner yields it, so the per-cause counts are training's one result
+and no set is held; select keeps the rows of the events no passed log
+holds; reweight maps each row (multi-problem rows normalize to sum 1;
+single-problem counts map through 0 / 1.0 / log2(1 + c)); icf scales
+each column by the inverse class frequency N / N_j.  ``ablation_tables``
+mines and counts the corpus once and builds ``build``'s table and the
+three tables that each leave out one step (the paper's ablations drop1,
+drop2 and drop3), all over the same miner.  The counts are the whole
+trained table: a ``ScoreTable`` is built from them, the class sizes and
+which of the last two steps apply, and derives ``n_total``, ``icf`` and
+its score rows once, at construction, through the same ``reweight`` and
+icf product for every table, built or loaded.
 
 It is stored only as the ``ncc-table v2`` block of an ``ncc-model v3``
 file (see ``model``).  ``table_lines`` writes that block and owns its
@@ -25,6 +27,7 @@ table it accepts saves to a block that reads back equal.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import chain, islice
 from typing import AbstractSet, Iterable, Mapping, Sequence
@@ -76,6 +79,28 @@ class CountTable:
     n_per_cause: tuple[int, ...]
 
 
+def _count(labeled_events: Iterable[tuple[AbstractSet[str], int]], k: int) -> CountTable:
+    """The one counting loop: add each set to its cause's presence counts as it comes.
+
+    Each failed log comes as the set of its event ids and its cause, and is
+    counted before the next is pulled, so no set is held.  The rows are
+    every counted event's, in ``event_sort_key`` order; events with equal
+    counts share one row tuple, so a ``ScoreTable`` checks and scores it once.
+    """
+    per_cause: list[Counter[str]] = [Counter() for _ in range(k)]
+    n_per_cause = [0] * k
+    for events, cause in labeled_events:
+        n_per_cause[cause] += 1
+        per_cause[cause].update(events)
+    gets = [counter.get for counter in per_cause]
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    rows = {}
+    for eid in sorted(frozenset().union(*per_cause), key=event_sort_key):
+        counts = tuple([get(eid, 0) for get in gets])
+        rows[eid] = shared.setdefault(counts, counts)
+    return CountTable(rows, tuple(n_per_cause))
+
+
 def init_counts(
     vocabulary: frozenset[str],
     labeled_events: Iterable[tuple[Iterable[str], int]],
@@ -86,22 +111,13 @@ def init_counts(
     Each failed log comes as its event ids and its cause: a set of ids, or
     any iterable of them, such as an ``EventSequence``.  Presence counting:
     an event contributes at most 1 per log no matter how many times the
-    log holds it, and ids outside ``vocabulary`` are not counted.  Events
-    with equal counts share one row tuple, so a ``ScoreTable`` checks and
-    scores it once.
+    log holds it, and ids outside ``vocabulary`` are not counted.  Each
+    log's ids in ``vocabulary`` are counted through ``_count``, so an id
+    of ``vocabulary`` that no log holds gets no row: its row would be all
+    zero, which no ``ScoreTable`` accepts.
     """
-    rows = {eid: [0] * k for eid in sorted(vocabulary, key=event_sort_key)}
-    n_per_cause = [0] * k
-    for events, cause in labeled_events:
-        n_per_cause[cause] += 1
-        for eid in vocabulary.intersection(events):
-            rows[eid][cause] += 1
-    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-    frozen_rows = {}
-    for eid, row in rows.items():
-        counts = tuple(row)
-        frozen_rows[eid] = shared.setdefault(counts, counts)
-    return CountTable(frozen_rows, tuple(n_per_cause))
+    in_vocabulary = ((vocabulary.intersection(events), cause) for events, cause in labeled_events)
+    return _count(in_vocabulary, k)
 
 
 def reweight(row: Sequence[int]) -> list[float]:
@@ -248,19 +264,19 @@ ABLATION_VARIANTS = ("full", "drop1", "drop2", "drop3")
 
 
 def _mine(
-    train_corpus: Corpus, config: AbstractionConfig | None, diff: bool
-) -> tuple[TemplateMiner, ScoreTable, frozenset[str], list[tuple[frozenset[str], int]]]:
-    """Mine templates over the corpus, freeze the miner and build the table of every step.
+    train_corpus: Corpus, config: AbstractionConfig | None
+) -> tuple[TemplateMiner, ScoreTable, CountTable]:
+    """Mine templates over the corpus, freeze the miner and count the failed logs' events.
 
     The miner parses all passed then all failed logs, in the corpus's
     log-id order, each to the set of its distinct events (``event_sets``);
-    no per-line event is kept.  A passed log's set joins the passed pool
-    as it is parsed, and with ``diff`` a failed log keeps only its events
-    outside that pool.  Returns the frozen miner, the table, the failed
-    pool (the union of the kept sets) and each kept set with its log's
-    cause.
+    no per-line event is kept, and each set is used before the next log is
+    pulled: a passed log's set joins the passed pool, and a failed log's
+    whole set is counted by its cause (``_count``).  Returns the frozen
+    miner, ``build``'s table and the counts of every failed-log event;
+    the table holds the rows of the events no passed log holds.
     """
-    passed, failed = train_corpus.passed, train_corpus.failed
+    passed, failed, taxonomy = train_corpus.passed, train_corpus.failed, train_corpus.taxonomy
     if not failed:
         raise ValidationError("training corpus has no failed logs; nothing to learn from")
     miner = TemplateMiner(config)
@@ -268,17 +284,12 @@ def _mine(
     passed_pool: set[str] = set()
     for events in islice(event_sets, len(passed)):
         passed_pool |= events
-    shared = passed_pool if diff else frozenset()
-    labeled_events = [(events - shared, log.cause) for events, log in zip(event_sets, failed)]
+    counts = _count(zip(event_sets, (log.cause for log in failed)), taxonomy.k)
     miner.freeze()
 
-    failed_pool = frozenset().union(*(events for events, _ in labeled_events))
-    # Counting intersects each set with the failed-only vocabulary, so a
-    # whole set counts as its diffed set does.
-    vocabulary = diff_with_pass(failed_pool, passed_pool)
-    counts = init_counts(vocabulary, labeled_events, train_corpus.taxonomy.k)
-    table = ScoreTable(counts.rows, train_corpus.taxonomy, counts.n_per_cause)
-    return miner, table, failed_pool, labeled_events
+    vocabulary = diff_with_pass(frozenset(counts.rows), passed_pool)
+    rows = {eid: row for eid, row in counts.rows.items() if eid in vocabulary}
+    return miner, ScoreTable(rows, taxonomy, counts.n_per_cause), counts
 
 
 def build(
@@ -287,31 +298,28 @@ def build(
     """Run the whole construction pipeline over a training corpus.
 
     Mines templates over all passed then all failed logs, in the corpus's
-    log-id order, freezes the miner, and builds the score table.  A failed
-    log's event set is diffed against the passed pool as it is parsed, so
-    no shared event of a failed log is held.
+    log-id order, counting each failed log's set of events as it is
+    parsed, freezes the miner, and builds the score table from the rows of
+    the events no passed log holds.  No log's set is held past its count.
     """
-    miner, table, _, _ = _mine(train_corpus, config, diff=True)
-    return miner, table
+    return _mine(train_corpus, config)[:2]
 
 
 def ablation_tables(
     train_corpus: Corpus, config: AbstractionConfig | None = None
 ) -> tuple[TemplateMiner, dict[str, ScoreTable]]:
-    """The frozen miner and a table per name in ``ABLATION_VARIANTS``, from one mining pass.
+    """The frozen miner and a table per name in ``ABLATION_VARIANTS``, from one count.
 
     The ablations change only the table's steps, never the abstraction,
-    so the corpus is mined once, as ``build`` mines it, and each failed
-    log keeps its whole event set.  ``full`` is ``build``'s table; ``drop1``
-    keeps events shared with passed logs (its sets are diffed against an
-    empty pool); ``drop2`` passes raw counts to the icf scaling; ``drop3``
-    leaves out the icf scaling.
+    so the corpus is mined and counted once, as ``build`` mines and counts
+    it.  ``full`` is ``build``'s table; ``drop1`` keeps every counted row,
+    the events shared with passed logs too; ``drop2`` passes raw counts to
+    the icf scaling; ``drop3`` leaves out the icf scaling.
     """
-    miner, full, failed_pool, labeled_events = _mine(train_corpus, config, diff=False)
-    drop1 = init_counts(failed_pool, labeled_events, full.k)
+    miner, full, counts = _mine(train_corpus, config)
     return miner, {
         "full": full,
-        "drop1": ScoreTable(drop1.rows, full.taxonomy, drop1.n_per_cause),
+        "drop1": ScoreTable(counts.rows, full.taxonomy, counts.n_per_cause),
         "drop2": replace(full, skip_reweight=True),
         "drop3": replace(full, skip_icf=True),
     }

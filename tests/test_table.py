@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,6 @@ from ncchecker import ValidationError, build, load_corpus
 from ncchecker.abstraction import EventSequence, TemplateMiner
 from ncchecker.corpus import DEFAULT_TAXONOMY, CauseTaxonomy, Corpus, LabeledFailedLog
 from ncchecker.generator import default_spec, generate_synthetic
-from ncchecker import table as table_module
 from ncchecker.table import (
     ABLATION_VARIANTS,
     CountTable,
@@ -340,39 +340,56 @@ def test_ablation_tables_mine_as_build_and_hold_its_table(tmp_path, seed):
     assert repr(tables["full"].rows) == repr(table.rows)
 
 
-def test_build_counts_diffed_sets_and_ablation_tables_whole_ones(tmp_path, monkeypatch):
-    # build holds no failed log's events shared with the passed pool, diffed
-    # as the log is parsed; ablation_tables keep each whole set for drop1.
+def test_build_and_ablation_tables_count_each_failed_set_before_the_next_pull(
+    tmp_path, monkeypatch
+):
+    # Training holds counts, not sets: each failed log's set is counted, read
+    # once by its cause's counter, before the next log's set is pulled, and
+    # a set outlives the next pull only in a loop variable (the last set
+    # pulled, and the last passed set).  ablation_tables counts once too.
     spec = default_spec(cause_counts=(6, 4, 3, 2), passed_count=5, seed=41, noise_rate=0.2)
     generate_synthetic(spec, tmp_path)
     corpus = load_corpus(tmp_path)
-    parsed, counted = [], []
-    event_sets, init_counts = TemplateMiner.event_sets, table_module.init_counts
+    n_passed, n_logs = len(corpus.passed), len(corpus.passed) + len(corpus.failed)
+    want_texts = [_table_text(table) for table in ablation_tables(corpus)[1].values()]
+    event_sets = TemplateMiner.event_sets
+    steps, pulled = [], []
+
+    class RecordedSet(frozenset):
+        def __iter__(self):
+            steps.append(("count", self.n))
+            return super().__iter__()
 
     def recorded_event_sets(self, logs):
-        for events in event_sets(self, logs):
-            parsed.append(events)
+        for n, events in enumerate(event_sets(self, logs)):
+            assert sum(ref() is not None for ref in pulled) <= 2
+            steps.append(("pull", n))
+            events = RecordedSet(events)
+            events.n = n
+            pulled.append(weakref.ref(events))
             yield events
 
-    def recorded_init_counts(vocabulary, labeled_events, k):
-        counted.append([events for events, _ in labeled_events])
-        return init_counts(vocabulary, labeled_events, k)
-
     monkeypatch.setattr(TemplateMiner, "event_sets", recorded_event_sets)
-    monkeypatch.setattr(table_module, "init_counts", recorded_init_counts)
-    n_passed = len(corpus.passed)
-    for train, whole in ((build, False), (ablation_tables, True)):
-        parsed.clear()
-        counted.clear()
-        train(corpus)
-        pool = frozenset().union(*parsed[:n_passed])
-        failed_sets = parsed[n_passed:]
-        assert len(failed_sets) == len(corpus.failed)
-        if whole:
-            assert counted == [failed_sets, failed_sets]  # full, then drop1
+    want_steps = [("pull", n) for n in range(n_passed)]
+    want_steps += [step for n in range(n_passed, n_logs) for step in (("pull", n), ("count", n))]
+    for train in (build, ablation_tables):
+        steps.clear()
+        pulled.clear()
+        _, tables = train(corpus)
+        assert steps == want_steps
+        if train is build:
+            assert _table_text(tables) == want_texts[0]
         else:
-            assert counted == [[events - pool for events in failed_sets]]
-            assert any(events & pool for events in failed_sets)
+            assert [_table_text(table) for table in tables.values()] == want_texts
+
+
+def test_init_counts_gives_no_row_to_a_vocabulary_id_no_log_holds():
+    # Its row would be all zero, which no ScoreTable accepts.
+    counts = init_counts(frozenset({"e1", "e7"}), [(_seq("f1", ["e1", "e9"]), 0)], 4)
+    assert counts == CountTable({"e1": (1, 0, 0, 0)}, (1, 0, 0, 0))
+    scores_from_counts(counts, DEFAULT_TAXONOMY)
+    with pytest.raises(ValidationError, match="not all 0"):
+        ScoreTable({**counts.rows, "e7": (0, 0, 0, 0)}, DEFAULT_TAXONOMY, counts.n_per_cause)
 
 
 def test_no_table_event_occurs_in_passed_logs(fig_corpus):
