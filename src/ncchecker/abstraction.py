@@ -16,19 +16,22 @@ The mask rules are the four built-in ones, ``DEFAULT_MASK_RULES``; no
 config or model names any.  Each is compiled once, at import, from a scan
 form that starts with a literal or a digit, so ``re`` jumps to where a
 match can begin rather than trying every character.  A scan form must
-match exactly the spans of the rule as written.
+match exactly the spans of the rule as written, but for the IPv4 one,
+whose matches start at a dot.
 
 A scan form that starts with ``\d`` still enters the matcher at every
 digit, and log lines are full of digits that are no IPv4 address.  So
-the IPv4 rule is not run by ``sub`` but from its dots: every address
-has a ``.`` right after its 1-3-digit first octet that is followed by
-``\d{1,3}\.\d{1,3}\.\d``, and a pattern that starts with that literal
-``.`` lets ``re`` skip from dot to dot.  At each such dot the scan form
-is tried with ``match`` at the at most 3 offsets before it that are not
-inside the last match, and matches are spliced left to right as ``sub``
-would.  It never runs a ``search`` from a dot: on a line of dotted
-numbers that are no address, each search would scan the rest of the
-text, which is quadratic.
+the IPv4 scan form starts at the ``.`` right after an address's 1-3-digit
+first octet, a literal that lets ``re`` skip from dot to dot, and its
+lookbehinds pin that octet: one alternative each for 3, 2 and 1 digits,
+in groups 1 to 3, each with the written form's ``(?<![\w.])`` before the
+digits, so at most one holds.  The written form's first octet ends at the
+first dot after its start, so its matches and the dot-led form's pair
+one to one, and ``_DotAnchored.sub`` splices each dot-led match from its
+octet's start, left to right as ``sub`` would.  The lookbehinds look back at most 5
+characters and nothing else in the form repeats without bound, so each
+dot costs bounded work and masking stays linear, even on a line of
+dotted numbers that are no address.
 
 Each rule also has an ASCII twin, compiled with ``re.ASCII``, which
 ``re`` runs faster.  Text that is ASCII, an O(1) check, masks through
@@ -73,7 +76,7 @@ the earliest on ties.
 A frozen miner maps lines that match no known template to the reserved
 UNKNOWN event instead of creating one, so prediction never changes the
 registry.  A miner, training or frozen, is used by one thread at a time:
-a frozen parse still builds leaf indexes and fills a memo.
+a frozen parse still builds leaf indexes and fills a memo (below).
 
 A frozen parse is a pure function of the masked line, and a frozen miner
 never changes its tree or registry.  Logs repeat masked lines far more
@@ -82,7 +85,15 @@ a frozen miner keeps one memo from a masked line (before the split) to its
 event id, or None for a blank line, and matches each distinct one once for
 as long as the miner lives: ``freeze()`` starts it empty, and so does a
 reload, which freezes a new miner.  ``parse_line``, ``parse_log`` and
-``event_sets`` all read and fill it.  Its memory is bounded by
+``event_sets`` all read and fill it.  The memo is a ``dict`` whose
+``__missing__`` parses a line it lacks (``_FrozenMemo``), and the frozen
+parser is its ``__getitem__``: a line is one lookup, and a hit, called
+by ``map`` in C, runs no Python code.  A miss runs the parse, the clear
+and the store in Python between the lookup and its result, which is one
+more reason a frozen miner is used by one thread at a time.  The memo
+reaches its miner through a weak reference: with a strong one, miner
+and memo would form a cycle that only the cyclic collector frees, and
+every dropped model would linger as garbage.  Its memory is bounded by
 ``FROZEN_MEMO_CAP`` entries: a miss that finds the memo full clears it
 first.  An entry costs its dict slot (29-43 bytes; 961,280 bytes for the
 table of a full memo) and the masked line, which the memo keeps alive
@@ -121,6 +132,7 @@ counts and templates are those of parsing every line.
 """
 
 import re
+import weakref
 from dataclasses import dataclass
 from itertools import islice
 from numbers import Real
@@ -137,9 +149,9 @@ _MAX_COUNT_DIGITS = 4300
 
 # Entries a frozen miner's memo holds before a miss clears it: above the
 # 22,277 distinct masked lines of the bench's noisy test corpus, and one
-# hash table of 2^16 slots (961,280 bytes) when full.
+# hash table of 2^16 slots (961,280 bytes) when full.  ``__missing__``
+# reads it at each miss, so a patched value takes effect at once.
 FROZEN_MEMO_CAP = 1 << 15
-_MISSING = object()
 
 # Lines after which ``event_sets`` closes a chunk of whole logs and masks it
 # in one pass per rule.  A chunk holds fewer lines than this before its last
@@ -161,10 +173,10 @@ MASK_CHUNK_LINES = 1024
 # blank line, and the frozen miner's id for an unmatched one.
 _NOT_EVENTS = frozenset({None, UNKNOWN_EVENT_ID})
 
-# The built-in rules, each as written, in its scan form, and with the
-# pattern of the dots it is anchored on, if any.  Order matters: IPv4
-# before bare integers (octets must not be masked one by one), paths
-# before integers (the :line suffix belongs to the path).
+# The built-in rules, each as written, in its scan form, and whether that
+# form is dot-led.  Order matters: IPv4 before bare integers (octets must
+# not be masked one by one), paths before integers (the :line suffix
+# belongs to the path).
 #
 # A written form starts with a lookbehind or ``\b``, so ``re`` tries a
 # full match at every character of the line.  The scan form starts with a
@@ -172,28 +184,30 @@ _NOT_EVENTS = frozenset({None, UNKNOWN_EVENT_ID})
 # width-1 lookbehind moves to just after the first character matched, and
 # ``\b`` before the ``0`` becomes ``(?<!\w0)``.  Each scan form must match
 # exactly the spans its written form matches (``DEFAULT_MASK_RULES``
-# holds the written forms).  The IPv4 anchor is the dot after the first
-# octet (see ``_DotAnchored``).
-_BUILTIN_RULES: tuple[tuple[str, str, str | None], ...] = (
+# holds the written forms), except the dot-led IPv4 form: it starts at the
+# dot after the first octet, which its lookbehinds pin in group 1, 2 or 3
+# (see ``_DotAnchored``).  It holds no unbounded repeat.
+_BUILTIN_RULES: tuple[tuple[str, str, bool], ...] = (
     (
         r"(?<![\w.])(?:\d{1,3}\.){3}\d{1,3}(?![\w.])",
-        r"\d(?<![\w.]\d)\d{0,2}\.(?:\d{1,3}\.){2}\d{1,3}(?![\w.])",
-        r"\.(?=\d{1,3}\.\d{1,3}\.\d)",
+        r"\.(?:(?<=(?<![\w.])(\d\d\d)\.)|(?<=(?<![\w.])(\d\d)\.)|(?<=(?<![\w.])(\d)\.))"
+        r"(?:\d{1,3}\.){2}\d{1,3}(?![\w.])",
+        True,
     ),
     (
         r"(?<![\w/])/(?:[\w.+-]+/)*[\w.+-]+(?::\d+)?",
         r"/(?<![\w/]/)(?:[\w.+-]+/)*[\w.+-]+(?::\d+)?",
-        None,
+        False,
     ),
     (
         r"\b0[xX][0-9a-fA-F]+\b",
         r"0(?<!\w0)[xX][0-9a-fA-F]+\b",
-        None,
+        False,
     ),
     (
         r"(?<![\w.])\d+(?![\w.])",
         r"\d(?<![\w.]\d)\d*(?![\w.])",
-        None,
+        False,
     ),
 )
 
@@ -239,50 +253,42 @@ class AbstractionConfig:
 
 
 class _DotAnchored:
-    """The IPv4 scan form, tried only just before the dots it is anchored on.
+    """The IPv4 rule, run from the dots after first octets.
 
-    Every match has an anchor dot right after its 1-3-digit first octet,
-    so it starts at one of the 3 offsets before that dot.  ``sub`` tries
-    ``match`` at those offsets, from the left and never inside the last
-    match, and splices the matches as ``re.sub`` would.  A ``search`` from
-    each dot would scan the rest of the text each time instead.
+    Its pattern matches from the dot after an address's first octet to the
+    address's end, and the group of 3, 2 or 1 digits that took part holds
+    that octet; the others start at -1.  ``sub`` splices each match from
+    the octet's start, as ``re.sub`` splices a match of the written form.
     """
 
-    __slots__ = ("pattern", "_scan", "_anchors")
+    __slots__ = ("pattern", "_finditer")
 
-    def __init__(self, scan: re.Pattern, anchors: re.Pattern):
-        self.pattern = scan.pattern
-        self._scan = scan
-        self._anchors = anchors
+    def __init__(self, rule: re.Pattern):
+        self.pattern = rule.pattern
+        self._finditer = rule.finditer
 
     def sub(self, repl: str, text: str) -> str:
-        match = self._scan.match
         pieces: list[str] = []
         end = 0
-        for anchor in self._anchors.finditer(text):
-            dot = anchor.start()
-            for start in range(max(dot - 3, end), dot):
-                found = match(text, start)
-                if found is not None:
-                    pieces += (text[end:start], repl)
-                    end = found.end()
-                    break
+        for found in self._finditer(text):
+            pieces += (text[end : max(found.start(1), found.start(2), found.start(3))], repl)
+            end = found.end()
         if not pieces:
             return text
         pieces.append(text[end:])
         return "".join(pieces)
 
 
-def _compile(scan: str, anchor: str | None, flags: int):
-    """A rule compiled from its scan form, anchored on its dots if it has any."""
+def _compile(scan: str, dot_led: bool, flags: int):
+    """A rule compiled from its scan form, run from its dots if it is dot-led."""
     rule = re.compile(scan, flags)
-    return rule if anchor is None else _DotAnchored(rule, re.compile(anchor, flags))
+    return _DotAnchored(rule) if dot_led else rule
 
 
 # The built-in rules compiled from their scan forms, in order, and their
 # ASCII twins (module docstring).
-_RULES = tuple(_compile(scan, anchor, 0) for _, scan, anchor in _BUILTIN_RULES)
-_ASCII_RULES = tuple(_compile(scan, anchor, re.ASCII) for _, scan, anchor in _BUILTIN_RULES)
+_RULES = tuple(_compile(scan, dot_led, 0) for _, scan, dot_led in _BUILTIN_RULES)
+_ASCII_RULES = tuple(_compile(scan, dot_led, re.ASCII) for _, scan, dot_led in _BUILTIN_RULES)
 
 
 def _mask(text: str) -> str:
@@ -477,6 +483,30 @@ class _LeafIndex:
             self.widest = slot
 
 
+class _FrozenMemo(dict):
+    """A frozen miner's memo: masked line -> event id, or None for a blank line.
+
+    A hit is the ``dict`` lookup alone.  A miss parses the line with the
+    miner's ``_parse_tokens`` and stores it, clearing the memo first if it
+    holds ``FROZEN_MEMO_CAP`` entries.  The memo reaches its miner through
+    a weak reference, so the two form no cycle and a dropped miner is freed
+    without the cyclic collector.
+    """
+
+    __slots__ = ("_miner",)
+
+    def __init__(self, miner: "TemplateMiner"):
+        super().__init__()
+        self._miner = weakref.ref(miner)
+
+    def __missing__(self, masked: str) -> str | None:
+        event_id = self._miner()._parse_tokens(masked.split(), masked)
+        if len(self) >= FROZEN_MEMO_CAP:
+            self.clear()
+        self[masked] = event_id
+        return event_id
+
+
 class TemplateMiner:
     """Online Drain-style miner; owns the parse tree and template registry.
 
@@ -499,9 +529,8 @@ class TemplateMiner:
         self._frozen = False
         # Training memo: masked line -> (leaf index, its widens, template).
         self._memo: dict[str, tuple[_LeafIndex, int, LogTemplate]] | None = {}
-        # Frozen memo, started by freeze(): masked line -> event id, or
-        # None for a blank line.
-        self._frozen_memo: dict[str, str | None] | None = None
+        # Frozen memo, started by freeze().
+        self._frozen_memo: _FrozenMemo | None = None
 
     @property
     def frozen(self) -> bool:
@@ -510,7 +539,7 @@ class TemplateMiner:
     def freeze(self) -> "TemplateMiner":
         self._frozen = True
         self._memo = None
-        self._frozen_memo = {}
+        self._frozen_memo = _FrozenMemo(self)
         return self
 
     @property
@@ -679,8 +708,13 @@ class TemplateMiner:
                 yield frozenset(map(parse, islice(masked, size))) - _NOT_EVENTS
 
     def _parser(self):
-        """The parser of a masked line for the miner's mode."""
-        return self._frozen_parser() if self._frozen else self._training_parser()
+        """The parser of a masked line for the miner's mode.
+
+        A frozen miner's is its memo's lookup, so a repeat in any log is
+        looked up without a Python call and skips the split, the routing and
+        the leaf lookup (``_FrozenMemo``).
+        """
+        return self._frozen_memo.__getitem__ if self._frozen else self._training_parser()
 
     def _training_parser(self):
         """A training ``_parse_tokens`` of a masked line, skipped on an exact memo hit.
@@ -700,27 +734,6 @@ class TemplateMiner:
                     template.match_count += 1
                     return template.event_id
             return parse_tokens(masked.split(), masked)
-
-        return parse
-
-    def _frozen_parser(self):
-        """A frozen ``_parse_tokens`` of a masked line, memoised for the miner's life.
-
-        A repeat in any log skips the split, the routing and the leaf
-        lookup.  The memo, started empty by ``freeze()``, holds at most
-        ``FROZEN_MEMO_CAP`` entries (a miss clears a full one; its memory is
-        in the module docstring).
-        """
-        parse_tokens, memo = self._parse_tokens, self._frozen_memo
-
-        def parse(masked: str) -> str | None:
-            event_id = memo.get(masked, _MISSING)
-            if event_id is _MISSING:
-                event_id = parse_tokens(masked.split(), masked)
-                if len(memo) >= FROZEN_MEMO_CAP:
-                    memo.clear()
-                memo[masked] = event_id
-            return event_id
 
         return parse
 

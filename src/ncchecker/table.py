@@ -79,26 +79,36 @@ class CountTable:
     n_per_cause: tuple[int, ...]
 
 
-def _count(labeled_events: Iterable[tuple[AbstractSet[str], int]], k: int) -> CountTable:
+def _tally(
+    labeled_events: Iterable[tuple[AbstractSet[str], int]], k: int
+) -> tuple[list[Counter[str]], tuple[int, ...]]:
     """The one counting loop: add each set to its cause's presence counts as it comes.
 
     Each failed log comes as the set of its event ids and its cause, and is
-    counted before the next is pulled, so no set is held.  The rows are
-    every counted event's, in ``event_sort_key`` order; events with equal
-    counts share one row tuple, so a ``ScoreTable`` checks and scores it once.
+    counted before the next is pulled, so no set is held.  Returns a
+    ``Counter`` of event ids per cause and the logs counted per cause.
     """
     per_cause: list[Counter[str]] = [Counter() for _ in range(k)]
     n_per_cause = [0] * k
     for events, cause in labeled_events:
         n_per_cause[cause] += 1
         per_cause[cause].update(events)
+    return per_cause, tuple(n_per_cause)
+
+
+def _count_table(per_cause: Sequence[Counter[str]], n_per_cause: tuple[int, ...]) -> CountTable:
+    """The ``CountTable`` of a ``_tally``: a row per counted event, in ``event_sort_key`` order.
+
+    Events with equal counts share one row tuple, so a ``ScoreTable``
+    checks and scores it once.
+    """
     gets = [counter.get for counter in per_cause]
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     rows = {}
     for eid in sorted(frozenset().union(*per_cause), key=event_sort_key):
         counts = tuple([get(eid, 0) for get in gets])
         rows[eid] = shared.setdefault(counts, counts)
-    return CountTable(rows, tuple(n_per_cause))
+    return CountTable(rows, n_per_cause)
 
 
 def init_counts(
@@ -112,12 +122,12 @@ def init_counts(
     any iterable of them, such as an ``EventSequence``.  Presence counting:
     an event contributes at most 1 per log no matter how many times the
     log holds it, and ids outside ``vocabulary`` are not counted.  Each
-    log's ids in ``vocabulary`` are counted through ``_count``, so an id
+    log's ids in ``vocabulary`` are counted through ``_tally``, so an id
     of ``vocabulary`` that no log holds gets no row: its row would be all
     zero, which no ``ScoreTable`` accepts.
     """
     in_vocabulary = ((vocabulary.intersection(events), cause) for events, cause in labeled_events)
-    return _count(in_vocabulary, k)
+    return _count_table(*_tally(in_vocabulary, k))
 
 
 def reweight(row: Sequence[int]) -> list[float]:
@@ -272,9 +282,11 @@ def _mine(
     log-id order, each to the set of its distinct events (``event_sets``);
     no per-line event is kept, and each set is used before the next log is
     pulled: a passed log's set joins the passed pool, and a failed log's
-    whole set is counted by its cause (``_count``).  Returns the frozen
-    miner, ``build``'s table and the counts of every failed-log event;
-    the table holds the rows of the events no passed log holds.
+    whole set is counted by its cause (``_tally``).  The miner is frozen,
+    which drops its training memo, before the count rows are built.
+    Returns the frozen miner, ``build``'s table and the counts of every
+    failed-log event; the table holds the rows of the events no passed log
+    holds.
     """
     passed, failed, taxonomy = train_corpus.passed, train_corpus.failed, train_corpus.taxonomy
     if not failed:
@@ -284,8 +296,9 @@ def _mine(
     passed_pool: set[str] = set()
     for events in islice(event_sets, len(passed)):
         passed_pool |= events
-    counts = _count(zip(event_sets, (log.cause for log in failed)), taxonomy.k)
+    tally = _tally(zip(event_sets, (log.cause for log in failed)), taxonomy.k)
     miner.freeze()
+    counts = _count_table(*tally)
 
     vocabulary = diff_with_pass(frozenset(counts.rows), passed_pool)
     rows = {eid: row for eid, row in counts.rows.items() if eid in vocabulary}

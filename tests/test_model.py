@@ -1,11 +1,13 @@
+import gc
 import json
 import re
+import weakref
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ncchecker import ValidationError, build, load_model, predict_lines, save_model
+from ncchecker import ValidationError, build, flag_lines, load_model, predict_lines, save_model
 from ncchecker.abstraction import MASK_CHUNK_LINES, AbstractionConfig, TemplateMiner
 from ncchecker.corpus import DEFAULT_TAXONOMY, Corpus, LabeledFailedLog, PassedLog, load_corpus
 from ncchecker.generator import default_spec, generate_synthetic
@@ -41,6 +43,28 @@ def test_model_round_trip_preserves_predictions(tmp_path, fig_corpus):
         after, _ = predict_lines(loaded_miner, loaded_table, log.lines, log.log_id)
         assert before.cause == after.cause
         assert before.scores == after.scores
+
+
+def test_a_dropped_model_is_freed_without_the_cyclic_collector(tmp_path, fig_corpus):
+    # A miner and its memos form no reference cycle, so reference counting
+    # alone frees a dropped model: built, or loaded after predicting.
+    path = tmp_path / "model.ncc"
+    gc.disable()
+    try:
+        miner, table = build(fig_corpus)
+        save_model(path, miner, table)
+        built = weakref.ref(miner)
+        del miner, table
+        assert built() is None
+        miner, table = load_model(path)
+        for log in fig_corpus.failed[:3]:
+            prediction, events = predict_lines(miner, table, log.lines, log.log_id)
+            flag_lines(prediction, events, miner)
+        loaded = weakref.ref(miner)
+        del miner, table, prediction, events
+        assert loaded() is None
+    finally:
+        gc.enable()
 
 
 def test_model_text_is_deterministic(fig_corpus):

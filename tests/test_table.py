@@ -8,6 +8,7 @@ from ncchecker import ValidationError, build, load_corpus
 from ncchecker.abstraction import EventSequence, TemplateMiner
 from ncchecker.corpus import DEFAULT_TAXONOMY, CauseTaxonomy, Corpus, LabeledFailedLog
 from ncchecker.generator import default_spec, generate_synthetic
+from ncchecker import table as table_module
 from ncchecker.table import (
     ABLATION_VARIANTS,
     CountTable,
@@ -381,6 +382,28 @@ def test_build_and_ablation_tables_count_each_failed_set_before_the_next_pull(
             assert _table_text(tables) == want_texts[0]
         else:
             assert [_table_text(table) for table in tables.values()] == want_texts
+
+
+def test_build_freezes_the_miner_before_it_builds_the_count_rows(fig_corpus, monkeypatch):
+    # freeze() drops the training memo, so it is not alive while the rows,
+    # sorted by event_sort_key, are allocated.
+    steps = []
+    freeze, sort_key = TemplateMiner.freeze, table_module.event_sort_key
+
+    def recorded_freeze(self):
+        steps.append("freeze")
+        return freeze(self)
+
+    def recorded_sort_key(event_id):
+        steps.append("rows")
+        return sort_key(event_id)
+
+    monkeypatch.setattr(TemplateMiner, "freeze", recorded_freeze)
+    monkeypatch.setattr(table_module, "event_sort_key", recorded_sort_key)
+    for train in (build, ablation_tables):
+        steps.clear()
+        train(fig_corpus)
+        assert steps[0] == "freeze" and set(steps[1:]) == {"rows"}
 
 
 def test_init_counts_gives_no_row_to_a_vocabulary_id_no_log_holds():
