@@ -25,13 +25,14 @@ the IPv4 scan form starts at the ``.`` right after an address's 1-3-digit
 first octet, a literal that lets ``re`` skip from dot to dot, and its
 lookbehinds pin that octet: one alternative each for 3, 2 and 1 digits,
 in groups 1 to 3, each with the written form's ``(?<![\w.])`` before the
-digits, so at most one holds.  The written form's first octet ends at the
-first dot after its start, so its matches and the dot-led form's pair
-one to one, and ``_DotAnchored.sub`` splices each dot-led match from its
-octet's start, left to right as ``sub`` would.  The lookbehinds look back at most 5
-characters and nothing else in the form repeats without bound, so each
-dot costs bounded work and masking stays linear, even on a line of
-dotted numbers that are no address.
+digits, so at most one holds, and the groups that did not take part
+start at -1.  The written form's first octet ends at the first dot after
+its start, so its matches and the dot-led form's pair one to one, and
+``_DotAnchored.sub`` splices each dot-led match from its octet's start,
+left to right as ``re.sub`` splices a match of the written form.  The
+lookbehinds look back at most 5 characters and nothing else in the form
+repeats without bound, so each dot costs bounded work and masking stays
+linear, even on a line of dotted numbers that are no address.
 
 Each rule also has an ASCII twin, compiled with ``re.ASCII``, which
 ``re`` runs faster.  Text that is ASCII, an O(1) check, masks through
@@ -173,10 +174,9 @@ MASK_CHUNK_LINES = 1024
 # blank line, and the frozen miner's id for an unmatched one.
 _NOT_EVENTS = frozenset({None, UNKNOWN_EVENT_ID})
 
-# The built-in rules, each as written, in its scan form, and whether that
-# form is dot-led.  Order matters: IPv4 before bare integers (octets must
-# not be masked one by one), paths before integers (the :line suffix
-# belongs to the path).
+# The built-in rules, each as written and in its scan form.  Order matters:
+# IPv4 before bare integers (octets must not be masked one by one), paths
+# before integers (the :line suffix belongs to the path).
 #
 # A written form starts with a lookbehind or ``\b``, so ``re`` tries a
 # full match at every character of the line.  The scan form starts with a
@@ -184,36 +184,31 @@ _NOT_EVENTS = frozenset({None, UNKNOWN_EVENT_ID})
 # width-1 lookbehind moves to just after the first character matched, and
 # ``\b`` before the ``0`` becomes ``(?<!\w0)``.  Each scan form must match
 # exactly the spans its written form matches (``DEFAULT_MASK_RULES``
-# holds the written forms), except the dot-led IPv4 form: it starts at the
-# dot after the first octet, which its lookbehinds pin in group 1, 2 or 3
-# (see ``_DotAnchored``).  It holds no unbounded repeat.
-_BUILTIN_RULES: tuple[tuple[str, str, bool], ...] = (
+# holds the written forms), except the first, IPv4's, which is dot-led
+# (module docstring).
+_BUILTIN_RULES: tuple[tuple[str, str], ...] = (
     (
         r"(?<![\w.])(?:\d{1,3}\.){3}\d{1,3}(?![\w.])",
         r"\.(?:(?<=(?<![\w.])(\d\d\d)\.)|(?<=(?<![\w.])(\d\d)\.)|(?<=(?<![\w.])(\d)\.))"
         r"(?:\d{1,3}\.){2}\d{1,3}(?![\w.])",
-        True,
     ),
     (
         r"(?<![\w/])/(?:[\w.+-]+/)*[\w.+-]+(?::\d+)?",
         r"/(?<![\w/]/)(?:[\w.+-]+/)*[\w.+-]+(?::\d+)?",
-        False,
     ),
     (
         r"\b0[xX][0-9a-fA-F]+\b",
         r"0(?<!\w0)[xX][0-9a-fA-F]+\b",
-        False,
     ),
     (
         r"(?<![\w.])\d+(?![\w.])",
         r"\d(?<![\w.]\d)\d*(?![\w.])",
-        False,
     ),
 )
 
 # The mask rules, as written, each under the <*> placeholder.
 DEFAULT_MASK_RULES: tuple[tuple[str, str], ...] = tuple(
-    (written, WILDCARD) for written, _, _ in _BUILTIN_RULES
+    (written, WILDCARD) for written, _ in _BUILTIN_RULES
 )
 
 
@@ -253,13 +248,7 @@ class AbstractionConfig:
 
 
 class _DotAnchored:
-    """The IPv4 rule, run from the dots after first octets.
-
-    Its pattern matches from the dot after an address's first octet to the
-    address's end, and the group of 3, 2 or 1 digits that took part holds
-    that octet; the others start at -1.  ``sub`` splices each match from
-    the octet's start, as ``re.sub`` splices a match of the written form.
-    """
+    """The dot-led IPv4 rule: ``sub`` splices each match from its first octet on."""
 
     __slots__ = ("pattern", "_finditer")
 
@@ -279,16 +268,15 @@ class _DotAnchored:
         return "".join(pieces)
 
 
-def _compile(scan: str, dot_led: bool, flags: int):
-    """A rule compiled from its scan form, run from its dots if it is dot-led."""
-    rule = re.compile(scan, flags)
-    return _DotAnchored(rule) if dot_led else rule
+def _compile_rules(flags: int) -> tuple:
+    """The built-in rules compiled from their scan forms with ``flags``, IPv4's dot-led."""
+    ipv4, *rest = (re.compile(scan, flags) for _, scan in _BUILTIN_RULES)
+    return (_DotAnchored(ipv4), *rest)
 
 
-# The built-in rules compiled from their scan forms, in order, and their
-# ASCII twins (module docstring).
-_RULES = tuple(_compile(scan, dot_led, 0) for _, scan, dot_led in _BUILTIN_RULES)
-_ASCII_RULES = tuple(_compile(scan, dot_led, re.ASCII) for _, scan, dot_led in _BUILTIN_RULES)
+# The built-in rules and their ASCII twins (module docstring).
+_RULES = _compile_rules(0)
+_ASCII_RULES = _compile_rules(re.ASCII)
 
 
 def _mask(text: str) -> str:
@@ -487,7 +475,7 @@ class _FrozenMemo(dict):
     """A frozen miner's memo: masked line -> event id, or None for a blank line.
 
     A hit is the ``dict`` lookup alone.  A miss parses the line with the
-    miner's ``_parse_tokens`` and stores it, clearing the memo first if it
+    miner's ``_parse_masked`` and stores it, clearing the memo first if it
     holds ``FROZEN_MEMO_CAP`` entries.  The memo reaches its miner through
     a weak reference, so the two form no cycle and a dropped miner is freed
     without the cyclic collector.
@@ -500,7 +488,7 @@ class _FrozenMemo(dict):
         self._miner = weakref.ref(miner)
 
     def __missing__(self, masked: str) -> str | None:
-        event_id = self._miner()._parse_tokens(masked.split(), masked)
+        event_id = self._miner()._parse_masked(masked)
         if len(self) >= FROZEN_MEMO_CAP:
             self.clear()
         self[masked] = event_id
@@ -526,18 +514,17 @@ class TemplateMiner:
         self._threshold = self.config.similarity_threshold
         self._root: dict[int, _Node] = {}
         self._templates: dict[str, LogTemplate] = {}
-        self._frozen = False
-        # Training memo: masked line -> (leaf index, its widens, template).
+        # The mode is which memo is set.  Training memo, dropped by freeze():
+        # masked line -> (leaf index, its widens, template).
         self._memo: dict[str, tuple[_LeafIndex, int, LogTemplate]] | None = {}
-        # Frozen memo, started by freeze().
+        # Frozen memo, started by freeze(); None while training.
         self._frozen_memo: _FrozenMemo | None = None
 
     @property
     def frozen(self) -> bool:
-        return self._frozen
+        return self._frozen_memo is not None
 
     def freeze(self) -> "TemplateMiner":
-        self._frozen = True
         self._memo = None
         self._frozen_memo = _FrozenMemo(self)
         return self
@@ -623,26 +610,28 @@ class TemplateMiner:
         """
         return self._parser()(_mask(line))
 
-    def _parse_tokens(self, tokens: Sequence[str], masked: str) -> str | None:
-        """``parse_line`` from the masked tokens on.
+    def _parse_masked(self, masked: str) -> str | None:
+        """``parse_line`` from the masked line on, past any memo.
 
-        A training match on a stable route is recorded in the memo under
-        ``masked``, the line the tokens were split from.
+        A training match on a stable route is recorded in the training
+        memo under ``masked``.
         """
+        tokens = masked.split()
         if not tokens:
             return None
+        memo = self._memo  # None once frozen
         leaf, stable = self._search_leaf(tokens)
         if leaf is not None and leaf.template_ids:
             slot, sim = self._indexed_match(leaf, tokens)
             if sim >= self._threshold:
                 event_id = leaf.template_ids[slot]
-                if not self._frozen:
+                if memo is not None:
                     template = self._merge(leaf, slot, tokens, sim)
                     if stable:
                         index = leaf.index
-                        self._memo[masked] = (index, index.widens, template)
+                        memo[masked] = (index, index.widens, template)
                 return event_id
-        if self._frozen:
+        if memo is None:
             return UNKNOWN_EVENT_ID
         return self._register(tokens).event_id
 
@@ -714,17 +703,18 @@ class TemplateMiner:
         looked up without a Python call and skips the split, the routing and
         the leaf lookup (``_FrozenMemo``).
         """
-        return self._frozen_memo.__getitem__ if self._frozen else self._training_parser()
+        memo = self._frozen_memo
+        return self._training_parser() if memo is None else memo.__getitem__
 
     def _training_parser(self):
-        """A training ``_parse_tokens`` of a masked line, skipped on an exact memo hit.
+        """A training ``_parse_masked`` of a masked line, skipped on an exact memo hit.
 
         The memo lives until ``freeze()``.  A hit whose leaf index has not
         widened a template since it was recorded counts one more match of
         the recorded template; any other line is parsed in full, and
         recorded if it matched on a stable route (module docstring).
         """
-        parse_tokens, memo = self._parse_tokens, self._memo
+        parse_masked, memo = self._parse_masked, self._memo
 
         def parse(masked: str) -> str | None:
             entry = memo.get(masked)
@@ -733,7 +723,7 @@ class TemplateMiner:
                 if index.widens == widens:
                     template.match_count += 1
                     return template.event_id
-            return parse_tokens(masked.split(), masked)
+            return parse_masked(masked)
 
         return parse
 

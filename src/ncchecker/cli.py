@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import baselines as bl
@@ -27,9 +27,6 @@ from .generator import default_spec, generate_synthetic, spec_from_dict
 from .model import load_model, save_model
 from .predictor import flag_lines, predict_lines
 from .table import ablation_tables, build, majority_from_counts
-
-# Miner settings a flag may set; unset ones take the AbstractionConfig default.
-_MINER_KEYS = ("tree_depth", "similarity_threshold", "max_children")
 
 
 class _ReaderGone(Exception):
@@ -98,16 +95,19 @@ def _positive_int(text: str) -> int:
 
 
 def _abstraction_config(args) -> AbstractionConfig:
-    settings = {key: getattr(args, key) for key in _MINER_KEYS}
-    return AbstractionConfig(**{k: v for k, v in settings.items() if v is not None})
+    return AbstractionConfig(**{f.name: getattr(args, f.name) for f in fields(AbstractionConfig)})
 
 
 def _add_abstraction_flags(parser):
-    parser.add_argument("--tree-depth", dest="tree_depth", type=int, default=None)
+    """The miner flags, one per ``AbstractionConfig`` field, each defaulting to that field."""
+    parser.add_argument("--tree-depth", type=int, default=AbstractionConfig.tree_depth)
     parser.add_argument(
-        "--sim-threshold", dest="similarity_threshold", type=float, default=None
+        "--sim-threshold",
+        dest="similarity_threshold",
+        type=float,
+        default=AbstractionConfig.similarity_threshold,
     )
-    parser.add_argument("--max-children", dest="max_children", type=int, default=None)
+    parser.add_argument("--max-children", type=int, default=AbstractionConfig.max_children)
 
 
 # -- gen -------------------------------------------------------------------

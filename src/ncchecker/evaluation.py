@@ -35,28 +35,10 @@ def left_sum(values: Iterable[float]) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """counts[true][predicted]; total equals the number of evaluated logs."""
-
-    counts: tuple[tuple[int, ...], ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.counts)
-
-    @property
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
-    def row_sum(self, j: int) -> int:
-        return sum(self.counts[j])
-
-    def col_sum(self, j: int) -> int:
-        return sum(row[j] for row in self.counts)
-
-
-def confusion(truth: Sequence[int], predicted: Sequence[int], k: int) -> ConfusionMatrix:
+def confusion(
+    truth: Sequence[int], predicted: Sequence[int], k: int
+) -> tuple[tuple[int, ...], ...]:
+    """The confusion matrix as ``k`` row tuples: ``counts[true][predicted]``."""
     if len(truth) != len(predicted):
         raise ValidationError(
             f"truth and prediction lengths differ: {len(truth)} vs {len(predicted)}"
@@ -66,7 +48,7 @@ def confusion(truth: Sequence[int], predicted: Sequence[int], k: int) -> Confusi
         if not (0 <= t < k and 0 <= p < k):
             raise ValidationError(f"cause id out of range: true {t}, predicted {p}")
         counts[t][p] += 1
-    return ConfusionMatrix(tuple(tuple(row) for row in counts))
+    return tuple(map(tuple, counts))
 
 
 class ClassMetrics(NamedTuple):
@@ -75,12 +57,13 @@ class ClassMetrics(NamedTuple):
     f1: float
 
 
-def per_class_metrics(cm: ConfusionMatrix) -> list[ClassMetrics]:
+def per_class_metrics(counts: Sequence[Sequence[int]]) -> list[ClassMetrics]:
+    """Each class's metrics from the confusion matrix ``counts[true][predicted]``."""
     metrics = []
-    for j in range(cm.k):
-        tp = cm.counts[j][j]
-        fp = cm.col_sum(j) - tp
-        fn = cm.row_sum(j) - tp
+    for j, row in enumerate(counts):
+        tp = row[j]
+        fp = sum(other[j] for other in counts) - tp
+        fn = sum(row) - tp
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
@@ -100,18 +83,15 @@ class MacroReport:
 
 
 def macro(
-    per_class: Sequence[ClassMetrics],
-    class_names: Sequence[str] | None = None,
-    support: Sequence[int] | None = None,
+    per_class: Sequence[ClassMetrics], class_names: Sequence[str], support: Sequence[int]
 ) -> MacroReport:
     """Unweighted means over all K classes, zero-support classes included."""
     k = len(per_class)
     if k < 2:
         raise ValidationError("macro averaging needs at least 2 classes")
-    names = tuple(class_names) if class_names else tuple(f"C{j + 1}" for j in range(k))
-    supports = tuple(support) if support is not None else tuple([0] * k)
+    supports = tuple(support)
     return MacroReport(
-        class_names=names,
+        class_names=tuple(class_names),
         per_class=tuple(per_class),
         precision=left_sum(m.precision for m in per_class) / k,
         recall=left_sum(m.recall for m in per_class) / k,
@@ -124,12 +104,8 @@ def macro(
 def evaluate(
     truth: Sequence[int], predicted: Sequence[int], taxonomy: CauseTaxonomy
 ) -> MacroReport:
-    cm = confusion(truth, predicted, taxonomy.k)
-    return macro(
-        per_class_metrics(cm),
-        class_names=taxonomy.names,
-        support=tuple(cm.row_sum(j) for j in range(taxonomy.k)),
-    )
+    counts = confusion(truth, predicted, taxonomy.k)
+    return macro(per_class_metrics(counts), taxonomy.names, tuple(map(sum, counts)))
 
 
 def score_tables(
@@ -216,7 +192,7 @@ def render_report(report: MacroReport) -> str:
     return "\n".join(lines)
 
 
-def report_records(report: MacroReport, approach: str = "") -> list[dict]:
+def report_records(report: MacroReport, approach: str) -> list[dict]:
     """Machine-readable rows: one per class plus a macro row."""
     records = []
     for j, m in enumerate(report.per_class):

@@ -11,7 +11,6 @@ its spec's fields in field order, so ``spec_from_dict`` reads it back into
 the spec that wrote it, and ``gen`` on it writes the same corpus again.
 """
 
-import hashlib
 import json
 import random
 import re
@@ -305,14 +304,3 @@ def generate_synthetic(spec: SyntheticSpec, out_dir) -> Path:
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(asdict(spec), indent=2) + "\n", encoding="utf-8")
     return manifest_path
-
-
-def corpus_digest(root) -> str:
-    """SHA-256 over every file in the corpus tree; used to check determinism."""
-    root = Path(root)
-    digest = hashlib.sha256()
-    for path in sorted(p for p in root.rglob("*") if p.is_file()):
-        digest.update(str(path.relative_to(root)).encode("utf-8"))
-        digest.update(b"\0")
-        digest.update(path.read_bytes())
-    return digest.hexdigest()

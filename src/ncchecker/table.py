@@ -14,9 +14,9 @@ mines and counts the corpus once and builds ``build``'s table and the
 three tables that each leave out one step (the paper's ablations drop1,
 drop2 and drop3), all over the same miner.  The counts are the whole
 trained table: a ``ScoreTable`` is built from them, the class sizes and
-which of the last two steps apply, and derives ``n_total``, ``icf`` and
-its score rows once, at construction, through the same ``reweight`` and
-icf product for every table, built or loaded.
+which of the last two steps apply, and derives ``icf`` and its score rows
+once, at construction, through the same ``reweight`` and icf product for
+every table, built or loaded.
 
 It is stored only as the ``ncc-table v2`` block of an ``ncc-model v3``
 file (see ``model``).  ``table_lines`` writes that block and owns its
@@ -193,11 +193,11 @@ class ScoreTable:
 
     It is given only what it cannot derive: ``counts``, in how many failed
     logs of each cause an event occurs; the taxonomy; ``n_per_cause``; and
-    which of ``build``'s two scoring steps to skip.  ``n_total``, ``icf``
-    and the score ``rows`` are computed once, here.  Each distinct count
-    row is scored once: ``reweight``, or with ``skip_reweight`` its counts
-    as floats, then each cell times its column's icf unless ``skip_icf``.
-    Events with equal counts share that score tuple.
+    which of ``build``'s two scoring steps to skip.  ``icf`` and the score
+    ``rows`` are computed once, here.  Each distinct count row is scored
+    once: ``reweight``, or with ``skip_reweight`` its counts as floats,
+    then each cell times its column's icf unless ``skip_icf``.  Events
+    with equal counts share that score tuple.
 
     The constructor owns what a table may hold, so that every table saves
     to a file that loads: ``n_per_cause`` holds ``k`` int counts >= 0, not
@@ -211,7 +211,6 @@ class ScoreTable:
     n_per_cause: tuple[int, ...]
     skip_reweight: bool = False
     skip_icf: bool = False
-    n_total: int = field(init=False)
     icf: tuple[float, ...] = field(init=False)
     rows: dict[str, tuple[float, ...]] = field(init=False, repr=False)
 
@@ -219,7 +218,6 @@ class ScoreTable:
         k = self.taxonomy.k
         n_per_cause, icf = _class_sizes(self.n_per_cause, k)
         object.__setattr__(self, "n_per_cause", n_per_cause)
-        object.__setattr__(self, "n_total", sum(n_per_cause))
         object.__setattr__(self, "icf", icf)
         # Every row object is checked, once: by object and not by value, since
         # (True,) == (1,) but only one of them is counts.  Then each distinct

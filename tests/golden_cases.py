@@ -5,7 +5,8 @@ four baselines) and ablate on it; predicting the passed logs covers the
 majority-class fallback.  ``cli_digests`` returns the SHA-256 digests of
 the model file and of every command's stdout, and ``GOLDEN`` holds the
 recorded ones.  A deliberate output change re-records the constants and
-says why.
+says why.  ``corpus_digest`` digests a generated corpus tree, for the
+tests that check that generation is deterministic.
 
 This module imports no pytest: ``tests/test_golden.py`` checks the cases
 under the test run's interpreter, and ``tests/golden_interpreters.py``
@@ -52,6 +53,17 @@ GOLDEN = {
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def corpus_digest(root) -> str:
+    """SHA-256 over every file in the corpus tree; used to check determinism."""
+    root = Path(root)
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest.update(str(path.relative_to(root)).encode("utf-8"))
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 def cli_digests(workdir: Path, case: str) -> dict:

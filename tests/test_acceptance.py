@@ -230,7 +230,9 @@ def test_criterion_7_metrics_unit_suite():
             ClassMetrics(0.0, 0.0, 0.0),
             ClassMetrics(0.0, 0.0, 0.0),
             ClassMetrics(0.0, 0.0, 0.0),
-        ]
+        ],
+        report.class_names,
+        report.support,
     ).f1 == pytest.approx(0.198, abs=1e-12)
 
     # Hand-tallied confusion and direct substitution of the formulas.

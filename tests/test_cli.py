@@ -9,13 +9,14 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from golden_cases import corpus_digest
 
 import ncchecker
 from ncchecker import baselines as bl
 from ncchecker.abstraction import DEFAULT_MASK_RULES, AbstractionConfig, EventSequence, TemplateMiner
 from ncchecker.cli import _knn_docs, main
 from ncchecker.corpus import load_corpus, split
-from ncchecker.generator import corpus_digest, default_spec, generate_synthetic, spec_from_dict
+from ncchecker.generator import default_spec, generate_synthetic, spec_from_dict
 from ncchecker.model import _config_to_json, load_model
 
 

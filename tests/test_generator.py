@@ -2,13 +2,12 @@ import json
 from dataclasses import fields, replace
 
 import pytest
-from golden_cases import NOISY_SPEC
+from golden_cases import NOISY_SPEC, corpus_digest
 
 from ncchecker import ValidationError, load_corpus
 from ncchecker.cli import main
 from ncchecker.generator import (
     SyntheticSpec,
-    corpus_digest,
     default_spec,
     generate_synthetic,
     spec_from_dict,

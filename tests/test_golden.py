@@ -36,6 +36,17 @@ def test_the_interpreter_script_checks_every_digest_under_this_interpreter():
     assert result.stdout == f"ok        {ran}: {digests} digests equal\n"
 
 
+def test_the_golden_digests_hold_under_two_hash_seeds(monkeypatch):
+    # String hashes, and so the order of a set of strings, change with the seed;
+    # no output may depend on them.  The script passes its environment on.
+    import golden_interpreters
+
+    for seed in ("0", "1"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        ok, line = golden_interpreters.check(sys.executable)
+        assert ok, f"PYTHONHASHSEED={seed}: {line}"
+
+
 def test_the_interpreter_script_fails_on_a_missing_interpreter(tmp_path):
     result = _run_script(tmp_path / "python")
     assert result.returncode == 1

@@ -243,7 +243,6 @@ def test_build_fig_corpus_keeps_only_failure_events(fig_corpus):
     assert len(table.rows) == 3
     texts = {miner.template_text(eid) for eid in table.rows}
     assert texts == {MULTI_LINE, SINGLE5_LINE, SINGLE1_LINE}
-    assert table.n_total == 11
     assert table.n_per_cause == (2, 5, 1, 3)
     kinds = {miner.template_text(eid): table.kinds[eid] for eid in table.rows}
     assert kinds[MULTI_LINE] == "multi"
@@ -468,7 +467,6 @@ def test_save_load_round_trip(fig_corpus):
     assert loaded.rows == table.rows
     assert loaded.kinds == table.kinds
     assert loaded.icf == table.icf
-    assert loaded.n_total == table.n_total
     assert loaded.n_per_cause == table.n_per_cause
     assert loaded.taxonomy.names == table.taxonomy.names
 
