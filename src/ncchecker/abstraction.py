@@ -41,29 +41,35 @@ same in both modes on ASCII text, and one check serves every rule: the
 ``<*>`` placeholder is ASCII, so ASCII text stays ASCII while it is
 masked.
 
-``parse_log`` masks a whole log before matching any of it, and
-``event_sets``, which training uses, masks the lines of many logs at once,
-in chunks of whole logs, each closed by the log that brings it to at least
-``MASK_CHUNK_LINES`` lines.  The lines of a log or chunk are joined with
-``"\n"``, each rule runs once over that text, and the text is split back,
-which spares the per-call cost of ``re.sub`` on each short line.  This is
-exact because no rule can match ``"\n"`` (their classes are digits,
-``[\w.+-]`` and hex digits), their lookarounds (``[\w.]``, ``[\w/]``,
-``\w``, ``\b``) treat ``"\n"`` as they treat the start or end of a
-string, and ``<*>`` holds no ``"\n"``; so a line masks the same whoever
-its neighbours are, and where a chunk ends changes nothing.  A line given
-through the API may hold ``"\n"`` itself; such a log or chunk masks line
-by line, as ``parse_line`` does.  The ASCII twins run only when the whole
-joined text is ASCII, so one non-ASCII line sends its whole chunk through
-the Unicode compiles: exact, but slower.
+``parse_log`` masks a whole log before matching any of it: its lines are
+joined with ``"\n"``, each rule runs once over that text, and the text is
+split back, which spares the per-call cost of ``re.sub`` on each short
+line.  This is exact because no rule can match ``"\n"`` (their classes are
+digits, ``[\w.+-]`` and hex digits), their lookarounds (``[\w.]``,
+``[\w/]``, ``\w``, ``\b``) treat ``"\n"`` as they treat the start or end of
+a string, and ``<*>`` holds no ``"\n"``; so a line masks the same whoever
+its neighbours are.  A line given through the API may hold ``"\n"``
+itself; such a log masks line by line, as ``parse_line`` does.
+
+``event_sets``, which training and evaluation use, takes each log as its
+text, whose lines are its ``"\n"``-separated pieces, and masks the texts of
+many logs at once, in chunks of whole logs, each closed by the log that
+brings it to at least ``MASK_CHUNK_LINES`` lines.  A chunk's texts are
+joined with ``"\n"``, masked in one pass per rule and split once, so no
+log is split into lines only to be joined again, and where a chunk ends
+changes nothing.  A log's line count is its text's ``"\n"`` count plus
+one; a text that ends with ``"\n"``, as a file does, has one more, blank,
+piece, which gives no event.  The ASCII twins run only when the whole
+text is ASCII, so one non-ASCII line sends its whole chunk through the
+Unicode compiles: exact, but slower.
 
 ``parse_log`` gives a log one event slot per source line, None for a
 blank line, so line ``n`` is ``events[n - 1]``: nothing stores a line
 number, and only flagging (``predictor.flag_lines``) finds one.
 Prediction and training need only which events a log holds.  So
 ``event_sets`` gives each log as the set of its distinct event ids, built
-from its masked lines in one ``frozenset`` call, and holds no per-line
-event.
+from its slice of the chunk's ids in one ``frozenset`` call, and holds no
+per-line event past its chunk.
 
 Both modes look lines up in a per-leaf inverted index (token position ->
 literal token -> template slots), built lazily on the leaf's first lookup
@@ -106,34 +112,47 @@ on average).  So the worst case is the cap times the longest masked line,
 plus about 2.6 MB of table and string headers.
 
 A training parse may change the tree, yet most training lines repeat a
-masked line already seen, and such a repeat usually only counts one more
-match of the same template.  So a training miner keeps one memo, from its
-construction until ``freeze()`` drops it, mapping a masked line to the
-result of its last full match: the leaf's index, that index's widen count
-after the merge, and the template.  A hit adds one to the template's
-``match_count`` and skips the split, the routing, the lookup and the
-merge; ``parse_line``, ``parse_log`` and ``event_sets`` all read and
-fill it.  It is exact when both of these hold:
+masked line already seen, and such a repeat usually matches the same
+template again.  So a training miner keeps one memo, from its construction
+until ``freeze()`` drops it, mapping a masked line to the event id of its
+last full match, or None for a blank line.  Like the frozen memo, it is a
+``dict`` whose ``__missing__`` parses a line it lacks
+(``_TrainingMemo``), reaches its miner through a weak reference, and its
+``__getitem__`` is the training parser: a hit is one lookup, runs no
+Python code, and skips the split, the routing, the lookup and the merge.
+``parse_line``, ``parse_log`` and ``event_sets`` all read and fill it.  A
+full match is recorded only on a stable route, and an entry stays exact
+only while its leaf widens no template:
 
-* The entry was recorded after a match on a stable route.  A route is
-  stable when each step finds its key child, or falls back to ``<*>`` at
-  a node that already has ``max_children`` literal children.  Children
-  are never removed and a capped node never gains a literal child, so no
-  later register can send the line to another leaf.  A fallback at an
-  uncapped node is not stable: a register may create the literal child.
-* The leaf's index has not widened a template since.  After the merge the
-  template matches the line at every position, later slots can at best
-  tie it (ties go to the earliest slot), and every earlier slot scored
-  strictly less.  Only a merge that turns an earlier slot's literals into
-  wildcards can raise its score, and every such merge bumps the count.
+* A route is stable when each step finds its key child, or falls back to
+  ``<*>`` at a node that already has ``max_children`` literal children.
+  Children are never removed and a capped node never gains a literal
+  child, so no later register can send the line to another leaf.  A
+  fallback at an uncapped node is not stable: a register may create the
+  literal child.
+* After the merge the template matches the line at every position, later
+  slots can at best tie it (ties go to the earliest slot), and every
+  earlier slot scored strictly less.  Only a merge that turns an earlier
+  slot's literals into wildcards can raise its score.
 
-A register is not recorded (the line's second occurrence records), and a
-stale or missing entry is parsed in full and recorded again.  So ids,
-counts and templates are those of parsing every line.
+So the memo keeps the keys it recorded under each leaf, and a merge that
+widens a template of a leaf deletes them from the memo: the next
+occurrence of such a line is parsed in full and recorded again.  A
+register is not recorded (the line's second occurrence records).
+``freeze()`` drops the memo and its key lists, so no masked training line
+outlives training.
+
+A hit runs no code, so ``match_count`` is counted from the ids a training
+parse returns, not where a line is matched: ``parse_line`` adds one to
+its template, and ``parse_log`` and ``event_sets`` count the ids of a log
+or of a chunk with ``collections.Counter`` and add each count to its
+template.  So ids, counts and templates are those of parsing every line
+in full.
 """
 
 import re
 import weakref
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import islice
 from numbers import Real
@@ -392,17 +411,15 @@ class _LeafIndex:
     wildcard slots are left out and counted per template in ``wildcards``.
     ``widest`` is the earliest slot with the most wildcards: it stands in
     for every template a line has no literal hit on.  Training keeps the
-    index current through ``add`` and ``widen``; ``widens`` counts the
-    ``widen`` calls, so a training memo entry can tell that it is stale.
+    index current through ``add`` and ``widen``.
     """
 
-    __slots__ = ("columns", "wildcards", "widest", "widens")
+    __slots__ = ("columns", "wildcards", "widest")
 
     def __init__(self, rows: Sequence[tuple[str, ...]]):
         self.columns = tuple({} for _ in rows[0])
         self.wildcards = []
         self.widest = 0
-        self.widens = 0
         for row in rows:
             self.add(row)
 
@@ -451,7 +468,6 @@ class _LeafIndex:
 
     def widen(self, slot: int, old: tuple[str, ...], new: tuple[str, ...]) -> None:
         """Re-index ``slot`` after a merge turned some literals into wildcards."""
-        self.widens += 1
         widened = 0
         for lookup, was, now in zip(self.columns, old, new):
             if was == now:
@@ -495,6 +511,40 @@ class _FrozenMemo(dict):
         return event_id
 
 
+class _TrainingMemo(dict):
+    """A training miner's memo: masked line -> event id of its last full match.
+
+    A hit is the ``dict`` lookup alone.  A miss parses the line with the
+    miner's ``_parse_masked``, which records a match on a stable route here
+    (``record``); a blank line is stored as None, as it has no leaf and
+    never goes stale.  ``forget`` deletes the keys recorded under a leaf
+    whose template widened, each recorded once since the last ``forget``.
+    The memo reaches its miner through a weak reference, as ``_FrozenMemo``
+    does, and ``freeze()`` drops it with its key lists.
+    """
+
+    __slots__ = ("_miner", "_keys")
+
+    def __init__(self, miner: "TemplateMiner"):
+        super().__init__()
+        self._miner = weakref.ref(miner)
+        self._keys: defaultdict[_Node, list[str]] = defaultdict(list)
+
+    def __missing__(self, masked: str) -> str | None:
+        event_id = self._miner()._parse_masked(masked)
+        if event_id is None:
+            self[masked] = None
+        return event_id
+
+    def record(self, leaf: _Node, masked: str, event_id: str) -> None:
+        self[masked] = event_id
+        self._keys[leaf].append(masked)
+
+    def forget(self, leaf: _Node) -> None:
+        for masked in self._keys.pop(leaf, ()):
+            del self[masked]
+
+
 class TemplateMiner:
     """Online Drain-style miner; owns the parse tree and template registry.
 
@@ -514,10 +564,9 @@ class TemplateMiner:
         self._threshold = self.config.similarity_threshold
         self._root: dict[int, _Node] = {}
         self._templates: dict[str, LogTemplate] = {}
-        # The mode is which memo is set.  Training memo, dropped by freeze():
-        # masked line -> (leaf index, its widens, template).
-        self._memo: dict[str, tuple[_LeafIndex, int, LogTemplate]] | None = {}
-        # Frozen memo, started by freeze(); None while training.
+        # The mode is which memo is set: the training memo, dropped by
+        # freeze(), or the frozen memo it starts.
+        self._memo: _TrainingMemo | None = _TrainingMemo(self)
         self._frozen_memo: _FrozenMemo | None = None
 
     @property
@@ -606,15 +655,19 @@ class TemplateMiner:
         Training mode merges or registers templates; frozen mode maps
         unmatched lines to UNKNOWN_EVENT_ID and never mutates the tree or
         the registry.  The masked line goes through the parser that
-        ``parse_log`` uses, so it reads and fills the same memo.
+        ``parse_log`` uses, so it reads and fills the same memo; a training
+        parse then counts one match of its template.
         """
-        return self._parser()(_mask(line))
+        event_id = self._parser()(_mask(line))
+        if event_id is not None and self._memo is not None:
+            self._templates[event_id].match_count += 1
+        return event_id
 
     def _parse_masked(self, masked: str) -> str | None:
         """``parse_line`` from the masked line on, past any memo.
 
         A training match on a stable route is recorded in the training
-        memo under ``masked``.
+        memo under ``masked``.  No match is counted here (module docstring).
         """
         tokens = masked.split()
         if not tokens:
@@ -626,30 +679,34 @@ class TemplateMiner:
             if sim >= self._threshold:
                 event_id = leaf.template_ids[slot]
                 if memo is not None:
-                    template = self._merge(leaf, slot, tokens, sim)
+                    # sim is matched / len, exactly 1.0 only when every
+                    # position matched: then the merge would change nothing.
+                    if sim < 1.0:
+                        self._widen(leaf, slot, tokens)
                     if stable:
-                        index = leaf.index
-                        memo[masked] = (index, index.widens, template)
+                        memo.record(leaf, masked, event_id)
                 return event_id
         if memo is None:
             return UNKNOWN_EVENT_ID
         return self._register(tokens).event_id
 
-    def _merge(self, leaf: _Node, slot: int, tokens: Sequence[str], sim: float) -> LogTemplate:
+    def _widen(self, leaf: _Node, slot: int, tokens: Sequence[str]) -> None:
+        """Merge a line into the template at ``slot``, which it does not match at every position.
+
+        The positions that disagree become wildcards, and every training memo
+        key recorded under the leaf is deleted.
+        """
         template = self._templates[leaf.template_ids[slot]]
-        # sim is matched / len, exactly 1.0 only when every position matched:
-        # then the merge would give the template back unchanged.
-        if sim < 1.0:
-            old = template.tokens
-            merged = tuple(was if was == tok else WILDCARD for was, tok in zip(old, tokens))
-            template.tokens = merged
-            leaf.index.widen(slot, old, merged)
-        template.match_count += 1
-        return template
+        old = template.tokens
+        merged = tuple(was if was == tok else WILDCARD for was, tok in zip(old, tokens))
+        template.tokens = merged
+        leaf.index.widen(slot, old, merged)
+        self._memo.forget(leaf)
 
     def _register(self, tokens: Sequence[str]) -> LogTemplate:
+        """A new template of ``tokens``, with no match counted yet."""
         event_id = f"e{len(self._templates) + 1}"  # its row in the registry
-        template = LogTemplate(event_id, tuple(tokens), 1)
+        template = LogTemplate(event_id, tuple(tokens), 0)
         self._templates[event_id] = template
         leaf = self._insert_leaf(tokens)
         if leaf.index is not None:
@@ -664,68 +721,70 @@ class TemplateMiner:
         ``"\n"``, by one pass per rule over the lines joined with ``"\n"``
         (why that is exact is in the module docstring), else line by line,
         as ``parse_line`` masks.  Each masked line then goes through the
-        parser ``parse_line`` uses, so both read and fill one memo.
+        parser ``parse_line`` uses, so both read and fill one memo.  A
+        training parse then counts the log's matches of each template.
         """
-        return EventSequence(source, tuple(map(self._parser(), _mask_log(tuple(lines)))))
+        events = tuple(map(self._parser(), _mask_log(tuple(lines))))
+        if self._memo is not None:
+            self._count(events)
+        return EventSequence(source, events)
 
-    def event_sets(self, logs: Iterable[Sequence[str]]) -> Iterator[frozenset[str]]:
-        """Each log's ``self.parse_log(lines).distinct_events()``, parsed when asked for.
+    def event_sets(self, texts: Iterable[str]) -> Iterator[frozenset[str]]:
+        r"""Each log's distinct events, from its text, parsed when asked for.
 
-        Logs are pulled one at a time into a chunk of whole logs, which is
-        closed once it holds at least ``MASK_CHUNK_LINES`` lines and masked
-        as ``parse_log`` masks one log; masking is a function of each line
-        alone (module docstring).  Each log's masked lines are then parsed
-        in order, as ``parse_log`` parses them, so every set, template and
+        A log comes as its text, and its lines are the pieces of that text
+        between ``"\n"``: its set is ``parse_log(text.split("\n"))``'s
+        ``distinct_events()``.  Texts are pulled one at a time into a chunk
+        of whole logs, which is closed once it holds at least
+        ``MASK_CHUNK_LINES`` lines, joined with ``"\n"``, masked in one pass
+        per rule and split once; masking is a function of each line alone
+        (module docstring).  The chunk's masked lines are then parsed in
+        order, as ``parse_log`` parses them, and a training parse counts
+        the chunk's matches of each template, so every set, template and
         count is ``parse_log``'s.  No log is pulled past the chunk of the
         set asked for.  The parser is the one of the miner's mode when the
         first set is asked for: do not freeze the miner before the last.
         """
-        logs = iter(logs)
+        texts = iter(texts)
         parse = self._parser()
+        training = self._memo is not None
         while True:
             chunk: list[str] = []
             sizes = []
-            for lines in logs:
-                chunk += lines
-                sizes.append(len(lines))
-                if len(chunk) >= MASK_CHUNK_LINES:
+            lines = 0
+            for text in texts:
+                chunk.append(text)
+                size = text.count("\n") + 1
+                sizes.append(size)
+                lines += size
+                if lines >= MASK_CHUNK_LINES:
                     break
             if not sizes:
                 return
-            masked = iter(_mask_log(chunk))
+            events = list(map(parse, _mask("\n".join(chunk)).split("\n")))
+            if training:
+                self._count(events)
+            events = iter(events)
             for size in sizes:
-                yield frozenset(map(parse, islice(masked, size))) - _NOT_EVENTS
+                yield frozenset(islice(events, size)) - _NOT_EVENTS
+
+    def _count(self, events: Iterable[str | None]) -> None:
+        """Add each event's occurrences in ``events`` to its template's ``match_count``."""
+        counts = Counter(events)
+        counts.pop(None, None)
+        templates = self._templates
+        for event_id, n in counts.items():
+            templates[event_id].match_count += n
 
     def _parser(self):
-        """The parser of a masked line for the miner's mode.
+        """The parser of a masked line for the miner's mode: the ``__getitem__`` of its memo.
 
-        A frozen miner's is its memo's lookup, so a repeat in any log is
-        looked up without a Python call and skips the split, the routing and
-        the leaf lookup (``_FrozenMemo``).
+        So a repeat in any log is looked up without a Python call and skips
+        the split, the routing and the leaf lookup (``_TrainingMemo``,
+        ``_FrozenMemo``).
         """
-        memo = self._frozen_memo
-        return self._training_parser() if memo is None else memo.__getitem__
-
-    def _training_parser(self):
-        """A training ``_parse_masked`` of a masked line, skipped on an exact memo hit.
-
-        The memo lives until ``freeze()``.  A hit whose leaf index has not
-        widened a template since it was recorded counts one more match of
-        the recorded template; any other line is parsed in full, and
-        recorded if it matched on a stable route (module docstring).
-        """
-        parse_masked, memo = self._parse_masked, self._memo
-
-        def parse(masked: str) -> str | None:
-            entry = memo.get(masked)
-            if entry is not None:
-                index, widens, template = entry
-                if index.widens == widens:
-                    template.match_count += 1
-                    return template.event_id
-            return parse_masked(masked)
-
-        return parse
+        memo = self._memo
+        return (self._frozen_memo if memo is None else memo).__getitem__
 
     # -- registry text: the ncc-templates v2 block of a model -----------
 

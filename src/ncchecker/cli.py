@@ -215,10 +215,14 @@ def _print_reports(reports: dict) -> None:
 
 def _knn_docs(name, logs, miner, vocabulary):
     """One document per log for the ``cam`` or ``lff`` KNN: the counts of
-    its raw whitespace terms, or its distinct events in ``vocabulary``."""
+    its raw whitespace terms, or its distinct events in ``vocabulary``.
+
+    Both read each log's text.  One ``split()`` of it gives the terms of
+    every line, since ``str.split()`` breaks at ``"\\n"`` as at any other
+    whitespace."""
     if name == "cam":
-        return [Counter(term for line in log.lines for term in line.split()) for log in logs]
-    return _lff_docs(miner.event_sets(log.lines for log in logs), vocabulary)
+        return [Counter(log.text.split()) for log in logs]
+    return _lff_docs(miner.event_sets(log.text for log in logs), vocabulary)
 
 
 def _lff_docs(event_sets, vocabulary):
@@ -240,7 +244,7 @@ def _cmd_eval(args) -> int:
     truth = [log.cause for log in test_corpus.failed]
 
     # One parse of the test logs serves the ncchecker row and lff's documents.
-    test_sets = list(miner.event_sets(log.lines for log in test_corpus.failed))
+    test_sets = list(miner.event_sets(log.text for log in test_corpus.failed))
     reports = ev.score_event_sets({"ncchecker": table}, test_sets, test_corpus)
 
     train_corpus = None

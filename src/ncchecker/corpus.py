@@ -7,16 +7,19 @@ order, which is the order every later stage reads it in.
 
 ``load_corpus`` lists the files and reads the labels, but reads no log: a
 loaded log holds its id, its path and, if failed, its cause, and its
-``lines`` read the file each time they are asked for, so a log is read
-when it is parsed and its text is not kept.  Training and evaluation read
-each log once per pass over it and hold no whole corpus; a log that
-cannot be read fails the pass that reads it.  A log built with its lines,
-as tests build them, keeps that tuple, and ``split`` regroups the logs it
-is given as they are.
+``text`` and ``lines`` read the file each time they are asked for, so a
+log is read when it is parsed and its text is not kept.  Training and
+evaluation take each log as its ``text``, read once per pass over it, and
+hold no whole corpus; a log that cannot be read fails the pass that reads
+it.  A log built with its lines, as tests build them, keeps that tuple,
+and its text is those lines joined with ``"\\n"``, so none of them may
+hold a ``"\\n"``.  ``split`` regroups the logs it is given as they are.
 
 A log file is read as bytes and decoded as UTF-8, with undecodable bytes
 replaced; ``"\\r\\n"`` and a lone ``"\\r"`` are read as ``"\\n"``, and only
-``"\\n"`` ends a line.
+``"\\n"`` ends a line.  That is the log's text (``read_log_text``), and its
+lines are the text split at each ``"\\n"``, a final one ending the last
+line rather than starting another (``read_log_lines``).
 """
 
 import csv
@@ -30,7 +33,7 @@ from pathlib import Path
 from .errors import ValidationError
 
 LABELS_HEADER = ("log_id", "cause_id")
-# How ``read_log_lines`` opens a log (O_BINARY, Windows only, keeps
+# How ``read_log_text`` opens a log (O_BINARY, Windows only, keeps
 # "\r\n" from being translated) and what it asks for in each read after
 # its first.
 _READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
@@ -87,15 +90,33 @@ class _Lines:
         log.__dict__["lines"] = lines
 
 
+class _Log:
+    """What a passed and a failed log share: their ``text``, and lines with no ``"\\n"``."""
+
+    __slots__ = ()
+
+    def __post_init__(self):
+        lines = self.__dict__["lines"]
+        if lines is not None and "\n" in "".join(lines):
+            number = next(n for n, line in enumerate(lines, 1) if "\n" in line)
+            raise ValidationError(f'log {self.log_id}: line {number} holds "\\n"')
+
+    @property
+    def text(self) -> str:
+        """The log's lines joined with ``"\\n"``, or the text of its ``path``, read now."""
+        lines = self.__dict__["lines"]
+        return read_log_text(self.path) if lines is None else "\n".join(lines)
+
+
 @dataclass(frozen=True)
-class PassedLog:
+class PassedLog(_Log):
     log_id: str
     lines: tuple[str, ...] = _Lines()
     path: str | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
-class LabeledFailedLog:
+class LabeledFailedLog(_Log):
     log_id: str
     lines: tuple[str, ...] = _Lines()
     cause: int
@@ -136,12 +157,12 @@ class Corpus:
         return counts
 
 
-def read_log_lines(path) -> tuple[str, ...]:
-    """Read a log file as bytes and split it into lines.
+def read_log_text(path) -> str:
+    """Read a log file as bytes and decode it into its text.
 
     The bytes are decoded as UTF-8 with undecodable bytes replaced, never
     fatal.  ``"\\r\\n"`` and a lone ``"\\r"`` are read as ``"\\n"``, the line
-    end; a final ``"\\n"`` ends the last line rather than starting another.
+    end.
     """
     # Raw os calls, with no file object: the first read asks for one byte
     # more than fstat saw, so a file of that size ends at the next read,
@@ -162,9 +183,18 @@ def read_log_lines(path) -> tuple[str, ...]:
     text = b"".join(chunks).decode("utf-8", "replace")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def read_log_lines(path) -> tuple[str, ...]:
+    """The lines of a log file's ``read_log_text``.
+
+    Only ``"\\n"`` ends a line, and a final ``"\\n"`` ends the last line
+    rather than starting another.
+    """
     # splitlines() would also break at form feeds and other separators that
     # no line counter (editor, grep -n) treats as line ends.
-    lines = text.split("\n")
+    lines = read_log_text(path).split("\n")
     if lines[-1] == "":
         lines.pop()
     return tuple(lines)
@@ -240,7 +270,7 @@ def load_corpus(root, labels_path=None, taxonomy: CauseTaxonomy = DEFAULT_TAXONO
     Every failed file must have exactly one label row; labels pointing at
     absent files are rejected.  Missing passed/ or failed/ directories are
     treated as empty.  No log is read here: each keeps its path, and its
-    ``lines`` read the file whenever they are asked for.
+    ``text`` and ``lines`` read the file whenever they are asked for.
     """
     root = Path(root)
     passed_files = log_files(root / "passed") if (root / "passed").is_dir() else []

@@ -119,7 +119,7 @@ def score_tables(
     """
     if not miner.frozen:
         raise ValidationError("prediction requires a frozen miner")
-    return score_event_sets(tables, miner.event_sets(log.lines for log in corpus.failed), corpus)
+    return score_event_sets(tables, miner.event_sets(log.text for log in corpus.failed), corpus)
 
 
 def score_event_sets(

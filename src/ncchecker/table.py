@@ -277,7 +277,8 @@ def _mine(
     """Mine templates over the corpus, freeze the miner and count the failed logs' events.
 
     The miner parses all passed then all failed logs, in the corpus's
-    log-id order, each to the set of its distinct events (``event_sets``);
+    log-id order, each from its text to the set of its distinct events
+    (``event_sets``);
     no per-line event is kept, and each set is used before the next log is
     pulled: a passed log's set joins the passed pool, and a failed log's
     whole set is counted by its cause (``_tally``).  The miner is frozen,
@@ -290,7 +291,7 @@ def _mine(
     if not failed:
         raise ValidationError("training corpus has no failed logs; nothing to learn from")
     miner = TemplateMiner(config)
-    event_sets = miner.event_sets(log.lines for log in chain(passed, failed))
+    event_sets = miner.event_sets(log.text for log in chain(passed, failed))
     passed_pool: set[str] = set()
     for events in islice(event_sets, len(passed)):
         passed_pool |= events

@@ -108,7 +108,10 @@ def scan_train_line(miner, line):
         return None
     best = _scan_leaf(miner, tokens)
     if best is None:
-        return miner._register(tokens).event_id
+        # The oracle keeps its own counts: a new template has matched once.
+        template = miner._register(tokens)
+        template.match_count = 1
+        return template.event_id
     best.tokens = tuple(
         slot if slot == tok else WILDCARD for slot, tok in zip(best.tokens, tokens)
     )

@@ -1,5 +1,7 @@
+import gc
 import random
 import re
+import types
 from unittest import mock
 
 import pytest
@@ -24,7 +26,7 @@ from ncchecker.abstraction import (
     event_sort_key,
     preprocess,
 )
-from ncchecker.corpus import load_corpus
+from ncchecker.corpus import load_corpus, read_log_lines, read_log_text
 from ncchecker.generator import default_spec, generate_synthetic
 from ncchecker.table import build
 
@@ -639,6 +641,72 @@ def test_freeze_drops_training_memo():
     assert miner.templates["e1"].match_count == 2
 
 
+def test_a_widen_deletes_the_training_memo_keys_of_its_leaf_and_no_other():
+    # tree_depth 2 routes by token count alone: one leaf for 2-token lines,
+    # one for 3-token lines, every route stable.
+    config = AbstractionConfig(tree_depth=2, similarity_threshold=0.5)
+    miner, scan_miner = TemplateMiner(config), TemplateMiner(config)
+    lines = ["a b", "a b", "c d", "c d", "x y z", "x y z", ""]
+    assert miner.parse_log(lines).events == ("e1", "e1", "e2", "e2", "e3", "e3", None)
+    assert dict(miner._memo) == {"a b": "e1", "c d": "e2", "x y z": "e3", "": None}
+    # "a d" ties e1 and e2 at 0.5 and merges into e1, the earlier slot,
+    # which widens to "a <*>": the keys of the 2-token leaf go, and "a d"
+    # is recorded in their place.
+    assert miner.parse_line("a d") == "e1"
+    assert dict(miner._memo) == {"x y z": "e3", "": None, "a d": "e1"}
+    # The next "c d" is parsed in full and recorded again.
+    assert miner.parse_line("c d") == "e2"
+    assert dict(miner._memo) == {"x y z": "e3", "": None, "a d": "e1", "c d": "e2"}
+    assert list(miner._memo._keys.values()) == [["x y z"], ["a d", "c d"]]
+    scan_train_log(scan_miner, lines + ["a d", "c d"])
+    assert miner.export_registry() == scan_miner.export_registry()
+    assert [t.match_count for t in miner.templates.values()] == [3, 3, 2]
+
+
+def test_the_parser_is_the_getitem_of_the_memo_of_the_miner_mode():
+    # A memo hit is one C-level dict lookup in both modes: no Python code
+    # wraps the lookup, and neither memo overrides it.
+    miner = TemplateMiner()
+    for memo in (lambda: miner._memo, lambda: miner._frozen_memo):
+        parser = miner._parser()
+        assert isinstance(parser, types.BuiltinMethodType)
+        assert parser.__self__ is memo() and parser == memo().__getitem__
+        assert type(memo()).__getitem__ is dict.__getitem__
+        miner.freeze()
+
+
+def _strings_reachable_from(root):
+    """Every str reachable from ``root`` through the objects it refers to, past no type."""
+    found, seen, stack = set(), set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, str):
+            found.add(obj)
+        else:
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_a_built_miner_refers_to_no_masked_training_line(tmp_path):
+    # Masked lines of two or more tokens: no template token holds a space.
+    spec = default_spec(cause_counts=(6, 4, 3, 2), passed_count=5, seed=3, noise_rate=0.2)
+    generate_synthetic(spec, tmp_path)
+    corpus = load_corpus(tmp_path)
+    texts = [log.text for log in (*corpus.passed, *corpus.failed)]
+    masked = {
+        line for text in texts for line in abstraction._mask(text).split("\n") if " " in line.strip()
+    }
+    training = TemplateMiner()
+    assert all(training.event_sets(texts))
+    # While training, the memo holds those that matched on a stable route.
+    assert masked & _strings_reachable_from(training)
+    miner, _ = build(corpus)
+    assert not masked & _strings_reachable_from(miner)
+
+
 # -- whole-log masking --------------------------------------------------------
 
 # Short lines of mask pieces, with the line breaks other than "\n" that a
@@ -723,7 +791,7 @@ def test_event_sets_mask_in_one_pass_per_rule_per_chunk(monkeypatch):
     for _ in ("training", "frozen"):
         counters = [_CountingRule(rule) for rule in abstraction._ASCII_RULES]
         with mock.patch.object(abstraction, "_ASCII_RULES", tuple(counters)):
-            assert list(miner.event_sets(logs)) == [frozenset({"e1"})] * 5
+            assert list(miner.event_sets(map("\n".join, logs))) == [frozenset({"e1"})] * 5
         assert [c.lines for c in counters] == [[70, 70, 5]] * 4
         assert miner.templates["e1"].match_count == sum(sizes)
         miner.freeze()
@@ -738,7 +806,7 @@ def test_event_sets_pull_no_log_past_the_chunk_of_the_set_asked_for(monkeypatch)
     def logs():
         for log, size in enumerate((1, 2, 3, 1, 5)):
             pulled.append(log)
-            yield tuple(f"job {log} step {n}" for n in range(size))
+            yield "\n".join(f"job {log} step {n}" for n in range(size))
 
     sets = TemplateMiner().event_sets(logs())
     assert pulled == []
@@ -771,12 +839,18 @@ def _log_batches(draw):
 
 
 def _assert_event_sets_are_parse_log(chunk, train, probe):
-    """Each set of ``event_sets`` is ``parse_log``'s distinct events, training then frozen."""
+    """Each set of ``event_sets`` over the logs' texts is ``parse_log``'s distinct
+    events over the text's lines, training then frozen.
+
+    A log comes as lines, and its text is their join: a line that holds
+    ``"\n"`` is two lines of the text."""
     batched, per_log = TemplateMiner(), TemplateMiner()
     with mock.patch.object(abstraction, "MASK_CHUNK_LINES", chunk):
         for logs in (train, probe):
-            sets = batched.event_sets(iter(logs))
-            assert list(sets) == [per_log.parse_log(lines).distinct_events() for lines in logs]
+            texts = ["\n".join(lines) for lines in logs]
+            sets = batched.event_sets(iter(texts))
+            want = [per_log.parse_log(text.split("\n")).distinct_events() for text in texts]
+            assert list(sets) == want
             assert batched.export_registry() == per_log.export_registry()
             assert {e: t.match_count for e, t in batched.templates.items()} == {
                 e: t.match_count for e, t in per_log.templates.items()
@@ -811,6 +885,36 @@ def test_event_sets_equal_parse_log_on_a_log_longer_than_a_chunk():
     long_log = long_log[:100] + ("job 3 \u00e9t\u00e9 0x1f",) + long_log[101:]
     logs = [("job 1 on 10.0.0.1", "", "retry 4"), long_log, ()]
     _assert_event_sets_are_parse_log(abstraction.MASK_CHUNK_LINES, logs, logs)
+
+
+# Log files as bytes: CRLF, lone CR, no final newline, an empty file, only
+# "\n", invalid UTF-8, and one non-ASCII line.
+_LOG_FILES = (
+    b"retry 1 of job a\r\nretry 2 of job a\r\n",
+    b"job /srv/a.rb:3 at 0x1f\rjob /srv/b.rb:4 at 0x2e\r",
+    b"host 10.0.0.1 up\nhost 10.0.0.2 up",
+    b"",
+    b"\n",
+    b"bad \xff\xfe bytes 7\nretry 3 of job a\n",
+    b"retry 4 of job a\nt\xc3\xa9st 5 done\n\n",
+)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 64, abstraction.MASK_CHUNK_LINES])
+def test_event_sets_over_file_texts_equal_parse_log_over_their_lines(tmp_path, chunk):
+    paths = []
+    for n, data in enumerate(_LOG_FILES):
+        paths.append(tmp_path / f"{n}.log")
+        paths[-1].write_bytes(data)
+    texted, lined = TemplateMiner(), TemplateMiner()
+    with mock.patch.object(abstraction, "MASK_CHUNK_LINES", chunk):
+        for _ in ("training", "frozen"):
+            sets = list(texted.event_sets(map(read_log_text, paths)))
+            assert sets == [lined.parse_log(read_log_lines(p)).distinct_events() for p in paths]
+            assert sum(map(bool, sets)) == 5
+            assert texted.registry_lines() == lined.registry_lines()  # counts included
+            texted.freeze()
+            lined.freeze()
 
 
 def test_ipv4_rule_is_one_dot_led_pattern_of_bounded_repeats():

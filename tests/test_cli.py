@@ -15,7 +15,7 @@ import ncchecker
 from ncchecker import baselines as bl
 from ncchecker.abstraction import DEFAULT_MASK_RULES, AbstractionConfig, EventSequence, TemplateMiner
 from ncchecker.cli import _knn_docs, main
-from ncchecker.corpus import load_corpus, split
+from ncchecker.corpus import PassedLog, load_corpus, read_log_lines, split
 from ncchecker.generator import default_spec, generate_synthetic, spec_from_dict
 from ncchecker.model import _config_to_json, load_model
 
@@ -796,6 +796,21 @@ def test_knn_documents_count_raw_terms_for_cam_and_known_events_once_for_lff(
     assert any(lff_docs)
 
 
+def test_cam_documents_split_each_log_text_once_at_any_whitespace(tmp_path):
+    # Vertical tab, form feed, file separator, NEL and U+2028 are whitespace
+    # to str.split(), as "\n" is, so one split of a log's text gives the
+    # terms of every line.
+    lines = ("a\x0bb c\x0cd", "e\x1cf \x85g", "h\u2028i  j", "", "k")
+    (tmp_path / "passed").mkdir()
+    path = tmp_path / "passed" / "p2.log"
+    path.write_bytes("\r\n".join(lines).encode() + b"\r")
+    logs = [PassedLog("p1", lines), load_corpus(tmp_path).passed[0]]
+    assert read_log_lines(path) == lines
+    want = Counter(term for line in lines for term in line.split())
+    assert sorted(want) == list("abcdefghijk")
+    assert _knn_docs("cam", logs, None, frozenset()) == [want, want]
+
+
 def test_ablate_prints_checks_and_four_variants(corpus_dir, capsys):
     assert main(["ablate", str(corpus_dir), "--test-fraction", "0.2", "--seed", "4"]) == 0
     stdout = capsys.readouterr().out
@@ -814,10 +829,11 @@ def test_ablate_mines_once_and_parses_the_test_logs_once(corpus_dir, capsys, mon
         miners.append(self)
         init(self, *args, **kwargs)
 
-    def counted_event_sets(self, logs):
-        logs = list(logs)
-        passes.append((self, len(logs)))
-        return event_sets(self, logs)
+    def counted_event_sets(self, texts):
+        texts = list(texts)
+        assert all(type(text) is str for text in texts)
+        passes.append((self, len(texts)))
+        return event_sets(self, texts)
 
     def refuse(self, *args):
         raise AssertionError("ablate made an EventSequence")

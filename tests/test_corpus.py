@@ -17,6 +17,7 @@ from ncchecker.corpus import (
     PassedLog,
     log_files,
     read_log_lines,
+    read_log_text,
 )
 
 
@@ -104,6 +105,27 @@ def test_a_loaded_log_reads_its_file_each_time_its_lines_are_asked_for(tmp_path)
         corpus.failed[0].lines
     # A log rebuilt with lines keeps them.
     assert replace(corpus.failed[0], lines=("x",)) == LabeledFailedLog("f1", ("x",), 2)
+
+
+def test_a_log_text_is_its_lines_joined_or_its_file_read_each_time(tmp_path):
+    _write_corpus(tmp_path, {"p1": "ok\n"}, {"f1": "bad\n"}, ["f1,2"])
+    corpus = load_corpus(tmp_path)
+    (tmp_path / "passed" / "p1.log").write_bytes(b"ok\r\nstill\rok\n")
+    assert corpus.passed[0].text == read_log_text(tmp_path / "passed" / "p1.log")
+    assert corpus.passed[0].text == "ok\nstill\nok\n"
+    assert replace(corpus.failed[0], lines=("x", "", "y\rz", "")).text == "x\n\ny\rz\n"
+    assert PassedLog("p2", ()).text == ""
+
+
+@pytest.mark.parametrize(
+    "build", [lambda lines: PassedLog("f1", lines), lambda lines: LabeledFailedLog("f1", lines, 0)]
+)
+def test_a_log_built_with_lines_rejects_a_line_that_holds_a_newline(build):
+    # Training reads such a log as its lines joined with "\n", where this
+    # line would be two.
+    with pytest.raises(ValidationError, match=r'log f1: line 3 holds "\\n"'):
+        build(("a", "b", "c\nd", "e\nf"))
+    assert build(("a", "b\rc", "\x0c", "")).lines == ("a", "b\rc", "\x0c", "")
 
 
 def test_undecodable_bytes_are_replaced(tmp_path):

@@ -47,10 +47,18 @@ def test_model_round_trip_preserves_predictions(tmp_path, fig_corpus):
 
 def test_a_dropped_model_is_freed_without_the_cyclic_collector(tmp_path, fig_corpus):
     # A miner and its memos form no reference cycle, so reference counting
-    # alone frees a dropped model: built, or loaded after predicting.
+    # alone frees a dropped model: in the middle of training, built, or
+    # loaded after predicting.
     path = tmp_path / "model.ncc"
     gc.disable()
     try:
+        miner = TemplateMiner()
+        sets = miner.event_sets(log.text for log in fig_corpus.passed + fig_corpus.failed)
+        assert next(sets)
+        assert miner._memo._keys  # a match recorded under its leaf
+        training = weakref.ref(miner)
+        del miner, sets
+        assert training() is None
         miner, table = build(fig_corpus)
         save_model(path, miner, table)
         built = weakref.ref(miner)

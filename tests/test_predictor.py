@@ -261,4 +261,4 @@ def test_flag_lines_and_predict_equal_per_line_references(variant, log):
     in_table = set(ids) & table.rows.keys() - {UNKNOWN_EVENT_ID}
     assert {c.event_id for c in prediction.contributors} == in_table
     # Scoring reads only the log's event set.
-    assert predict(table, next(miner.event_sets([log]))) == prediction
+    assert predict(table, next(miner.event_sets(["\n".join(log)]))) == prediction

@@ -118,7 +118,7 @@ def test_init_counts_equal_from_event_sets_and_from_replayed_sequences(tmp_path,
     passed_pool, failed_pool = collect_pools(passed_seqs, failed_seqs)
     vocabulary = diff_with_pass(failed_pool, passed_pool)
     causes = [log.cause for log in corpus.failed]
-    sets = list(TemplateMiner().event_sets(log.lines for log in (*corpus.passed, *corpus.failed)))
+    sets = list(TemplateMiner().event_sets(log.text for log in (*corpus.passed, *corpus.failed)))
     failed_sets = sets[len(corpus.passed) :]
     assert failed_sets == [seq.distinct_events() for seq in failed_seqs]
     from_seqs = init_counts(vocabulary, list(zip(failed_seqs, causes)), 4)
@@ -360,8 +360,8 @@ def test_build_and_ablation_tables_count_each_failed_set_before_the_next_pull(
             steps.append(("count", self.n))
             return super().__iter__()
 
-    def recorded_event_sets(self, logs):
-        for n, events in enumerate(event_sets(self, logs)):
+    def recorded_event_sets(self, texts):
+        for n, events in enumerate(event_sets(self, texts)):
             assert sum(ref() is not None for ref in pulled) <= 2
             steps.append(("pull", n))
             events = RecordedSet(events)
