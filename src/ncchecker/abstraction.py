@@ -142,6 +142,17 @@ register is not recorded (the line's second occurrence records).
 ``freeze()`` drops the memo and its key lists, so no masked training line
 outlives training.
 
+A parse routes its line in one walk, which creates no node.  Each step
+looks the raw token up among the node's children before anything else: a
+child's key is its own ``_route_key``, so a hit is the child the token's
+route key names.  On a miss the step takes the ``<*>`` child, and only a
+training parse then calls ``_route_key``, to tell a word's fallback from
+a digit-bearing token's own key and so whether the route is still stable;
+a frozen parse tracks no stability and never calls it.  By the first bullet
+above, a stable route is the route ``_insert_leaf`` takes, so a register
+after one goes into the leaf the walk found; after any other route,
+``_insert_leaf`` walks the tree again, creating the nodes it lacks.
+
 A hit runs no code, so ``match_count`` is counted from the ids a training
 parse returns, not where a line is matched: ``parse_line`` adds one to
 its template, and ``parse_log`` and ``event_sets`` count the ids of a log
@@ -154,7 +165,7 @@ import re
 import weakref
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 from numbers import Real
 from typing import Iterable, Iterator, Sequence
 
@@ -449,19 +460,25 @@ class _LeafIndex:
         return best_slot, best
 
     def add(self, row: tuple[str, ...]) -> None:
-        """Index a template appended to the leaf as the next slot."""
+        """Index a template appended to the leaf as the next slot.
+
+        A row with no wildcard is first put in every column by one map of
+        ``dict.setdefault``, in C; if no earlier slot held any of its
+        tokens there, that is all.  Otherwise, and for a row with
+        wildcards, one loop over the row indexes each literal, which the
+        first map has left alone wherever an earlier slot held it.
+        """
         slot = len(self.wildcards)
-        for lookup, tok in zip(self.columns, row):
-            if tok == WILDCARD:
-                continue
-            slots = lookup.get(tok)
-            if slots is None:
-                lookup[tok] = slot
-            elif slots.__class__ is int:
-                lookup[tok] = [slots, slot]
-            else:
-                slots.append(slot)
+        columns = self.columns
         count = row.count(WILDCARD)
+        if count or list(map(dict.setdefault, columns, row, repeat(slot))).count(slot) < len(row):
+            for lookup, tok in zip(columns, row):
+                if tok != WILDCARD:
+                    slots = lookup.setdefault(tok, slot)
+                    if slots.__class__ is not int:
+                        slots.append(slot)
+                    elif slots != slot:
+                        lookup[tok] = [slots, slot]
         self.wildcards.append(count)
         if count > self.wildcards[self.widest]:
             self.widest = slot
@@ -588,38 +605,13 @@ class TemplateMiner:
 
     # -- tree routing -------------------------------------------------
 
-    # Both walks route a line by its first ``tree_depth - 2`` tokens, never
-    # by its last one.
-
-    def _search_leaf(self, tokens: Sequence[str]) -> tuple[_Node | None, bool]:
-        """The leaf a line routes to, or None, and whether the route is stable.
-
-        Stable: no later register can send the line elsewhere (module
-        docstring).
-        """
-        node = self._root.get(len(tokens))
-        if node is None:
-            return None, False
-        stable = True
-        for token in tokens[: min(self._route_depth, len(tokens) - 1)]:
-            key = _route_key(token)
-            children = node.children
-            child = children.get(key)
-            if child is None and key != WILDCARD:
-                child = children.get(WILDCARD)
-                # With the <*> child there, the node is capped when it has
-                # more than max_children children.
-                stable = stable and len(children) > self._max_children
-            if child is None:
-                return None, False
-            node = child
-        return node, stable
-
     def _insert_leaf(self, tokens: Sequence[str]) -> _Node:
         """The leaf a new template goes to, creating the nodes on its route.
 
-        A literal key at a node that already has ``max_children`` literal
-        children goes to the ``<*>`` child instead (the overflow lane).
+        A line is routed by its first ``tree_depth - 2`` tokens, never by
+        its last one.  A literal key at a node that already has
+        ``max_children`` literal children goes to the ``<*>`` child instead
+        (the overflow lane).
         """
         root = self._root
         node = root.get(len(tokens))
@@ -641,14 +633,6 @@ class TemplateMiner:
 
     # -- parsing ------------------------------------------------------
 
-    def _indexed_match(self, leaf: _Node, tokens: Sequence[str]) -> tuple[int, float]:
-        index = leaf.index
-        if index is None:
-            index = _LeafIndex([self._templates[tid].tokens for tid in leaf.template_ids])
-            leaf.index = index
-        slot, matched = index.best_slot(tokens)
-        return slot, matched / len(tokens)
-
     def parse_line(self, line: str) -> str | None:
         """Return the event id for one raw line, or None for a blank line.
 
@@ -666,29 +650,54 @@ class TemplateMiner:
     def _parse_masked(self, masked: str) -> str | None:
         """``parse_line`` from the masked line on, past any memo.
 
-        A training match on a stable route is recorded in the training
-        memo under ``masked``.  No match is counted here (module docstring).
+        The line is routed by the walk ``_insert_leaf`` takes, but creating
+        no node: each step looks the token up among the node's children
+        first, since a child's key is its own route key, and on a miss takes
+        the ``<*>`` child.  Training also tracks whether the route is stable
+        (module docstring): a match on a stable route is recorded in the
+        training memo under ``masked``, and a register after one goes to
+        the leaf found, which is the leaf ``_insert_leaf`` would give.  No
+        match is counted here (module docstring).
         """
         tokens = masked.split()
         if not tokens:
             return None
         memo = self._memo  # None once frozen
-        leaf, stable = self._search_leaf(tokens)
-        if leaf is not None and leaf.template_ids:
-            slot, sim = self._indexed_match(leaf, tokens)
-            if sim >= self._threshold:
+        stable = memo is not None
+        leaf = self._root.get(len(tokens))
+        if leaf is not None:
+            cap = self._max_children
+            for token in tokens[: min(self._route_depth, len(tokens) - 1)]:
+                children = leaf.children
+                leaf = children.get(token)
+                if leaf is None:
+                    leaf = children.get(WILDCARD)
+                    if leaf is None:
+                        break
+                    # A word that falls back to <*> stays there only at a
+                    # node with max_children literal children, where no
+                    # register adds a child of the word's own.
+                    if stable and len(children) <= cap and _route_key(token) != WILDCARD:
+                        stable = False
+        if leaf is not None:
+            index = leaf.index
+            if index is None:
+                templates = self._templates
+                index = leaf.index = _LeafIndex([templates[t].tokens for t in leaf.template_ids])
+            slot, matched = index.best_slot(tokens)
+            if matched / len(tokens) >= self._threshold:
                 event_id = leaf.template_ids[slot]
                 if memo is not None:
-                    # sim is matched / len, exactly 1.0 only when every
-                    # position matched: then the merge would change nothing.
-                    if sim < 1.0:
+                    if matched < len(tokens):  # else the merge changes nothing
                         self._widen(leaf, slot, tokens)
                     if stable:
                         memo.record(leaf, masked, event_id)
                 return event_id
         if memo is None:
             return UNKNOWN_EVENT_ID
-        return self._register(tokens).event_id
+        if leaf is None or not stable:
+            leaf = self._insert_leaf(tokens)
+        return self._register(tokens, leaf).event_id
 
     def _widen(self, leaf: _Node, slot: int, tokens: Sequence[str]) -> None:
         """Merge a line into the template at ``slot``, which it does not match at every position.
@@ -703,12 +712,14 @@ class TemplateMiner:
         leaf.index.widen(slot, old, merged)
         self._memo.forget(leaf)
 
-    def _register(self, tokens: Sequence[str]) -> LogTemplate:
-        """A new template of ``tokens``, with no match counted yet."""
+    def _register(self, tokens: Sequence[str], leaf: _Node) -> LogTemplate:
+        """A new template of ``tokens`` in ``leaf``, with no match counted yet.
+
+        ``leaf`` must be the one ``_insert_leaf`` gives for ``tokens``.
+        """
         event_id = f"e{len(self._templates) + 1}"  # its row in the registry
         template = LogTemplate(event_id, tuple(tokens), 0)
         self._templates[event_id] = template
-        leaf = self._insert_leaf(tokens)
         if leaf.index is not None:
             leaf.index.add(template.tokens)
         leaf.template_ids.append(event_id)
@@ -766,7 +777,9 @@ class TemplateMiner:
                 self._count(events)
             events = iter(events)
             for size in sizes:
-                yield frozenset(islice(events, size)) - _NOT_EVENTS
+                # A training parse gives no UNKNOWN, so None is all it drops.
+                log = islice(events, size)
+                yield frozenset(filter(None, log)) if training else frozenset(log) - _NOT_EVENTS
 
     def _count(self, events: Iterable[str | None]) -> None:
         """Add each event's occurrences in ``events`` to its template's ``match_count``."""
@@ -821,9 +834,9 @@ class TemplateMiner:
         template text of non-empty tokens joined by single spaces; a blank
         line is rejected.  The ``n``-th row is event ``e<n>``, so a template
         the miner registers next is ``e<rows + 1>``.  Templates are inserted
-        in file order through ``_insert_leaf``, the path training registers
-        through, so the tree is re-derived.  Messages number lines from the
-        header, file line ``first_line``.
+        in file order through ``_insert_leaf``, whose leaf each training
+        register goes to, so the tree is re-derived.  Messages number lines
+        from the header, file line ``first_line``.
         """
         if not lines or lines[0] != REGISTRY_HEADER:
             found = lines[0] if lines else "<empty>"

@@ -19,16 +19,27 @@ A log file is read as bytes and decoded as UTF-8, with undecodable bytes
 replaced; ``"\\r\\n"`` and a lone ``"\\r"`` are read as ``"\\n"``, and only
 ``"\\n"`` ends a line.  That is the log's text (``read_log_text``), and its
 lines are the text split at each ``"\\n"``, a final one ending the last
-line rather than starting another (``read_log_lines``).
+line rather than starting another (``read_log_lines``).  A regular file
+is read with one ``os.read``, which asks for one byte more than ``fstat``
+gave: if it returns the size ``fstat`` gave, that is the whole file.  Any
+other file, and a regular one that returned another size, is read on
+until a read returns no bytes.
+
+``load_corpus`` builds each listed log in one step (``_Log._listed``),
+filling the fields the constructor would fill, in its order, with no
+Python call per field; the logs are the same frozen dataclasses, with the
+same equality and ``dataclasses.replace``.
 """
 
 import csv
 import math
 import os
 import random
+import stat
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable, Mapping
 
 from .errors import ValidationError
 
@@ -107,6 +118,28 @@ class _Log:
         lines = self.__dict__["lines"]
         return read_log_text(self.path) if lines is None else "\n".join(lines)
 
+    @classmethod
+    def _listed(cls, files: Iterable[tuple[str, str]], labels: Mapping[str, int] | None = None):
+        """A log of ``cls`` with no lines for each ``(log_id, path)`` of ``files``.
+
+        Each instance's ``__dict__`` gets what the constructor would set,
+        in field order: ``log_id``, ``lines`` None, the cause
+        ``labels[log_id]`` if ``labels`` is given, and ``path``.  No line is
+        checked, as there are none, so ``__post_init__`` is not run.
+        """
+        new = object.__new__
+        logs = []
+        for log_id, path in files:
+            log = new(cls)
+            fields = log.__dict__
+            fields["log_id"] = log_id
+            fields["lines"] = None
+            if labels is not None:
+                fields["cause"] = labels[log_id]
+            fields["path"] = path
+            logs.append(log)
+        return tuple(logs)
+
 
 @dataclass(frozen=True)
 class PassedLog(_Log):
@@ -164,23 +197,28 @@ def read_log_text(path) -> str:
     fatal.  ``"\\r\\n"`` and a lone ``"\\r"`` are read as ``"\\n"``, the line
     end.
     """
-    # Raw os calls, with no file object: the first read asks for one byte
-    # more than fstat saw, so a file of that size ends at the next read,
-    # which returns no bytes.  Reads go on until one does, so a file that
-    # grew, or whose size fstat does not give, is read whole.
+    # Raw os calls, with no file object.  The first read asks for one byte
+    # more than fstat saw; for a regular file, a read that returns exactly
+    # the size fstat saw has read it whole.  Otherwise reads go on until
+    # one returns no bytes: so a file that grew or shrank since fstat, a
+    # read cut short (Linux returns at most 0x7ffff000 bytes a read), and
+    # a file whose size fstat does not give, such as a pipe, are read
+    # whole too.
     fd = os.open(path, _READ_FLAGS)
     try:
-        chunks = []
-        size = os.fstat(fd).st_size + 1
-        while chunk := os.read(fd, size):
-            chunks.append(chunk)
-            size = _READ_BYTES
+        status = os.fstat(fd)
+        data = os.read(fd, status.st_size + 1)
+        if data and (len(data) != status.st_size or not stat.S_ISREG(status.st_mode)):
+            chunks = [data]
+            while chunk := os.read(fd, _READ_BYTES):
+                chunks.append(chunk)
+            data = b"".join(chunks)
     except OSError as exc:
         exc.filename = os.fspath(path)  # os.read names no file, say for a directory
         raise
     finally:
         os.close(fd)
-    text = b"".join(chunks).decode("utf-8", "replace")
+    text = data.decode("utf-8", "replace")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
@@ -293,11 +331,9 @@ def load_corpus(root, labels_path=None, taxonomy: CauseTaxonomy = DEFAULT_TAXONO
     if problems:
         raise ValidationError("; ".join(problems))
 
-    passed = tuple(PassedLog(log_id, None, path) for log_id, path in passed_files)
-    failed = tuple(
-        LabeledFailedLog(log_id, None, labels[log_id], path) for log_id, path in failed_files
+    return Corpus(
+        PassedLog._listed(passed_files), LabeledFailedLog._listed(failed_files, labels), taxonomy
     )
-    return Corpus(passed, failed, taxonomy)
 
 
 def split(corpus: Corpus, test_fraction: float, seed: int) -> tuple[Corpus, Corpus]:

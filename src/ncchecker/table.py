@@ -27,7 +27,7 @@ table it accepts saves to a block that reads back equal.
 """
 
 import math
-from collections import Counter
+from collections import Counter, _count_elements
 from dataclasses import dataclass, field, replace
 from itertools import chain, islice
 from typing import AbstractSet, Iterable, Mapping, Sequence
@@ -86,13 +86,15 @@ def _tally(
 
     Each failed log comes as the set of its event ids and its cause, and is
     counted before the next is pulled, so no set is held.  Returns a
-    ``Counter`` of event ids per cause and the logs counted per cause.
+    ``Counter`` of event ids per cause and the logs counted per cause.  A
+    set is counted by the C helper that ``Counter.update`` calls on an
+    iterable that is no mapping, with no Python-level call per log.
     """
     per_cause: list[Counter[str]] = [Counter() for _ in range(k)]
     n_per_cause = [0] * k
     for events, cause in labeled_events:
         n_per_cause[cause] += 1
-        per_cause[cause].update(events)
+        _count_elements(per_cause[cause], events)
     return per_cause, tuple(n_per_cause)
 
 

@@ -8,9 +8,10 @@ compiles the built-in rules from.
 one template, which a leaf index computes for all of a leaf's templates
 at once.  ``scan_train_line`` and ``scan_parse_line`` are the training
 and frozen parses by a linear scan of the routed leaf, scored with it:
-the references for the miner's indexed match.  They reuse only the
-miner's tree routing and template registration, so a miner driven by
-them never builds a leaf index.
+the references for the miner's indexed match.  They route a line down
+the miner's tree by its own walk, which looks each token up by its
+``_route_key``, and reuse only the miner's template registration, so a
+miner driven by them never builds a leaf index.
 
 ``text_layer_log_lines`` reads a log through Python's text layer, whose
 decoder and newline translation are the reference for the byte-level
@@ -39,6 +40,7 @@ from ncchecker.abstraction import (
     UNKNOWN_EVENT_ID,
     WILDCARD,
     TemplateMiner,
+    _route_key,
     preprocess,
 )
 
@@ -77,9 +79,28 @@ def seq_similarity(tokens, template):
     return hits / len(tokens)
 
 
+def _routed_leaf(miner, tokens):
+    """The leaf a line routes to, or None.
+
+    Each of the line's first ``tree_depth - 2`` tokens, but never its last,
+    goes to the child of its ``_route_key``, or else, if that key is a
+    word, to the ``<*>`` child.
+    """
+    node = miner._root.get(len(tokens))
+    for token in tokens[: min(miner.config.tree_depth - 2, len(tokens) - 1)]:
+        if node is None:
+            return None
+        key = _route_key(token)
+        child = node.children.get(key)
+        if child is None and key != WILDCARD:
+            child = node.children.get(WILDCARD)
+        node = child
+    return node
+
+
 def _scan_leaf(miner, tokens):
     """First template of the routed leaf with the highest similarity, or None."""
-    leaf, _ = miner._search_leaf(tokens)
+    leaf = _routed_leaf(miner, tokens)
     best, best_sim = None, -1.0
     for tid in leaf.template_ids if leaf is not None else ():
         template = miner.templates[tid]
@@ -109,7 +130,7 @@ def scan_train_line(miner, line):
     best = _scan_leaf(miner, tokens)
     if best is None:
         # The oracle keeps its own counts: a new template has matched once.
-        template = miner._register(tokens)
+        template = miner._register(tokens, miner._insert_leaf(tokens))
         template.match_count = 1
         return template.event_id
     best.tokens = tuple(

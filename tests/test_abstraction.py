@@ -335,6 +335,99 @@ def test_training_merge_keeps_leaf_index_current():
         assert miner.export_registry() == scan_miner.export_registry()
 
 
+def _indexed_columns(rows):
+    """Reference columns: each literal's slots per position, an int for one slot."""
+    columns = [{} for _ in rows[0]]
+    for slot, row in enumerate(rows):
+        for lookup, tok in zip(columns, row):
+            if tok != WILDCARD:
+                lookup.setdefault(tok, []).append(slot)
+    return tuple({tok: s[0] if len(s) == 1 else s for tok, s in c.items()} for c in columns)
+
+
+@st.composite
+def _index_histories(draw):
+    """A first row, then steps: ``(True, row)`` adds a row, ``(False, (n, mask))`` widens one."""
+    width = draw(st.integers(1, 5))
+    row = st.tuples(*[st.sampled_from(("a", "b", "c", WILDCARD))] * width)
+    widen = st.tuples(st.integers(0, 99), st.tuples(*[st.booleans()] * width))
+    steps = st.one_of(st.tuples(st.just(True), row), st.tuples(st.just(False), widen))
+    return draw(row), draw(st.lists(steps, max_size=30))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_index_histories())
+# A wildcard, "a" shared by rows 0, 1 and 3 at position 0 and repeated in
+# row 1, widens of a list-held and an int-held token, and a row added after.
+@example(
+    (("a", "b", WILDCARD),
+     [(True, ("a", "a", "c")), (True, ("b", "a", "a")), (True, ("a", "b", "c")),
+      (False, (1, (True, False, True))), (False, (0, (False, True, False))),
+      (True, ("a", "a", "a"))])
+)
+def test_a_leaf_index_grown_by_add_and_widen_equals_one_built_from_its_rows(history):
+    first, steps = history
+    rows = [first]
+    index = abstraction._LeafIndex(rows)
+    for adds, step in steps:
+        if adds:
+            rows.append(step)
+            index.add(step)
+            continue
+        n, mask = step
+        slot = n % len(rows)
+        old = rows[slot]
+        rows[slot] = tuple(WILDCARD if widened else tok for tok, widened in zip(old, mask))
+        index.widen(slot, old, rows[slot])
+    rebuilt = abstraction._LeafIndex(rows)
+    assert index.columns == rebuilt.columns == _indexed_columns(rows)
+    assert index.wildcards == rebuilt.wildcards == [row.count(WILDCARD) for row in rows]
+    most = max(index.wildcards)
+    assert index.widest == rebuilt.widest == index.wildcards.index(most)
+
+
+def test_a_memo_miss_routes_once(monkeypatch):
+    # A route looks each raw token up first; only a miss asks _route_key,
+    # and only training asks it about a fallback.  A register after a
+    # stable route goes to the leaf the route found.
+    calls = {"route_key": 0, "insert_leaf": 0}
+    route_key, insert_leaf = abstraction._route_key, TemplateMiner._insert_leaf
+
+    def counting_route_key(token):
+        calls["route_key"] += 1
+        return route_key(token)
+
+    def counting_insert_leaf(miner, tokens):
+        calls["insert_leaf"] += 1
+        return insert_leaf(miner, tokens)
+
+    monkeypatch.setattr(abstraction, "_route_key", counting_route_key)
+    monkeypatch.setattr(TemplateMiner, "_insert_leaf", counting_insert_leaf)
+    # Routes by the first two tokens; the root takes two literal children.
+    config = AbstractionConfig(tree_depth=4, similarity_threshold=0.5, max_children=2)
+    miner = TemplateMiner(config)
+    steps = [
+        ("open a b c d", "e1", 0, 1),  # no route yet: inserted
+        ("open a x y z", "e2", 0, 0),  # a stable route: registered in the leaf found
+        ("7 a b c d", "e3", 1, 1),  # "<*>" has no child yet: inserted
+        ("shut a b c d", "e3", 1, 0),  # falls back at an uncapped node: unstable
+        # Unstable at "halt", then no route: "5x" is inserted by its route key.
+        ("halt 5x q r s", "e4", 2, 1),
+    ]
+    for line, event_id, route_keys, inserts in steps:
+        calls.update(route_key=0, insert_leaf=0)
+        assert miner.parse_line(line) == event_id
+        assert calls == {"route_key": route_keys, "insert_leaf": inserts}, line
+    assert list(miner._memo) == []  # no match on a stable route yet
+    assert miner.parse_line("open a x y z") == "e2"
+    assert list(miner._memo) == ["open a x y z"]
+    miner.freeze()
+    calls.update(route_key=0, insert_leaf=0)
+    lines = ["open a x q r", "9 a b c d", "open 9 b c d", "zzz a b c d", "halt 6x q r s"]
+    assert list(map(miner.parse_line, lines)) == ["e2", "e3", UNKNOWN_EVENT_ID, "e3", "e4"]
+    assert calls == {"route_key": 0, "insert_leaf": 0}
+
+
 def test_frozen_lookup_work_does_not_grow_with_training_size(tmp_path, monkeypatch):
     def noisy_corpus(name, cause_counts, passed_count, seed):
         spec = default_spec(

@@ -1,6 +1,6 @@
 import os
 import threading
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
@@ -107,6 +107,30 @@ def test_a_loaded_log_reads_its_file_each_time_its_lines_are_asked_for(tmp_path)
     assert replace(corpus.failed[0], lines=("x",)) == LabeledFailedLog("f1", ("x",), 2)
 
 
+def test_a_listed_log_is_the_log_its_class_builds_from_its_fields(tmp_path):
+    passed, failed = {"p1": "ok\n", "p2": "fine\n"}, {"f1": "bad\n", "f2": "x\n"}
+    _write_corpus(tmp_path, passed, failed, ["f1,2", "f2,0"])
+    corpus = load_corpus(tmp_path)
+    for log in (*corpus.passed, *corpus.failed):
+        built = type(log)(**log.__dict__)
+        assert list(log.__dict__) == list(built.__dict__) == [f.name for f in fields(log)]
+        assert log.__dict__ == built.__dict__ and log.__dict__["lines"] is None
+        assert log == built and repr(log) == repr(built)
+        assert replace(log) == log and replace(log).__dict__["lines"] == log.lines
+        assert replace(log, lines=("x",)).text == "x"
+        assert replace(log, log_id="other").path == log.path
+        with pytest.raises(FrozenInstanceError):
+            log.log_id = "other"
+        # Each text and lines reads the file again.
+        first = log.text
+        Path(log.path).write_text(first + "more\n")
+        assert log.text == first + "more\n"
+        assert log.lines == (*first.splitlines(), "more")
+        Path(log.path).write_text("again\n")
+        assert (log.text, log.lines) == ("again\n", ("again",))
+    assert [log.cause for log in corpus.failed] == [2, 0]
+
+
 def test_a_log_text_is_its_lines_joined_or_its_file_read_each_time(tmp_path):
     _write_corpus(tmp_path, {"p1": "ok\n"}, {"f1": "bad\n"}, ["f1,2"])
     corpus = load_corpus(tmp_path)
@@ -202,6 +226,49 @@ def test_read_log_lines_reads_on_to_the_end_of_what_fstat_gives_no_size(tmp_path
         assert read_log_lines(fifo) == ("line 1",) * 30_000
     finally:
         writer.join(timeout=10)
+
+
+def _count_reads(monkeypatch) -> list[int]:
+    """From now on, the size each ``os.read`` asks for."""
+    asked, read = [], os.read
+
+    def counting_read(fd, size):
+        asked.append(size)
+        return read(fd, size)
+
+    monkeypatch.setattr(os, "read", counting_read)
+    return asked
+
+
+@pytest.mark.parametrize(
+    "data", [b"", b"one line\n", _sized(65_536), _sized(200_001)], ids=len
+)
+def test_a_regular_log_is_read_with_one_call(tmp_path, monkeypatch, data):
+    path = tmp_path / "x.log"
+    path.write_bytes(data)
+    asked = _count_reads(monkeypatch)
+    assert read_log_lines(path) == text_layer_log_lines(path)
+    assert asked == [len(data) + 1]
+
+
+@pytest.mark.parametrize("error", [-1, -9, 1, 70_000], ids=str)
+def test_a_log_whose_size_fstat_misreports_is_still_read_whole(tmp_path, monkeypatch, error):
+    # Under-reported, the file grew after fstat; over-reported, it shrank.
+    path = tmp_path / "x.log"
+    data = _sized(200_001)
+    path.write_bytes(data)
+    fstat = os.fstat
+
+    def misreporting_fstat(fd):
+        status = list(fstat(fd))
+        status[6] += error  # st_size
+        return os.stat_result(status)
+
+    monkeypatch.setattr(os, "fstat", misreporting_fstat)
+    asked = _count_reads(monkeypatch)
+    assert read_log_text(path) == data.decode().replace("\r\n", "\n").replace("\r", "\n")
+    assert asked[0] == len(data) + error + 1
+    assert len(asked) > 1
 
 
 def test_a_read_error_names_the_log(tmp_path):
