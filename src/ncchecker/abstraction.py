@@ -165,7 +165,7 @@ import re
 import weakref
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 from numbers import Real
 from typing import Iterable, Iterator, Sequence
 
@@ -460,25 +460,16 @@ class _LeafIndex:
         return best_slot, best
 
     def add(self, row: tuple[str, ...]) -> None:
-        """Index a template appended to the leaf as the next slot.
-
-        A row with no wildcard is first put in every column by one map of
-        ``dict.setdefault``, in C; if no earlier slot held any of its
-        tokens there, that is all.  Otherwise, and for a row with
-        wildcards, one loop over the row indexes each literal, which the
-        first map has left alone wherever an earlier slot held it.
-        """
+        """Index a template appended to the leaf as the next slot."""
         slot = len(self.wildcards)
-        columns = self.columns
+        for lookup, tok in zip(self.columns, row):
+            if tok != WILDCARD:
+                slots = lookup.setdefault(tok, slot)
+                if slots.__class__ is not int:
+                    slots.append(slot)
+                elif slots != slot:  # an earlier slot held it alone
+                    lookup[tok] = [slots, slot]
         count = row.count(WILDCARD)
-        if count or list(map(dict.setdefault, columns, row, repeat(slot))).count(slot) < len(row):
-            for lookup, tok in zip(columns, row):
-                if tok != WILDCARD:
-                    slots = lookup.setdefault(tok, slot)
-                    if slots.__class__ is not int:
-                        slots.append(slot)
-                    elif slots != slot:
-                        lookup[tok] = [slots, slot]
         self.wildcards.append(count)
         if count > self.wildcards[self.widest]:
             self.widest = slot
@@ -777,9 +768,7 @@ class TemplateMiner:
                 self._count(events)
             events = iter(events)
             for size in sizes:
-                # A training parse gives no UNKNOWN, so None is all it drops.
-                log = islice(events, size)
-                yield frozenset(filter(None, log)) if training else frozenset(log) - _NOT_EVENTS
+                yield frozenset(islice(events, size)) - _NOT_EVENTS
 
     def _count(self, events: Iterable[str | None]) -> None:
         """Add each event's occurrences in ``events`` to its template's ``match_count``."""

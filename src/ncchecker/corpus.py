@@ -26,9 +26,10 @@ other file, and a regular one that returned another size, is read on
 until a read returns no bytes.
 
 ``load_corpus`` builds each listed log in one step (``_Log._listed``),
-filling the fields the constructor would fill, in its order, with no
-Python call per field; the logs are the same frozen dataclasses, with the
-same equality and ``dataclasses.replace``.
+filling the instance's ``__dict__`` as the constructor would, with no
+Python call per field, after checking the names it fills against
+``dataclasses.fields`` once; the logs are the same frozen dataclasses, with
+the same equality and ``dataclasses.replace``.
 """
 
 import csv
@@ -36,7 +37,7 @@ import math
 import os
 import random
 import stat
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -122,21 +123,30 @@ class _Log:
     def _listed(cls, files: Iterable[tuple[str, str]], labels: Mapping[str, int] | None = None):
         """A log of ``cls`` with no lines for each ``(log_id, path)`` of ``files``.
 
-        Each instance's ``__dict__`` gets what the constructor would set,
-        in field order: ``log_id``, ``lines`` None, the cause
-        ``labels[log_id]`` if ``labels`` is given, and ``path``.  No line is
-        checked, as there are none, so ``__post_init__`` is not run.
+        Each instance's ``__dict__`` gets what the constructor would set:
+        ``log_id``, ``lines`` None, the cause ``labels[log_id]`` if
+        ``labels`` is given, and ``path``.  Those names are checked once
+        against ``dataclasses.fields(cls)``, order included, so a field
+        added to a log class raises here rather than leaving listed logs
+        without it.  No line is checked, as there are none, so
+        ``__post_init__`` is not run.
         """
+        filled = ("log_id", "lines", "path")
+        if labels is not None:
+            filled = ("log_id", "lines", "cause", "path")
+        names = tuple(f.name for f in fields(cls))
+        if names != filled:
+            raise TypeError(f"{cls.__name__} has fields {names}, and listing fills {filled}")
         new = object.__new__
         logs = []
         for log_id, path in files:
             log = new(cls)
-            fields = log.__dict__
-            fields["log_id"] = log_id
-            fields["lines"] = None
+            values = log.__dict__
+            values["log_id"] = log_id
+            values["lines"] = None
             if labels is not None:
-                fields["cause"] = labels[log_id]
-            fields["path"] = path
+                values["cause"] = labels[log_id]
+            values["path"] = path
             logs.append(log)
         return tuple(logs)
 
@@ -331,9 +341,9 @@ def load_corpus(root, labels_path=None, taxonomy: CauseTaxonomy = DEFAULT_TAXONO
     if problems:
         raise ValidationError("; ".join(problems))
 
-    return Corpus(
-        PassedLog._listed(passed_files), LabeledFailedLog._listed(failed_files, labels), taxonomy
-    )
+    passed = PassedLog._listed(passed_files)
+    failed = LabeledFailedLog._listed(failed_files, labels)
+    return Corpus(passed, failed, taxonomy)
 
 
 def split(corpus: Corpus, test_fraction: float, seed: int) -> tuple[Corpus, Corpus]:

