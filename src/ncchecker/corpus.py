@@ -5,15 +5,14 @@ A corpus directory holds ``passed/*.log`` and ``failed/*.log`` plus a
 Passed logs carry no labels.  A ``Corpus`` keeps each group in log-id
 order, which is the order every later stage reads it in.
 
-``load_corpus`` lists the files and reads the labels, but reads no log: a
-loaded log holds its id, its path and, if failed, its cause, and its
-``text`` and ``lines`` read the file each time they are asked for, so a
-log is read when it is parsed and its text is not kept.  Training and
-evaluation take each log as its ``text``, read once per pass over it, and
-hold no whole corpus; a log that cannot be read fails the pass that reads
-it.  A log built with its lines, as tests build them, keeps that tuple,
-and its text is those lines joined with ``"\\n"``, so none of them may
-hold a ``"\\n"``.  ``split`` regroups the logs it is given as they are.
+``load_corpus`` lists the files and reads the labels, but reads no log.  A
+log is its file: a ``PassedLog`` is its id and its path, a
+``LabeledFailedLog`` those and its cause, and every field compares.  A
+log's ``text`` and ``lines`` read its file each time they are asked for,
+so a log is read when it is parsed and its text is not kept.  Training
+and evaluation take each log as its ``text``, read once per pass over
+it, and hold no whole corpus; a log that cannot be read fails the pass
+that reads it.  ``split`` regroups the logs it is given as they are.
 
 A log file is read as bytes and decoded as UTF-8, with undecodable bytes
 replaced; ``"\\r\\n"`` and a lone ``"\\r"`` are read as ``"\\n"``, and only
@@ -24,12 +23,6 @@ is read with one ``os.read``, which asks for one byte more than ``fstat``
 gave: if it returns the size ``fstat`` gave, that is the whole file.  Any
 other file, and a regular one that returned another size, is read on
 until a read returns no bytes.
-
-``load_corpus`` builds each listed log in one step (``_Log._listed``),
-filling the instance's ``__dict__`` as the constructor would, with no
-Python call per field, after checking the names it fills against
-``dataclasses.fields`` once; the logs are the same frozen dataclasses, with
-the same equality and ``dataclasses.replace``.
 """
 
 import csv
@@ -37,10 +30,9 @@ import math
 import os
 import random
 import stat
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping
 
 from .errors import ValidationError
 
@@ -87,83 +79,33 @@ DEFAULT_TAXONOMY = CauseTaxonomy(
 )
 
 
-class _Lines:
-    """A log's ``lines`` field: the tuple it was built with or, if it was
-    built with None, the lines of its ``path``, read each time they are asked
-    for and never kept."""
-
-    def __get__(self, log, owner=None) -> tuple[str, ...]:
-        if log is None:
-            raise AttributeError("lines")  # so the field has no default
-        lines = log.__dict__["lines"]
-        return read_log_lines(log.path) if lines is None else lines
-
-    def __set__(self, log, lines) -> None:
-        log.__dict__["lines"] = lines
-
-
 class _Log:
-    """What a passed and a failed log share: their ``text``, and lines with no ``"\\n"``."""
+    """What a passed and a failed log share: the ``text`` and ``lines`` of their file."""
 
     __slots__ = ()
 
-    def __post_init__(self):
-        lines = self.__dict__["lines"]
-        if lines is not None and "\n" in "".join(lines):
-            number = next(n for n, line in enumerate(lines, 1) if "\n" in line)
-            raise ValidationError(f'log {self.log_id}: line {number} holds "\\n"')
-
     @property
     def text(self) -> str:
-        """The log's lines joined with ``"\\n"``, or the text of its ``path``, read now."""
-        lines = self.__dict__["lines"]
-        return read_log_text(self.path) if lines is None else "\n".join(lines)
+        """The text of the log's ``path``, read now (``read_log_text``)."""
+        return read_log_text(self.path)
 
-    @classmethod
-    def _listed(cls, files: Iterable[tuple[str, str]], labels: Mapping[str, int] | None = None):
-        """A log of ``cls`` with no lines for each ``(log_id, path)`` of ``files``.
-
-        Each instance's ``__dict__`` gets what the constructor would set:
-        ``log_id``, ``lines`` None, the cause ``labels[log_id]`` if
-        ``labels`` is given, and ``path``.  Those names are checked once
-        against ``dataclasses.fields(cls)``, order included, so a field
-        added to a log class raises here rather than leaving listed logs
-        without it.  No line is checked, as there are none, so
-        ``__post_init__`` is not run.
-        """
-        filled = ("log_id", "lines", "path")
-        if labels is not None:
-            filled = ("log_id", "lines", "cause", "path")
-        names = tuple(f.name for f in fields(cls))
-        if names != filled:
-            raise TypeError(f"{cls.__name__} has fields {names}, and listing fills {filled}")
-        new = object.__new__
-        logs = []
-        for log_id, path in files:
-            log = new(cls)
-            values = log.__dict__
-            values["log_id"] = log_id
-            values["lines"] = None
-            if labels is not None:
-                values["cause"] = labels[log_id]
-            values["path"] = path
-            logs.append(log)
-        return tuple(logs)
+    @property
+    def lines(self) -> tuple[str, ...]:
+        """The lines of the log's ``path``, read now (``read_log_lines``)."""
+        return read_log_lines(self.path)
 
 
 @dataclass(frozen=True)
 class PassedLog(_Log):
     log_id: str
-    lines: tuple[str, ...] = _Lines()
-    path: str | None = field(default=None, compare=False)
+    path: str
 
 
 @dataclass(frozen=True)
 class LabeledFailedLog(_Log):
     log_id: str
-    lines: tuple[str, ...] = _Lines()
+    path: str
     cause: int
-    path: str | None = field(default=None, compare=False)
 
 
 def _log_id(log) -> str:
@@ -190,14 +132,9 @@ class Corpus:
             if len(ids) != len(set(ids)):
                 dupes = sorted({i for i in ids if ids.count(i) > 1})
                 raise ValidationError(f"duplicate {kind} log ids: {', '.join(dupes)}")
-        for log in self.failed:
-            self.taxonomy.check_cause(log.cause)
-
-    def cause_counts(self) -> list[int]:
-        counts = [0] * self.taxonomy.k
-        for log in self.failed:
-            counts[log.cause] += 1
-        return counts
+        # Each distinct cause once, in log-id order, so the first bad cause is named.
+        for cause in dict.fromkeys(log.cause for log in self.failed):
+            self.taxonomy.check_cause(cause)
 
 
 def read_log_text(path) -> str:
@@ -341,8 +278,8 @@ def load_corpus(root, labels_path=None, taxonomy: CauseTaxonomy = DEFAULT_TAXONO
     if problems:
         raise ValidationError("; ".join(problems))
 
-    passed = PassedLog._listed(passed_files)
-    failed = LabeledFailedLog._listed(failed_files, labels)
+    passed = tuple(PassedLog(log_id, path) for log_id, path in passed_files)
+    failed = tuple(LabeledFailedLog(log_id, path, labels[log_id]) for log_id, path in failed_files)
     return Corpus(passed, failed, taxonomy)
 
 

@@ -17,7 +17,7 @@ from ncchecker import build, load_corpus, predict_lines, save_model, split
 from ncchecker.abstraction import WILDCARD, TemplateMiner
 from ncchecker.baselines import rg_predict_from_counts
 from ncchecker.cli import main as cli_main
-from ncchecker.corpus import Corpus
+from ncchecker.corpus import DEFAULT_TAXONOMY, Corpus
 from ncchecker.evaluation import (
     ClassMetrics,
     ablation_identities,
@@ -47,9 +47,9 @@ def _passed(n: int, label: str) -> None:
     print(f"ACCEPTANCE {n} PASS: {label}")
 
 
-def test_criterion_1_worked_example_fixture():
+def test_criterion_1_worked_example_fixture(tmp_path):
     started = time.perf_counter()
-    corpus = make_fig_corpus()
+    corpus = make_fig_corpus(tmp_path)
     miner = TemplateMiner()
     passed_seqs = [miner.parse_log(p.lines, p.log_id) for p in corpus.passed]
     labeled = [(miner.parse_log(f.lines, f.log_id), f.cause) for f in corpus.failed]
@@ -135,7 +135,7 @@ def test_criterion_4_planted_cause_end_to_end(tmp_path):
     report = evaluate(truth, predicted, corpus.taxonomy)
     assert report.f1 == 1.0
 
-    train_counts = train.cause_counts()
+    train_counts = [sum(log.cause == j for log in train.failed) for j in range(corpus.taxonomy.k)]
     rg_report = rg_predict_from_counts(
         train_counts, truth, trials=100, seed=7, taxonomy=corpus.taxonomy
     )
@@ -217,7 +217,7 @@ def test_criterion_7_metrics_unit_suite():
     # Majority-class pattern: full recall on the majority, zeros elsewhere,
     # with the zero-denominator convention keeping every value defined.
     truth = [0] * 19 + [1] * 6 + [2] * 3 + [3] * 2
-    report = evaluate(truth, [0] * len(truth), make_fig_corpus().taxonomy)
+    report = evaluate(truth, [0] * len(truth), DEFAULT_TAXONOMY)
     assert report.per_class[0].recall == 1.0
     assert report.per_class[0].precision == pytest.approx(19 / 30, abs=1e-12)
     for j in (1, 2, 3):

@@ -15,7 +15,7 @@ import ncchecker
 from ncchecker import baselines as bl
 from ncchecker.abstraction import DEFAULT_MASK_RULES, AbstractionConfig, EventSequence, TemplateMiner
 from ncchecker.cli import _knn_docs, main
-from ncchecker.corpus import PassedLog, load_corpus, read_log_lines, split
+from ncchecker.corpus import load_corpus, read_log_lines, split
 from ncchecker.generator import default_spec, generate_synthetic, spec_from_dict
 from ncchecker.model import _config_to_json, load_model
 
@@ -776,12 +776,17 @@ def test_eval_runs_a_repeated_baseline_once(corpus_dir, model_path, capsys, monk
 
 
 def test_knn_documents_count_raw_terms_for_cam_and_known_events_once_for_lff(
-    corpus_dir, model_path
+    tmp_path, corpus_dir, model_path
 ):
     # Each log twice over: cam's term counts double, lff's events stay at 1.
     miner, table = load_model(model_path)
     logs = load_corpus(corpus_dir).failed[:5]
-    doubled = [replace(log, lines=log.lines + log.lines) for log in logs]
+    (tmp_path / "doubled").mkdir()
+    doubled = []
+    for log in logs:
+        path = tmp_path / "doubled" / f"{log.log_id}.log"
+        path.write_text(log.text * 2, encoding="utf-8")
+        doubled.append(replace(log, path=str(path)))
     vocabulary = frozenset(table.rows)
     cam_once = _knn_docs("cam", logs, miner, vocabulary)
     cam_twice = _knn_docs("cam", doubled, miner, vocabulary)
@@ -802,9 +807,10 @@ def test_cam_documents_split_each_log_text_once_at_any_whitespace(tmp_path):
     # terms of every line.
     lines = ("a\x0bb c\x0cd", "e\x1cf \x85g", "h\u2028i  j", "", "k")
     (tmp_path / "passed").mkdir()
+    (tmp_path / "passed" / "p1.log").write_bytes("\n".join(lines).encode() + b"\n")
     path = tmp_path / "passed" / "p2.log"
     path.write_bytes("\r\n".join(lines).encode() + b"\r")
-    logs = [PassedLog("p1", lines), load_corpus(tmp_path).passed[0]]
+    logs = load_corpus(tmp_path).passed
     assert read_log_lines(path) == lines
     want = Counter(term for line in lines for term in line.split())
     assert sorted(want) == list("abcdefghijk")

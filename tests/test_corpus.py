@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 from bruteforce import text_layer_log_lines
+from conftest import write_corpus
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,18 +22,8 @@ from ncchecker.corpus import (
 )
 
 
-def _write_corpus(root, passed, failed, labels_rows):
-    (root / "passed").mkdir(parents=True)
-    (root / "failed").mkdir(parents=True)
-    for name, text in passed.items():
-        (root / "passed" / f"{name}.log").write_text(text, encoding="utf-8")
-    for name, text in failed.items():
-        (root / "failed" / f"{name}.log").write_text(text, encoding="utf-8")
-    (root / "labels.csv").write_text("\n".join(["log_id,cause_id"] + labels_rows) + "\n")
-
-
 def test_load_counts(tmp_path):
-    _write_corpus(
+    write_corpus(
         tmp_path,
         {"p1": "ok line\n", "p2": "ok line\n"},
         {"f1": "bad\n", "f2": "bad\n", "f3": "bad\n"},
@@ -40,29 +31,29 @@ def test_load_counts(tmp_path):
     )
     corpus = load_corpus(tmp_path)
     assert (len(corpus.passed), len(corpus.failed)) == (2, 3)
-    assert corpus.cause_counts() == [1, 1, 0, 1]
+    assert [log.cause for log in corpus.failed] == [0, 1, 3]
 
 
 def test_missing_label_names_the_log(tmp_path):
-    _write_corpus(tmp_path, {}, {"f1": "x\n", "f2": "x\n"}, ["f1,0"])
+    write_corpus(tmp_path, {}, {"f1": "x\n", "f2": "x\n"}, ["f1,0"])
     with pytest.raises(ValidationError, match="f2"):
         load_corpus(tmp_path)
 
 
 def test_unknown_cause_id_rejected(tmp_path):
-    _write_corpus(tmp_path, {}, {"logA": "x\n"}, ["logA,7"])
+    write_corpus(tmp_path, {}, {"logA": "x\n"}, ["logA,7"])
     with pytest.raises(ValidationError, match="unknown cause id 7"):
         load_corpus(tmp_path)
 
 
 def test_label_for_absent_file_rejected(tmp_path):
-    _write_corpus(tmp_path, {}, {"f1": "x\n"}, ["f1,0", "ghost,1"])
+    write_corpus(tmp_path, {}, {"f1": "x\n"}, ["f1,0", "ghost,1"])
     with pytest.raises(ValidationError, match="ghost"):
         load_corpus(tmp_path)
 
 
 def test_bad_header_rejected(tmp_path):
-    _write_corpus(tmp_path, {}, {"f1": "x\n"}, [])
+    write_corpus(tmp_path, {}, {"f1": "x\n"}, [])
     (tmp_path / "labels.csv").write_text("id,cause\nf1,0\n")
     with pytest.raises(ValidationError, match="header"):
         load_corpus(tmp_path)
@@ -70,7 +61,7 @@ def test_bad_header_rejected(tmp_path):
 
 def test_labels_may_start_with_a_byte_order_mark(tmp_path):
     # Spreadsheets export CSV as UTF-8 with a byte-order mark.
-    _write_corpus(tmp_path, {}, {"f1": "x\n", "f2": "x\n"}, [])
+    write_corpus(tmp_path, {}, {"f1": "x\n", "f2": "x\n"}, [])
     labels = tmp_path / "labels.csv"
     labels.write_bytes(b"\xef\xbb\xbflog_id,cause_id\nf1,0\nf2,3\n")
     corpus = load_corpus(tmp_path)
@@ -83,41 +74,38 @@ def test_labels_may_start_with_a_byte_order_mark(tmp_path):
 
 def test_load_keeps_logs_in_id_order_not_path_order(tmp_path):
     # As paths, "a-b.log" sorts before "a.log"; as ids, "a" comes first.
-    _write_corpus(tmp_path, {}, {"a": "x\n", "a-b": "y\n"}, ["a,0", "a-b,1"])
+    write_corpus(tmp_path, {}, {"a": "x\n", "a-b": "y\n"}, ["a,0", "a-b,1"])
     assert [log.log_id for log in load_corpus(tmp_path).failed] == ["a", "a-b"]
 
 
 def test_corpus_sorts_each_group_by_log_id():
-    passed = (PassedLog("p2", ("x",)), PassedLog("p1", ("y",)))
-    failed = (LabeledFailedLog("f2", ("x",), 0), LabeledFailedLog("f1", ("y",), 1))
+    # No log is read, so their paths need not exist.
+    passed = (PassedLog("p2", "p2.log"), PassedLog("p1", "p1.log"))
+    failed = (LabeledFailedLog("f2", "f2.log", 0), LabeledFailedLog("f1", "f1.log", 1))
     corpus = Corpus(passed, failed, DEFAULT_TAXONOMY)
     assert [log.log_id for log in corpus.passed] == ["p1", "p2"]
     assert [log.log_id for log in corpus.failed] == ["f1", "f2"]
 
 
 def test_a_loaded_log_reads_its_file_each_time_its_lines_are_asked_for(tmp_path):
-    _write_corpus(tmp_path, {"p1": "ok\n"}, {"f1": "bad\n"}, ["f1,2"])
+    write_corpus(tmp_path, {"p1": "ok\n"}, {"f1": "bad\n"}, ["f1,2"])
     corpus = load_corpus(tmp_path)
     (tmp_path / "passed" / "p1.log").write_text("ok\nstill ok\n")
     (tmp_path / "failed" / "f1.log").unlink()
     assert corpus.passed[0].lines == ("ok", "still ok")
     with pytest.raises(FileNotFoundError):
         corpus.failed[0].lines
-    # A log rebuilt with lines keeps them.
-    assert replace(corpus.failed[0], lines=("x",)) == LabeledFailedLog("f1", ("x",), 2)
 
 
 def test_a_listed_log_is_the_log_its_class_builds_from_its_fields(tmp_path):
     passed, failed = {"p1": "ok\n", "p2": "fine\n"}, {"f1": "bad\n", "f2": "x\n"}
-    _write_corpus(tmp_path, passed, failed, ["f1,2", "f2,0"])
+    write_corpus(tmp_path, passed, failed, ["f1,2", "f2,0"])
     corpus = load_corpus(tmp_path)
     for log in (*corpus.passed, *corpus.failed):
-        built = type(log)(**log.__dict__)
-        assert list(log.__dict__) == list(built.__dict__) == [f.name for f in fields(log)]
-        assert log.__dict__ == built.__dict__ and log.__dict__["lines"] is None
+        built = type(log)(**vars(log))
+        assert list(vars(log)) == [f.name for f in fields(log)]
         assert log == built and repr(log) == repr(built)
-        assert replace(log) == log and replace(log).__dict__["lines"] == log.lines
-        assert replace(log, lines=("x",)).text == "x"
+        assert replace(log) == log
         assert replace(log, log_id="other").path == log.path
         with pytest.raises(FrozenInstanceError):
             log.log_id = "other"
@@ -126,39 +114,16 @@ def test_a_listed_log_is_the_log_its_class_builds_from_its_fields(tmp_path):
         Path(log.path).write_text(first + "more\n")
         assert log.text == first + "more\n"
         assert log.lines == (*first.splitlines(), "more")
-        Path(log.path).write_text("again\n")
+        Path(log.path).write_bytes(b"again\r\n")
         assert (log.text, log.lines) == ("again\n", ("again",))
     assert [log.cause for log in corpus.failed] == [2, 0]
-    # Listing checks the names it fills against the class's fields.
-    with pytest.raises(TypeError, match="fields"):
-        PassedLog._listed([("p1", "p1.log")], {"p1": 0})
-    with pytest.raises(TypeError, match="fields"):
-        LabeledFailedLog._listed([("f1", "f1.log")])
-
-
-def test_a_log_text_is_its_lines_joined_or_its_file_read_each_time(tmp_path):
-    _write_corpus(tmp_path, {"p1": "ok\n"}, {"f1": "bad\n"}, ["f1,2"])
-    corpus = load_corpus(tmp_path)
-    (tmp_path / "passed" / "p1.log").write_bytes(b"ok\r\nstill\rok\n")
-    assert corpus.passed[0].text == read_log_text(tmp_path / "passed" / "p1.log")
-    assert corpus.passed[0].text == "ok\nstill\nok\n"
-    assert replace(corpus.failed[0], lines=("x", "", "y\rz", "")).text == "x\n\ny\rz\n"
-    assert PassedLog("p2", ()).text == ""
-
-
-@pytest.mark.parametrize(
-    "build", [lambda lines: PassedLog("f1", lines), lambda lines: LabeledFailedLog("f1", lines, 0)]
-)
-def test_a_log_built_with_lines_rejects_a_line_that_holds_a_newline(build):
-    # Training reads such a log as its lines joined with "\n", where this
-    # line would be two.
-    with pytest.raises(ValidationError, match=r'log f1: line 3 holds "\\n"'):
-        build(("a", "b", "c\nd", "e\nf"))
-    assert build(("a", "b\rc", "\x0c", "")).lines == ("a", "b\rc", "\x0c", "")
+    # Every field compares: a log of another file is another log.
+    p1, p2 = corpus.passed
+    assert replace(p1, path=p2.path) != p1
 
 
 def test_undecodable_bytes_are_replaced(tmp_path):
-    _write_corpus(tmp_path, {}, {"f1": ""}, ["f1,0"])
+    write_corpus(tmp_path, {}, {"f1": ""}, ["f1,0"])
     (tmp_path / "failed" / "f1.log").write_bytes(b"ok \xff\xfe broken\n")
     corpus = load_corpus(tmp_path)
     assert "broken" in corpus.failed[0].lines[0]
@@ -329,11 +294,17 @@ def test_duplicate_failed_ids_rejected():
         Corpus(
             (),
             (
-                LabeledFailedLog("f1", ("x",), 0),
-                LabeledFailedLog("f1", ("y",), 1),
+                LabeledFailedLog("f1", "x.log", 0),
+                LabeledFailedLog("f1", "y.log", 1),
             ),
             DEFAULT_TAXONOMY,
         )
+
+
+def test_a_corpus_names_its_first_bad_cause_in_log_id_order():
+    failed = (LabeledFailedLog("f2", "f2.log", 5), LabeledFailedLog("f1", "f1.log", 9))
+    with pytest.raises(ValidationError, match="unknown cause id 9 "):
+        Corpus((), failed, DEFAULT_TAXONOMY)
 
 
 def test_taxonomy_codes():
@@ -351,27 +322,35 @@ def test_taxonomy_codes():
 
 
 def _synthetic_failed(counts) -> Corpus:
+    # Splitting reads no log, so the paths need not exist.
     failed = []
     for cause, count in enumerate(counts):
         failed.extend(
-            LabeledFailedLog(f"c{cause}-{i:05d}", (f"line {i}",), cause)
+            LabeledFailedLog(f"c{cause}-{i:05d}", f"c{cause}-{i:05d}.log", cause)
             for i in range(count)
         )
     return Corpus((), tuple(failed), DEFAULT_TAXONOMY)
 
 
+def _cause_counts(corpus) -> list[int]:
+    counts = [0] * corpus.taxonomy.k
+    for log in corpus.failed:
+        counts[log.cause] += 1
+    return counts
+
+
 def test_split_ceiling_counts_match_reference_sizes():
     corpus = _synthetic_failed((2889, 984, 517, 73))
     train, test = split(corpus, 0.10, seed=13)
-    assert test.cause_counts() == [289, 99, 52, 8]
-    assert train.cause_counts() == [2600, 885, 465, 65]
+    assert _cause_counts(test) == [289, 99, 52, 8]
+    assert _cause_counts(train) == [2600, 885, 465, 65]
 
 
 def test_split_no_float_ceiling_artifacts():
     # ceil(0.1 * 2890) must be 289, not 290.
     corpus = _synthetic_failed((2890, 10, 10, 10))
     _, test = split(corpus, 0.1, seed=0)
-    assert test.cause_counts()[0] == 289
+    assert _cause_counts(test)[0] == 289
 
 
 def test_split_deterministic_under_seed():
@@ -386,22 +365,22 @@ def test_split_deterministic_under_seed():
 def test_split_single_log_cause_stays_in_train():
     corpus = _synthetic_failed((5, 1, 2, 2))
     train, test = split(corpus, 0.5, seed=1)
-    assert test.cause_counts()[1] == 0
-    assert train.cause_counts()[1] == 1
+    assert _cause_counts(test)[1] == 0
+    assert _cause_counts(train)[1] == 1
 
 
 def test_split_always_leaves_a_training_log():
     corpus = _synthetic_failed((2, 2, 2, 2))
     train, test = split(corpus, 0.9, seed=3)
-    assert train.cause_counts() == [1, 1, 1, 1]
-    assert test.cause_counts() == [1, 1, 1, 1]
+    assert _cause_counts(train) == [1, 1, 1, 1]
+    assert _cause_counts(test) == [1, 1, 1, 1]
 
 
 def test_split_stratification_within_one_log():
     corpus = _synthetic_failed((37, 23, 11, 7))
     _, test = split(corpus, 0.25, seed=9)
-    for cause, count in enumerate(test.cause_counts()):
-        assert abs(count - 0.25 * corpus.cause_counts()[cause]) < 1.0
+    for cause, count in enumerate(_cause_counts(test)):
+        assert abs(count - 0.25 * _cause_counts(corpus)[cause]) < 1.0
 
 
 def test_split_fraction_bounds():

@@ -1,21 +1,22 @@
 import gc
 import json
 import re
+import tempfile
 import weakref
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ncchecker import ValidationError, build, flag_lines, load_model, predict_lines, save_model
-from ncchecker.abstraction import MASK_CHUNK_LINES, AbstractionConfig, TemplateMiner
-from ncchecker.corpus import DEFAULT_TAXONOMY, Corpus, LabeledFailedLog, PassedLog, load_corpus
-from ncchecker.generator import default_spec, generate_synthetic
+from ncchecker.abstraction import AbstractionConfig, TemplateMiner
+from ncchecker.corpus import DEFAULT_TAXONOMY, load_corpus
 from ncchecker.model import _config_to_json, model_from_text, model_to_text
 from ncchecker import table as table_module
 from ncchecker.table import ABLATION_VARIANTS, ablation_tables
 
-from conftest import MULTI_LINE, SINGLE5_LINE
+from conftest import MULTI_LINE, SINGLE5_LINE, log_text, write_corpus
 
 
 def test_model_round_trip_preserves_everything(tmp_path, fig_corpus):
@@ -79,20 +80,6 @@ def test_model_text_is_deterministic(fig_corpus):
     first = model_to_text(*build(fig_corpus))
     second = model_to_text(*build(fig_corpus))
     assert first == second
-
-
-def test_a_corpus_read_from_disk_trains_the_model_of_its_lines_in_memory(tmp_path):
-    root = tmp_path / "corpus"
-    spec = default_spec(cause_counts=(12, 8, 5, 3), passed_count=6, lines_range=(30, 80), seed=3)
-    generate_synthetic(spec, root)
-    on_disk = load_corpus(root)
-    in_memory = Corpus(
-        tuple(PassedLog(log.log_id, log.lines) for log in on_disk.passed),
-        tuple(LabeledFailedLog(log.log_id, log.lines, log.cause) for log in on_disk.failed),
-        on_disk.taxonomy,
-    )
-    assert sum(len(log.lines) for log in on_disk.failed) > MASK_CHUNK_LINES
-    assert model_to_text(*build(on_disk)) == model_to_text(*build(in_memory))
 
 
 def test_model_header_version_check():
@@ -366,16 +353,24 @@ def _trained_models(draw):
             max_size=8,
         )
     )
-    corpus = Corpus(
-        tuple(PassedLog(f"p{i:02d}", tuple(lines)) for i, lines in enumerate(passed)),
-        tuple(
-            LabeledFailedLog(f"f{i:02d}", (*lines, marker), cause)
-            for i, (lines, marker, cause) in enumerate(failed)
-        ),
-        DEFAULT_TAXONOMY,
-    )
+    logs = (passed, [((*lines, marker), cause) for lines, marker, cause in failed])
     probes = draw(st.lists(_lines(1, 8), max_size=10))
-    return corpus, config, draw(st.sampled_from(ABLATION_VARIANTS)), probes
+    return logs, config, draw(st.sampled_from(ABLATION_VARIANTS)), probes
+
+
+@contextmanager
+def _written(logs):
+    """The corpus of drawn ``(passed, failed)`` logs, written to a temporary
+    directory that lasts as long as the ``with`` block, and loaded."""
+    passed, failed = logs
+    with tempfile.TemporaryDirectory() as root:
+        write_corpus(
+            root,
+            {f"p{i:02d}": log_text(lines) for i, lines in enumerate(passed)},
+            {f"f{i:02d}": log_text(lines) for i, (lines, _) in enumerate(failed)},
+            [f"f{i:02d},{cause}" for i, (_, cause) in enumerate(failed)],
+        )
+        yield load_corpus(root)
 
 
 def _tree_shape(node):
@@ -385,17 +380,19 @@ def _tree_shape(node):
     )
 
 
-def _train(corpus, config, variant):
-    """The miner and the named variant's table, from one mining pass."""
-    miner, tables = ablation_tables(corpus, config)
+def _train(logs, config, variant):
+    """The miner and the named variant's table, from one mining pass over
+    the drawn logs, written to disk."""
+    with _written(logs) as corpus:
+        miner, tables = ablation_tables(corpus, config)
     return miner, tables[variant]
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(_trained_models())
 def test_reloaded_model_is_the_trained_one(case):
-    corpus, config, variant, probes = case
-    miner, table = _train(corpus, config, variant)
+    logs, config, variant, probes = case
+    miner, table = _train(logs, config, variant)
     text = model_to_text(miner, table)
     loaded_miner, loaded_table = model_from_text(text)
 
@@ -403,8 +400,8 @@ def test_reloaded_model_is_the_trained_one(case):
     assert [(n, _tree_shape(node)) for n, node in loaded_miner._root.items()] == [
         (n, _tree_shape(node)) for n, node in miner._root.items()
     ]
-    logs = [log.lines for log in corpus.passed + corpus.failed] + [tuple(probes)]
-    for lines in logs:
+    passed, failed = logs
+    for lines in [*passed, *(lines for lines, _ in failed), tuple(probes)]:
         assert loaded_miner.parse_log(lines).events == miner.parse_log(lines).events
     # The counts are the trained ones, and so are the scores derived from
     # them, to the last bit.
@@ -421,8 +418,10 @@ def test_reloaded_model_is_the_trained_one(case):
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(_trained_models())
 def test_the_one_pass_full_model_is_the_built_one(case):
-    corpus, config, _, _ = case
-    assert model_to_text(*_train(corpus, config, "full")) == model_to_text(*build(corpus, config))
+    logs, config, _, _ = case
+    with _written(logs) as corpus:
+        built = model_to_text(*build(corpus, config))
+    assert model_to_text(*_train(logs, config, "full")) == built
 
 
 # What a one-line edit may insert: digits, signs, separators and letters of
@@ -433,8 +432,8 @@ _EDIT_CHARS = "0123456789.-+ \t_efinaslgmutorwhpc<*>\"[],:"
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(_trained_models(), st.data())
 def test_a_one_line_edit_is_rejected_or_loads_as_written(case, data):
-    corpus, config, variant, _ = case
-    lines = model_to_text(*_train(corpus, config, variant)).splitlines()
+    logs, config, variant, _ = case
+    lines = model_to_text(*_train(logs, config, variant)).splitlines()
     at = data.draw(st.integers(0, len(lines) - 1))
     line = lines[at]
     start = data.draw(st.integers(0, len(line)))
@@ -456,8 +455,8 @@ def test_a_one_line_edit_is_rejected_or_loads_as_written(case, data):
 def test_event_ids_are_the_registry_rows(case):
     # The n-th registry row is e<n>, trained and reloaded, and a miner
     # rebuilt from the registry registers next after its last row.
-    corpus, config, variant, _ = case
-    miner, table = _train(corpus, config, variant)
+    logs, config, variant, _ = case
+    miner, table = _train(logs, config, variant)
     loaded_miner, _ = model_from_text(model_to_text(miner, table))
     ids = [f"e{n}" for n in range(1, len(miner.templates) + 1)]
     for each in (miner, loaded_miner):

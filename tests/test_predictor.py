@@ -1,4 +1,5 @@
 import math
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -228,7 +229,8 @@ _FIG_MODELS = []
 
 def _fig_model(variant):
     if not _FIG_MODELS:
-        _FIG_MODELS.extend(ablation_tables(make_fig_corpus()))
+        with tempfile.TemporaryDirectory() as root:
+            _FIG_MODELS.extend(ablation_tables(make_fig_corpus(root)))
     miner, tables = _FIG_MODELS
     return miner, tables[variant]
 

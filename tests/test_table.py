@@ -259,7 +259,7 @@ def test_build_aborts_when_diff_empties_the_table(fig_corpus):
     # Failed logs made only of benign lines leave nothing after the diff.
     benign_only = Corpus(
         fig_corpus.passed,
-        (LabeledFailedLog("f1", fig_corpus.passed[0].lines, 0),),
+        (LabeledFailedLog("f1", fig_corpus.passed[0].path, 0),),
         DEFAULT_TAXONOMY,
     )
     with pytest.raises(ValidationError, match="no discriminative events"):
@@ -270,7 +270,7 @@ def test_ablation_tables_reject_what_build_rejects(fig_corpus):
     # drop1 would keep the benign events, but full needs a table too.
     benign_only = Corpus(
         fig_corpus.passed,
-        (LabeledFailedLog("f1", fig_corpus.passed[0].lines, 0),),
+        (LabeledFailedLog("f1", fig_corpus.passed[0].path, 0),),
         DEFAULT_TAXONOMY,
     )
     with pytest.raises(ValidationError, match="no discriminative events"):
